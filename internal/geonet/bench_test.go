@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"github.com/vanetsec/georoute/internal/geo"
-	"github.com/vanetsec/georoute/internal/radio"
 	"github.com/vanetsec/georoute/internal/security"
-	"github.com/vanetsec/georoute/internal/sim"
 )
 
 func benchPacket(b *testing.B) (*Packet, security.Signer, security.Verifier) {
@@ -89,30 +87,23 @@ func BenchmarkLocTClosest64Neighbors(b *testing.B) {
 }
 
 func BenchmarkRouterBeaconReceive(b *testing.B) {
-	// The simulator's hottest path: decode + verify + LocT update.
-	engine := sim.NewEngine(1)
-	medium := radio.NewMedium(engine, radio.Config{})
-	ca := security.NewSimCA(1)
-	rx := NewRouter(Config{
-		Addr:     1,
-		Engine:   engine,
-		Medium:   medium,
-		Signer:   ca.Enroll(1, 0),
-		Verifier: ca,
-		Position: func() geo.Point { return geo.Pt(0, 0) },
-		Range:    486,
-	})
-	rx.Start()
-	sender := ca.Enroll(2, 0)
-	beacon := &Packet{
-		Basic:    BasicHeader{Version: 1, RHL: 1},
-		Type:     TypeBeacon,
-		SourcePV: PositionVector{Addr: 2, Timestamp: time.Second, Pos: geo.Pt(100, 0), Speed: 30, Heading: 90},
-	}
-	beacon.Sign(sender)
-	frame := radio.Frame{From: 2, To: radio.BroadcastID, Payload: beacon.Marshal()}
+	// The simulator's hottest path: decode + verify + LocT refresh of a
+	// fresh beacon. Every delivery advances the sender's PV timestamp; at
+	// the end of each lap of the ring the clock jumps past the entry TTL,
+	// so the ring's first beacon re-learns the expired (not yet purged)
+	// entry instead of replaying as stale.
+	const n = 256
+	rx, engine, ring := freshBeaconFixture(b, n, false)
+	lapSpan := n*beaconRingPeriod + rx.loct.TTL()
+	var lap time.Duration
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rx.Deliver(frame)
+		k := i % n
+		if k == 0 && i > 0 {
+			lap += lapSpan
+		}
+		engine.Run(lap + time.Duration(k+1)*beaconRingPeriod)
+		rx.Deliver(ring[k])
 	}
 }

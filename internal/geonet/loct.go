@@ -38,6 +38,14 @@ func (e *LocTEntry) NeighborAt(now time.Duration) bool {
 // populated from received beacons and from the source position vectors of
 // forwarded packets. Entries expire after the configured TTL (default
 // 20 s per the standard).
+//
+// Entry lifetime: Update overwrites a stored *LocTEntry in place, so a
+// pointer handed out by Lookup, Neighbors, AppendNeighbors or Closest is
+// a view that is valid only within the current event — until the next
+// Update of that address. Callers read it and drop it (the greedy and
+// GPSR next-hop walks, the CBF contention timers, the location-service
+// shortcut, next-hop acceptance filters); none may retain it across an
+// Update, and one that needs a snapshot copies the value.
 type LocT struct {
 	ttl         time.Duration
 	neighborTTL time.Duration
@@ -70,9 +78,16 @@ func (t *LocT) TTL() time.Duration { return t.ttl }
 // Update inserts or refreshes the entry for pv.Addr. A PV older than the
 // stored one is ignored (beacon timestamps provide freshness; note that
 // an immediate replay carries the *latest* timestamp and is accepted —
-// the paper's point). isNeighbor marks single-hop receptions; once set it
-// persists for the life of the entry. It reports whether the table
-// changed.
+// the paper's point). isNeighbor marks single-hop receptions: it grants
+// neighbor status until now + neighborTTL, and a refresh from a
+// non-neighbor source (a forwarded data packet's PV) keeps a live
+// entry's current NeighborUntil rather than extending or clearing it.
+// Once an entry expires its neighbor status goes with it. It reports
+// whether the table changed.
+//
+// A stored entry is refreshed in place, so the per-beacon refresh — the
+// simulator's hottest operation — allocates nothing; only an address
+// learned for the first time (or again after a purge) gets a new entry.
 func (t *LocT) Update(pv PositionVector, now time.Duration, isNeighbor bool) bool {
 	e, ok := t.entries[pv.Addr]
 	if ok && now <= e.ExpiresAt && pv.Timestamp <= e.PV.Timestamp {
@@ -100,7 +115,11 @@ func (t *LocT) Update(pv PositionVector, now time.Duration, isNeighbor bool) boo
 	if isNeighbor {
 		neighborUntil = now + t.neighborTTL
 	}
-	t.entries[pv.Addr] = &LocTEntry{
+	if !ok {
+		e = new(LocTEntry)
+		t.entries[pv.Addr] = e
+	}
+	*e = LocTEntry{
 		Addr:          pv.Addr,
 		PV:            pv,
 		UpdatedAt:     now,
@@ -139,7 +158,8 @@ func (t *LocT) Purge(now time.Duration) {
 
 // Neighbors returns the live entries sorted by address (deterministic
 // iteration for reproducible runs). The entries are shared; callers must
-// not mutate them.
+// not mutate them, and they change under the caller on the next Update
+// (see the entry-lifetime note on LocT).
 func (t *LocT) Neighbors(now time.Duration) []*LocTEntry {
 	return t.AppendNeighbors(make([]*LocTEntry, 0, len(t.entries)), now)
 }

@@ -134,6 +134,29 @@ func TestLocTClosest(t *testing.T) {
 	}
 }
 
+// TestLocTRefreshAllocs: refreshing known addresses with advancing PV
+// timestamps — what every fresh beacon does — overwrites the stored
+// entries in place and allocates nothing on a warm table.
+func TestLocTRefreshAllocs(t *testing.T) {
+	const addrs = 64
+	lt := NewLocT(20*time.Second, 0)
+	for a := Address(1); a <= addrs; a++ {
+		lt.Update(pvAt(a, float64(a), 0), 0, true)
+	}
+	ts := time.Duration(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		ts += 100 * time.Millisecond
+		for a := Address(1); a <= addrs; a++ {
+			if !lt.Update(pvAt(a, float64(a)+1, ts), ts, a%2 == 0) {
+				t.Fatal("newer PV rejected")
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("LocT refresh allocates %.1f per %d updates, want 0", allocs, addrs)
+	}
+}
+
 func TestLocTPurge(t *testing.T) {
 	lt := NewLocT(time.Second, 0)
 	for a := Address(1); a <= 10; a++ {

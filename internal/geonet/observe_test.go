@@ -64,15 +64,15 @@ func receiveFixture(tb testing.TB, tr *trace.Tracer) (*Router, radio.Frame) {
 	return receiveFixtureMonitored(tb, tr, nil)
 }
 
-func receiveFixtureMonitored(tb testing.TB, tr *trace.Tracer, mon *detect.Monitor) (*Router, radio.Frame) {
-	tb.Helper()
+// testReceiver builds router 1 at the origin and the CA that enrolls its
+// peers.
+func testReceiver(tr *trace.Tracer, mon *detect.Monitor) (*Router, *sim.Engine, *security.SimCA) {
 	engine := sim.NewEngine(1)
-	medium := radio.NewMedium(engine, radio.Config{})
 	ca := security.NewSimCA(1)
 	rx := NewRouter(Config{
 		Addr:     1,
 		Engine:   engine,
-		Medium:   medium,
+		Medium:   radio.NewMedium(engine, radio.Config{}),
 		Signer:   ca.Enroll(1, 0),
 		Verifier: ca,
 		Position: func() geo.Point { return geo.Pt(0, 0) },
@@ -80,6 +80,12 @@ func receiveFixtureMonitored(tb testing.TB, tr *trace.Tracer, mon *detect.Monito
 		Tracer:   tr,
 		Monitor:  mon,
 	})
+	return rx, engine, ca
+}
+
+func receiveFixtureMonitored(tb testing.TB, tr *trace.Tracer, mon *detect.Monitor) (*Router, radio.Frame) {
+	tb.Helper()
+	rx, _, ca := testReceiver(tr, mon)
 	rx.Start()
 	sender := ca.Enroll(2, 0)
 	beacon := &Packet{
@@ -89,6 +95,89 @@ func receiveFixtureMonitored(tb testing.TB, tr *trace.Tracer, mon *detect.Monito
 	}
 	beacon.Sign(sender)
 	return rx, radio.Frame{From: 2, To: radio.BroadcastID, Payload: beacon.Marshal(), Cache: &radio.FrameCache{}}
+}
+
+// beaconRingPeriod is the PV timestamp step between consecutive beacons
+// of freshBeaconFixture's sender.
+const beaconRingPeriod = 100 * time.Millisecond
+
+// freshBeaconFixture builds a receiving router plus a ring of n beacons
+// pre-signed by one sender (address 2). Beacon k carries PV timestamp
+// (k+1)·beaconRingPeriod, so delivering the ring in order at those times
+// is a run of fresh, non-replayed receptions, each refreshing the
+// sender's LocT entry. The router is not started, so no beacon timer of
+// its own fires while the caller advances the engine clock. With cached
+// set every frame carries a FrameCache warmed by one decode, as the
+// medium shares per transmission, leaving verify + LocT refresh per
+// delivery; uncached frames decode on every delivery.
+func freshBeaconFixture(tb testing.TB, n int, cached bool) (*Router, *sim.Engine, []radio.Frame) {
+	tb.Helper()
+	rx, engine, ca := testReceiver(nil, nil)
+	sender := ca.Enroll(2, 0)
+	ring := make([]radio.Frame, n)
+	for k := range ring {
+		beacon := &Packet{
+			Basic: BasicHeader{Version: 1, RHL: 1},
+			Type:  TypeBeacon,
+			SourcePV: PositionVector{
+				Addr:      2,
+				Timestamp: time.Duration(k+1) * beaconRingPeriod,
+				Pos:       geo.Pt(100+3*float64(k), 0),
+				Speed:     30,
+				Heading:   90,
+			},
+		}
+		beacon.Sign(sender)
+		ring[k] = radio.Frame{From: 2, To: radio.BroadcastID, Payload: beacon.Marshal()}
+		if cached {
+			ring[k].Cache = &radio.FrameCache{}
+			if _, err := DecodeFrame(ring[k]); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return rx, engine, ring
+}
+
+// TestRouterReceiveAllocsFreshBeacon pins the receive path that runs
+// millions of times per campaign: a cached beacon whose PV is newer than
+// the stored one, so the LocT entry really is refreshed. (Replaying one
+// frame, as the nil-observer tests do, only reaches the same-timestamp
+// no-op.)
+func TestRouterReceiveAllocsFreshBeacon(t *testing.T) {
+	const runs = 200
+	// AllocsPerRun makes one warm-up call before the measured runs, and
+	// one delivery before it learns the sender.
+	rx, engine, ring := freshBeaconFixture(t, runs+2, true)
+	next := 0
+	deliver := func() {
+		next++
+		engine.Run(time.Duration(next) * beaconRingPeriod)
+		rx.Deliver(ring[next-1])
+	}
+	deliver() // first sight of the sender: the one entry allocation
+	entry := rx.loct.Lookup(2, engine.Now())
+	if entry == nil {
+		t.Fatal("sender not learned")
+	}
+	allocs := testing.AllocsPerRun(runs, deliver)
+	if allocs != 0 {
+		t.Fatalf("fresh beacon reception allocates %.1f/op, want 0", allocs)
+	}
+	if next != len(ring) {
+		t.Fatalf("delivered %d beacons, want %d", next, len(ring))
+	}
+	got := rx.loct.Lookup(2, engine.Now())
+	if got != entry {
+		t.Error("LocT entry replaced instead of refreshed in place")
+	}
+	if want := time.Duration(len(ring)) * beaconRingPeriod; got.PV.Timestamp != want || got.UpdatedAt != engine.Now() {
+		t.Errorf("entry PV timestamp %v updated at %v, want both %v: not every delivery refreshed it",
+			got.PV.Timestamp, got.UpdatedAt, want)
+	}
+	if n := rx.Stats().BeaconsReceived; n != uint64(len(ring)) {
+		t.Errorf("BeaconsReceived = %d, want %d", n, len(ring))
+	}
 }
 
 // TestRouterReceiveAllocsNilTracer asserts the PR 2 guarantee survives the
