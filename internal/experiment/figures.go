@@ -128,15 +128,15 @@ func (f Figure) RunObserved(runs int, hook TraceHook, reg *telemetry.Registry) (
 	}
 
 	res := FigureResult{
-		Figure:     f,
-		Runs:       runs,
-		Rates:      make(map[string][]float64),
-		Overall:    make(map[string]float64),
-		ArmSpread:  make(map[string]metrics.Spread),
-		Packets:    make(map[string]int),
-		Attacker:   make(map[string]attack.Stats),
-		Drops:      make(map[string]float64),
-		DropSpread: make(map[string]metrics.Spread),
+		Figure:      f,
+		Runs:        runs,
+		Rates:       make(map[string][]float64),
+		Overall:     make(map[string]float64),
+		ArmSpread:   make(map[string]metrics.Spread),
+		Packets:     make(map[string]int),
+		Attacker:    make(map[string]attack.Stats),
+		Drops:       make(map[string]float64),
+		DropSpread:  make(map[string]metrics.Spread),
 		AccumDrops:  make(map[string][]float64),
 		Protocol:    make(map[string]geonet.Stats),
 		LatencyMean: make(map[string]float64),

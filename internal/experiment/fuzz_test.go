@@ -117,7 +117,7 @@ func FuzzPacketWire(f *testing.F) {
 func FuzzSecurityEnvelope(f *testing.F) {
 	ca := security.NewSimCA(3)
 	signer := ca.Enroll(9, time.Minute)
-	sig := signer.Sign([]byte("protected bytes"))
+	sig := signer.AppendSign(nil, []byte("protected bytes"))
 	f.Add(security.AppendEnvelope(nil, signer.Certificate(), sig))
 	for _, seed := range captureSeedFrames(f) {
 		f.Add(seed)

@@ -152,10 +152,13 @@ type Router struct {
 	nextHop    NextHopPolicy
 	contention ContentionPolicy
 
-	seq          uint16
-	state        map[Key]*pktState
-	lsQueue      map[Address][]lsPending
-	beaconTimer  *sim.Event
+	seq         uint16
+	state       map[Key]*pktState
+	lsQueue     map[Address][]lsPending
+	beaconTimer *sim.Event
+	// beaconFn is r.beaconTick bound once at Start, so rescheduling the
+	// beacon each round does not allocate a fresh method value.
+	beaconFn     func()
 	retryTimers  map[*pending]*sim.Event
 	updateFromDa bool
 	started      bool
@@ -292,8 +295,9 @@ func (r *Router) Start() {
 	}
 	r.started = true
 	r.antenna = r.cfg.Medium.Attach(radio.NodeID(r.cfg.Addr), r.cfg.Range, r.cfg.Position, r, false)
+	r.beaconFn = r.beaconTick
 	first := time.Duration(r.cfg.Rand.Int64N(int64(r.cfg.BeaconInterval)))
-	r.beaconTimer = r.cfg.Engine.Schedule(first, "geonet.beacon", r.beaconTick)
+	r.beaconTimer = r.cfg.Engine.Schedule(first, "geonet.beacon", r.beaconFn)
 }
 
 // Stop detaches from the medium and cancels all timers. Packet copies
@@ -396,19 +400,24 @@ func (r *Router) beaconTick() {
 	r.SendBeacon()
 	r.purgeLSQueue()
 	next := r.cfg.BeaconInterval + time.Duration(r.cfg.Rand.Int64N(int64(r.cfg.BeaconJitter)))
-	r.beaconTimer = r.cfg.Engine.Schedule(next, "geonet.beacon", r.beaconTick)
+	r.beaconTimer = r.cfg.Engine.Schedule(next, "geonet.beacon", r.beaconFn)
 }
 
 // SendBeacon broadcasts a single-hop beacon advertising the node's PV.
+//
+// The beacon is signed straight into the pooled wire buffer, so
+// origination allocates nothing: p stays on the stack, and p.Signature
+// aliases the buffer the medium reclaims after delivery. That is safe
+// only because p is dropped here — emit copies scalars, not slices.
 func (r *Router) SendBeacon() {
 	p := &Packet{
 		Basic:    BasicHeader{Version: protocolVersion, RHL: 1, LifetimeMs: uint32(r.cfg.BeaconInterval / time.Millisecond)},
 		Type:     TypeBeacon,
 		SourcePV: r.pv(),
 	}
-	p.Sign(r.cfg.Signer)
 	r.stats.BeaconsSent++
-	r.send(radio.BroadcastID, p)
+	buf := r.cfg.Medium.GrabPayload()
+	r.cfg.Medium.SendPooled(r.antenna, radio.BroadcastID, p.appendSignedMarshal(buf, r.cfg.Signer))
 	r.emit(trace.EvTX, trace.KindBeacon, trace.ReasonNone, p, 0)
 }
 

@@ -352,7 +352,27 @@ func (p *Packet) protectedBytes() []byte {
 // signer. Must be called after all protected fields are final.
 func (p *Packet) Sign(signer security.Signer) {
 	p.Cert = signer.Certificate()
-	p.Signature = signer.Sign(p.protectedBytes())
+	p.Signature = signer.AppendSign(nil, p.protectedBytes())
+}
+
+// appendSignedMarshal signs p and appends its wire encoding to dst in
+// one pass: the signature is computed over the protected region already
+// written into dst and appended straight into the envelope, so signing
+// into a pooled buffer allocates nothing. It sets p.Cert and leaves
+// p.Signature aliasing the returned buffer — valid only while the caller
+// owns that buffer, so it suits packets dropped once they are sent
+// (beacons), not ones a GF buffer or CBF timer retains (use Sign).
+func (p *Packet) appendSignedMarshal(dst []byte, signer security.Signer) []byte {
+	p.Cert = signer.Certificate()
+	dst = append(dst, p.Basic.Version, p.Basic.RHL)
+	dst = binary.BigEndian.AppendUint32(dst, p.Basic.LifetimeMs)
+	start := len(dst)
+	dst = p.appendProtected(dst)
+	dst, p.Signature = security.AppendSignedEnvelope(dst, signer, dst[start:])
+	if p.Ext.Mode != ExtModeNone {
+		dst = p.appendExt(dst)
+	}
+	return dst
 }
 
 // Verify checks the envelope against the trust anchor. A nil error means
@@ -436,64 +456,86 @@ func Unmarshal(b []byte) (*Packet, error) {
 	return p, err
 }
 
+// inlineTail is the frame-tail size an ownedPacket stores inline: a
+// beacon's tail (empty payload + SimCA envelope) is 118 bytes, and 120
+// keeps the whole block in the 384-byte size class.
+const inlineTail = 120
+
+// ownedPacket is a decoded packet together with the storage its byte
+// fields point into, so a beacon decodes with a single allocation.
+// Tails longer than inline (payload-bearing or ECDSA frames) decode
+// into a plain Packet plus one heap copy of the tail instead.
+type ownedPacket struct {
+	Packet
+	inline [inlineTail]byte
+}
+
 // unmarshalWire decodes a packet and additionally reports where the
 // protected (signed) region ends: b[basicHeaderLen:protEnd] is exactly
 // the byte range the source signed, so a verifier holding the wire bytes
 // can check the signature without re-serializing the packet.
+//
+// The decoded packet never aliases b (frame payloads are pooled and
+// reused): the tail after the payload length — payload, envelope and
+// any extension trailer — is copied once into storage the packet owns,
+// and Payload, Cert and Signature are capacity-limited subslices of
+// that copy.
 func unmarshalWire(b []byte) (p *Packet, protEnd int, err error) {
 	wire := b
-	p = &Packet{}
+	// The header decodes into a stack value; the heap block is sized
+	// once the tail length is known.
+	var pk Packet
 	if len(b) < 6 {
 		return nil, 0, ErrTruncated
 	}
-	p.Basic.Version = b[0]
-	if p.Basic.Version != protocolVersion {
+	pk.Basic.Version = b[0]
+	if pk.Basic.Version != protocolVersion {
 		return nil, 0, ErrBadVersion
 	}
-	p.Basic.RHL = b[1]
-	p.Basic.LifetimeMs = binary.BigEndian.Uint32(b[2:])
+	pk.Basic.RHL = b[1]
+	pk.Basic.LifetimeMs = binary.BigEndian.Uint32(b[2:])
 	b = b[basicHeaderLen:]
 
 	if len(b) < 4 {
 		return nil, 0, ErrTruncated
 	}
-	p.Type = PacketType(b[0])
-	p.TrafficClass = b[1]
-	p.SN = binary.BigEndian.Uint16(b[2:])
+	pk.Type = PacketType(b[0])
+	pk.TrafficClass = b[1]
+	pk.SN = binary.BigEndian.Uint16(b[2:])
 	b = b[4:]
 
 	pv, err := decodePV(b)
 	if err != nil {
 		return nil, 0, err
 	}
-	p.SourcePV = pv
+	pk.SourcePV = pv
 	b = b[pvWireLen:]
 
-	switch p.Type {
+	switch pk.Type {
 	case TypeBeacon, TypeSHB, TypeTSB:
 	case TypeGeoUnicast, TypeLSReply:
 		if len(b) < 16 {
 			return nil, 0, ErrTruncated
 		}
-		p.DestAddr = Address(binary.BigEndian.Uint64(b))
+		pk.DestAddr = Address(binary.BigEndian.Uint64(b))
 		pos, err := decodePoint(b[8:])
 		if err != nil {
 			return nil, 0, err
 		}
-		p.DestPos = pos
+		pk.DestPos = pos
 		b = b[16:]
 	case TypeGeoBroadcast:
 		area, n, err := decodeArea(b)
 		if err != nil {
 			return nil, 0, err
 		}
-		p.Area = area
+		pk.Area = area
 		b = b[n:]
 	case TypeLSRequest:
 		if len(b) < 8 {
 			return nil, 0, ErrTruncated
 		}
-		p.DestAddr = Address(binary.BigEndian.Uint64(b))
+		pk.DestAddr = Address(binary.BigEndian.Uint64(b))
 		b = b[8:]
 	default:
 		return nil, 0, ErrBadType
@@ -509,9 +551,20 @@ func unmarshalWire(b []byte) (p *Packet, protEnd int, err error) {
 	if len(b) < 2+plen {
 		return nil, 0, ErrTruncated
 	}
-	p.Payload = append([]byte(nil), b[2:2+plen]...)
-	b = b[2+plen:]
-	protEnd = len(wire) - len(b)
+	b = b[2:]
+	protEnd = len(wire) - len(b) + plen
+	if len(b) <= inlineTail {
+		op := &ownedPacket{Packet: pk}
+		p, b = &op.Packet, op.inline[:copy(op.inline[:], b)]
+	} else {
+		p, b = new(Packet), append([]byte(nil), b...)
+		*p = pk
+	}
+	if plen > 0 {
+		// Zero-length payloads stay nil, as locally built packets have them.
+		p.Payload = b[:plen:plen]
+	}
+	b = b[plen:]
 
 	cert, sig, n, err := security.DecodeEnvelope(b)
 	if err != nil {

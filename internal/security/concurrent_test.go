@@ -1,31 +1,37 @@
 package security
 
 import (
+	"bytes"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 )
 
-// TestSimCAVerifyConcurrent hammers the cached-MAC verify path from as
-// many goroutines as the parallel experiment runner would use, with the
-// goroutines deliberately overlapping on station IDs so they contend on
-// the same cached HMAC states. Run under -race this pins the mutex
+// TestSimCAVerifyConcurrent hammers the cached-MAC sign and verify
+// paths from as many goroutines as the parallel experiment runner would
+// use, with the goroutines deliberately overlapping on station IDs so
+// they contend on the same cached HMAC states — each station's signer
+// and the CA's verifier share one. Run under -race this pins the mutex
 // guarding simEnrollment's shared state; functionally it checks that
-// concurrent verifies neither corrupt digests (false rejects) nor let
-// tampered messages through (false accepts).
+// concurrent signs and verifies neither corrupt digests (wrong
+// signatures, false rejects) nor let tampered messages through (false
+// accepts).
 func TestSimCAVerifyConcurrent(t *testing.T) {
 	const stations = 8
 	ca := NewSimCA(7)
 	msgs := make([]SignedMessage, stations)
+	signers := make([]Signer, stations)
 	for i := range msgs {
 		id := StationID(i + 1)
 		signer := ca.Enroll(id, 0)
+		signers[i] = signer
 		protected := []byte{byte(i), 0xCA, 0xFE, byte(i * 3)}
 		msgs[i] = SignedMessage{
 			Cert:      signer.Certificate(),
 			Protected: protected,
-			Signature: signer.Sign(protected),
+			Signature: signer.AppendSign(nil, protected),
 		}
 	}
 	tampered := make([]SignedMessage, stations)
@@ -46,10 +52,16 @@ func TestSimCAVerifyConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			sig := make([]byte, 0, 32)
 			for i := 0; i < 2000; i++ {
 				// Stride by worker so goroutines continuously cross over
 				// the same enrollments rather than partitioning them.
 				m := msgs[(i+w)%stations]
+				sig = signers[(i+w)%stations].AppendSign(sig[:0], m.Protected)
+				if !bytes.Equal(sig, m.Signature) {
+					errs <- fmt.Errorf("station %d: concurrent signature %x, want %x", m.Cert.Station, sig, m.Signature)
+					return
+				}
 				if err := ca.Verify(m, time.Second); err != nil {
 					errs <- err
 					return
@@ -64,7 +76,7 @@ func TestSimCAVerifyConcurrent(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	if err := <-errs; err != nil {
-		t.Fatalf("concurrent verify: %v", err)
+		t.Fatalf("concurrent sign/verify: %v", err)
 	}
 }
 
@@ -78,7 +90,7 @@ func TestSimCAVerifyAllocs(t *testing.T) {
 	msg := SignedMessage{
 		Cert:      signer.Certificate(),
 		Protected: protected,
-		Signature: signer.Sign(protected),
+		Signature: signer.AppendSign(nil, protected),
 	}
 	if err := ca.Verify(msg, time.Second); err != nil {
 		t.Fatal(err)
@@ -93,16 +105,45 @@ func TestSimCAVerifyAllocs(t *testing.T) {
 	}
 }
 
-// TestSimSignerSignAllocs pins the sign path to its one unavoidable
-// allocation: the returned signature slice, which the packet retains.
+// TestSimSignerSignAllocs pins the sign path to zero allocations when
+// the caller supplies room for the signature: the MAC state is warmed at
+// Enroll and Sum appends into dst.
 func TestSimSignerSignAllocs(t *testing.T) {
 	ca := NewSimCA(7)
 	signer := ca.Enroll(1, 0)
 	protected := []byte("beacon position vector")
+	dst := make([]byte, 0, 64)
 	allocs := testing.AllocsPerRun(1000, func() {
-		_ = signer.Sign(protected)
+		dst = signer.AppendSign(dst[:0], protected)
 	})
-	if allocs > 1 {
-		t.Fatalf("simSigner.Sign allocates %.1f/op, want <= 1", allocs)
+	if allocs != 0 {
+		t.Fatalf("simSigner.AppendSign allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestAppendSignAliasedFullBuffer signs a protected region that aliases
+// dst when dst has no spare capacity, so the append must reallocate: the
+// MAC reads protected before Sum appends, so the signature still covers
+// the original bytes. AppendSignedEnvelope relies on exactly this.
+func TestAppendSignAliasedFullBuffer(t *testing.T) {
+	ca := NewSimCA(7)
+	signer := ca.Enroll(1, 0)
+	want := signer.AppendSign(nil, []byte("protected region"))
+
+	dst := []byte("header|protected region")
+	dst = dst[:len(dst):len(dst)]
+	protected := dst[len("header|"):]
+	out := signer.AppendSign(dst, protected)
+	if string(out[:len(dst)]) != "header|protected region" || !bytes.Equal(out[len(dst):], want) {
+		t.Fatalf("aliased AppendSign = %q, want the prefix kept and the signature over the original bytes", out)
+	}
+
+	env, sig := AppendSignedEnvelope(dst, signer, protected)
+	cert, got, n, err := DecodeEnvelope(env[len(dst):])
+	if err != nil || n != len(env)-len(dst) || !bytes.Equal(got, want) || !bytes.Equal(sig, want) {
+		t.Fatalf("envelope signature %x / returned %x, want %x (n=%d, err=%v)", got, sig, want, n, err)
+	}
+	if err := ca.Verify(SignedMessage{Cert: cert, Protected: protected, Signature: got}, 0); err != nil {
+		t.Fatalf("signed envelope does not verify: %v", err)
 	}
 }

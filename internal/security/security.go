@@ -68,8 +68,12 @@ type SignedMessage struct {
 
 // Signer produces signatures for one station.
 type Signer interface {
-	// Sign returns the signature over protected.
-	Sign(protected []byte) []byte
+	// AppendSign appends the signature over protected to dst and returns
+	// the extended slice. protected may alias dst (the beacon path signs
+	// the protected region of the wire buffer it is still writing):
+	// implementations read protected in full before appending to dst, so
+	// the call is safe even when the append reallocates.
+	AppendSign(dst, protected []byte) []byte
 	// Certificate returns the CA-endorsed certificate to attach.
 	Certificate() Certificate
 }
@@ -95,22 +99,35 @@ type SimCA struct {
 	enrolled map[StationID]*simEnrollment
 }
 
+// simEnrollment is one station's issued certificate and MAC state. The
+// station's signer and the CA's verifier share it: both compute the same
+// keyed MAC, so one warmed state serves both sides.
 type simEnrollment struct {
-	key  []byte
 	cert Certificate
 
-	// mu guards the cached MAC state below. Verification happens on the
-	// engine goroutine of whichever run owns this CA, but the parallel
-	// experiment runner and the concurrency tests may verify from many
-	// goroutines, so the hot path takes an (uncontended) mutex instead of
-	// assuming single-threaded use.
+	// mu guards the cached MAC state below. Signing and verification run
+	// on the engine goroutine of whichever run owns this CA, but the
+	// parallel experiment runner and the concurrency tests may sign and
+	// verify from many goroutines, so the hot path takes an (uncontended)
+	// mutex instead of assuming single-threaded use.
 	mu sync.Mutex
 	// mac is the station's HMAC state, created once at enrolment and
-	// reset between messages: verify is Reset+Write+Sum with zero
-	// allocations instead of a fresh hmac.New per message.
+	// reset between messages: sign and verify are Reset+Write+Sum with
+	// zero allocations instead of a fresh hmac.New per message.
 	mac hash.Hash
-	// sum is the scratch digest buffer Sum appends into.
+	// sum is the scratch digest buffer verify's Sum appends into.
 	sum [sha256.Size]byte
+}
+
+// appendSign appends the station MAC over protected to dst. Write
+// consumes protected before Sum appends, so protected may alias dst.
+func (rec *simEnrollment) appendSign(dst, protected []byte) []byte {
+	rec.mu.Lock()
+	rec.mac.Reset()
+	rec.mac.Write(protected)
+	dst = rec.mac.Sum(dst)
+	rec.mu.Unlock()
+	return dst
 }
 
 // verify recomputes the station MAC over protected into the cached state
@@ -180,8 +197,9 @@ func (ca *SimCA) Enroll(id StationID, notAfter time.Duration) Signer {
 	h := sha256.Sum256(key)
 	cert.PublicKey = h[:]
 	ca.endorse(&cert)
-	ca.enrolled[id] = &simEnrollment{key: key, cert: cert, mac: warmMAC(key)}
-	return &simSigner{key: key, cert: cert, mac: warmMAC(key)}
+	rec := &simEnrollment{cert: cert, mac: warmMAC(key)}
+	ca.enrolled[id] = rec
+	return &simSigner{rec: rec}
 }
 
 // Verify implements Verifier.
@@ -206,30 +224,19 @@ func (ca *SimCA) Verify(msg SignedMessage, now time.Duration) error {
 	return nil
 }
 
+// simSigner signs under its station's enrolment record, sharing the
+// warmed MAC state (and its mutex) with the CA's verifier.
 type simSigner struct {
-	key  []byte
-	cert Certificate
-
-	// mu/mac mirror simEnrollment: one cached, resettable MAC state per
-	// signer instead of an hmac.New per message.
-	mu  sync.Mutex
-	mac hash.Hash
+	rec *simEnrollment
 }
 
 var _ Signer = (*simSigner)(nil)
 
-func (s *simSigner) Sign(protected []byte) []byte {
-	s.mu.Lock()
-	s.mac.Reset()
-	s.mac.Write(protected)
-	// The signature is retained by the caller (it travels in the packet),
-	// so it must be a fresh slice — the single allocation left here.
-	sig := s.mac.Sum(make([]byte, 0, sha256.Size))
-	s.mu.Unlock()
-	return sig
+func (s *simSigner) AppendSign(dst, protected []byte) []byte {
+	return s.rec.appendSign(dst, protected)
 }
 
-func (s *simSigner) Certificate() Certificate { return s.cert }
+func (s *simSigner) Certificate() Certificate { return s.rec.cert }
 
 // --- Real ECDSA CA -------------------------------------------------------
 
@@ -314,14 +321,14 @@ type ecdsaSigner struct {
 
 var _ Signer = (*ecdsaSigner)(nil)
 
-func (s *ecdsaSigner) Sign(protected []byte) []byte {
+func (s *ecdsaSigner) AppendSign(dst, protected []byte) []byte {
 	h := sha256.Sum256(protected)
 	sig, err := ecdsa.SignASN1(rand.Reader, s.key, h[:])
 	if err != nil {
 		// rand.Reader failing is unrecoverable; surface loudly.
 		panic(fmt.Sprintf("security: ECDSA sign: %v", err))
 	}
-	return sig
+	return append(dst, sig...)
 }
 
 func (s *ecdsaSigner) Certificate() Certificate { return s.cert }

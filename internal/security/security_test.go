@@ -14,7 +14,7 @@ func TestSimCASignVerify(t *testing.T) {
 	sm := SignedMessage{
 		Cert:      signer.Certificate(),
 		Protected: msg,
-		Signature: signer.Sign(msg),
+		Signature: signer.AppendSign(nil, msg),
 	}
 	if err := ca.Verify(sm, 0); err != nil {
 		t.Fatalf("Verify of honest message failed: %v", err)
@@ -30,7 +30,7 @@ func TestSimCAReplayStillVerifies(t *testing.T) {
 	original := SignedMessage{
 		Cert:      signer.Certificate(),
 		Protected: msg,
-		Signature: signer.Sign(msg),
+		Signature: signer.AppendSign(nil, msg),
 	}
 	replayed := SignedMessage{
 		Cert:      original.Cert,
@@ -46,7 +46,7 @@ func TestSimCATamperedProtectedFails(t *testing.T) {
 	ca := NewSimCA(1)
 	signer := ca.Enroll(42, 0)
 	msg := []byte("position=100")
-	sm := SignedMessage{Cert: signer.Certificate(), Protected: msg, Signature: signer.Sign(msg)}
+	sm := SignedMessage{Cert: signer.Certificate(), Protected: msg, Signature: signer.AppendSign(nil, msg)}
 	sm.Protected = []byte("position=999") // forged PV
 	if err := ca.Verify(sm, 0); err != ErrBadSignature {
 		t.Fatalf("tampered message verified: err = %v, want ErrBadSignature", err)
@@ -71,7 +71,7 @@ func TestSimCAUnenrolledStationFails(t *testing.T) {
 	other := NewSimCA(2)
 	foreign := other.Enroll(7, 0)
 	msg := []byte("hello")
-	sm := SignedMessage{Cert: foreign.Certificate(), Protected: msg, Signature: foreign.Sign(msg)}
+	sm := SignedMessage{Cert: foreign.Certificate(), Protected: msg, Signature: foreign.AppendSign(nil, msg)}
 	if err := ca.Verify(sm, 0); err == nil {
 		t.Fatal("message from foreign CA verified")
 	}
@@ -81,7 +81,7 @@ func TestSimCAFakeCertificateFails(t *testing.T) {
 	ca := NewSimCA(1)
 	signer := ca.Enroll(42, 0)
 	msg := []byte("m")
-	sm := SignedMessage{Cert: signer.Certificate(), Protected: msg, Signature: signer.Sign(msg)}
+	sm := SignedMessage{Cert: signer.Certificate(), Protected: msg, Signature: signer.AppendSign(nil, msg)}
 	// Attacker rewrites the certificate to claim a different station that
 	// IS enrolled (trying to impersonate station 43).
 	ca.Enroll(43, 0)
@@ -95,7 +95,7 @@ func TestSimCAExpiredCertificate(t *testing.T) {
 	ca := NewSimCA(1)
 	signer := ca.Enroll(42, 10*time.Second)
 	msg := []byte("m")
-	sm := SignedMessage{Cert: signer.Certificate(), Protected: msg, Signature: signer.Sign(msg)}
+	sm := SignedMessage{Cert: signer.Certificate(), Protected: msg, Signature: signer.AppendSign(nil, msg)}
 	if err := ca.Verify(sm, 5*time.Second); err != nil {
 		t.Fatalf("unexpired certificate rejected: %v", err)
 	}
@@ -112,7 +112,7 @@ func TestSimCADeterministicAcrossInstances(t *testing.T) {
 	sa := a.Enroll(5, 0)
 	b.Enroll(5, 0)
 	msg := []byte("cross-check")
-	sm := SignedMessage{Cert: sa.Certificate(), Protected: msg, Signature: sa.Sign(msg)}
+	sm := SignedMessage{Cert: sa.Certificate(), Protected: msg, Signature: sa.AppendSign(nil, msg)}
 	if err := b.Verify(sm, 0); err != nil {
 		t.Fatalf("same-seed CA failed to verify: %v", err)
 	}
@@ -123,7 +123,7 @@ func TestSimSignerProperty(t *testing.T) {
 	signer := ca.Enroll(100, 0)
 	cert := signer.Certificate()
 	f := func(msg []byte) bool {
-		sm := SignedMessage{Cert: cert, Protected: msg, Signature: signer.Sign(msg)}
+		sm := SignedMessage{Cert: cert, Protected: msg, Signature: signer.AppendSign(nil, msg)}
 		if ca.Verify(sm, 0) != nil {
 			return false
 		}
@@ -153,7 +153,7 @@ func TestECDSASignVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := []byte("real crypto beacon")
-	sm := SignedMessage{Cert: signer.Certificate(), Protected: msg, Signature: signer.Sign(msg)}
+	sm := SignedMessage{Cert: signer.Certificate(), Protected: msg, Signature: signer.AppendSign(nil, msg)}
 	if err := ca.Verify(sm, 0); err != nil {
 		t.Fatalf("ECDSA verify failed: %v", err)
 	}
@@ -178,7 +178,7 @@ func TestECDSAForgedCertFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := []byte("m")
-	sm := SignedMessage{Cert: signer.Certificate(), Protected: msg, Signature: signer.Sign(msg)}
+	sm := SignedMessage{Cert: signer.Certificate(), Protected: msg, Signature: signer.AppendSign(nil, msg)}
 	sm.Cert.NotAfter = time.Hour // mutate endorsed field
 	if err := ca.Verify(sm, 0); err != ErrUnknownCertificate {
 		t.Fatalf("mutated certificate: err = %v, want ErrUnknownCertificate", err)
@@ -206,7 +206,7 @@ func TestCertificateWireRoundTrip(t *testing.T) {
 	}
 	// And a decoded certificate must still verify.
 	msg := []byte("payload")
-	sm := SignedMessage{Cert: got, Protected: msg, Signature: signer.Sign(msg)}
+	sm := SignedMessage{Cert: got, Protected: msg, Signature: signer.AppendSign(nil, msg)}
 	if err := ca.Verify(sm, 0); err != nil {
 		t.Fatalf("decoded certificate failed verification: %v", err)
 	}
@@ -216,7 +216,7 @@ func TestEnvelopeWireRoundTrip(t *testing.T) {
 	ca := NewSimCA(1)
 	signer := ca.Enroll(7, 0)
 	msg := []byte("body")
-	sig := signer.Sign(msg)
+	sig := signer.AppendSign(nil, msg)
 
 	buf := AppendEnvelope(nil, signer.Certificate(), sig)
 	buf = append(buf, 0xDE, 0xAD) // trailing bytes must be left alone
@@ -239,7 +239,7 @@ func TestEnvelopeWireRoundTrip(t *testing.T) {
 func TestDecodeTruncated(t *testing.T) {
 	ca := NewSimCA(1)
 	signer := ca.Enroll(7, 0)
-	full := AppendEnvelope(nil, signer.Certificate(), signer.Sign([]byte("x")))
+	full := AppendEnvelope(nil, signer.Certificate(), signer.AppendSign(nil, []byte("x")))
 	for cut := 0; cut < len(full); cut++ {
 		if _, _, _, err := DecodeEnvelope(full[:cut]); err == nil {
 			t.Fatalf("decoding %d/%d bytes succeeded, want error", cut, len(full))
@@ -261,9 +261,11 @@ func BenchmarkSimSign(b *testing.B) {
 	ca := NewSimCA(1)
 	signer := ca.Enroll(1, 0)
 	msg := bytes.Repeat([]byte{0x42}, 200)
+	sig := make([]byte, 0, 32)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		signer.Sign(msg)
+		sig = signer.AppendSign(sig[:0], msg)
 	}
 }
 
@@ -271,7 +273,8 @@ func BenchmarkSimVerify(b *testing.B) {
 	ca := NewSimCA(1)
 	signer := ca.Enroll(1, 0)
 	msg := bytes.Repeat([]byte{0x42}, 200)
-	sm := SignedMessage{Cert: signer.Certificate(), Protected: msg, Signature: signer.Sign(msg)}
+	sm := SignedMessage{Cert: signer.Certificate(), Protected: msg, Signature: signer.AppendSign(nil, msg)}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := ca.Verify(sm, 0); err != nil {
@@ -290,7 +293,7 @@ func BenchmarkECDSAVerify(b *testing.B) {
 		b.Fatal(err)
 	}
 	msg := bytes.Repeat([]byte{0x42}, 200)
-	sm := SignedMessage{Cert: signer.Certificate(), Protected: msg, Signature: signer.Sign(msg)}
+	sm := SignedMessage{Cert: signer.Certificate(), Protected: msg, Signature: signer.AppendSign(nil, msg)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := ca.Verify(sm, 0); err != nil {

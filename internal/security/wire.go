@@ -24,7 +24,10 @@ func AppendCertificate(dst []byte, c Certificate) []byte {
 }
 
 // DecodeCertificate decodes a certificate from b, returning the
-// certificate and the number of bytes consumed.
+// certificate and the number of bytes consumed. The certificate's byte
+// fields are capacity-limited subslices of b, not copies: they alias b
+// for as long as the certificate lives, and appending to them cannot
+// write into b. Callers decoding from a reused buffer copy b first.
 func DecodeCertificate(b []byte) (Certificate, int, error) {
 	var c Certificate
 	if len(b) < 16 {
@@ -58,7 +61,8 @@ func AppendEnvelope(dst []byte, cert Certificate, signature []byte) []byte {
 }
 
 // DecodeEnvelope decodes a certificate and signature from b, returning
-// both and the number of bytes consumed.
+// both and the number of bytes consumed. Like DecodeCertificate it
+// returns capacity-limited subslices of b rather than copies.
 func DecodeEnvelope(b []byte) (Certificate, []byte, int, error) {
 	cert, n, err := DecodeCertificate(b)
 	if err != nil {
@@ -69,6 +73,24 @@ func DecodeEnvelope(b []byte) (Certificate, []byte, int, error) {
 		return Certificate{}, nil, 0, fmt.Errorf("security: envelope signature: %w", err)
 	}
 	return cert, sig, n + used, nil
+}
+
+// AppendSignedEnvelope signs protected with signer and appends the
+// envelope (signer's certificate + signature) to dst, writing the
+// signature straight into dst instead of through an intermediate slice.
+// protected may alias dst — typically the protected region the caller
+// just encoded into the same buffer. It returns the extended slice and
+// the signature, a capacity-limited subslice of it.
+func AppendSignedEnvelope(dst []byte, signer Signer, protected []byte) (out, sig []byte) {
+	dst = AppendCertificate(dst, signer.Certificate())
+	at := len(dst)
+	dst = signer.AppendSign(append(dst, 0, 0), protected)
+	n := len(dst) - at - 2
+	if n > maxBlobLen {
+		panic(fmt.Sprintf("security: blob of %d bytes exceeds maximum %d", n, maxBlobLen))
+	}
+	binary.BigEndian.PutUint16(dst[at:], uint16(n))
+	return dst, dst[at+2 : len(dst) : len(dst)]
 }
 
 func appendBlob(dst, blob []byte) []byte {
@@ -90,7 +112,5 @@ func decodeBlob(b []byte) (blob []byte, consumed int, err error) {
 	if len(b) < 2+n {
 		return nil, 0, ErrTruncated
 	}
-	out := make([]byte, n)
-	copy(out, b[2:2+n])
-	return out, 2 + n, nil
+	return b[2 : 2+n : 2+n], 2 + n, nil
 }

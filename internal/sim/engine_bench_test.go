@@ -17,7 +17,7 @@ var benchDelays = func() [1024]time.Duration {
 		r := state >> 33
 		switch {
 		case i%16 == 0:
-			ds[i] = time.Duration(r%uint64(2*time.Second)) // level 1
+			ds[i] = time.Duration(r % uint64(2*time.Second)) // level 1
 		case i%4 == 0:
 			ds[i] = time.Duration(r % uint64(150*time.Millisecond))
 		default:
