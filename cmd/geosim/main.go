@@ -41,15 +41,16 @@
 // run. Telemetry is pure observation: outputs are byte-identical with it
 // on or off.
 //
-// Campaigns can also run distributed: -serve starts the fabric
-// coordinator (campaign control plane + /metrics on one listener),
-// -worker starts a cell worker against it, and -submit/-fabric-status/
-// -drain are the client verbs. Artifacts are byte-identical to a
-// single-process run (see internal/fabric):
+// A campaign splits across machines as static parts: -cells i/n runs
+// only the cells at canonical index ≡ i (mod n) and journals them without
+// finalizing. -merge then imports the part journals (read-only), runs any
+// cell they lack, and finalizes artifacts byte-identical to a
+// single-process run:
 //
-//	geosim -serve :9090
-//	geosim -worker http://localhost:9090   # start as many as you like
-//	geosim -submit campaigns/smoke.json -to http://localhost:9090 -wait
+//	geosim -campaign campaigns/full-protocol.json -cells 0/2 -results p0   # host A
+//	geosim -campaign campaigns/full-protocol.json -cells 1/2 -results p1   # host B
+//	geosim -campaign campaigns/full-protocol.json \
+//	    -merge p0/full-protocol/journal.jsonl,p1/full-protocol/journal.jsonl
 //
 // With -runs 100 and the full 200 s duration a figure takes a while; use
 // lower run counts for exploration. Results print to stdout; campaign
@@ -92,17 +93,8 @@ func main() {
 		detectOn = flag.Bool("detect", false, "campaign mode: run the misbehavior plausibility monitors in every cell and write results/<name>/detection.json (pure observation; other artifacts are byte-identical)")
 		listen   = flag.String("listen", "", "serve live telemetry on this address while running: /metrics (Prometheus), /telemetry.json, /debug/pprof/")
 		progress = flag.Bool("progress", false, "print a periodic progress heartbeat to stderr")
-
-		serveAddr    = flag.String("serve", "", "run the distributed-campaign coordinator on this address (e.g. :9090); submit work with -submit")
-		workerURL    = flag.String("worker", "", "run as a fabric worker against this coordinator URL (one cell at a time; start several for parallelism)")
-		workerID     = flag.String("worker-id", "", "fabric worker identity (default <hostname>-<pid>)")
-		submitPath   = flag.String("submit", "", "submit a campaign spec (JSON) to the coordinator at -to")
-		fabricStatus = flag.Bool("fabric-status", false, "print the coordinator status snapshot from -to and exit")
-		drain        = flag.Bool("drain", false, "ask the coordinator at -to to stop granting leases and exit")
-		to           = flag.String("to", "", "coordinator base URL for -submit/-fabric-status/-drain (e.g. http://localhost:9090)")
-		wait         = flag.Bool("wait", false, "with -submit: block until the campaign completes or fails")
-		leaseTTL     = flag.Duration("lease-ttl", georoute.DefaultFabricLeaseTTL, "coordinator: lease lifetime without a heartbeat before a cell is requeued")
-		maxRetries   = flag.Int("max-retries", georoute.DefaultFabricMaxRetries, "coordinator: per-cell retry budget for failures and lease expiries")
+		part     = flag.String("cells", "", "campaign mode: run only part i/n of the cells (canonical index ≡ i mod n); a finished part exits 0 without artifacts")
+		merge    = flag.String("merge", "", "campaign mode: comma-separated part journals to import (read-only) before running the cells still missing")
 
 		benchWorld    = flag.Bool("bench-world", false, "run one world benchmark variant in this process and print a one-line JSON result (see scripts/benchworld.sh)")
 		benchVehicles = flag.Int("bench-vehicles", 100_000, "bench-world: approximate vehicle population")
@@ -120,20 +112,27 @@ func main() {
 	if *benchWorld {
 		os.Exit(runBenchWorld(*benchVehicles, *benchShards, *benchQueue, *benchSim, *benchSeed))
 	}
-	switch {
-	case *serveAddr != "":
-		os.Exit(runServe(*serveAddr, *results, *leaseTTL, *maxRetries))
-	case *workerURL != "":
-		os.Exit(runWorker(*workerURL, *workerID, *maxCells, *listen))
-	case *submitPath != "":
-		os.Exit(runSubmit(*submitPath, *to, *resume, *wait))
-	case *fabricStatus:
-		os.Exit(runFabricStatus(*to))
-	case *drain:
-		os.Exit(runDrain(*to))
-	}
 	if *campPath != "" {
-		os.Exit(runCampaign(*campPath, *results, *resume, *maxCells, *workers, *traceDir, *listen, *progress, *detectOn))
+		opts := georoute.CampaignOptions{
+			ResultsDir: *results,
+			Resume:     *resume,
+			MaxCells:   *maxCells,
+			Workers:    *workers,
+			TraceDir:   *traceDir,
+			Detect:     *detectOn,
+		}
+		if *part != "" {
+			p, err := georoute.ParseCampaignPart(*part)
+			if err != nil {
+				logStderr("geosim: -cells: %v", err)
+				os.Exit(2)
+			}
+			opts.Part = p
+		}
+		if *merge != "" {
+			opts.Merge = strings.Split(*merge, ",")
+		}
+		os.Exit(runCampaign(*campPath, opts, *listen, *progress))
 	}
 	if *expID == "" {
 		fmt.Fprintln(os.Stderr, "geosim: pass -experiment <id>, -campaign <spec> or -list")
@@ -317,12 +316,27 @@ func printList() {
 	fmt.Println("Campaigns (resumable sweeps): geosim -campaign campaigns/<spec>.json")
 }
 
+// logStderr writes one line to stderr, the stream campaign progress uses.
+func logStderr(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+}
+
+// shutdownTelemetry drains in-flight scrapes before closing the listener,
+// so a /metrics request racing process exit gets its response instead of
+// a reset. Falls back to a hard close after the grace period.
+func shutdownTelemetry(srv *georoute.TelemetryServer) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	srv.Shutdown(ctx)
+}
+
 // runCampaign executes a campaign spec and reports progress on stderr.
-// Exit codes: 0 complete, 1 error, 3 interrupted (resume with -resume).
-func runCampaign(specPath, resultsDir string, resume bool, maxCells, workers int, traceDir, listen string, progress, detectOn bool) int {
+// Exit codes: 0 complete (or, with -cells, the part done), 1 error,
+// 3 interrupted (resume with -resume).
+func runCampaign(specPath string, opts georoute.CampaignOptions, listen string, progress bool) int {
 	sp, err := georoute.LoadCampaignSpec(specPath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "geosim: %v\n", err)
+		logStderr("geosim: %v", err)
 		return 1
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -336,19 +350,19 @@ func runCampaign(specPath, resultsDir string, resume bool, maxCells, workers int
 	if listen != "" {
 		srv, err := georoute.ServeTelemetry(reg, listen)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "geosim: %v\n", err)
+			logStderr("geosim: %v", err)
 			return 1
 		}
 		// Shutdown (not Close) so a /metrics scrape racing the end of the
 		// run is answered before the listener goes away.
 		defer shutdownTelemetry(srv)
-		fmt.Fprintf(os.Stderr, "geosim: telemetry on http://%s/metrics (pprof under /debug/pprof/)\n", srv.Addr)
+		logStderr("geosim: telemetry on http://%s/metrics (pprof under /debug/pprof/)", srv.Addr)
 	}
 
 	// SIGQUIT (Ctrl-\) dumps goroutine stacks and a telemetry snapshot
 	// into the campaign's results directory and keeps running — the
 	// live-debugging hatch for a stuck or slow campaign.
-	dumpDir := filepath.Join(resultsDir, sp.Name)
+	dumpDir := filepath.Join(opts.ResultsDir, sp.Name)
 	quit := make(chan os.Signal, 1)
 	signal.Notify(quit, syscall.SIGQUIT)
 	defer signal.Stop(quit)
@@ -356,10 +370,10 @@ func runCampaign(specPath, resultsDir string, resume bool, maxCells, workers int
 		for range quit {
 			stacks, snap, err := georoute.WriteTelemetryDebugDump(dumpDir, reg)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "\ngeosim: debug dump: %v\n", err)
+				logStderr("\ngeosim: debug dump: %v", err)
 				continue
 			}
-			fmt.Fprintf(os.Stderr, "\ngeosim: SIGQUIT — wrote %s and %s\n", stacks, snap)
+			logStderr("\ngeosim: SIGQUIT — wrote %s and %s", stacks, snap)
 		}
 	}()
 
@@ -386,42 +400,44 @@ func runCampaign(specPath, resultsDir string, resume bool, maxCells, workers int
 		}()
 	}
 	last := ""
-	info, err := georoute.RunCampaign(ctx, sp, georoute.CampaignOptions{
-		ResultsDir: resultsDir,
-		Resume:     resume,
-		MaxCells:   maxCells,
-		Workers:    workers,
-		TraceDir:   traceDir,
-		Telemetry:  reg,
-		Detect:     detectOn,
-		Progress: func(done, total, replayed int, key string) {
-			doneCells.Store(int64(done))
-			totalCells.Store(int64(total))
-			replayedCells.Store(int64(replayed))
-			if key == "" {
-				if replayed > 0 {
-					fmt.Fprintf(os.Stderr, "campaign %s: replayed %d/%d cells from journal\n", sp.Name, replayed, total)
-				}
-				return
+	opts.Telemetry = reg
+	opts.Progress = func(done, total, replayed int, key string) {
+		doneCells.Store(int64(done))
+		totalCells.Store(int64(total))
+		replayedCells.Store(int64(replayed))
+		if key == "" {
+			if replayed > 0 {
+				logStderr("campaign %s: replayed %d/%d cells from journal", sp.Name, replayed, total)
 			}
-			last = key
-			fmt.Fprintf(os.Stderr, "\rcampaign %s: %d/%d cells  %-40s", sp.Name, done, total, key)
-		},
-	})
+			return
+		}
+		last = key
+		fmt.Fprintf(os.Stderr, "\rcampaign %s: %d/%d cells  %-40s", sp.Name, done, total, key)
+	}
+	info, err := georoute.RunCampaign(ctx, sp, opts)
 	if last != "" {
 		fmt.Fprintln(os.Stderr)
 	}
 	switch {
 	case errors.Is(err, georoute.ErrCampaignInterrupted):
-		fmt.Fprintf(os.Stderr, "geosim: %v\n", err)
-		fmt.Fprintf(os.Stderr, "geosim: journal saved — continue with: geosim -campaign %s -resume\n", specPath)
+		resumeCmd := "geosim -campaign " + specPath + " -resume"
+		if opts.Part != (georoute.CampaignPart{}) {
+			resumeCmd += fmt.Sprintf(" -cells %d/%d", opts.Part.Index, opts.Part.Count)
+		}
+		logStderr("geosim: %v", err)
+		logStderr("geosim: journal saved — continue with: %s", resumeCmd)
 		return 3
 	case err != nil:
-		fmt.Fprintf(os.Stderr, "geosim: %v\n", err)
+		logStderr("geosim: %v", err)
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "campaign %s: complete in %v (%d cells: %d replayed, %d executed)\n",
-		sp.Name, time.Since(start).Round(time.Second), info.Total, info.Replayed, info.Executed)
+	journaled := info.Replayed + info.Merged + info.Executed
+	logStderr("campaign %s: %d/%d cells journaled in %v (%d replayed, %d merged, %d executed)",
+		sp.Name, journaled, info.Total, time.Since(start).Round(time.Second), info.Replayed, info.Merged, info.Executed)
+	if journaled < info.Total {
+		logStderr("campaign %s: part done — merge the part journals with -merge to finalize", sp.Name)
+		return 0
+	}
 	fmt.Printf("artifacts written to %s\n", info.Dir)
 	return 0
 }

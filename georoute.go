@@ -40,7 +40,6 @@ import (
 	"github.com/vanetsec/georoute/internal/campaign"
 	"github.com/vanetsec/georoute/internal/detect"
 	"github.com/vanetsec/georoute/internal/experiment"
-	"github.com/vanetsec/georoute/internal/fabric"
 	"github.com/vanetsec/georoute/internal/geo"
 	"github.com/vanetsec/georoute/internal/geonet"
 	"github.com/vanetsec/georoute/internal/metrics"
@@ -474,13 +473,14 @@ func ReplayDetect(recs []TraceRecord, cfg DetectorConfig) *Detector {
 // every completed cell is journaled to results/<name>/journal.jsonl, a
 // restart replays the journal and executes only the missing cells, and
 // the finalize step writes per-figure JSON artifacts whose bytes are
-// identical whether or not the campaign was interrupted.
+// identical whether or not the campaign was interrupted. A campaign splits
+// across machines as static parts whose journals one run then merges.
 
 // CampaignSpec declares a campaign (see the campaigns/ directory).
 type CampaignSpec = campaign.Spec
 
 // CampaignOptions tunes a campaign run (results directory, worker count,
-// resume).
+// resume, part, merge).
 type CampaignOptions = campaign.Options
 
 // CampaignInfo summarizes a finished or interrupted campaign run.
@@ -501,61 +501,12 @@ func RunCampaign(ctx context.Context, sp CampaignSpec, opts CampaignOptions) (Ca
 	return campaign.Run(ctx, sp, opts)
 }
 
-// ParseCampaignCellKey inverts CampaignCell.Key ("<figure>/<arm>/<seed>"
-// — the identity the journal and the fabric lease protocol share).
-func ParseCampaignCellKey(key string) (CampaignCell, error) { return campaign.ParseCellKey(key) }
+// CampaignPart is a static share of a campaign's cells, "i/n" (see
+// CampaignOptions.Part and CampaignOptions.Merge).
+type CampaignPart = campaign.Part
 
-// Distributed campaign fabric ----------------------------------------------
-//
-// The fabric shards a campaign's cells across worker processes (and
-// machines): an HTTP coordinator leases cells with heartbeat-renewed
-// leases, requeues expired leases, retries failures with backoff, and
-// appends completions to the standard campaign journal — so the merged
-// artifacts are byte-identical to a single-process run. See geosim -serve
-// / -worker / -submit and scripts/fabric-local.sh.
-
-// Default fabric tuning knobs (lease lifetime without a heartbeat, and
-// the per-cell retry budget after failures or expiries).
-const (
-	DefaultFabricLeaseTTL   = fabric.DefaultLeaseTTL
-	DefaultFabricMaxRetries = fabric.DefaultMaxRetries
-)
-
-// FabricCoordinator is the distributed-campaign control plane.
-type FabricCoordinator = fabric.Coordinator
-
-// FabricCoordinatorConfig tunes a coordinator (results dir, lease TTL,
-// retry budget, telemetry registry).
-type FabricCoordinatorConfig = fabric.CoordinatorConfig
-
-// FabricWorker pulls cell leases from a coordinator and executes them
-// with the single-process execution path.
-type FabricWorker = fabric.Worker
-
-// FabricWorkerConfig tunes a worker (coordinator URL, id, poll interval).
-type FabricWorkerConfig = fabric.WorkerConfig
-
-// FabricClient is the typed HTTP client for the coordinator API
-// (submit/status/drain), used by geosim's client modes.
-type FabricClient = fabric.Client
-
-// FabricCampaignStatus is one campaign's progress snapshot.
-type FabricCampaignStatus = fabric.CampaignStatus
-
-// FabricStatusResponse is the full coordinator snapshot.
-type FabricStatusResponse = fabric.StatusResponse
-
-// NewFabricCoordinator builds a coordinator and starts its lease-expiry
-// sweeper; Close it to flush journals.
-func NewFabricCoordinator(cfg FabricCoordinatorConfig) *FabricCoordinator {
-	return fabric.NewCoordinator(cfg)
-}
-
-// NewFabricWorker builds a fabric worker.
-func NewFabricWorker(cfg FabricWorkerConfig) *FabricWorker { return fabric.NewWorker(cfg) }
-
-// NewFabricClient builds a coordinator API client for the base URL.
-func NewFabricClient(base string) *FabricClient { return fabric.NewClient(base) }
+// ParseCampaignPart parses "i/n" with 0 <= i < n.
+func ParseCampaignPart(s string) (CampaignPart, error) { return campaign.ParsePart(s) }
 
 // FigureArtifact is the machine-readable per-figure result written by
 // campaign finalization and by geosim -format json.

@@ -46,6 +46,7 @@ type Aggregator struct {
 // merged bin series (fixed-size, so memory stays flat at any run count).
 type armAgg struct {
 	scenario experiment.Scenario
+	shape    *metrics.BinSeries // an empty series of the arm's width and length
 	runs     int
 	next     int
 	pending  map[int]*experiment.RunResult
@@ -102,6 +103,7 @@ func NewAggregator(sp Spec) (*Aggregator, error) {
 		for _, arm := range fig.Arms {
 			a.arms[id+"/"+arm.Label] = &armAgg{
 				scenario: arm.Scenario,
+				shape:    metrics.NewBinSeries(arm.Scenario.Duration, arm.Scenario.BinWidth),
 				runs:     sp.Runs,
 				pending:  make(map[int]*experiment.RunResult),
 			}
@@ -176,6 +178,11 @@ func (a *Aggregator) Feed(c Cell, res CellResult) error {
 	arm, ok := a.arms[c.Figure+"/"+c.Arm]
 	if !ok {
 		return fmt.Errorf("campaign: cell %s references unknown arm", key)
+	}
+	// A journal line is outside input: a series of the wrong shape would
+	// make the merge and drop-rate folds panic.
+	if s := res.Run.Series; s == nil || s.Width() != arm.shape.Width() || s.Bins() != arm.shape.Bins() {
+		return fmt.Errorf("campaign: cell %s has a bin series that does not fit its arm", key)
 	}
 	arm.feed(idx, res.Run)
 	for _, p := range fig.Pairs {

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"errors"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -26,6 +27,8 @@ func TestSpecValidate(t *testing.T) {
 		{Name: "a/b", Runs: 1, Figures: []string{"fig7a"}},    // path in name
 		{Name: "x", Runs: 1, Figures: []string{"no-such-id"}}, // unknown figure
 		{Name: "x", Runs: 1},                                  // no cells at all
+		{Name: "x", HazardSeeds: -1},                          // negative seeds enumerate nothing
+		{Name: "x", Runs: -1, Figures: []string{"fig7a"}},     // negative runs
 	} {
 		sp := bad
 		if err := sp.Validate(); err == nil {
@@ -272,44 +275,6 @@ func TestJournalTornHeaderRecovery(t *testing.T) {
 	}
 }
 
-func TestParseCellKey(t *testing.T) {
-	// Round-trip: every enumerated cell's key parses back to the cell.
-	sp := Spec{Name: "x", Runs: 2, Figures: []string{"fig7a"}, HazardSeeds: 1, Curve: true}
-	if err := sp.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	cells, err := sp.Cells()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range cells {
-		got, err := ParseCellKey(c.Key())
-		if err != nil {
-			t.Fatalf("ParseCellKey(%q): %v", c.Key(), err)
-		}
-		if got != c {
-			t.Fatalf("ParseCellKey(%q) = %+v, want %+v", c.Key(), got, c)
-		}
-	}
-	for _, bad := range []string{
-		"",                                 // empty
-		"fig7a",                            // no arm or seed
-		"fig7a/af_mN",                      // no seed
-		"fig7a/af_mN/1/2",                  // too many parts
-		"fig7a/af_mN/x",                    // non-numeric seed
-		"fig7a/af_mN/-1",                   // negative seed
-		"/af_mN/1",                         // empty figure
-		"fig7a//1",                         // empty arm
-		"fig7a/af_mN/1.5",                  // fractional seed
-		"fig7a/af_mN/ 1",                   // padded seed
-		"fig7a/af_mN/99999999999999999999", // seed overflows uint64
-	} {
-		if _, err := ParseCellKey(bad); err == nil {
-			t.Errorf("ParseCellKey(%q) accepted", bad)
-		}
-	}
-}
-
 func TestJournalRejectsForeignSpec(t *testing.T) {
 	sp := fig7aSpec("mine", 2)
 	sp.Validate()
@@ -475,19 +440,52 @@ func TestResumeDeterminism(t *testing.T) {
 		t.Fatalf("resume replayed %d cells, want 2", info.Replayed)
 	}
 
-	got := readArtifacts(t, filepath.Join(base, "res", "camp"))
 	want := readArtifacts(t, filepath.Join(base, "ref", "camp"))
 	if len(want) == 0 {
 		t.Fatal("reference run wrote no artifacts")
 	}
-	if !reflect.DeepEqual(got, want) {
-		for name := range want {
-			if got[name] != want[name] {
-				t.Errorf("artifact %s differs between resumed and uninterrupted runs", name)
+	sameArtifacts := func(dir, how string) {
+		t.Helper()
+		got := readArtifacts(t, filepath.Join(base, dir, "camp"))
+		if !reflect.DeepEqual(got, want) {
+			for name := range want {
+				if got[name] != want[name] {
+					t.Errorf("artifact %s differs between %s and uninterrupted runs", name, how)
+				}
 			}
+			t.FailNow()
 		}
-		t.FailNow()
 	}
+	sameArtifacts("res", "resumed")
+
+	// Partitioned run: part 0/3 runs in full, part 1/3 is interrupted
+	// after one cell, and part 2/3 never runs. Merging the two journals
+	// finishes the missing cells locally.
+	info, err = Run(ctx, sp, Options{ResultsDir: filepath.Join(base, "p0"), Part: Part{Index: 0, Count: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Executed != 2 {
+		t.Fatalf("part 0/3 executed %d cells, want 2", info.Executed)
+	}
+	if arts := readArtifacts(t, filepath.Join(base, "p0", "camp")); len(arts) != 0 {
+		t.Fatalf("a finished part finalized %d artifacts", len(arts))
+	}
+	_, err = Run(ctx, sp, Options{ResultsDir: filepath.Join(base, "p1"), Part: Part{Index: 1, Count: 3}, MaxCells: 1})
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("interrupted part: err = %v", err)
+	}
+	info, err = Run(ctx, sp, Options{ResultsDir: filepath.Join(base, "merged"), Merge: []string{
+		filepath.Join(base, "p0", "camp", "journal.jsonl"),
+		filepath.Join(base, "p1", "camp", "journal.jsonl"),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Merged != 3 || info.Executed != 3 {
+		t.Fatalf("merge imported %d and executed %d cells, want 3 and 3", info.Merged, info.Executed)
+	}
+	sameArtifacts("merged", "merged partitioned")
 }
 
 func TestCampaignCancelAndResume(t *testing.T) {

@@ -106,10 +106,11 @@ func OpenJournal(path string, sp Spec) (*Journal, map[string]CellResult, error) 
 	return j, replayed, nil
 }
 
-// replay scans the journal from the start, validating the header and
+// replay scans a journal from the start, validating the header and
 // collecting completed cells. It returns the byte offset just past the
-// last fully-written line.
-func replay(f *os.File, sp Spec) (map[string]CellResult, int64, error) {
+// last fully-written line. It only reads, so it serves both the run's own
+// journal and the part journals of a merge.
+func replay(f io.Reader, sp Spec) (map[string]CellResult, int64, error) {
 	replayed := make(map[string]CellResult)
 	valid := make(map[string]bool)
 	cells, err := sp.Cells()

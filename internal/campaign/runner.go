@@ -57,6 +57,14 @@ type Options struct {
 	// stays byte-identical with it on or off, which is why detection.json
 	// (like resources.json) is not listed in summary.json's figure index.
 	Detect bool
+	// Part restricts the run to a static share of the cells (see Part).
+	// A run that finishes its share but leaves the journal incomplete
+	// returns without finalizing. The zero value runs every cell.
+	Part Part
+	// Merge lists part journals to import before running: every cell they
+	// hold that this run's journal lacks is checked, journaled here, and
+	// counts as done. The part files are only read.
+	Merge []string
 }
 
 // Info summarizes a finished (or interrupted) campaign run.
@@ -67,18 +75,24 @@ type Info struct {
 	Total int
 	// Replayed cells were recovered from the journal instead of re-run.
 	Replayed int
+	// Merged cells were imported from part journals (Options.Merge).
+	Merged int
 	// Executed cells ran in this process.
 	Executed int
 }
 
-// Run executes the campaign: enumerate cells, replay the journal, shard
-// the missing cells across a bounded worker pool, journal each completion,
-// and finalize the streaming aggregates into per-figure artifacts. On
-// context cancellation it stops dispatching, waits for in-flight cells to
-// finish and be journaled, and returns ErrInterrupted — at most the cells
-// of a hard kill are ever lost.
+// Run executes the campaign: enumerate cells, replay the journal, import
+// any part journals, shard the missing cells of this run's part across a
+// bounded worker pool, journal each completion, and — once the journal
+// holds every cell — finalize the streaming aggregates into per-figure
+// artifacts. On context cancellation it stops dispatching, waits for
+// in-flight cells to finish and be journaled, and returns ErrInterrupted —
+// at most the cells of a hard kill are ever lost.
 func Run(ctx context.Context, sp Spec, opts Options) (Info, error) {
 	if err := sp.Validate(); err != nil {
+		return Info{}, err
+	}
+	if err := opts.Part.validate(); err != nil {
 		return Info{}, err
 	}
 	if opts.ResultsDir == "" {
@@ -114,32 +128,50 @@ func Run(ctx context.Context, sp Spec, opts Options) (Info, error) {
 	if err != nil {
 		return info, err
 	}
+	merged, err := importParts(opts.Merge, sp, cells, replayed)
+	if err != nil {
+		return info, err
+	}
 	info.Total = len(cells)
 	info.Replayed = len(replayed)
+	info.Merged = len(merged)
 
 	agg, err := NewAggregator(sp)
 	if err != nil {
 		return info, err
 	}
-	// Feed replayed cells in canonical order (any order aggregates
+	// Feed journaled cells in canonical order (any order aggregates
 	// identically, but canonical order gives deterministic error paths).
+	// A merged cell reaches this run's journal only once the aggregator
+	// has accepted it.
 	var todo []Cell
-	for _, c := range cells {
-		if res, ok := replayed[c.Key()]; ok {
+	for i, c := range cells {
+		key := c.Key()
+		if res, ok := replayed[key]; ok {
 			if err := agg.Feed(c, res); err != nil {
 				return info, err
 			}
-		} else {
+		} else if res, ok := merged[key]; ok {
+			if err := agg.Feed(c, res); err != nil {
+				return info, err
+			}
+			if err := j.Record(key, res); err != nil {
+				return info, err
+			}
+		} else if opts.Part.has(i) {
 			todo = append(todo, c)
 		}
 	}
+	// The cells this run ends with: all of them, unless it runs a part.
+	journaled := info.Replayed + info.Merged
+	target := journaled + len(todo)
 	if opts.Progress != nil {
-		opts.Progress(info.Replayed, info.Total, info.Replayed, "")
+		opts.Progress(journaled, target, journaled, "")
 	}
 	if cg := telemetry.NewCampaignGauges(opts.Telemetry); cg != nil {
-		cg.CellsTotal.Set(float64(info.Total))
-		cg.CellsDone.Set(float64(info.Replayed))
-		cg.CellsReplayed.Set(float64(info.Replayed))
+		cg.CellsTotal.Set(float64(target))
+		cg.CellsDone.Set(float64(journaled))
+		cg.CellsReplayed.Set(float64(journaled))
 	}
 
 	// Budget for this process: the MaxCells prefix of the canonical
@@ -151,18 +183,24 @@ func Run(ctx context.Context, sp Spec, opts Options) (Info, error) {
 		interrupted = true
 	}
 
-	if err := runPool(ctx, sp, dispatch, opts, j, agg, &info); err != nil {
+	if err := runPool(ctx, dispatch, target, opts, j, agg, &info); err != nil {
 		return info, err
 	}
+	done := journaled + info.Executed
 	if ctx.Err() != nil || interrupted {
-		return info, fmt.Errorf("%w: %d/%d cells journaled", ErrInterrupted, info.Replayed+info.Executed, info.Total)
+		return info, fmt.Errorf("%w: %d/%d cells journaled", ErrInterrupted, done, target)
+	}
+	if done < info.Total {
+		return info, nil // a finished part; merging the parts finalizes
 	}
 	return info, agg.Finalize(dir)
 }
 
 // runPool shards the cells across the worker pool, journaling and
-// aggregating each completion from a single collector loop.
-func runPool(ctx context.Context, sp Spec, dispatch []Cell, opts Options, j *Journal, agg *Aggregator, info *Info) error {
+// aggregating each completion from a single collector loop. target is
+// the number of cells the journal holds once every dispatched cell is
+// done.
+func runPool(ctx context.Context, dispatch []Cell, target int, opts Options, j *Journal, agg *Aggregator, info *Info) error {
 	if len(dispatch) == 0 {
 		return nil
 	}
@@ -238,33 +276,24 @@ func runPool(ctx context.Context, sp Spec, dispatch []Cell, opts Options, j *Jou
 			continue
 		}
 		info.Executed++
+		journaled := info.Replayed + info.Merged
+		done := journaled + info.Executed
 		if opts.Progress != nil {
-			opts.Progress(info.Replayed+info.Executed, info.Total, info.Replayed, d.cell.Key())
+			opts.Progress(done, target, journaled, d.cell.Key())
 		}
 		if cg != nil {
-			done := info.Replayed + info.Executed
 			cg.CellsDone.Set(float64(done))
 			elapsed := time.Since(poolStart).Seconds()
 			if elapsed > 0 {
 				rate := float64(info.Executed) / elapsed
 				cg.CellsPerSec.Set(rate)
 				if rate > 0 {
-					cg.ETASeconds.Set(float64(info.Total-done) / rate)
+					cg.ETASeconds.Set(float64(target-done) / rate)
 				}
 			}
 		}
 	}
 	return firstErr
-}
-
-// ExecuteCell runs one cell exactly as the in-process campaign pool would
-// — resource accounting included — without touching any journal. It is
-// the execution primitive fabric workers use: the CellResult it returns
-// is byte-for-byte the journal-line payload a single-process run of the
-// same cell would have recorded (modulo the wall-clock resource fields,
-// which are outside the byte-identity guarantee by design).
-func ExecuteCell(c Cell, gauges *telemetry.RunGauges) (CellResult, error) {
-	return runCell(experiment.Figures(), c, "", false, gauges)
 }
 
 // runCell executes one cell of any kind under per-cell resource

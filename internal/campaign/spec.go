@@ -40,7 +40,7 @@ type Spec struct {
 	// results/<name>/.
 	Name string `json:"name"`
 	// Runs is the number of seeded repetitions per arm (the paper's full
-	// protocol uses 100). Defaults to 1.
+	// protocol uses 100). Zero means 1; negative is an error.
 	Runs int `json:"runs"`
 	// Figures lists experiment registry IDs to sweep, or the single entry
 	// "all" for the whole registry.
@@ -84,7 +84,10 @@ func (sp *Spec) Validate() error {
 			return fmt.Errorf("campaign: name %q must be a plain directory name", sp.Name)
 		}
 	}
-	if sp.Runs <= 0 {
+	if sp.Runs < 0 || sp.HazardSeeds < 0 {
+		return fmt.Errorf("campaign: spec %q has a negative runs or hazard_seeds count", sp.Name)
+	}
+	if sp.Runs == 0 {
 		sp.Runs = 1
 	}
 	if _, err := sp.figureIDs(); err != nil {
@@ -150,22 +153,6 @@ type Cell struct {
 
 // Key renders the stable journal key, "<figure>/<arm>/<seed>".
 func (c Cell) Key() string { return fmt.Sprintf("%s/%s/%d", c.Figure, c.Arm, c.Seed) }
-
-// ParseCellKey inverts Key. The fabric reuses cell keys verbatim as the
-// unit of leasing, so malformed keys must fail here — before a bogus
-// lease ever reaches a worker or a journal.
-func ParseCellKey(key string) (Cell, error) {
-	ec, err := experiment.ParseCellKey(key)
-	if err != nil {
-		return Cell{}, fmt.Errorf("campaign: %w", err)
-	}
-	return Cell{Figure: ec.Figure, Arm: ec.Arm, Seed: ec.Seed}, nil
-}
-
-// isShowcase reports whether the cell runs outside the figure registry.
-func (c Cell) isShowcase() bool {
-	return c.Figure == hazardGFID || c.Figure == hazardCBFID || c.Figure == curveID
-}
 
 // Cells enumerates every cell of the campaign in canonical order: sorted
 // figure IDs (arm declaration order, ascending seed within each), then the

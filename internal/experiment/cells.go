@@ -2,8 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"github.com/vanetsec/georoute/internal/trace"
 )
@@ -23,22 +21,6 @@ type Cell struct {
 // Figure IDs and arm labels never contain '/'.
 func (c Cell) Key() string {
 	return fmt.Sprintf("%s/%s/%d", c.Figure, c.Arm, c.Seed)
-}
-
-// ParseCellKey inverts Key.
-func ParseCellKey(key string) (Cell, error) {
-	parts := strings.Split(key, "/")
-	if len(parts) != 3 {
-		return Cell{}, fmt.Errorf("experiment: malformed cell key %q", key)
-	}
-	seed, err := strconv.ParseUint(parts[2], 10, 64)
-	if err != nil {
-		return Cell{}, fmt.Errorf("experiment: malformed seed in cell key %q: %v", key, err)
-	}
-	if parts[0] == "" || parts[1] == "" {
-		return Cell{}, fmt.Errorf("experiment: malformed cell key %q", key)
-	}
-	return Cell{Figure: parts[0], Arm: parts[1], Seed: seed}, nil
 }
 
 // Arm resolves an arm label to its scenario.

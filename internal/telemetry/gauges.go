@@ -127,65 +127,6 @@ func NewCampaignGauges(r *Registry) *CampaignGauges {
 	}
 }
 
-// FabricGauges bundles the distributed-campaign coordinator series: lease
-// queue occupancy, requeue/retry churn, worker liveness, and throughput.
-// The coordinator updates them on every state transition plus the expiry
-// sweep, so a /metrics scrape mid-campaign shows the live lease picture.
-type FabricGauges struct {
-	r *Registry
-
-	CellsTotal   *Gauge // cells across all registered campaigns
-	CellsPending *Gauge // cells waiting for a lease (incl. backing off)
-	CellsLeased  *Gauge // cells currently leased (running on a worker)
-	CellsDone    *Gauge // cells journaled (executed or replayed)
-	CellsFailed  *Gauge // cells that exhausted their retry budget
-	WorkersLive  *Gauge // workers seen within the liveness window
-	CellsPerSec  *Gauge // executed-cell throughput of running campaigns
-	ETASeconds   *Gauge // estimated seconds until all campaigns finish
-
-	LeasesTotal     *Counter // leases granted
-	RequeuedTotal   *Counter // lease expiries returning a cell to the queue
-	RetriedTotal    *Counter // re-grants after a worker-reported failure
-	DuplicatesTotal *Counter // completions discarded as duplicates
-	CompletedTotal  *Counter // completions journaled
-}
-
-// NewFabricGauges registers the fabric series on r. A nil registry
-// yields a bundle of nil (no-op) handles, so callers update gauges
-// unconditionally.
-func NewFabricGauges(r *Registry) *FabricGauges {
-	if r == nil {
-		return &FabricGauges{}
-	}
-	return &FabricGauges{
-		r:            r,
-		CellsTotal:   r.Gauge("georoute_fabric_cells_total", "Cells across all campaigns registered on the coordinator."),
-		CellsPending: r.Gauge("georoute_fabric_cells_pending", "Cells waiting for a lease (including retry backoff)."),
-		CellsLeased:  r.Gauge("georoute_fabric_cells_leased", "Cells currently leased to workers."),
-		CellsDone:    r.Gauge("georoute_fabric_cells_done", "Cells journaled (executed or replayed)."),
-		CellsFailed:  r.Gauge("georoute_fabric_cells_failed", "Cells that exhausted their retry budget."),
-		WorkersLive:  r.Gauge("georoute_fabric_workers_live", "Workers seen within the liveness window."),
-		CellsPerSec:  r.Gauge("georoute_fabric_cells_per_second", "Executed-cell throughput across running campaigns."),
-		ETASeconds:   r.Gauge("georoute_fabric_eta_seconds", "Estimated seconds until all campaigns complete."),
-
-		LeasesTotal:     r.Counter("georoute_fabric_leases_total", "Cell leases granted."),
-		RequeuedTotal:   r.Counter("georoute_fabric_requeued_total", "Lease expiries that requeued a cell."),
-		RetriedTotal:    r.Counter("georoute_fabric_retried_total", "Cell re-grants after a worker-reported failure."),
-		DuplicatesTotal: r.Counter("georoute_fabric_duplicates_total", "Completions discarded because the cell was already done."),
-		CompletedTotal:  r.Counter("georoute_fabric_completed_total", "Cell completions journaled."),
-	}
-}
-
-// WorkerUp returns the liveness gauge for one worker id (1 = seen within
-// the liveness window, 0 = stale). Nil-safe.
-func (g *FabricGauges) WorkerUp(id string) *Gauge {
-	if g == nil || g.r == nil {
-		return nil
-	}
-	return g.r.Gauge("georoute_fabric_worker_up", "Worker liveness (1 = heartbeating, 0 = stale).",
-		Label{Key: "worker", Value: id})
-}
-
 // RegisterRuntime registers Go-runtime memory gauges refreshed lazily via
 // an OnCollect hook, so runtime.ReadMemStats runs only when something
 // actually scrapes. No-op on a nil registry.

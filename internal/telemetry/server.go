@@ -18,14 +18,6 @@ import (
 // leaks onto http.DefaultServeMux.
 func Handler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
-	Register(mux, reg)
-	return mux
-}
-
-// Register mounts the telemetry endpoints on an existing mux — the hook
-// for services (the fabric coordinator) that serve their own API beside
-// /metrics and pprof on one listener.
-func Register(mux *http.ServeMux, reg *Registry) {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.WritePrometheus(w)
@@ -39,6 +31,7 @@ func Register(mux *http.ServeMux, reg *Registry) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 // Server is a running telemetry HTTP listener.
