@@ -138,6 +138,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "geosim: pass -experiment <id>, -campaign <spec> or -list")
 		os.Exit(2)
 	}
+	switch {
+	case *format != "table" && *format != "csv" && *format != "json":
+		logStderr("geosim: -format %q: want table, csv or json", *format)
+		os.Exit(2)
+	case *runs < 1:
+		logStderr("geosim: -runs %d: want at least 1", *runs)
+		os.Exit(2)
+	case *seeds < 1:
+		logStderr("geosim: -showcase-seeds %d: want at least 1", *seeds)
+		os.Exit(2)
+	}
 	if *fwd != "" {
 		if _, ok := georoute.LookupForwarder(*fwd); !ok {
 			fmt.Fprintf(os.Stderr, "geosim: unknown forwarder %q (registered: %s)\n", *fwd, strings.Join(georoute.ForwarderNames(), ", "))
@@ -539,26 +550,30 @@ func runExperiment(id string, runs int, format string, showcaseSeeds int, traceD
 
 // runFigure executes a figure, optionally writing one trace artifact pair
 // (<figure>__<arm>__<seed>.jsonl + .counters.json) per cell into traceDir
-// and publishing live gauges into the telemetry registry.
+// and publishing live per-worker gauges into the telemetry registry.
 func runFigure(fig georoute.Figure, runs int, traceDir string, reg *georoute.TelemetryRegistry) (georoute.FigureResult, error) {
-	var hook georoute.TraceHook
-	if traceDir != "" {
-		if err := os.MkdirAll(traceDir, 0o755); err != nil {
-			return georoute.FigureResult{}, err
+	var hook georoute.ObserveHook
+	if traceDir != "" || reg != nil {
+		if traceDir != "" {
+			if err := os.MkdirAll(traceDir, 0o755); err != nil {
+				return georoute.FigureResult{}, err
+			}
 		}
-		hook = func(c georoute.ExperimentCell) (*georoute.Tracer, func() error, error) {
+		hook = func(c georoute.ExperimentCell, worker int) (georoute.Observe, func() error, error) {
+			obs := georoute.Observe{Gauges: georoute.NewRunTelemetry(reg, worker)}
+			if traceDir == "" {
+				return obs, nil, nil
+			}
 			name := fmt.Sprintf("%s__%s__%d.jsonl", c.Figure, c.Arm, c.Seed)
 			ft, err := georoute.NewFileTracer(filepath.Join(traceDir, name))
 			if err != nil {
-				return nil, nil, err
+				return obs, nil, err
 			}
-			return ft.Tracer(), ft.Close, nil
+			obs.Tracer = ft.Tracer()
+			return obs, ft.Close, nil
 		}
 	}
-	if hook == nil && reg == nil {
-		return fig.Run(runs), nil
-	}
-	return fig.RunObserved(runs, hook, reg)
+	return fig.Run(runs, hook)
 }
 
 // spreadSuffix renders per-run dispersion when there was more than one

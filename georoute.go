@@ -19,16 +19,22 @@
 //	ab := georoute.RunAB(s, 10)
 //	fmt.Printf("interception rate γ = %.1f%%\n", 100*ab.DropRate())
 //
-// Higher-level entry points:
+// Higher-level entry points, one per layer:
 //
+//   - RunOnce runs one seeded arm; RunOnceObserved threads a tracer,
+//     telemetry gauges and detection monitors (Observe) through it.
+//     RunArm and RunAB fold several seeded runs of one or two arms.
 //   - Figures returns the registry of runnable paper figures
 //     (fig7a…fig14b); each Figure.Run produces per-bin reception series,
 //     measured γ/λ per arm pair, and the paper-reported values to compare
-//     against.
+//     against. An optional ObserveHook observes each (arm, seed) cell.
+//   - RunCampaign runs a figure sweep as a resumable, partitionable job;
+//     its figure artifacts match Figure.Run's byte for byte.
 //   - RunHazard and RunCurve reproduce the traffic-efficiency and
 //     road-safety showcases (Figs 12 and 13).
-//   - BuildWorld exposes the underlying simulation world for custom
-//     scenarios (see the examples directory).
+//   - BuildWorld, BuildScaleWorld and BuildShardedScaleWorld expose the
+//     underlying simulation world for custom scenarios and scale
+//     benchmarks (see the examples directory).
 package georoute
 
 import (
@@ -38,7 +44,6 @@ import (
 
 	"github.com/vanetsec/georoute/internal/attack"
 	"github.com/vanetsec/georoute/internal/campaign"
-	"github.com/vanetsec/georoute/internal/detect"
 	"github.com/vanetsec/georoute/internal/experiment"
 	"github.com/vanetsec/georoute/internal/geo"
 	"github.com/vanetsec/georoute/internal/geonet"
@@ -63,9 +68,6 @@ type Area = geo.Area
 
 // Pt constructs a Point.
 func Pt(x, y float64) Point { return geo.Pt(x, y) }
-
-// NewCircle constructs a circular destination area.
-func NewCircle(c Point, r float64) Area { return geo.NewCircle(c, r) }
 
 // NewRect constructs a rectangular destination area with half side
 // lengths a (along the azimuth) and b.
@@ -100,43 +102,16 @@ type Address = geonet.Address
 // Packet is a decoded GeoNetworking PDU.
 type Packet = geonet.Packet
 
-// Router is a node's GeoNetworking engine (beaconing, GF, CBF).
-type Router = geonet.Router
-
-// PacketKey identifies a packet end-to-end.
-type PacketKey = geonet.Key
-
 // Attacks ------------------------------------------------------------------
-
-// AttackType selects one of the paper's attacks.
-type AttackType = attack.Type
 
 // Attack modes.
 const (
-	AttackNone             = attack.None
-	AttackInterArea        = attack.InterArea
-	AttackIntraArea        = attack.IntraArea
-	AttackIntraAreaVariant = attack.IntraAreaVariant
+	AttackNone      = attack.None
+	AttackInterArea = attack.InterArea
+	AttackIntraArea = attack.IntraArea
 )
 
-// Attacker is the roadside capture-and-replay adversary.
-type Attacker = attack.Attacker
-
-// AttackerConfig parameterizes NewAttacker.
-type AttackerConfig = attack.Config
-
-// NewAttacker deploys an attacker on a world's medium.
-func NewAttacker(cfg AttackerConfig) *Attacker { return attack.NewAttacker(cfg) }
-
 // Mitigations ----------------------------------------------------------------
-
-// Plausibility is the paper's GF mitigation (§V-A): reject next-hop
-// candidates whose advertised position is implausibly far.
-type Plausibility = mitigation.Plausibility
-
-// RHLDropCheck is the paper's CBF mitigation (§V-B): a duplicate only
-// cancels contention when its RHL drop is plausible.
-type RHLDropCheck = mitigation.RHLDropCheck
 
 // DefaultRHLMaxDrop is the paper's RHL-drop threshold of 3.
 const DefaultRHLMaxDrop = mitigation.DefaultRHLMaxDrop
@@ -152,14 +127,8 @@ type WorldConfig = vanet.Config
 // RoadConfig describes road geometry.
 type RoadConfig = traffic.RoadConfig
 
-// Vehicle is a simulated car.
-type Vehicle = traffic.Vehicle
-
 // BuildWorld assembles a simulation world.
 func BuildWorld(cfg WorldConfig) *World { return vanet.New(cfg) }
-
-// AddrOf maps a vehicle to its GeoNetworking address.
-func AddrOf(v *Vehicle) Address { return vanet.AddrOf(v) }
 
 // QueueKind selects the engine's scheduler implementation.
 type QueueKind = sim.QueueKind
@@ -195,10 +164,6 @@ func BuildShardedScaleWorld(cfg ShardedScaleWorldConfig) *ShardedWorld {
 	return vanet.NewShardedScaleWorld(cfg)
 }
 
-// WorldStats is the canonical merged end-of-run summary produced by both
-// sequential and sharded worlds (byte-identical across the two).
-type WorldStats = vanet.WorldStats
-
 // Well-known static addresses used by the experiments.
 const (
 	WestDestAddr = vanet.WestDestAddr
@@ -210,9 +175,6 @@ const (
 // Scenario is a fully parameterized experiment arm.
 type Scenario = experiment.Scenario
 
-// Workload selects the traffic pattern (InterArea GUC or IntraArea GBC).
-type Workload = experiment.Workload
-
 // Workloads.
 const (
 	InterArea = experiment.InterArea
@@ -222,21 +184,9 @@ const (
 // DefaultScenario returns the paper's default simulation settings (§IV-A).
 func DefaultScenario() Scenario { return experiment.Default() }
 
-// Topology selects the world geometry of a scenario.
-type Topology = experiment.Topology
-
-// Topologies.
-const (
-	TopoRoad     = experiment.TopoRoad
-	TopoLocalMin = experiment.TopoLocalMin
-)
-
 // ForwardStrategy bundles the next-hop and contention policies of one
 // registered forwarding strategy (the forwarder arena).
 type ForwardStrategy = geonet.Strategy
-
-// DefaultForwarder is the registry name of the standard GF+CBF pair.
-const DefaultForwarder = geonet.DefaultForwarder
 
 // ForwarderNames returns the registered strategy names in sorted order.
 func ForwarderNames() []string { return geonet.StrategyNames() }
@@ -244,12 +194,18 @@ func ForwarderNames() []string { return geonet.StrategyNames() }
 // LookupForwarder resolves a strategy name ("" = the default).
 func LookupForwarder(name string) (ForwardStrategy, bool) { return geonet.LookupStrategy(name) }
 
-// RegisterForwarder adds a strategy to the arena; Scenario.Forwarder and
-// WorldConfig.Forwarder accept its name afterwards.
-func RegisterForwarder(s ForwardStrategy) { geonet.RegisterStrategy(s) }
-
 // RunOnce executes a single seeded run of a scenario arm.
 func RunOnce(s Scenario, seed uint64) experiment.RunResult { return experiment.RunOnce(s, seed) }
+
+// Observe bundles the optional per-run observers (lifecycle tracer,
+// telemetry gauges, misbehavior-detection monitors); the zero Observe is
+// an unobserved run.
+type Observe = experiment.Observe
+
+// RunOnceObserved is RunOnce with observers threaded through the stack.
+func RunOnceObserved(s Scenario, seed uint64, obs Observe) experiment.RunResult {
+	return experiment.RunOnceObserved(s, seed, obs)
+}
 
 // RunArm executes several seeded runs of one arm and merges the series.
 func RunArm(s Scenario, runs int) experiment.RunResult { return experiment.RunArm(s, runs) }
@@ -262,6 +218,13 @@ type Figure = experiment.Figure
 
 // FigureResult carries a figure's measured series and drop rates.
 type FigureResult = experiment.FigureResult
+
+// ExperimentCell identifies one (figure, arm, seed) run unit.
+type ExperimentCell = experiment.Cell
+
+// ObserveHook provisions the observers of each cell Figure.Run executes
+// (nil = an unobserved run).
+type ObserveHook = experiment.ObserveHook
 
 // Figures returns the registry of reproducible experiments keyed by ID
 // (fig7a…fig14b, fig9-range-sweep, ...).
@@ -281,47 +244,12 @@ func FigureIDs() []string { return experiment.FigureIDs() }
 // Tracer fans packet-lifecycle records out to its sinks.
 type Tracer = trace.Tracer
 
-// TraceRecord is one typed lifecycle event.
-type TraceRecord = trace.Record
-
-// TraceSink consumes lifecycle records.
-type TraceSink = trace.Sink
-
-// TraceMemorySink buffers records in memory (tests, post-run analysis).
-type TraceMemorySink = trace.MemorySink
-
-// TraceCounters is the per-node event and drop-reason counter registry.
-type TraceCounters = trace.Counters
-
 // FileTracer writes a JSONL trace plus a counter-rollup artifact.
 type FileTracer = trace.FileTracer
-
-// TraceAnalysis is the post-hoc per-packet chain reconstruction with the
-// conservation check (delivered + dropped + buffered + armed per intake).
-type TraceAnalysis = trace.Analysis
-
-// NewTracer builds a tracer over the given sinks (nil when none).
-func NewTracer(sinks ...TraceSink) *Tracer { return trace.New(sinks...) }
 
 // NewFileTracer opens a JSONL trace file; Close writes the counter
 // rollup next to it.
 func NewFileTracer(path string) (*FileTracer, error) { return trace.NewFileTracer(path) }
-
-// AnalyzeTrace reconstructs per-packet hop chains from records and runs
-// the conservation check.
-func AnalyzeTrace(recs []TraceRecord) *TraceAnalysis { return trace.Analyze(recs) }
-
-// RunOnceTraced is RunOnce with a lifecycle tracer threaded through the
-// radio medium, every router, and the attacker.
-func RunOnceTraced(s Scenario, seed uint64, tr *Tracer) experiment.RunResult {
-	return experiment.RunOnceTraced(s, seed, tr)
-}
-
-// TraceHook provisions a per-cell tracer for Figure.RunTraced.
-type TraceHook = experiment.TraceHook
-
-// ExperimentCell identifies one (figure, arm, seed) run unit.
-type ExperimentCell = experiment.Cell
 
 // Telemetry ------------------------------------------------------------------
 //
@@ -338,9 +266,6 @@ type ExperimentCell = experiment.Cell
 // TelemetryRegistry holds live metric cells and serves snapshots.
 type TelemetryRegistry = telemetry.Registry
 
-// TelemetrySample is one metric value in a registry snapshot.
-type TelemetrySample = telemetry.Sample
-
 // TelemetryServer is a live /metrics + /telemetry.json + /debug/pprof
 // HTTP server over a registry.
 type TelemetryServer = telemetry.Server
@@ -355,13 +280,6 @@ func NewTelemetryRegistry() *TelemetryRegistry { return telemetry.NewRegistry() 
 // nil, which every sample site tolerates).
 func NewRunTelemetry(r *TelemetryRegistry, worker int) *RunTelemetry {
 	return telemetry.NewRunGauges(r, worker)
-}
-
-// NewShardRunTelemetry registers one engine shard's run gauges: the same
-// bundle as NewRunTelemetry with an extra shard label, so several engines
-// under one worker publish distinct series instead of clobbering one.
-func NewShardRunTelemetry(r *TelemetryRegistry, worker, shard int) *RunTelemetry {
-	return telemetry.NewShardRunGauges(r, worker, shard)
 }
 
 // RegisterRuntimeMetrics adds Go-runtime memory/GC/goroutine gauges,
@@ -385,87 +303,6 @@ func WriteTelemetryDebugDump(dir string, r *TelemetryRegistry) (stackPath, snapP
 // exposition (as served on /metrics) for well-formedness.
 func ValidateMetricsExposition(r io.Reader) error { return telemetry.ValidateExposition(r) }
 
-// TelemetryHistogram is a fixed-bucket distribution metric exposed as
-// Prometheus histogram series (_bucket/_sum/_count); a nil handle makes
-// Observe a no-op. Register one via TelemetryRegistry.Histogram.
-type TelemetryHistogram = telemetry.Histogram
-
-// HistogramLogBuckets builds n exponentially spaced upper bounds for
-// TelemetryRegistry.Histogram (start, start*factor, ...).
-func HistogramLogBuckets(start, factor float64, n int) []float64 {
-	return telemetry.LogBuckets(start, factor, n)
-}
-
-// Observe bundles the optional per-run observers (lifecycle tracer,
-// telemetry gauges, misbehavior-detection monitors).
-type Observe = experiment.Observe
-
-// RunOnceObserved is RunOnce with observers threaded through the stack.
-func RunOnceObserved(s Scenario, seed uint64, obs Observe) experiment.RunResult {
-	return experiment.RunOnceObserved(s, seed, obs)
-}
-
-// Misbehavior detection --------------------------------------------------
-//
-// The detection layer (internal/detect) runs per-node plausibility
-// monitors on the router's receive path as pure observers — beacon
-// inter-arrival, position plausibility, replay recency, LocT churn —
-// and aggregates their verdicts per run. Like tracing and telemetry, a
-// nil Detector disables everything at zero cost and simulated outcomes
-// are byte-identical with detection on or off. Campaigns run with
-// CampaignOptions.Detect fold run summaries into detection.json.
-
-// Detector aggregates misbehavior verdicts for one run and hands out
-// per-node monitors (nil = disabled).
-type Detector = detect.Detector
-
-// DetectorConfig tunes detection thresholds, ground-truth labeling, and
-// the optional verdict sink and histograms.
-type DetectorConfig = detect.Config
-
-// DetectMonitor is one node's plausibility monitor.
-type DetectMonitor = detect.Monitor
-
-// DetectCheck identifies one plausibility-monitor class.
-type DetectCheck = detect.Check
-
-// Plausibility-monitor classes.
-const (
-	DetectCheckBeacon   = detect.CheckBeacon
-	DetectCheckPosition = detect.CheckPosition
-	DetectCheckReplay   = detect.CheckReplay
-	DetectCheckChurn    = detect.CheckChurn
-)
-
-// DetectVerdict is one detection event (node accuses suspect, with
-// evidence).
-type DetectVerdict = detect.Verdict
-
-// DetectSummary is one run's aggregate detection outcome.
-type DetectSummary = detect.Summary
-
-// DetectArmSummary is the per-arm detection report folded into
-// detection.json (recall, mean latency, per-check precision).
-type DetectArmSummary = detect.ArmSummary
-
-// DetectionArtifact is results/<campaign>/detection.json.
-type DetectionArtifact = campaign.DetectionArtifact
-
-// AttackerPseudonym is the default link-layer identity the attacker
-// replays under — the ground-truth label detection compares suspects
-// against.
-const AttackerPseudonym = attack.DefaultPseudonym
-
-// NewDetector builds a run-scoped detector with defaults applied.
-func NewDetector(cfg DetectorConfig) *Detector { return detect.New(cfg) }
-
-// ReplayDetect runs the offline detector over a recorded lifecycle trace
-// (geotrace -detect): the same plausibility checks the online monitors
-// run, reconstructed from RX and drop records.
-func ReplayDetect(recs []TraceRecord, cfg DetectorConfig) *Detector {
-	return detect.Replay(recs, cfg)
-}
-
 // Campaigns ------------------------------------------------------------------
 //
 // A campaign runs a declarative experiment sweep — (figure × arm × seed)
@@ -485,9 +322,6 @@ type CampaignOptions = campaign.Options
 
 // CampaignInfo summarizes a finished or interrupted campaign run.
 type CampaignInfo = campaign.Info
-
-// CampaignCell identifies one runnable unit of a campaign.
-type CampaignCell = campaign.Cell
 
 // ErrCampaignInterrupted reports a campaign stopped before completing;
 // rerun with Resume to continue it.
@@ -546,9 +380,6 @@ func RunHazardArtifact(c HazardCase, seeds int) HazardArtifact {
 // harnesses (RunAB, Figure.Run) populate its Spread fields with per-run
 // dispersion statistics.
 type ABResult = metrics.ABResult
-
-// BinSeries accumulates per-time-bin reception rates.
-type BinSeries = metrics.BinSeries
 
 // Spread reports per-run dispersion (sample mean, stddev, 95% CI).
 type Spread = metrics.Spread

@@ -8,28 +8,24 @@ import (
 	"sort"
 	"time"
 
-	"github.com/vanetsec/georoute/internal/attack"
-	"github.com/vanetsec/georoute/internal/detect"
 	"github.com/vanetsec/georoute/internal/experiment"
-	"github.com/vanetsec/georoute/internal/geonet"
 	"github.com/vanetsec/georoute/internal/metrics"
 	"github.com/vanetsec/georoute/internal/showcase"
 )
 
-// Aggregator folds completed cells into streaming per-arm and per-pair
-// statistics. Cells arrive in arbitrary order — workers complete out of
-// order and journal replay preserves completion order of the previous
-// process — but every statistic whose value depends on float summation
-// order is folded strictly in seed order: out-of-order arrivals wait in a
-// small pending buffer (bounded by the scheduling skew, not the campaign
-// size) until their predecessors arrive. That is what makes a resumed
-// campaign's artifacts byte-identical to an uninterrupted run's.
+// Aggregator folds completed cells into the campaign's artifacts. Cells
+// arrive in arbitrary order — workers complete out of order and journal
+// replay preserves completion order of the previous process — and each
+// figure's runs go to its experiment.Fold, the same fold Figure.Run uses,
+// which restores seed order. That is what makes a resumed campaign's
+// artifacts byte-identical to an uninterrupted run's and to direct
+// -experiment mode. The Aggregator itself keeps only journal-level
+// concerns: duplicate cells, the showcase and resource folds, and
+// Finalize.
 type Aggregator struct {
 	spec   Spec
-	figs   map[string]experiment.Figure
 	figIDs []string
-	arms   map[string]*armAgg  // "<fig>/<arm>"
-	pairs  map[string]*pairAgg // "<fig>/<pairLabel>"
+	folds  map[string]*experiment.Fold
 	hazard map[string]map[string]*hazardArmAgg
 	curve  map[string]*showcase.CurveResult
 	done   map[string]bool
@@ -40,34 +36,6 @@ type Aggregator struct {
 	// sawDetection records whether any fed run carried a detection
 	// summary; only then does Finalize emit detection.json.
 	sawDetection bool
-}
-
-// armAgg streams one arm: Welford over per-run overall rates, plus the
-// merged bin series (fixed-size, so memory stays flat at any run count).
-type armAgg struct {
-	scenario experiment.Scenario
-	shape    *metrics.BinSeries // an empty series of the arm's width and length
-	runs     int
-	next     int
-	pending  map[int]*experiment.RunResult
-	merged   *metrics.BinSeries
-	packets  int
-	atkStats attack.Stats
-	proto    geonet.Stats
-	overall  metrics.Stream
-	latSum   float64
-	latCount uint64
-	det      detect.Fold
-}
-
-// pairAgg streams the seed-paired drop rate of one pair. It holds each
-// run's series only until its counterpart arrives.
-type pairAgg struct {
-	next  int
-	runs  int
-	free  map[int]*metrics.BinSeries
-	atk   map[int]*metrics.BinSeries
-	drops metrics.Stream
 }
 
 // hazardArmAgg folds one arm of a Figure 12 showcase. All sums are
@@ -88,33 +56,17 @@ func NewAggregator(sp Spec) (*Aggregator, error) {
 	}
 	a := &Aggregator{
 		spec:   sp,
-		figs:   experiment.Figures(),
 		figIDs: ids,
-		arms:   make(map[string]*armAgg),
-		pairs:  make(map[string]*pairAgg),
+		folds:  make(map[string]*experiment.Fold, len(ids)),
 		hazard: make(map[string]map[string]*hazardArmAgg),
 		curve:  make(map[string]*showcase.CurveResult),
 		done:   make(map[string]bool),
 
 		resources: make(map[string]CellResources),
 	}
+	figs := experiment.Figures()
 	for _, id := range ids {
-		fig := a.figs[id]
-		for _, arm := range fig.Arms {
-			a.arms[id+"/"+arm.Label] = &armAgg{
-				scenario: arm.Scenario,
-				shape:    metrics.NewBinSeries(arm.Scenario.Duration, arm.Scenario.BinWidth),
-				runs:     sp.Runs,
-				pending:  make(map[int]*experiment.RunResult),
-			}
-		}
-		for _, p := range fig.Pairs {
-			a.pairs[id+"/"+p.Label] = &pairAgg{
-				runs: sp.Runs,
-				free: make(map[int]*metrics.BinSeries),
-				atk:  make(map[int]*metrics.BinSeries),
-			}
-		}
+		a.folds[id] = experiment.NewFold(figs[id], sp.Runs)
 	}
 	if sp.HazardSeeds > 0 {
 		for _, id := range []string{hazardGFID, hazardCBFID} {
@@ -164,91 +116,11 @@ func (a *Aggregator) Feed(c Cell, res CellResult) error {
 	if res.Run.Detection != nil {
 		a.sawDetection = true
 	}
-	fig, ok := a.figs[c.Figure]
+	fold, ok := a.folds[c.Figure]
 	if !ok {
 		return fmt.Errorf("campaign: cell %s references unknown figure", key)
 	}
-	idx, err := fig.RunIndex(experiment.Cell{Figure: c.Figure, Arm: c.Arm, Seed: c.Seed})
-	if err != nil {
-		return err
-	}
-	if idx >= a.spec.Runs {
-		return fmt.Errorf("campaign: cell %s has run index %d beyond runs=%d", key, idx, a.spec.Runs)
-	}
-	arm, ok := a.arms[c.Figure+"/"+c.Arm]
-	if !ok {
-		return fmt.Errorf("campaign: cell %s references unknown arm", key)
-	}
-	// A journal line is outside input: a series of the wrong shape would
-	// make the merge and drop-rate folds panic.
-	if s := res.Run.Series; s == nil || s.Width() != arm.shape.Width() || s.Bins() != arm.shape.Bins() {
-		return fmt.Errorf("campaign: cell %s has a bin series that does not fit its arm", key)
-	}
-	arm.feed(idx, res.Run)
-	for _, p := range fig.Pairs {
-		pa := a.pairs[c.Figure+"/"+p.Label]
-		if p.Free == c.Arm {
-			pa.feedFree(idx, res.Run.Series)
-		}
-		if p.Attacked == c.Arm {
-			pa.feedAtk(idx, res.Run.Series)
-		}
-	}
-	return nil
-}
-
-func (g *armAgg) feed(idx int, r *experiment.RunResult) {
-	g.pending[idx] = r
-	for {
-		r, ok := g.pending[g.next]
-		if !ok {
-			return
-		}
-		delete(g.pending, g.next)
-		g.next++
-		// Same fold order and arithmetic as experiment.Figure.Run: the
-		// overall-rate stream sees runs in seed order, and the merged
-		// series accumulates run 0 + run 1 + … left to right.
-		g.overall.Add(r.Series.Overall())
-		if g.merged == nil {
-			g.merged = r.Series.Clone()
-		} else {
-			g.merged.Merge(r.Series)
-		}
-		g.packets += r.PacketsSent
-		g.atkStats.Add(r.AttackerStats)
-		g.proto.Add(r.Protocol)
-		// Seed-order float fold, matching experiment.mergeRuns exactly.
-		g.latSum += r.LatencySumSeconds
-		g.latCount += r.LatencyCount
-		// Detection folds in the same seed order, so resumed campaigns
-		// reproduce detection.json byte for byte too.
-		g.det.Add(r.Detection)
-	}
-}
-
-func (p *pairAgg) feedFree(idx int, s *metrics.BinSeries) {
-	p.free[idx] = s
-	p.drain()
-}
-
-func (p *pairAgg) feedAtk(idx int, s *metrics.BinSeries) {
-	p.atk[idx] = s
-	p.drain()
-}
-
-func (p *pairAgg) drain() {
-	for {
-		f, okF := p.free[p.next]
-		at, okA := p.atk[p.next]
-		if !okF || !okA {
-			return
-		}
-		delete(p.free, p.next)
-		delete(p.atk, p.next)
-		p.next++
-		p.drops.Add(metrics.ABResult{Free: f, Attacked: at}.DropRate())
-	}
+	return fold.Add(experiment.Cell{Figure: c.Figure, Arm: c.Arm, Seed: c.Seed}, res.Run)
 }
 
 func (h *hazardArmAgg) feed(r *showcase.HazardResult) {
@@ -278,54 +150,6 @@ func (a *Aggregator) missing() []string {
 		}
 	}
 	return out
-}
-
-// figureResult reconstructs the same FigureResult a direct Figure.Run of
-// this figure would have produced.
-func (a *Aggregator) figureResult(id string) experiment.FigureResult {
-	fig := a.figs[id]
-	res := experiment.FigureResult{
-		Figure:      fig,
-		Runs:        a.spec.Runs,
-		Rates:       make(map[string][]float64),
-		Overall:     make(map[string]float64),
-		ArmSpread:   make(map[string]metrics.Spread),
-		Packets:     make(map[string]int),
-		Attacker:    make(map[string]attack.Stats),
-		Drops:       make(map[string]float64),
-		DropSpread:  make(map[string]metrics.Spread),
-		AccumDrops:  make(map[string][]float64),
-		Protocol:    make(map[string]geonet.Stats),
-		LatencyMean: make(map[string]float64),
-	}
-	merged := make(map[string]*metrics.BinSeries, len(fig.Arms))
-	for _, arm := range fig.Arms {
-		g := a.arms[id+"/"+arm.Label]
-		res.BinWidth = arm.Scenario.BinWidth
-		res.ArmSpread[arm.Label] = g.overall.Spread()
-		merged[arm.Label] = g.merged
-		rates := make([]float64, g.merged.Bins())
-		for i := range rates {
-			rates[i], _ = g.merged.Rate(i)
-		}
-		res.Rates[arm.Label] = rates
-		res.Overall[arm.Label] = g.merged.Overall()
-		res.Packets[arm.Label] = g.packets
-		res.Attacker[arm.Label] = g.atkStats
-		res.Protocol[arm.Label] = g.proto
-		if g.latCount > 0 {
-			res.LatencyMean[arm.Label] = g.latSum / float64(g.latCount)
-		} else {
-			res.LatencyMean[arm.Label] = 0
-		}
-	}
-	for _, p := range fig.Pairs {
-		ab := metrics.ABResult{Free: merged[p.Free], Attacked: merged[p.Attacked]}
-		res.Drops[p.Label] = ab.DropRate()
-		res.DropSpread[p.Label] = a.pairs[id+"/"+p.Label].drops.Spread()
-		res.AccumDrops[p.Label] = ab.AccumulatedDrop()
-	}
-	return res
 }
 
 func (a *Aggregator) hazardArtifact(id string) HazardArtifact {
@@ -388,7 +212,7 @@ func (a *Aggregator) Finalize(dir string) error {
 	}
 	var tourRes, localMinRes *experiment.FigureResult
 	for _, id := range a.figIDs {
-		res := a.figureResult(id)
+		res := a.folds[id].Result()
 		art := BuildFigureArtifact(res)
 		if err := writeArtifact(dir, id, art); err != nil {
 			return err

@@ -550,7 +550,10 @@ func TestCampaignMatchesDirectFigureRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := experiment.Figures()["fig7a"].Run(1)
+	res, err := experiment.Figures()["fig7a"].Run(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	direct, err := marshalArtifact(BuildFigureArtifact(res))
 	if err != nil {
 		t.Fatal(err)

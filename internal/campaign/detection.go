@@ -20,9 +20,8 @@ type DetectionArtifact struct {
 	Figures  map[string]map[string]detect.ArmSummary `json:"figures"`
 }
 
-// detectionArtifact assembles per-arm detection summaries in canonical
-// figure/arm order (maps serialize key-sorted, and each fold already saw
-// its runs in seed order).
+// detectionArtifact collects each figure fold's per-arm detection reports
+// (maps serialize key-sorted, and each fold saw its runs in seed order).
 func (a *Aggregator) detectionArtifact() DetectionArtifact {
 	art := DetectionArtifact{
 		Campaign: a.spec.Name,
@@ -30,12 +29,7 @@ func (a *Aggregator) detectionArtifact() DetectionArtifact {
 		Figures:  make(map[string]map[string]detect.ArmSummary, len(a.figIDs)),
 	}
 	for _, id := range a.figIDs {
-		fig := a.figs[id]
-		arms := make(map[string]detect.ArmSummary, len(fig.Arms))
-		for _, arm := range fig.Arms {
-			arms[arm.Label] = a.arms[id+"/"+arm.Label].det.Result()
-		}
-		art.Figures[id] = arms
+		art.Figures[id] = a.folds[id].Detection()
 	}
 	return art
 }

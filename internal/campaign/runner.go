@@ -330,7 +330,7 @@ func runCell(figs map[string]experiment.Figure, c Cell, traceDir string, detectO
 				return CellResult{}, err
 			}
 		}
-		rr, err := fig.RunCellObserved(
+		rr, err := fig.RunCell(
 			experiment.Cell{Figure: c.Figure, Arm: c.Arm, Seed: c.Seed},
 			experiment.Observe{Tracer: ft.Tracer(), Gauges: gauges, Detect: detectOn},
 		)

@@ -19,6 +19,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -61,11 +62,24 @@ func LoadSpec(path string) (Spec, error) {
 	if err != nil {
 		return Spec{}, fmt.Errorf("campaign: %w", err)
 	}
+	sp, err := parseSpec(b)
+	if err != nil {
+		return Spec{}, fmt.Errorf("%w (in %s)", err, path)
+	}
+	return sp, nil
+}
+
+// parseSpec strictly decodes and validates one JSON spec: unknown fields
+// and any data after the spec object are errors.
+func parseSpec(b []byte) (Spec, error) {
 	var sp Spec
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sp); err != nil {
-		return Spec{}, fmt.Errorf("campaign: parsing %s: %w", path, err)
+		return Spec{}, fmt.Errorf("campaign: parsing spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Spec{}, fmt.Errorf("campaign: parsing spec: data after the spec object")
 	}
 	if err := sp.Validate(); err != nil {
 		return Spec{}, err

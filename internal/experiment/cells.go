@@ -1,10 +1,6 @@
 package experiment
 
-import (
-	"fmt"
-
-	"github.com/vanetsec/georoute/internal/trace"
-)
+import "fmt"
 
 // Cell identifies one independently runnable unit of an experiment sweep:
 // a single seeded run of one arm of one figure. Cell keys are the stable
@@ -50,20 +46,9 @@ func (f Figure) Cells(runs int) []Cell {
 	return cells
 }
 
-// RunCell executes one cell of the figure.
-func (f Figure) RunCell(c Cell) (RunResult, error) {
-	return f.RunCellTraced(c, nil)
-}
-
-// RunCellTraced executes one cell with a lifecycle tracer threaded through
-// the run (nil behaves exactly like RunCell).
-func (f Figure) RunCellTraced(c Cell, tr *trace.Tracer) (RunResult, error) {
-	return f.RunCellObserved(c, Observe{Tracer: tr})
-}
-
-// RunCellObserved executes one cell with both observability sinks (see
-// Observe); the zero Observe behaves exactly like RunCell.
-func (f Figure) RunCellObserved(c Cell, obs Observe) (RunResult, error) {
+// RunCell executes one cell of the figure under the given observers;
+// the zero Observe is an unobserved run.
+func (f Figure) RunCell(c Cell, obs Observe) (RunResult, error) {
 	if c.Figure != f.ID {
 		return RunResult{}, fmt.Errorf("experiment: cell %s run against figure %s", c.Key(), f.ID)
 	}

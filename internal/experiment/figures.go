@@ -9,8 +9,6 @@ import (
 	"github.com/vanetsec/georoute/internal/geonet"
 	"github.com/vanetsec/georoute/internal/metrics"
 	"github.com/vanetsec/georoute/internal/radio"
-	"github.com/vanetsec/georoute/internal/telemetry"
-	"github.com/vanetsec/georoute/internal/trace"
 )
 
 // Arm is one named scenario inside a figure.
@@ -69,119 +67,6 @@ type FigureResult struct {
 	// LatencyMean is each arm's mean first-delivery end-to-end latency in
 	// seconds (0 when the arm delivered nothing).
 	LatencyMean map[string]float64
-}
-
-// TraceHook provisions a per-cell tracer for traced figure runs. It
-// returns the tracer to thread through the cell's run and a finalizer
-// executed right after the run completes (typically flushing a per-cell
-// JSONL file). Either return may be nil.
-type TraceHook func(c Cell) (*trace.Tracer, func() error, error)
-
-// Run executes every arm of the figure with the given number of runs per
-// arm and assembles the result. All arms' seeded runs feed one shared
-// worker pool, so the slowest arm's tail no longer idles the cores that
-// finished faster arms.
-func (f Figure) Run(runs int) FigureResult {
-	res, err := f.RunTraced(runs, nil)
-	if err != nil {
-		// Unreachable: errors only originate from the hook's provisioning
-		// and finalizers.
-		panic(err)
-	}
-	return res
-}
-
-// RunTraced is Run with a per-cell trace hook. A nil hook behaves exactly
-// like Run; a non-nil hook is consulted once per (arm, seed) cell before
-// the runs are dispatched to the shared pool.
-func (f Figure) RunTraced(runs int, hook TraceHook) (FigureResult, error) {
-	return f.RunObserved(runs, hook, nil)
-}
-
-// RunObserved is RunTraced with a telemetry registry: each pool worker
-// publishes live run gauges into reg under its worker label. A nil
-// registry behaves exactly like RunTraced, and neither sink affects the
-// result (observability never touches the event stream).
-func (f Figure) RunObserved(runs int, hook TraceHook, reg *telemetry.Registry) (FigureResult, error) {
-	if runs <= 0 {
-		runs = 1
-	}
-	perArm := make(map[string][]RunResult, len(f.Arms))
-	var jobs []runJob
-	for _, arm := range f.Arms {
-		out := make([]RunResult, runs)
-		perArm[arm.Label] = out
-		for i := range out {
-			j := runJob{s: arm.Scenario, seed: arm.Scenario.Seed + uint64(i), out: &out[i]}
-			if hook != nil {
-				tr, done, err := hook(Cell{Figure: f.ID, Arm: arm.Label, Seed: j.seed})
-				if err != nil {
-					return FigureResult{}, err
-				}
-				j.tr, j.done = tr, done
-			}
-			jobs = append(jobs, j)
-		}
-	}
-	if err := runJobs(jobs, reg); err != nil {
-		return FigureResult{}, err
-	}
-
-	res := FigureResult{
-		Figure:      f,
-		Runs:        runs,
-		Rates:       make(map[string][]float64),
-		Overall:     make(map[string]float64),
-		ArmSpread:   make(map[string]metrics.Spread),
-		Packets:     make(map[string]int),
-		Attacker:    make(map[string]attack.Stats),
-		Drops:       make(map[string]float64),
-		DropSpread:  make(map[string]metrics.Spread),
-		AccumDrops:  make(map[string][]float64),
-		Protocol:    make(map[string]geonet.Stats),
-		LatencyMean: make(map[string]float64),
-	}
-	// Spreads fold per-run series and must run before mergeRuns, which
-	// folds every run into out[0].Series in place.
-	for _, arm := range f.Arms {
-		res.ArmSpread[arm.Label] = armSpread(perArm[arm.Label])
-	}
-	for _, p := range f.Pairs {
-		res.DropSpread[p.Label] = pairedDropSpread(perArm[p.Free], perArm[p.Attacked])
-	}
-
-	series := make(map[string]*metrics.BinSeries, len(f.Arms))
-	for _, arm := range f.Arms {
-		out := perArm[arm.Label]
-		merged := mergeRuns(out)
-		series[arm.Label] = merged.Series
-		res.BinWidth = arm.Scenario.BinWidth
-		rates := make([]float64, merged.Series.Bins())
-		for i := range rates {
-			rates[i], _ = merged.Series.Rate(i)
-		}
-		res.Rates[arm.Label] = rates
-		res.Overall[arm.Label] = merged.Series.Overall()
-		res.Packets[arm.Label] = merged.PacketsSent
-		res.Attacker[arm.Label] = merged.AttackerStats
-		res.Protocol[arm.Label] = merged.Protocol
-		if merged.LatencyCount > 0 {
-			res.LatencyMean[arm.Label] = merged.LatencySumSeconds / float64(merged.LatencyCount)
-		} else {
-			res.LatencyMean[arm.Label] = 0
-		}
-	}
-	for _, p := range f.Pairs {
-		free, okF := series[p.Free]
-		atk, okA := series[p.Attacked]
-		if !okF || !okA {
-			panic(fmt.Sprintf("experiment: figure %s pair %q references unknown arms", f.ID, p.Label))
-		}
-		ab := metrics.ABResult{Free: free, Attacked: atk}
-		res.Drops[p.Label] = ab.DropRate()
-		res.AccumDrops[p.Label] = ab.AccumulatedDrop()
-	}
-	return res, nil
 }
 
 // attackFor maps a workload to its attack type.

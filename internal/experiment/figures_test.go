@@ -127,7 +127,10 @@ func TestFigureRunSmall(t *testing.T) {
 		},
 		Pairs: []Pair{{Label: "p", Free: "af", Attacked: "atk", PaperDrop: 0.99}},
 	}
-	res := fig.Run(1)
+	res, err := fig.Run(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Rates["af"]) != 6 || len(res.Rates["atk"]) != 6 {
 		t.Fatalf("rates have %d/%d bins, want 6", len(res.Rates["af"]), len(res.Rates["atk"]))
 	}

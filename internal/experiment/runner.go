@@ -84,14 +84,6 @@ func RunOnce(s Scenario, seed uint64) RunResult {
 	return RunOnceObserved(s, seed, Observe{})
 }
 
-// RunOnceTraced is RunOnce with a lifecycle tracer threaded through the
-// radio medium, every router stack, and the attacker. A nil tracer is
-// exactly RunOnce. The tracer's sinks see the run's records from a single
-// goroutine, but distinct concurrent runs need distinct tracers.
-func RunOnceTraced(s Scenario, seed uint64, tr *trace.Tracer) RunResult {
-	return RunOnceObserved(s, seed, Observe{Tracer: tr})
-}
-
 // RunOnceObserved is RunOnce with both observability sinks threaded
 // through the world (see Observe). Neither sink influences the event
 // stream, so the measured series are identical across all variants.
@@ -322,151 +314,120 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 	return res
 }
 
-// runJob is one seeded RunOnce executed by the shared worker pool. tr
-// and done are set by traced figure runs: the job's run emits into tr,
-// and done (typically flush-and-close of a per-cell trace file) runs on
-// the worker right after the run completes.
-type runJob struct {
-	s    Scenario
-	seed uint64
-	out  *RunResult
-	tr   *trace.Tracer
-	done func() error
+// ObserveHook provisions the observers of one figure cell that
+// Figure.Run executes on pool worker `worker` (0-based and fixed for the
+// worker's lifetime, so per-worker telemetry gauges can be labeled by
+// it). It returns the cell's Observe and an optional finalizer run on the
+// worker right after the cell completes (typically flushing a per-cell
+// trace file). Concurrent cells need distinct tracers.
+type ObserveHook func(c Cell, worker int) (Observe, func() error, error)
+
+// Run executes every cell of the figure — `runs` seeded repetitions per
+// arm, runs <= 0 meaning one — and folds each completion as it arrives.
+// All arms' cells feed one pool of MaxParallel() workers, so the slowest
+// arm's tail does not idle the cores that finished faster arms. A nil
+// hook is an unobserved run; observers never change the result. Every
+// cell runs even after an error, and the first hook, finalizer or fold
+// error is returned.
+func (f Figure) Run(runs int, hook ObserveHook) (FigureResult, error) {
+	fo, err := f.runFold(runs, hook)
+	if err != nil {
+		return FigureResult{}, err
+	}
+	return fo.Result(), nil
 }
 
-// runJobs executes every job on MaxParallel() workers pulling from one
-// shared queue. Jobs are independent seeded runs writing to disjoint
-// result slots, so the output is deterministic regardless of scheduling.
-// A non-nil telemetry registry gives each worker its own worker="N" gauge
-// bundle, reused across that worker's runs. The returned error is the
-// first done-callback failure (always nil for untraced jobs); all jobs
-// run to completion regardless.
-func runJobs(jobs []runJob, reg *telemetry.Registry) error {
-	workers := MaxParallel()
-	if workers > len(jobs) {
-		workers = len(jobs)
+// runFold runs the figure's cells on the shared pool and returns their
+// fold. Workers finish in any order; the Fold restores seed order, so the
+// result is deterministic regardless of scheduling.
+func (f Figure) runFold(runs int, hook ObserveHook) (*Fold, error) {
+	fo := NewFold(f, runs)
+	cells := f.Cells(runs)
+	type completion struct {
+		cell Cell
+		res  *RunResult
+		err  error
 	}
-	ch := make(chan runJob)
+	queue := make(chan Cell)
+	done := make(chan completion)
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(MaxParallel(), len(cells)); w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			gauges := telemetry.NewRunGauges(reg, worker)
-			for j := range ch {
-				*j.out = RunOnceObserved(j.s, j.seed, Observe{Tracer: j.tr, Gauges: gauges})
-				if j.done != nil {
-					if err := j.done(); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-					}
-				}
+			for c := range queue {
+				res, err := f.runHooked(c, worker, hook)
+				done <- completion{cell: c, res: res, err: err}
 			}
 		}(w)
 	}
-	for _, j := range jobs {
-		ch <- j
+	go func() {
+		for _, c := range cells {
+			queue <- c
+		}
+		close(queue)
+		wg.Wait()
+		close(done)
+	}()
+	var firstErr error
+	for d := range done {
+		if d.err == nil {
+			d.err = fo.Add(d.cell, d.res)
+		}
+		if firstErr == nil {
+			firstErr = d.err
+		}
 	}
-	close(ch)
-	wg.Wait()
-	return firstErr
+	return fo, firstErr
 }
 
-// armJobs appends one job per seeded repetition of an arm.
-func armJobs(jobs []runJob, s Scenario, out []RunResult) []runJob {
-	for i := range out {
-		jobs = append(jobs, runJob{s: s, seed: s.Seed + uint64(i), out: &out[i]})
+// runHooked runs one cell under the observers the hook provisions for it.
+func (f Figure) runHooked(c Cell, worker int, hook ObserveHook) (*RunResult, error) {
+	var obs Observe
+	var finish func() error
+	if hook != nil {
+		var err error
+		if obs, finish, err = hook(c, worker); err != nil {
+			return nil, err
+		}
 	}
-	return jobs
+	res, err := f.RunCell(c, obs)
+	if finish != nil {
+		if ferr := finish(); err == nil {
+			err = ferr
+		}
+	}
+	return &res, err
 }
 
-// mergeRuns folds per-run results into one RunResult.
-func mergeRuns(out []RunResult) RunResult {
-	merged := out[0]
-	for _, r := range out[1:] {
-		merged.Series.Merge(r.Series)
-		merged.PacketsSent += r.PacketsSent
-		merged.AttackerStats.Add(r.AttackerStats)
-		merged.Protocol.Add(r.Protocol)
-		merged.Events += r.Events
-		merged.LatencySumSeconds += r.LatencySumSeconds
-		merged.LatencyCount += r.LatencyCount
-	}
-	// Per-run detection summaries don't sum into one run's summary;
-	// arm-level folding is detect.Fold's job (campaign aggregation).
-	merged.Detection = nil
-	return merged
-}
-
-// RunArm executes `runs` seeded repetitions of one arm in parallel and
-// merges their series. Results are deterministic for a given (scenario,
-// runs) pair regardless of scheduling.
+// RunArm executes `runs` seeded repetitions of one arm as a one-arm
+// figure and returns the merged run (runs <= 0 means one). Results are
+// deterministic for a given (scenario, runs) pair regardless of
+// scheduling.
 func RunArm(s Scenario, runs int) RunResult {
-	if runs <= 0 {
-		runs = 1
-	}
-	out := make([]RunResult, runs)
-	runJobs(armJobs(nil, s, out), nil)
-	return mergeRuns(out)
+	// Unobserved cells of the figure's own arms cannot fail.
+	fo, _ := Figure{ID: "arm", Arms: []Arm{{Label: "arm", Scenario: s}}}.runFold(runs, nil)
+	return fo.Arm("arm")
 }
 
-// armSpread folds each run's overall reception rate into a Welford stream
-// in seed order (the canonical feeding order shared with the campaign
-// aggregator, so both report bit-identical statistics).
-func armSpread(out []RunResult) metrics.Spread {
-	var st metrics.Stream
-	for i := range out {
-		st.Add(out[i].Series.Overall())
-	}
-	return st.Spread()
-}
-
-// pairedDropSpread folds the per-seed-pair drop rates (γ/λ of run i's
-// attack-free series against run i's attacked series) into a spread, again
-// in seed order.
-func pairedDropSpread(free, atk []RunResult) metrics.Spread {
-	var st metrics.Stream
-	n := len(free)
-	if len(atk) < n {
-		n = len(atk)
-	}
-	for i := 0; i < n; i++ {
-		st.Add(metrics.ABResult{Free: free[i].Series, Attacked: atk[i].Series}.DropRate())
-	}
-	return st.Spread()
-}
-
-// RunAB executes the attack-free and attacked arms of a scenario and
-// returns the paired result, including per-run spread statistics (overall
-// reception per arm and the seed-paired drop rate). Both arms' runs feed
-// one shared worker pool: with 2×runs independent jobs in flight the tail
-// of the first arm no longer idles most cores the way running the arms
-// back-to-back did.
+// RunAB executes the attack-free and attacked arms of a scenario as a
+// two-arm figure and returns the paired result, including per-run spread
+// statistics (overall reception per arm and the seed-paired drop rate).
 func RunAB(s Scenario, runs int) metrics.ABResult {
-	if runs <= 0 {
-		runs = 1
+	f := Figure{
+		ID:    "ab",
+		Arms:  []Arm{{Label: "af", Scenario: s.withoutAttack()}, {Label: "atk", Scenario: s}},
+		Pairs: []Pair{{Label: "ab", Free: "af", Attacked: "atk"}},
 	}
-	freeOut := make([]RunResult, runs)
-	atkOut := make([]RunResult, runs)
-	jobs := make([]runJob, 0, 2*runs)
-	jobs = armJobs(jobs, s.withoutAttack(), freeOut)
-	jobs = armJobs(jobs, s, atkOut)
-	runJobs(jobs, nil)
-	// Spreads read per-run series and must run before mergeRuns, which
-	// folds every run into the first slot's series in place.
-	res := metrics.ABResult{
-		FreeSpread:     armSpread(freeOut),
-		AttackedSpread: armSpread(atkOut),
-		DropSpread:     pairedDropSpread(freeOut, atkOut),
+	fo, _ := f.runFold(runs, nil)
+	res := fo.Result()
+	return metrics.ABResult{
+		Free:           fo.Arm("af").Series,
+		Attacked:       fo.Arm("atk").Series,
+		FreeSpread:     res.ArmSpread["af"],
+		AttackedSpread: res.ArmSpread["atk"],
+		DropSpread:     res.DropSpread["ab"],
 	}
-	res.Free = mergeRuns(freeOut).Series
-	res.Attacked = mergeRuns(atkOut).Series
-	return res
 }
 
 // MaxParallel reports the worker count used by the shared run pools: one

@@ -1,6 +1,10 @@
 package experiment
 
 import (
+	"errors"
+	"math/rand/v2"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -24,57 +28,92 @@ func TestMaxParallelAtLeastOne(t *testing.T) {
 	}
 }
 
-func TestRunJobsFewerJobsThanWorkers(t *testing.T) {
-	// One job on an N-core pool: the worker cap must shrink to the job
+func TestFigureRunFewerCellsThanWorkers(t *testing.T) {
+	// One cell on an N-core pool: the worker cap must shrink to the cell
 	// count and still execute everything exactly once.
-	s := tinyScenario()
-	out := make([]RunResult, 1)
-	runJobs(armJobs(nil, s, out), nil)
-	if out[0].Series == nil || out[0].PacketsSent == 0 {
-		t.Fatalf("single job not executed: %+v", out[0])
+	fig := Figure{ID: "one", Arms: []Arm{{Label: "af", Scenario: tinyScenario()}}}
+	res, err := fig.Run(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Packets["af"] == 0 {
+		t.Fatalf("single cell not executed: %+v", res)
 	}
 }
 
-func TestRunJobsEmpty(t *testing.T) {
-	runJobs(nil, nil) // must not deadlock or panic
+func TestFigureRunNoCells(t *testing.T) {
+	// A figure without arms has no cells: must not deadlock or panic.
+	if _, err := (Figure{ID: "empty"}).Run(3, nil); err != nil {
+		t.Fatal(err)
+	}
 }
 
-func TestArmJobsSeedsAndSlots(t *testing.T) {
+// TestFigureRunHookSeesEveryCell checks the observer hook is consulted
+// once per cell, with the arm's seeds and a worker index inside the pool,
+// and that hook and finalizer errors come back as errors.
+func TestFigureRunHookSeesEveryCell(t *testing.T) {
 	s := tinyScenario()
 	s.Seed = 40
-	out := make([]RunResult, 3)
-	jobs := armJobs(nil, s, out)
-	if len(jobs) != 3 {
-		t.Fatalf("len(jobs) = %d", len(jobs))
-	}
-	for i, j := range jobs {
-		if j.seed != 40+uint64(i) {
-			t.Errorf("job %d seed = %d, want %d", i, j.seed, 40+uint64(i))
+	fig := Figure{ID: "hook", Arms: []Arm{{Label: "af", Scenario: s}}}
+	var mu sync.Mutex
+	seen := make(map[uint64]int)
+	finished := 0
+	_, err := fig.Run(3, func(c Cell, worker int) (Observe, func() error, error) {
+		if worker < 0 || worker >= MaxParallel() {
+			t.Errorf("worker %d outside the pool", worker)
 		}
-		if j.out != &out[i] {
-			t.Errorf("job %d writes to the wrong slot", i)
-		}
+		mu.Lock()
+		seen[c.Seed]++
+		mu.Unlock()
+		return Observe{}, func() error {
+			mu.Lock()
+			finished++
+			mu.Unlock()
+			return nil
+		}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Appending a second arm extends, not replaces.
-	out2 := make([]RunResult, 2)
-	jobs = armJobs(jobs, s.withoutAttack(), out2)
-	if len(jobs) != 5 || jobs[3].out != &out2[0] {
-		t.Fatalf("armJobs append broken: %d jobs", len(jobs))
+	if len(seen) != 3 || seen[40] != 1 || seen[41] != 1 || seen[42] != 1 || finished != 3 {
+		t.Fatalf("hook calls per seed = %v, finalizers = %d", seen, finished)
+	}
+
+	boom := errors.New("boom")
+	if _, err := fig.Run(2, func(Cell, int) (Observe, func() error, error) {
+		return Observe{}, nil, boom
+	}); !errors.Is(err, boom) {
+		t.Fatalf("hook error = %v, want boom", err)
+	}
+	if _, err := fig.Run(2, func(Cell, int) (Observe, func() error, error) {
+		return Observe{}, func() error { return boom }, nil
+	}); !errors.Is(err, boom) {
+		t.Fatalf("finalizer error = %v, want boom", err)
 	}
 }
 
-func TestMergeRunsFolds(t *testing.T) {
-	mk := func(v float64, packets int, replayed uint64) RunResult {
-		series := metrics.NewBinSeries(10*time.Second, 5*time.Second)
+func TestFoldMergesRuns(t *testing.T) {
+	s := tinyScenario()
+	s.Duration, s.BinWidth = 10*time.Second, 5*time.Second
+	mk := func(v float64, packets int, replayed uint64) *RunResult {
+		series := metrics.NewBinSeries(s.Duration, s.BinWidth)
 		series.Add(time.Second, v)
-		return RunResult{
+		return &RunResult{
 			Series:        series,
 			PacketsSent:   packets,
 			AttackerStats: attack.Stats{BeaconsReplayed: replayed},
 		}
 	}
-	out := []RunResult{mk(1, 3, 5), mk(0, 4, 7)}
-	m := mergeRuns(out)
+	fig := Figure{ID: "f", Arms: []Arm{{Label: "a", Scenario: s}}}
+	fo := NewFold(fig, 2)
+	// Run 1 arrives first and waits for run 0.
+	if err := fo.Add(Cell{Figure: "f", Arm: "a", Seed: s.Seed + 1}, mk(0, 4, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fo.Add(Cell{Figure: "f", Arm: "a", Seed: s.Seed}, mk(1, 3, 5)); err != nil {
+		t.Fatal(err)
+	}
+	m := fo.Arm("a")
 	if m.PacketsSent != 7 {
 		t.Errorf("PacketsSent = %d, want 7", m.PacketsSent)
 	}
@@ -84,10 +123,81 @@ func TestMergeRunsFolds(t *testing.T) {
 	if r, ok := m.Series.Rate(0); !ok || r != 0.5 {
 		t.Errorf("merged rate = %v (ok=%v), want 0.5", r, ok)
 	}
-	// Single-run merge is the identity.
-	single := mergeRuns([]RunResult{mk(1, 2, 1)})
-	if single.PacketsSent != 2 {
-		t.Errorf("single merge PacketsSent = %d", single.PacketsSent)
+	// A one-run fold is the identity.
+	single := NewFold(fig, 1)
+	if err := single.Add(Cell{Figure: "f", Arm: "a", Seed: s.Seed}, mk(1, 2, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if single.Arm("a").PacketsSent != 2 {
+		t.Errorf("single fold PacketsSent = %d", single.Arm("a").PacketsSent)
+	}
+
+	for name, tc := range map[string]struct {
+		c Cell
+		r *RunResult
+	}{
+		"foreign figure": {Cell{Figure: "g", Arm: "a", Seed: s.Seed}, mk(1, 1, 0)},
+		"unknown arm":    {Cell{Figure: "f", Arm: "b", Seed: s.Seed}, mk(1, 1, 0)},
+		"seed below":     {Cell{Figure: "f", Arm: "a", Seed: s.Seed - 1}, mk(1, 1, 0)},
+		"beyond runs":    {Cell{Figure: "f", Arm: "a", Seed: s.Seed + 2}, mk(1, 1, 0)},
+		"no series":      {Cell{Figure: "f", Arm: "a", Seed: s.Seed}, &RunResult{}},
+		"wrong shape":    {Cell{Figure: "f", Arm: "a", Seed: s.Seed}, &RunResult{Series: metrics.NewBinSeries(20*time.Second, s.BinWidth)}},
+	} {
+		if err := NewFold(fig, 2).Add(tc.c, tc.r); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestFoldOrderIndependent feeds one figure's cells to a Fold in
+// canonical and in shuffled order: both results, and Figure.Run's, must
+// be identical — the property campaign journal replay relies on.
+func TestFoldOrderIndependent(t *testing.T) {
+	s := tinyScenario()
+	s.AttackMode = attack.InterArea
+	s.AttackRange = radio.Range(radio.DSRC, radio.LoSMedian)
+	fig := Figure{
+		ID:    "order",
+		Arms:  []Arm{{Label: "af", Scenario: s.withoutAttack()}, {Label: "atk", Scenario: s}},
+		Pairs: []Pair{{Label: "p", Free: "af", Attacked: "atk", PaperDrop: -1}},
+	}
+	const runs = 3
+	cells := fig.Cells(runs)
+	results := make([]RunResult, len(cells))
+	for i, c := range cells {
+		r, err := fig.RunCell(c, Observe{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[i] = r
+	}
+	fold := func(order []int) FigureResult {
+		fo := NewFold(fig, runs)
+		for _, i := range order {
+			if err := fo.Add(cells[i], &results[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return fo.Result()
+	}
+	canonical := make([]int, len(cells))
+	for i := range canonical {
+		canonical[i] = i
+	}
+	a := fold(canonical)
+	b := fold(rand.New(rand.NewPCG(7, 8)).Perm(len(cells)))
+	direct, err := fig.Run(runs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("shuffled order changed the fold")
+	}
+	if !reflect.DeepEqual(a, direct) {
+		t.Fatal("fold of the cells differs from Figure.Run")
+	}
+	if a.DropSpread["p"].Runs != runs {
+		t.Fatalf("DropSpread.Runs = %d", a.DropSpread["p"].Runs)
 	}
 }
 
@@ -168,7 +278,7 @@ func TestRunCellMatchesRunOnce(t *testing.T) {
 		Pairs: []Pair{{Label: "p", Free: "af", Attacked: "af", PaperDrop: -1}},
 	}
 	c := Cell{Figure: "test", Arm: "af", Seed: 1}
-	got, err := fig.RunCell(c)
+	got, err := fig.RunCell(c, Observe{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,10 +287,10 @@ func TestRunCellMatchesRunOnce(t *testing.T) {
 		t.Fatalf("RunCell diverges from RunOnce: %d/%v vs %d/%v",
 			got.PacketsSent, got.Series.Overall(), want.PacketsSent, want.Series.Overall())
 	}
-	if _, err := fig.RunCell(Cell{Figure: "test", Arm: "nope", Seed: 1}); err == nil {
+	if _, err := fig.RunCell(Cell{Figure: "test", Arm: "nope", Seed: 1}, Observe{}); err == nil {
 		t.Fatal("unknown arm accepted")
 	}
-	if _, err := fig.RunCell(Cell{Figure: "other", Arm: "af", Seed: 1}); err == nil {
+	if _, err := fig.RunCell(Cell{Figure: "other", Arm: "af", Seed: 1}, Observe{}); err == nil {
 		t.Fatal("foreign figure accepted")
 	}
 }
@@ -198,7 +308,10 @@ func TestFigureRunReportsSpread(t *testing.T) {
 		},
 		Pairs: []Pair{{Label: "p", Free: "af", Attacked: "atk", PaperDrop: -1}},
 	}
-	res := fig.Run(2)
+	res, err := fig.Run(2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Runs != 2 {
 		t.Fatalf("Runs = %d", res.Runs)
 	}

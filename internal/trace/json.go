@@ -93,7 +93,7 @@ func invertNames(names []string) map[string]uint8 {
 }
 
 // DecodeRecord strictly parses one JSONL line back into a Record. Unknown
-// JSON fields and unknown enum names are errors; this is the schema
+// JSON fields, unknown enum names and data after the record are errors; this is the schema
 // validator used by `geotrace -validate` and the CI smoke job.
 func DecodeRecord(line []byte) (Record, error) {
 	dec := json.NewDecoder(bytes.NewReader(line))
@@ -101,6 +101,9 @@ func DecodeRecord(line []byte) (Record, error) {
 	var w wireRecord
 	if err := dec.Decode(&w); err != nil {
 		return Record{}, fmt.Errorf("trace: bad record %q: %w", line, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Record{}, fmt.Errorf("trace: bad record %q: data after the record", line)
 	}
 	var r Record
 	r.At = time.Duration(w.T)

@@ -95,6 +95,10 @@ func TestDecodeRecordStrict(t *testing.T) {
 		`{"t":1,"ev":"tx","node":1,"pt":"quic"}`,              // unknown ptype
 		`{"t":1,"node":1}`,                                    // missing event
 		`not json`,
+		`{"t":5,"ev":"rx","node":1,"pt":"beacon"}{"t":5,"ev":"rx","node":2,"pt":"beacon"}`, // two records
+		`{"t":5,"ev":"rx","node":1} {"t":6}`,                                               // trailing value
+		`{"t":5,"ev":"rx","node":1}}`,                                                      // stray brace
+		`{"t":5,"ev":"rx","node":1} x`,                                                     // trailing garbage
 	}
 	for _, c := range cases {
 		if _, err := DecodeRecord([]byte(c)); err == nil {
