@@ -76,3 +76,22 @@ func TestRunOnceRunToRunDeterminism(t *testing.T) {
 		t.Errorf("same-seed runs diverge:\n%s\nvs:\n%s", a, b)
 	}
 }
+
+// TestIntraAreaSeriesBitIdentical: an intra-area run folds dozens of
+// per-packet reception fractions into each bin. The fold follows
+// origination order, so repeated same-seed runs in one process must agree
+// to the last bit (a map-ordered fold does not).
+func TestIntraAreaSeriesBitIdentical(t *testing.T) {
+	s := Default()
+	s.Workload = IntraArea
+	s.AttackMode = attack.IntraArea
+	s.PacketInterval = 100 * time.Millisecond
+	s.Duration = 10 * time.Second
+	s.Drain = 2 * time.Second
+	want := serializeResult(RunOnce(s, 3))
+	for i := 1; i < 3; i++ {
+		if got := serializeResult(RunOnce(s, 3)); got != want {
+			t.Fatalf("run %d diverges from run 0:\n%s\nvs:\n%s", i, got, want)
+		}
+	}
+}

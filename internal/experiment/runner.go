@@ -18,15 +18,19 @@ import (
 	"github.com/vanetsec/georoute/internal/vanet"
 )
 
-// tracked is the bookkeeping for one generated packet.
+// tracked is the bookkeeping for one generated packet. A router hands a
+// packet to the upper layer at most once, so counting deliveries counts
+// distinct receivers.
 type tracked struct {
 	sentAt time.Duration
-	// InterArea: the destination address that must receive the packet.
-	dest geonet.Address
-	// IntraArea: the on-road population at send time and who of it
+	// InterArea: the destination address that must receive the packet,
+	// and whether it did.
+	dest      geonet.Address
+	delivered bool
+	// IntraArea: the on-road population at send time and how many of it
 	// received the packet.
 	targets  map[geonet.Address]bool
-	received map[geonet.Address]bool
+	received int
 }
 
 // RunResult carries the measured series of a single arm plus run-level
@@ -89,7 +93,16 @@ func RunOnce(s Scenario, seed uint64) RunResult {
 // stream, so the measured series are identical across all variants.
 func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 	tr := obs.Tracer
+	var w *vanet.World
+	// sent lists the generated packets in origination order, the order
+	// the series folds them in; reg indexes them by key.
+	var sent []*tracked
 	reg := make(map[geonet.Key]*tracked)
+	track := func(key geonet.Key, t *tracked) {
+		t.sentAt = w.Engine.Now()
+		sent = append(sent, t)
+		reg[key] = t
+	}
 
 	var cfgFilter geonet.ForwardFilter
 	if s.PlausibilityThreshold > 0 {
@@ -117,17 +130,8 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 		det = detect.New(dcfg)
 	}
 
-	var w *vanet.World
 	var latSum float64
 	var latCount uint64
-	firstDelivery := func(t *tracked, addr geonet.Address) {
-		if t.received[addr] {
-			return
-		}
-		t.received[addr] = true
-		latSum += (w.Engine.Now() - t.sentAt).Seconds()
-		latCount++
-	}
 	w = vanet.New(vanet.Config{
 		Seed:             seed,
 		Tech:             s.Tech,
@@ -153,14 +157,18 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 			}
 			switch s.Workload {
 			case InterArea:
-				if addr == t.dest {
-					firstDelivery(t, addr)
+				if addr != t.dest {
+					return
 				}
+				t.delivered = true
 			case IntraArea:
-				if t.targets[addr] {
-					firstDelivery(t, addr)
+				if !t.targets[addr] {
+					return
 				}
+				t.received++
 			}
+			latSum += (w.Engine.Now() - t.sentAt).Seconds()
+			latCount++
 		},
 	})
 
@@ -206,12 +214,7 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 				return
 			}
 			_, _, destPos := LocalMinLayout(s.VehicleRange())
-			key := r.SendGeoUnicast(vanet.EastDestAddr, destPos, nil)
-			reg[key] = &tracked{
-				sentAt:   w.Engine.Now(),
-				dest:     vanet.EastDestAddr,
-				received: make(map[geonet.Address]bool),
-			}
+			track(r.SendGeoUnicast(vanet.EastDestAddr, destPos, nil), &tracked{dest: vanet.EastDestAddr})
 			return
 		}
 		switch s.Workload {
@@ -242,12 +245,7 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 			if p.dst == vanet.EastDestAddr {
 				destPos = geo.Pt(s.RoadLength+20, 0)
 			}
-			key := r.SendGeoUnicast(p.dst, destPos, nil)
-			reg[key] = &tracked{
-				sentAt:   w.Engine.Now(),
-				dest:     p.dst,
-				received: make(map[geonet.Address]bool),
-			}
+			track(r.SendGeoUnicast(p.dst, destPos, nil), &tracked{dest: p.dst})
 		case IntraArea:
 			vs := w.Vehicles()
 			if len(vs) == 0 {
@@ -265,12 +263,7 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 				}
 				targets[vanet.AddrOf(v)] = true
 			}
-			key := r.SendGeoBroadcast(area, nil)
-			reg[key] = &tracked{
-				sentAt:   w.Engine.Now(),
-				targets:  targets,
-				received: make(map[geonet.Address]bool),
-			}
+			track(r.SendGeoBroadcast(area, nil), &tracked{targets: targets})
 		}
 	}
 
@@ -284,11 +277,11 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 	w.SampleTelemetry()
 
 	series := metrics.NewBinSeries(s.Duration, s.BinWidth)
-	for _, t := range reg {
+	for _, t := range sent {
 		switch s.Workload {
 		case InterArea:
 			v := 0.0
-			if t.received[t.dest] {
+			if t.delivered {
 				v = 1
 			}
 			series.Add(t.sentAt, v)
@@ -296,12 +289,12 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 			if len(t.targets) == 0 {
 				continue
 			}
-			series.Add(t.sentAt, float64(len(t.received))/float64(len(t.targets)))
+			series.Add(t.sentAt, float64(t.received)/float64(len(t.targets)))
 		}
 	}
 	res := RunResult{
 		Series:            series,
-		PacketsSent:       len(reg),
+		PacketsSent:       len(sent),
 		Protocol:          w.ProtocolStats(),
 		Events:            w.Engine.Executed(),
 		LatencySumSeconds: latSum,

@@ -62,8 +62,9 @@ func TestRecustodyAfterHandback(t *testing.T) {
 
 func TestRecustodyCounterAdvances(t *testing.T) {
 	// Directly exercise re-custody: deliver the same GUC to a relay twice
-	// from different link senders; the second copy must be re-processed,
-	// not discarded.
+	// from different link senders; the second copy, arriving after the
+	// relay's custody ended but within the packet lifetime, must be
+	// re-processed, not discarded.
 	w := newWorld(t)
 	relay := w.addNode(2, geo.Pt(500, 0), 500, nil)
 	src := w.addNode(1, geo.Pt(100, 0), 500, nil)
@@ -89,15 +90,90 @@ func TestRecustodyCounterAdvances(t *testing.T) {
 	if relay.Stats().Duplicates != 1 {
 		t.Fatalf("in-custody duplicate not ignored: %+v", relay.Stats())
 	}
-	// Let the buffer expire custody (packet lifetime 30 s).
-	w.engine.Run(40 * time.Second)
-	if relay.Stats().GFExpired != 1 {
-		t.Fatalf("buffer did not expire: %+v", relay.Stats())
+	// A relay closer to the target appears; a buffer retry hands the
+	// packet to it, which ends custody well within the 30 s lifetime.
+	w.addNode(3, geo.Pt(900, 0), 500, nil)
+	w.engine.Run(15 * time.Second)
+	if relay.Stats().GFForwarded != 1 || relay.Stats().GFRetries == 0 {
+		t.Fatalf("buffer retry did not forward: %+v", relay.Stats())
 	}
 	// A new copy after custody ended is re-accepted.
 	relay.Deliver(radio.Frame{From: 7, To: 2, Payload: wire})
 	if relay.Stats().GFRecustody != 1 {
 		t.Fatalf("re-custody not taken: %+v", relay.Stats())
+	}
+}
+
+func TestCopyPastLifetimeDroppedBeforeState(t *testing.T) {
+	// A copy older than its packet lifetime is dead: the relay drops it
+	// before the state lookup (no re-custody), counts it as expired, and
+	// the next beacon tick forgets the packet's state.
+	w := newWorld(t)
+	relay := w.addNode(2, geo.Pt(500, 0), 500, nil)
+	src := w.addNode(1, geo.Pt(100, 0), 500, nil)
+	w.engine.Run(5 * time.Second)
+
+	p := &Packet{
+		Basic:    BasicHeader{Version: 1, RHL: 8, LifetimeMs: 30000},
+		Type:     TypeGeoUnicast,
+		SN:       1,
+		SourcePV: src.pv(),
+		DestAddr: 9,
+		DestPos:  geo.Pt(4000, 0),
+	}
+	p.Sign(src.cfg.Signer)
+	wire := p.Marshal()
+
+	relay.Deliver(radio.Frame{From: 1, To: 2, Payload: wire})
+	// No relay closer to the target exists: the buffer expires custody
+	// only after the packet lifetime (30 s) has run out.
+	w.engine.Run(40 * time.Second)
+	if relay.Stats().GFExpired != 1 {
+		t.Fatalf("buffer did not expire: %+v", relay.Stats())
+	}
+	if len(relay.state) != 0 {
+		t.Fatalf("relay still holds %d packet states after the lifetime", len(relay.state))
+	}
+	relay.Deliver(radio.Frame{From: 7, To: 2, Payload: wire})
+	if st := relay.Stats(); st.GFRecustody != 0 || st.GFExpired != 2 || st.GFBuffered != 1 {
+		t.Fatalf("copy past its lifetime was not dropped as expired: %+v", st)
+	}
+	if len(relay.state) != 0 {
+		t.Fatal("copy past its lifetime created a packet state")
+	}
+}
+
+// TestPacketStateBoundedByLifetime: over a long CBF run the per-router
+// packet state stays bounded by packet rate × lifetime (plus one beacon
+// round of sweep lag), instead of growing with every packet ever seen.
+func TestPacketStateBoundedByLifetime(t *testing.T) {
+	const (
+		rate     = 10 // packets per second
+		lifetime = 10 * time.Second
+		duration = 300 * time.Second
+	)
+	w := newWorld(t)
+	for i := 0; i < 5; i++ {
+		w.addNode(Address(i+1), geo.Pt(float64(i)*300, 0), 500, func(c *Config) { c.PacketLifetime = lifetime })
+	}
+	area := geo.NewRect(geo.Pt(600, 0), 800, 50, 90)
+	src := w.routers[1]
+	w.engine.Every(time.Second, time.Second/rate, "test.gbc", func() { src.SendGeoBroadcast(area, nil) })
+	peak := 0
+	w.engine.Every(time.Second, 250*time.Millisecond, "test.sample", func() {
+		for _, r := range w.routers {
+			peak = max(peak, len(r.state))
+		}
+	})
+	w.engine.Run(duration)
+
+	if got := w.routers[5].Stats().Delivered; got < rate*uint64(duration/time.Second)*9/10 {
+		t.Fatalf("far node delivered only %d packets: the flood did not run", got)
+	}
+	sweepLag := DefaultBeaconInterval + DefaultBeaconJitter
+	bound := rate*int((lifetime+sweepLag)/time.Second) + rate
+	if peak > bound {
+		t.Fatalf("peak packet states per router = %d, want <= %d (rate × (lifetime + sweep lag) + slack)", peak, bound)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/vanetsec/georoute/internal/geo"
 	"github.com/vanetsec/georoute/internal/radio"
@@ -229,6 +230,65 @@ func TestReceivePathAllocs(t *testing.T) {
 	}
 }
 
+// TestCBFArmCycleAllocs pins the pooled contention path: once the
+// router's arm pool and the engine's event pool are warm, arming a
+// contention and resolving it — by a duplicate's cancel, or by the timer
+// firing into a broadcast — allocates nothing.
+func TestCBFArmCycleAllocs(t *testing.T) {
+	w := newWorld(t)
+	r := w.addNode(1, geo.Pt(2000, 0), 500, nil)
+	r.beaconTimer.Cancel() // only the contention runs on the engine
+	p, _, _ := signedGBC(t)
+	f := radio.Frame{From: 7, To: radio.BroadcastID}
+	st := &pktState{}
+	arm := func() {
+		*st = pktState{}
+		r.contend(p, f, st)
+		if st.cbfArm == nil {
+			t.Fatal("contention not armed")
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		cycle func()
+	}{
+		{"duplicate-cancel", func() {
+			arm()
+			r.contend(p, f, st)
+			if st.cbfArm != nil || st.cbfForwarded {
+				t.Fatal("duplicate did not cancel the contention")
+			}
+		}},
+		{"fire", func() {
+			arm()
+			w.engine.Run(w.engine.Now() + r.cfg.TOMax)
+			if st.cbfArm != nil || !st.cbfForwarded {
+				t.Fatal("contention did not fire")
+			}
+		}},
+	} {
+		c.cycle() // warm the pools
+		if allocs := testing.AllocsPerRun(500, c.cycle); allocs != 0 {
+			t.Errorf("%s cycle allocates %.2f/op, want 0", c.name, allocs)
+		}
+	}
+	if r.CBFArmed() != 0 {
+		t.Fatalf("CBFArmed = %d after every contention resolved", r.CBFArmed())
+	}
+}
+
+// TestRouterSizeClass pins every Router allocation to the allocator's
+// 576-byte size class. Objects over 512 bytes that hold pointers carry an
+// 8-byte allocation header, so the struct itself may use 568 bytes; one
+// word more moves every router into the 640-byte class, which a
+// 50,000-vehicle world pays in full. That is why the arm pool is an
+// intrusive list rather than a slice.
+func TestRouterSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Router{}); got > 568 {
+		t.Fatalf("unsafe.Sizeof(Router{}) = %d, want <= 568 (576-byte class less its 8-byte header)", got)
+	}
+}
+
 // TestMarshalPathAllocs asserts AppendMarshal into a pre-grown buffer
 // and the uncached verify's one-shot signing path stay within bounds.
 func TestMarshalPathAllocs(t *testing.T) {
@@ -352,7 +412,6 @@ func TestBeaconOriginationAllocs(t *testing.T) {
 		// beacon is on the air.
 		for _, r := range w.routers {
 			r.beaconTimer.Cancel()
-			r.beaconTimer = nil
 		}
 		beacon := func() {
 			tx.SendBeacon()

@@ -53,9 +53,9 @@ func (r *Router) drop(p *Packet, from radio.NodeID, reason trace.Reason, kind tr
 	r.emit(ev, kind, reason, p, from)
 }
 
-// dropKey is drop for a copy we only know by its end-to-end key (the CBF
-// contention closure owns the forked packet; at Stop time only the state
-// map key is at hand).
+// dropKey is drop for a copy we only know by its end-to-end key: Stop
+// finds the armed contentions through the state map and drops them by
+// key, in key order.
 func (r *Router) dropKey(k Key, reason trace.Reason, kind trace.Kind) {
 	r.countDrop(reason)
 	if r.cfg.Tracer == nil {
@@ -90,7 +90,7 @@ func (r *Router) countDrop(reason trace.Reason) {
 		r.stats.CBFIgnored++
 	case trace.ReasonRHLExpired:
 		r.stats.RHLExpired++
-	case trace.ReasonGFExpired, trace.ReasonLSExpired:
+	case trace.ReasonGFExpired, trace.ReasonLSExpired, trace.ReasonLifetimeExpired:
 		r.stats.GFExpired++
 	case trace.ReasonCBFCanceled:
 		r.stats.CBFCanceled++

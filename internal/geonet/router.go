@@ -36,7 +36,7 @@ type Stats struct {
 	GFPerimeter  uint64 // next-hop transmissions made in perimeter mode
 	GFBuffered   uint64 // store-carry-forward buffer admissions
 	GFRetries    uint64 // retry attempts from the buffer
-	GFExpired    uint64 // buffered packets dropped at lifetime end
+	GFExpired    uint64 // packets dropped at lifetime end (GF buffer, LS queue, stale reception)
 	GFFiltered   uint64 // candidates rejected by the forward filter
 	GFRecustody  uint64 // re-accepted packets previously forwarded away
 	CBFBuffered  uint64 // contention timers started
@@ -152,14 +152,19 @@ type Router struct {
 	nextHop    NextHopPolicy
 	contention ContentionPolicy
 
-	seq         uint16
 	state       map[Key]*pktState
 	lsQueue     map[Address][]lsPending
-	beaconTimer *sim.Event
+	beaconTimer sim.Timer
 	// beaconFn is r.beaconTick bound once at Start, so rescheduling the
 	// beacon each round does not allocate a fresh method value.
-	beaconFn     func()
-	retryTimers  map[*pending]*sim.Event
+	beaconFn    func()
+	retryTimers map[*pending]sim.Timer
+	// armFree is the router's pool of resolved contentions, linked
+	// through cbfArm.next: a pointer, not a slice, keeps Router in its
+	// size class (see TestRouterSizeClass).
+	armFree *cbfArm
+	// seq packs with the flags into one word.
+	seq          uint16
 	updateFromDa bool
 	started      bool
 	stopped      bool
@@ -173,27 +178,50 @@ type Router struct {
 
 // pktState tracks per-packet progress at this node.
 type pktState struct {
+	// Word-sized fields lead and the flags pack behind them, keeping the
+	// struct in the 48-byte size class.
+
+	// expires is when the packet's lifetime ends (source timestamp plus
+	// LifetimeMs). Later copies are dropped before the state lookup, so
+	// beaconTick may forget the state from then on.
+	expires time.Duration
+	// prevHop is the link-layer sender we last accepted the packet from;
+	// GF never hands the packet straight back to it (split horizon), which
+	// keeps custody transfers between two carriers from livelocking.
+	prevHop Address
+	cbfDups int     // duplicate copies seen while the contention was armed
+	cbfArm  *cbfArm // the armed contention, nil once resolved
+
 	delivered bool
 	// gfSeen marks the packet as having entered GF handling at least once.
 	gfSeen bool
 	// custody is true while the packet sits in this node's
 	// store-carry-forward buffer; duplicates are ignored meanwhile.
 	custody bool
-	// prevHop is the link-layer sender we last accepted the packet from;
-	// GF never hands the packet straight back to it (split horizon), which
-	// keeps custody transfers between two carriers from livelocking.
-	prevHop Address
 	// tsbDone marks a topologically-flooded packet (TSB/LS request) as
 	// already re-broadcast or intentionally not re-broadcast here.
 	tsbDone bool
 	// cbf contention fields.
 	cbfSeen      bool
 	cbfResolved  bool // forwarded, canceled, or not eligible
+	cbfForwarded bool
 	cbfFirstRHL  uint8
 	cbfSendRHL   uint8
-	cbfDups      int // duplicate copies seen while the contention was armed
-	cbfTimer     *sim.Event
-	cbfForwarded bool
+}
+
+// cbfArm is one armed contention: the buffered copy held by value, its
+// timer, and the fire callback bound once when the arm object is first
+// created. Arms are pooled per router; fire, duplicate cancel and Stop
+// all return them. Holding pkt by value is safe because neither send
+// (which marshals into a fresh buffer) nor emit (which copies scalars)
+// keeps &pkt past the call.
+type cbfArm struct {
+	r     *Router
+	st    *pktState
+	pkt   Packet
+	timer sim.Timer
+	fire  func()
+	next  *cbfArm // free-list link while pooled
 }
 
 // pending is a store-carry-forward buffered packet.
@@ -260,7 +288,7 @@ func NewRouter(cfg Config) *Router {
 		contention:   strat.NewContention(),
 		state:        make(map[Key]*pktState),
 		lsQueue:      make(map[Address][]lsPending),
-		retryTimers:  make(map[*pending]*sim.Event),
+		retryTimers:  make(map[*pending]sim.Timer),
 		updateFromDa: updateFromData,
 	}
 }
@@ -308,15 +336,12 @@ func (r *Router) Stop() {
 		return
 	}
 	r.stopped = true
-	if r.beaconTimer != nil {
-		r.beaconTimer.Cancel()
-		r.beaconTimer = nil
-	}
+	r.beaconTimer.Cancel()
 	// Drain the holding states in key order so traced runs emit the Stop
 	// drops deterministically (both maps iterate in random order).
 	var held []*pending
-	for pe, ev := range r.retryTimers {
-		ev.Cancel()
+	for pe, timer := range r.retryTimers {
+		timer.Cancel()
 		delete(r.retryTimers, pe)
 		held = append(held, pe)
 	}
@@ -327,13 +352,10 @@ func (r *Router) Stop() {
 	}
 	var armed []Key
 	for k, st := range r.state {
-		// Only unresolved contentions still hold a pending timer; resolved
-		// ones fired or were canceled, and the engine has recycled those
-		// event objects — canceling through the stale handle would hit an
-		// unrelated event.
-		if st.cbfTimer != nil && !st.cbfResolved {
-			st.cbfTimer.Cancel()
-			st.cbfTimer = nil
+		// Only unresolved contentions still hold an arm.
+		if a := st.cbfArm; a != nil {
+			a.timer.Cancel()
+			r.releaseArm(a)
 			st.cbfResolved = true
 			r.cbfArmed--
 			armed = append(armed, k)
@@ -391,14 +413,12 @@ func (r *Router) pv() PositionVector {
 }
 
 func (r *Router) beaconTick() {
-	// The event that invoked us has fired and its object may be recycled;
-	// forget the handle before doing anything that could schedule.
-	r.beaconTimer = nil
 	if r.stopped {
 		return
 	}
 	r.SendBeacon()
 	r.purgeLSQueue()
+	r.purgeStates()
 	next := r.cfg.BeaconInterval + time.Duration(r.cfg.Rand.Int64N(int64(r.cfg.BeaconJitter)))
 	r.beaconTimer = r.cfg.Engine.Schedule(next, "geonet.beacon", r.beaconFn)
 }
@@ -442,7 +462,7 @@ func (r *Router) SendGeoUnicast(dest Address, destPos geo.Point, payload []byte)
 	p.Sign(r.cfg.Signer)
 	r.stats.Originated++
 	r.emit(trace.EvOriginate, trace.KindNone, trace.ReasonNone, p, 0)
-	st := r.stateFor(p.Key())
+	st := r.stateFor(p)
 	st.gfSeen = true
 	r.forwardGreedy(p, destPos, st)
 	return p.Key()
@@ -468,7 +488,7 @@ func (r *Router) SendGeoBroadcast(area geo.Area, payload []byte) Key {
 	p.Sign(r.cfg.Signer)
 	r.stats.Originated++
 	r.emit(trace.EvOriginate, trace.KindNone, trace.ReasonNone, p, 0)
-	st := r.stateFor(p.Key())
+	st := r.stateFor(p)
 	if area.Contains(r.cfg.Position()) {
 		// Source is inside the area: broadcast and never contend for this
 		// packet again.
@@ -524,6 +544,12 @@ func (r *Router) Deliver(f radio.Frame) {
 		return
 	}
 	now := r.cfg.Engine.Now()
+	if p.Type != TypeBeacon && now > p.SourcePV.Timestamp+p.lifetime() {
+		// Past its lifetime the packet is dead, and purgeStates may have
+		// forgotten it: drop it before it touches the LocT or the state.
+		r.drop(p, f.From, trace.ReasonLifetimeExpired, trace.KindNone)
+		return
+	}
 	if p.Type == TypeBeacon || r.updateFromDa {
 		// No plausibility check on the PV: the beacon may have been
 		// relayed from far away (vulnerability #2 of the GF analysis).
@@ -567,13 +593,27 @@ func (r *Router) Deliver(f radio.Frame) {
 	}
 }
 
-func (r *Router) stateFor(k Key) *pktState {
+func (r *Router) stateFor(p *Packet) *pktState {
+	k := p.Key()
 	st, ok := r.state[k]
 	if !ok {
-		st = &pktState{}
+		st = &pktState{expires: p.SourcePV.Timestamp + p.lifetime()}
 		r.state[k] = st
 	}
 	return st
+}
+
+// purgeStates forgets packets past their lifetime that hold neither
+// custody nor an armed contention. Deliver drops every later copy before
+// the state lookup, so forgetting changes no decision, and the map stays
+// bounded by packet rate × lifetime.
+func (r *Router) purgeStates() {
+	now := r.cfg.Engine.Now()
+	for k, st := range r.state {
+		if now > st.expires && !st.custody && st.cbfArm == nil {
+			delete(r.state, k)
+		}
+	}
 }
 
 // deliverOnce hands p to the upper layer the first time and reports
@@ -592,7 +632,7 @@ func (r *Router) deliverOnce(p *Packet, st *pktState) bool {
 }
 
 func (r *Router) handleGUC(p *Packet, f radio.Frame) {
-	st := r.stateFor(p.Key())
+	st := r.stateFor(p)
 	if p.DestAddr == r.cfg.Addr {
 		if r.deliverOnce(p, st) {
 			r.emit(trace.EvDeliver, trace.KindNone, trace.ReasonNone, p, f.From)
@@ -632,7 +672,7 @@ func (r *Router) relayGreedy(p *Packet, f radio.Frame, st *pktState, target geo.
 }
 
 func (r *Router) handleGBC(p *Packet, f radio.Frame) {
-	st := r.stateFor(p.Key())
+	st := r.stateFor(p)
 	inside := p.Area.Contains(r.cfg.Position())
 	if inside {
 		if r.deliverOnce(p, st) {
@@ -668,8 +708,9 @@ func (r *Router) contend(p *Packet, f radio.Frame, st *pktState) {
 			// Someone else re-broadcast first: discard the buffered packet
 			// (vulnerability: no check of WHO that someone is).
 			st.cbfResolved = true
-			st.cbfTimer.Cancel()
-			st.cbfTimer = nil
+			a := st.cbfArm
+			a.timer.Cancel()
+			r.releaseArm(a)
 			r.cbfArmed--
 			r.drop(p, f.From, trace.ReasonCBFCanceled, trace.KindArm)
 		} else {
@@ -699,26 +740,50 @@ func (r *Router) contend(p *Packet, f radio.Frame, st *pktState) {
 	}
 	st.cbfSendRHL = p.Basic.RHL - 1
 	to := r.contention.Timeout(r, p, Address(f.From))
-	buffered := p.Fork()
 	r.stats.CBFBuffered++
 	r.emit(trace.EvCBFArm, trace.KindArm, trace.ReasonNone, p, f.From)
 	r.cbfArmed++
-	st.cbfTimer = r.cfg.Engine.Schedule(to, "geonet.cbf", func() {
-		// The firing event's handle is dead either way (the engine recycles
-		// fired events); drop it so no later path cancels through it.
-		st.cbfTimer = nil
-		if r.stopped || st.cbfResolved {
-			return
-		}
-		st.cbfResolved = true
-		st.cbfForwarded = true
-		r.cbfArmed--
-		out := buffered
-		out.Basic.RHL = st.cbfSendRHL
-		r.stats.CBFForwarded++
-		r.send(radio.BroadcastID, out)
-		r.emit(trace.EvTX, trace.KindCBFFire, trace.ReasonNone, out, 0)
-	})
+	a := r.grabArm(st, p)
+	a.timer = r.cfg.Engine.Schedule(to, "geonet.cbf", a.fire)
+}
+
+// grabArm takes an arm from the pool, or creates one and binds its fire
+// callback, and loads the buffered copy of p into it.
+func (r *Router) grabArm(st *pktState, p *Packet) *cbfArm {
+	a := r.armFree
+	if a != nil {
+		r.armFree = a.next
+		a.next = nil
+	} else {
+		a = &cbfArm{r: r}
+		a.fire = a.run
+	}
+	a.st = st
+	a.pkt = *p
+	st.cbfArm = a
+	return a
+}
+
+// releaseArm detaches a resolved arm from its state and pools it. The
+// reset drops the buffered packet, so pooled arms pin no decoded frame.
+func (r *Router) releaseArm(a *cbfArm) {
+	a.st.cbfArm = nil
+	*a = cbfArm{r: r, fire: a.fire, next: r.armFree}
+	r.armFree = a
+}
+
+// run is the contention timeout: no duplicate canceled the arm, so the
+// buffered copy is re-broadcast.
+func (a *cbfArm) run() {
+	r, st := a.r, a.st
+	st.cbfResolved = true
+	st.cbfForwarded = true
+	r.cbfArmed--
+	a.pkt.Basic.RHL = st.cbfSendRHL
+	r.stats.CBFForwarded++
+	r.send(radio.BroadcastID, &a.pkt)
+	r.emit(trace.EvTX, trace.KindCBFFire, trace.ReasonNone, &a.pkt, 0)
+	r.releaseArm(a)
 }
 
 // forwardGreedy runs the next-hop selection for p toward target. With
@@ -754,10 +819,9 @@ func (r *Router) trySendGreedy(p *Packet, target geo.Point, st *pktState, kind t
 // buffer admits p to the store-carry-forward buffer and schedules
 // retries until the packet lifetime runs out.
 func (r *Router) buffer(p *Packet, target geo.Point, st *pktState) {
-	lifetime := time.Duration(p.Basic.LifetimeMs) * time.Millisecond
 	pe := &pending{
 		pkt:      p,
-		deadline: r.cfg.Engine.Now() + lifetime,
+		deadline: r.cfg.Engine.Now() + p.lifetime(),
 		target:   target,
 		st:       st,
 	}
@@ -768,7 +832,7 @@ func (r *Router) buffer(p *Packet, target geo.Point, st *pktState) {
 }
 
 func (r *Router) scheduleRetry(pe *pending) {
-	ev := r.cfg.Engine.Schedule(r.cfg.RetryInterval, "geonet.gfretry", func() {
+	r.retryTimers[pe] = r.cfg.Engine.Schedule(r.cfg.RetryInterval, "geonet.gfretry", func() {
 		delete(r.retryTimers, pe)
 		if r.stopped {
 			return
@@ -785,5 +849,4 @@ func (r *Router) scheduleRetry(pe *pending) {
 		}
 		r.scheduleRetry(pe)
 	})
-	r.retryTimers[pe] = ev
 }

@@ -62,7 +62,7 @@ func (r *Router) SendTSB(payload []byte, hops uint8) Key {
 	p.Sign(r.cfg.Signer)
 	r.stats.Originated++
 	r.emit(trace.EvOriginate, trace.KindNone, trace.ReasonNone, p, 0)
-	st := r.stateFor(p.Key())
+	st := r.stateFor(p)
 	st.tsbDone = true
 	r.send(radio.BroadcastID, p)
 	r.emit(trace.EvTX, trace.KindTSB, trace.ReasonNone, p, 0)
@@ -72,7 +72,7 @@ func (r *Router) SendTSB(payload []byte, hops uint8) Key {
 // handleSHB delivers a single-hop broadcast. The LocT update (with
 // neighbor status) already happened in Deliver.
 func (r *Router) handleSHB(p *Packet) {
-	st := r.stateFor(p.Key())
+	st := r.stateFor(p)
 	if r.deliverOnce(p, st) {
 		r.emit(trace.EvDeliver, trace.KindNone, trace.ReasonNone, p, 0)
 	} else {
@@ -82,7 +82,7 @@ func (r *Router) handleSHB(p *Packet) {
 
 // handleTSB delivers and re-floods a topologically-scoped broadcast.
 func (r *Router) handleTSB(p *Packet) {
-	st := r.stateFor(p.Key())
+	st := r.stateFor(p)
 	if r.deliverOnce(p, st) {
 		// Informational: the TSB copy lives on into the reflood decision,
 		// which produces its disposition record.
@@ -135,7 +135,7 @@ func (r *Router) sendLSRequest(dest Address) {
 	}
 	p.Sign(r.cfg.Signer)
 	r.emit(trace.EvOriginate, trace.KindNone, trace.ReasonNone, p, 0)
-	st := r.stateFor(p.Key())
+	st := r.stateFor(p)
 	st.tsbDone = true
 	r.send(radio.BroadcastID, p)
 	r.emit(trace.EvTX, trace.KindFlood, trace.ReasonNone, p, 0)
@@ -144,7 +144,7 @@ func (r *Router) sendLSRequest(dest Address) {
 // handleLSRequest answers requests for our own position and re-floods
 // others (TSB semantics).
 func (r *Router) handleLSRequest(p *Packet, f radio.Frame) {
-	st := r.stateFor(p.Key())
+	st := r.stateFor(p)
 	if p.DestAddr == r.cfg.Addr {
 		if st.tsbDone {
 			r.drop(p, f.From, trace.ReasonDuplicate, trace.KindNone)
@@ -185,7 +185,7 @@ func (r *Router) sendLSReply(requester PositionVector) {
 	}
 	p.Sign(r.cfg.Signer)
 	r.emit(trace.EvOriginate, trace.KindNone, trace.ReasonNone, p, 0)
-	st := r.stateFor(p.Key())
+	st := r.stateFor(p)
 	st.gfSeen = true
 	r.forwardGreedy(p, p.DestPos, st)
 }
@@ -193,7 +193,7 @@ func (r *Router) sendLSReply(requester PositionVector) {
 // handleLSReply flushes queued payloads at the requester and relays the
 // reply elsewhere like a GeoUnicast.
 func (r *Router) handleLSReply(p *Packet, f radio.Frame) {
-	st := r.stateFor(p.Key())
+	st := r.stateFor(p)
 	if p.DestAddr != r.cfg.Addr {
 		r.relayGreedy(p, f, st, p.DestPos)
 		return

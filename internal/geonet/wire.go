@@ -177,6 +177,11 @@ type Key struct {
 // Key returns the duplicate-detection key.
 func (p *Packet) Key() Key { return Key{Src: p.SourcePV.Addr, SN: p.SN} }
 
+// lifetime is the packet's lifetime from its source timestamp.
+func (p *Packet) lifetime() time.Duration {
+	return time.Duration(p.Basic.LifetimeMs) * time.Millisecond
+}
+
 // Wire encoding ------------------------------------------------------------
 
 // Decode errors.

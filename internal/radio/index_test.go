@@ -509,7 +509,7 @@ func runLinearScanOracle(t *testing.T, seed uint64) oracleCoverage {
 		} else {
 			m.Send(from.ant, to, payload[:])
 		}
-		e.ScheduleTransient(m.Latency(), "oracle.check", func() {
+		e.Schedule(m.Latency(), "oracle.check", func() {
 			check(id, to, cands, addressed, targetReached)
 		})
 	}

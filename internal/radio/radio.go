@@ -697,7 +697,7 @@ func (m *Medium) send(from *Antenna, to NodeID, payload []byte, pooled bool) Fra
 	t.targetReached = targetReached
 	t.pooled = pooled
 	m.inflight++
-	m.engine.ScheduleTransient(m.latency, "radio.deliver", t.run)
+	m.engine.Schedule(m.latency, "radio.deliver", t.run)
 	return f
 }
 

@@ -8,10 +8,11 @@ import (
 )
 
 // handleBox tracks a Schedule handle plus whether it already fired, so the
-// workload only ever cancels handles that are still live (handles are
-// single-use by contract: canceling after the fire is undefined).
+// workload cancels only handles that have not fired. Canceled handles may
+// be canceled again after their object was reused: the generation fence
+// must turn that into a no-op on both queues.
 type handleBox struct {
-	ev    *Event
+	ev    Timer
 	fired bool
 }
 
@@ -62,8 +63,8 @@ func driveWorkload(seed int64, kind QueueKind) (trace []string, executed uint64,
 			}
 		}
 		if rng.Intn(3) == 0 {
-			box.fired = true // transients have no handle to track
-			eng.ScheduleTransient(delay, "t", fn)
+			box.fired = true // fire-and-forget: the handle is dropped
+			eng.Schedule(delay, "t", fn)
 		} else {
 			box.ev = eng.Schedule(delay, "s", fn)
 			boxes = append(boxes, box)

@@ -21,10 +21,10 @@ import (
 	"time"
 )
 
-// Event lifecycle states. An Event object is owned by the engine: once it
-// has fired or been canceled the handle must not be used again (the engine
-// recycles fired events into a free pool so steady-state scheduling does
-// not allocate).
+// Event lifecycle states. Event objects are owned by the engine, which
+// recycles every one of them, fired or canceled, through a free pool, so
+// steady-state scheduling does not allocate. Callers hold Timer handles,
+// never the objects.
 const (
 	stateIdle      uint8 = iota // pooled / never scheduled
 	stateScheduled              // queued, waiting to fire
@@ -41,12 +41,8 @@ const (
 	whereHeap                  // binary-heap queue (lazy cancel)
 )
 
-// Event is a scheduled callback. It is returned by the scheduling methods
-// so callers can cancel it (e.g. a CBF contention timer stopped by a
-// duplicate packet). Handles are single-use: after the event fires or is
-// canceled, drop the reference — the engine recycles fired event objects,
-// so a retained handle may alias a different, later event.
-type Event struct {
+// event is the engine's pooled record of one scheduled callback.
+type event struct {
 	at   time.Duration
 	seq  uint64
 	name string
@@ -54,50 +50,55 @@ type Event struct {
 
 	// Intrusive links for the wheel-slot doubly-linked lists. slot points
 	// at the containing slot so Cancel can unlink in O(1).
-	prev, next *Event
+	prev, next *event
 	slot       *wheelSlot
 
 	eng   *Engine
 	state uint8
 	where uint8
-	// pooled events were created by ScheduleTransient: no handle exists.
-	pooled bool
+	// gen counts the object's reuses; a Timer names one generation.
+	gen uint32
 }
 
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.state == stateCanceled }
+// Timer is the handle Schedule returns. It names one generation of a
+// pooled event object: once the engine reuses the object for a later
+// Schedule the handle is stale, and Cancel through it is a no-op instead
+// of killing the unrelated newer event. The zero Timer names no event.
+type Timer struct {
+	ev  *event
+	gen uint32
+}
 
-// At reports the simulated time the event fires (or would have fired).
-func (e *Event) At() time.Duration { return e.at }
+// live reports whether the handle still names its event object.
+func (t Timer) live() bool { return t.ev != nil && t.ev.gen == t.gen }
 
-// Name reports the label given at scheduling time.
-func (e *Event) Name() string { return e.name }
+// Canceled reports whether the handle's event was canceled. A stale
+// handle reports false: its object now belongs to a later event.
+func (t Timer) Canceled() bool { return t.live() && t.ev.state == stateCanceled }
 
 // Cancel prevents a pending event from running. Canceling an event that
-// already ran or was already canceled is a no-op. Events sitting in a
-// wheel slot are unlinked immediately (O(1)); events in the overflow or
-// heap queues are marked and reclaimed when they surface.
-func (e *Event) Cancel() {
-	if e.state != stateScheduled {
+// already ran or was already canceled, or through a stale handle, is a
+// no-op. Events sitting in a wheel slot are unlinked and recycled
+// immediately (O(1)); events in the ready, overflow or heap queues are
+// marked and reclaimed when they surface.
+func (t Timer) Cancel() {
+	if !t.live() || t.ev.state != stateScheduled {
 		return
 	}
+	e := t.ev
 	e.state = stateCanceled
+	e.fn = nil
 	eng := e.eng
 	eng.live--
-	switch e.where {
-	case whereSlot:
+	if e.where == whereSlot {
 		e.slot.unlink(e)
 		e.where = whereNone
 		e.slot = nil
-		e.fn = nil
 		eng.wheel.count--
-		// Canceled handles are left to the GC rather than pooled: a stale
-		// double-Cancel on a recycled object would kill an innocent event.
-	case whereReady, whereOverflow, whereHeap:
-		// Lazy: the pop path reclaims it (and its pool slot) on surfacing.
-		e.fn = nil
-		eng.canceledPending++
+		eng.free = append(eng.free, e)
+		return
 	}
+	eng.canceledPending++
 }
 
 // QueueKind selects the scheduler implementation backing an Engine.
@@ -125,9 +126,9 @@ type Engine struct {
 	// (lazy cancellation in the overflow/heap paths).
 	live            int
 	canceledPending int
-	// free recycles Event objects for Schedule and ScheduleTransient.
+	// free recycles fired and canceled event objects for Schedule.
 	// Sync-free: the engine is single-threaded.
-	free []*Event
+	free []*event
 	// probe is an observation hook invoked from the Run loop every
 	// probeEvery executed events (see SetProbe).
 	probeEvery uint64
@@ -233,24 +234,39 @@ func (e *Engine) SetProbe(every uint64, fn func()) {
 	e.probeFn = fn
 }
 
-// alloc grabs a pooled Event object or allocates a fresh one.
-func (e *Engine) alloc() *Event {
+// alloc grabs a pooled event object, advancing its generation so handles
+// to its previous use go stale, or allocates a fresh one.
+func (e *Engine) alloc() *event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
 		e.free = e.free[:n-1]
-		*ev = Event{}
+		*ev = event{gen: ev.gen + 1}
 		return ev
 	}
-	return &Event{}
+	return &event{}
 }
 
-// enqueue stamps and queues an event. The caller validated `at`.
-func (e *Engine) enqueue(ev *Event, at time.Duration, name string, fn func(), pooled bool) {
-	ev.at = at
+// Schedule runs fn after delay. A negative delay is an error in the caller;
+// it panics to surface scheduling bugs immediately. Fire-and-forget
+// callers simply drop the returned handle.
+func (e *Engine) Schedule(delay time.Duration, name string, fn func()) Timer {
+	if delay < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v for event %q", delay, name))
+	}
+	return e.ScheduleAt(e.now+delay, name, fn)
+}
+
+// ScheduleAt runs fn at absolute simulated time t. Scheduling in the past
+// panics: it would silently reorder causality.
+func (e *Engine) ScheduleAt(t time.Duration, name string, fn func()) Timer {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: event %q scheduled at %v before now %v", name, t, e.now))
+	}
+	ev := e.alloc()
+	ev.at = t
 	ev.seq = e.seq
 	ev.name = name
 	ev.fn = fn
-	ev.pooled = pooled
 	ev.eng = e
 	ev.state = stateScheduled
 	e.seq++
@@ -261,39 +277,7 @@ func (e *Engine) enqueue(ev *Event, at time.Duration, name string, fn func(), po
 		ev.where = whereHeap
 		e.heap.push(ev)
 	}
-}
-
-// Schedule runs fn after delay. A negative delay is an error in the caller;
-// it panics to surface scheduling bugs immediately.
-func (e *Engine) Schedule(delay time.Duration, name string, fn func()) *Event {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v for event %q", delay, name))
-	}
-	return e.ScheduleAt(e.now+delay, name, fn)
-}
-
-// ScheduleAt runs fn at absolute simulated time t. Scheduling in the past
-// panics: it would silently reorder causality.
-func (e *Engine) ScheduleAt(t time.Duration, name string, fn func()) *Event {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: event %q scheduled at %v before now %v", name, t, e.now))
-	}
-	ev := e.alloc()
-	e.enqueue(ev, t, name, fn, false)
-	return ev
-}
-
-// ScheduleTransient runs fn after delay, like Schedule, but returns no
-// handle: transient events cannot be canceled or inspected. Use it for
-// high-volume fire-and-forget events (e.g. per-frame radio deliveries).
-// Both Schedule and ScheduleTransient recycle event objects through the
-// engine's free pool, so neither allocates in steady state.
-func (e *Engine) ScheduleTransient(delay time.Duration, name string, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v for event %q", delay, name))
-	}
-	ev := e.alloc()
-	e.enqueue(ev, e.now+delay, name, fn, true)
+	return Timer{ev: ev, gen: ev.gen}
 }
 
 // Every schedules fn at t0, t0+period, t0+2·period, ... until the engine
@@ -313,15 +297,11 @@ type Ticker struct {
 	period  time.Duration
 	name    string
 	fn      func()
-	ev      *Event
+	ev      Timer
 	stopped bool
 }
 
 func (t *Ticker) tick() {
-	// The event that invoked us has fired; its handle is dead (the engine
-	// recycles fired events), so clear it before anything else can Cancel
-	// through it.
-	t.ev = nil
 	if t.stopped {
 		return
 	}
@@ -332,20 +312,18 @@ func (t *Ticker) tick() {
 }
 
 // Stop cancels future ticks. Safe to call multiple times, from inside the
-// ticker's own callback, or after the engine stopped.
+// ticker's own callback (where Cancel through the firing handle is a
+// no-op), or after the engine stopped.
 func (t *Ticker) Stop() {
 	t.stopped = true
-	if t.ev != nil {
-		t.ev.Cancel()
-		t.ev = nil
-	}
+	t.ev.Cancel()
 }
 
 // popNext removes and returns the earliest live event with at <= until,
 // or nil if none. Lazily-canceled events surfacing on the way are
 // reclaimed here (their pool slot included), which is what keeps a
 // long-lived storm of canceled CBF timers from bloating the queue.
-func (e *Engine) popNext(until time.Duration) *Event {
+func (e *Engine) popNext(until time.Duration) *event {
 	if e.wheel != nil {
 		return e.wheel.pop(until, e)
 	}
@@ -362,15 +340,12 @@ func (e *Engine) popNext(until time.Duration) *Event {
 	}
 }
 
-// reclaimCanceled retires a lazily-canceled event surfacing from a queue.
-func (e *Engine) reclaimCanceled(ev *Event) {
+// reclaimCanceled retires a lazily-canceled event surfacing from a queue
+// into the free pool.
+func (e *Engine) reclaimCanceled(ev *event) {
 	e.canceledPending--
 	ev.where = whereNone
-	ev.fn = nil
-	if ev.pooled {
-		// No handle exists, so the object is safe to recycle immediately.
-		e.free = append(e.free, ev)
-	}
+	e.free = append(e.free, ev)
 }
 
 // Run executes events until the queue drains or simulated time reaches
@@ -392,8 +367,8 @@ func (e *Engine) Run(until time.Duration) uint64 {
 		e.live--
 		fn()
 		e.executed++
-		// Recycle the object. Handles are single-use by contract, so fired
-		// Schedule events pool exactly like transient ones.
+		// Recycle the object; the generation fence makes the fired
+		// handle's later Cancel a no-op.
 		e.free = append(e.free, ev)
 		if e.probeFn != nil {
 			if e.probeLeft--; e.probeLeft == 0 {

@@ -280,9 +280,10 @@ func TestHeapOrderingProperty(t *testing.T) {
 	}
 }
 
-func TestScheduleTransientOrderingAndRecycling(t *testing.T) {
-	// Transient events interleave with regular events in (time, schedule)
-	// order, and the engine recycles their objects without disturbing it.
+func TestDroppedHandleOrderingAndRecycling(t *testing.T) {
+	// Fire-and-forget events (handle dropped) interleave with regular
+	// events in (time, schedule) order, and the engine recycles their
+	// objects without disturbing it.
 	e := NewEngine(1)
 	var got []int
 	for round := 0; round < 3; round++ {
@@ -290,10 +291,10 @@ func TestScheduleTransientOrderingAndRecycling(t *testing.T) {
 		e.Schedule(time.Duration(round)*time.Millisecond, "regular", func() {
 			got = append(got, round*10)
 		})
-		e.ScheduleTransient(time.Duration(round)*time.Millisecond, "transient", func() {
+		e.Schedule(time.Duration(round)*time.Millisecond, "dropped", func() {
 			got = append(got, round*10+1)
 		})
-		e.ScheduleTransient(time.Duration(round)*time.Millisecond, "transient", func() {
+		e.Schedule(time.Duration(round)*time.Millisecond, "dropped", func() {
 			got = append(got, round*10+2)
 		})
 	}
@@ -308,33 +309,97 @@ func TestScheduleTransientOrderingAndRecycling(t *testing.T) {
 		}
 	}
 	if len(e.free) == 0 {
-		t.Fatal("transient events were not recycled")
+		t.Fatal("fired events were not recycled")
 	}
 }
 
-func TestScheduleTransientNegativeDelayPanics(t *testing.T) {
+func TestNegativeDelayPanicsWithWarmPool(t *testing.T) {
+	// A recycled object waiting in the pool must not let a negative delay
+	// slip through.
+	e := NewEngine(1)
+	e.Schedule(time.Millisecond, "warm", func() {})
+	e.Run(time.Second)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic for negative transient delay")
+			t.Fatal("expected panic for negative delay")
 		}
 	}()
-	NewEngine(1).ScheduleTransient(-time.Second, "bad", func() {})
+	e.Schedule(-time.Second, "bad", func() {})
 }
 
-func TestScheduleTransientReusesPooledEvents(t *testing.T) {
-	// Sequential transient rounds should settle into reusing one pooled
-	// object instead of allocating per call.
+func TestScheduleReusesPooledEvents(t *testing.T) {
+	// Sequential rounds should settle into reusing one pooled object
+	// instead of allocating per call.
 	e := NewEngine(1)
 	ran := 0
 	for i := 0; i < 100; i++ {
-		e.ScheduleTransient(time.Millisecond, "t", func() { ran++ })
+		e.Schedule(time.Millisecond, "t", func() { ran++ })
 		e.Run(e.Now() + 2*time.Millisecond)
 	}
 	if ran != 100 {
-		t.Fatalf("ran %d transient events, want 100", ran)
+		t.Fatalf("ran %d events, want 100", ran)
 	}
 	if len(e.free) != 1 {
 		t.Fatalf("free list holds %d events, want 1 steady-state object", len(e.free))
+	}
+}
+
+// TestStaleFiredHandleCannotCancel: once a fired event's object is
+// reused by a later Schedule, Cancel through the old handle must leave
+// the later event alone.
+func TestStaleFiredHandleCannotCancel(t *testing.T) {
+	for name, kind := range queueKinds {
+		e := NewEngineWithQueue(1, kind)
+		first := e.Schedule(time.Millisecond, "first", func() {})
+		e.Run(2 * time.Millisecond)
+		ran := false
+		later := e.Schedule(time.Millisecond, "later", func() { ran = true })
+		if later.ev != first.ev {
+			t.Fatalf("%s: the later Schedule did not reuse the fired object", name)
+		}
+		first.Cancel()
+		if first.Canceled() || later.Canceled() {
+			t.Fatalf("%s: Canceled() = %v/%v for stale/later handle, want false/false", name, first.Canceled(), later.Canceled())
+		}
+		if e.PendingLive() != 1 {
+			t.Fatalf("%s: PendingLive = %d after a stale Cancel, want 1", name, e.PendingLive())
+		}
+		e.Run(time.Second)
+		if !ran {
+			t.Fatalf("%s: a stale fired handle canceled the later event", name)
+		}
+	}
+}
+
+// TestStaleCanceledHandleCannotCancel: a canceled event's object goes
+// back to the pool (at once from a wheel slot, on surfacing from the
+// heap); a second Cancel through its handle after the object was reused
+// must leave the later event alone.
+func TestStaleCanceledHandleCannotCancel(t *testing.T) {
+	for name, kind := range queueKinds {
+		e := NewEngineWithQueue(1, kind)
+		victim := e.Schedule(time.Millisecond, "victim", func() { t.Errorf("%s: canceled event fired", name) })
+		victim.Cancel()
+		if !victim.Canceled() {
+			t.Fatalf("%s: Canceled() = false right after Cancel", name)
+		}
+		e.Run(2 * time.Millisecond)
+		ran := false
+		later := e.Schedule(time.Millisecond, "later", func() { ran = true })
+		if later.ev != victim.ev {
+			t.Fatalf("%s: the later Schedule did not reuse the canceled object", name)
+		}
+		victim.Cancel()
+		if victim.Canceled() || later.Canceled() {
+			t.Fatalf("%s: Canceled() = %v/%v for stale/later handle, want false/false", name, victim.Canceled(), later.Canceled())
+		}
+		if e.PendingLive() != 1 || e.Pending() != 1 {
+			t.Fatalf("%s: Pending=%d PendingLive=%d after a stale Cancel, want 1/1", name, e.Pending(), e.PendingLive())
+		}
+		e.Run(time.Second)
+		if !ran {
+			t.Fatalf("%s: a stale canceled handle canceled the later event", name)
+		}
 	}
 }
 

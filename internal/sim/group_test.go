@@ -23,8 +23,8 @@ func seedGroupWorkload(e *Engine, seed uint64, streams int) *[]traceEntry {
 	rng := rand.New(rand.NewPCG(seed, seed^0xabcdef))
 	// decoys maps stream tag -> its still-scheduled decoy event. A decoy
 	// removes itself on firing, so a handle found in the map is guaranteed
-	// scheduled and safe to Cancel (handles are single-use).
-	decoys := map[int]*Event{}
+	// scheduled.
+	decoys := map[int]Timer{}
 	for s := 0; s < streams; s++ {
 		tag := s
 		var fire func()
@@ -36,7 +36,7 @@ func seedGroupWorkload(e *Engine, seed uint64, streams int) *[]traceEntry {
 			// stream's previous one if it has not fired yet — exercising
 			// both cancel-before-epoch-end and cancel-across-epochs.
 			if rng.IntN(5) == 0 {
-				if old := decoys[tag]; old != nil {
+				if old, ok := decoys[tag]; ok {
 					old.Cancel()
 				}
 				decoys[tag] = e.Schedule(3*d+time.Millisecond, "decoy", func() {

@@ -10,17 +10,17 @@ import "time"
 // cancellation is lazy here (canceled events surface at their deadline
 // and are reclaimed by the pop path), so no index is needed at all.
 type eventHeap struct {
-	items []*Event
+	items []*event
 }
 
-func eventBefore(a, b *Event) bool {
+func eventBefore(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-func (h *eventHeap) push(ev *Event) {
+func (h *eventHeap) push(ev *event) {
 	h.items = append(h.items, ev)
 	i := len(h.items) - 1
 	for i > 0 {
@@ -34,7 +34,7 @@ func (h *eventHeap) push(ev *Event) {
 }
 
 // pop removes and returns the minimum. Callers check emptiness first.
-func (h *eventHeap) pop() *Event {
+func (h *eventHeap) pop() *event {
 	n := len(h.items)
 	top := h.items[0]
 	last := h.items[n-1]
@@ -68,7 +68,7 @@ func (h *eventHeap) siftDown(i int) {
 
 // popIfDue removes and returns the minimum event if it is due at or
 // before until, canceled or not — the engine reclaims canceled ones.
-func (h *eventHeap) popIfDue(until time.Duration) *Event {
+func (h *eventHeap) popIfDue(until time.Duration) *event {
 	if len(h.items) == 0 || h.items[0].at > until {
 		return nil
 	}

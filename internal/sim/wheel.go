@@ -54,7 +54,7 @@ var levelBits = [numLevels]uint{l0Bits, lkBits, lkBits}
 // plus the back-references Cancel needs to unlink in O(1) and clear the
 // occupancy bit when the slot empties.
 type wheelSlot struct {
-	head, tail *Event
+	head, tail *event
 	count      int
 	level      *wheelLevel
 	idx        uint64
@@ -62,7 +62,7 @@ type wheelSlot struct {
 
 // append links ev at the tail. Slots are unordered; the ready heap
 // establishes order on drain.
-func (s *wheelSlot) append(ev *Event) {
+func (s *wheelSlot) append(ev *event) {
 	ev.prev = s.tail
 	ev.next = nil
 	if s.tail != nil {
@@ -78,7 +78,7 @@ func (s *wheelSlot) append(ev *Event) {
 }
 
 // unlink removes ev from the slot in O(1).
-func (s *wheelSlot) unlink(ev *Event) {
+func (s *wheelSlot) unlink(ev *event) {
 	if ev.prev != nil {
 		ev.prev.next = ev.next
 	} else {
@@ -168,7 +168,7 @@ func newWheel() *wheel {
 // push places ev into the coarsest structure that still resolves it
 // relative to the wheel clock. now is the engine clock, used to
 // fast-forward the wheel over quiet gaps when the queue is empty.
-func (w *wheel) push(ev *Event, now time.Duration) {
+func (w *wheel) push(ev *event, now time.Duration) {
 	if w.count == 0 {
 		if nc := uint64(now) >> tickShift; nc > w.cur {
 			w.cur = nc
@@ -222,7 +222,7 @@ func (w *wheel) drainSlot(s *wheelSlot) {
 // promotes overflow entries) exactly when the clock reaches them.
 // Lazily-canceled events surfacing from the ready heap or the overflow
 // are reclaimed inline.
-func (w *wheel) pop(until time.Duration, eng *Engine) *Event {
+func (w *wheel) pop(until time.Duration, eng *Engine) *event {
 	if w.count == 0 {
 		return nil
 	}
@@ -230,7 +230,7 @@ func (w *wheel) pop(until time.Duration, eng *Engine) *Event {
 	const never = ^uint64(0)
 	for {
 		// Minimum of the ready heap (already ordered; may be canceled).
-		var rdy *Event
+		var rdy *event
 		rdyTick := never
 		if len(w.ready.items) > 0 {
 			rdy = w.ready.items[0]

@@ -109,7 +109,7 @@ func TestWheelWrapAroundAfterQuietGap(t *testing.T) {
 		}
 		// ~37 minutes of silence per round: > 2000 level-0 rotations and
 		// a couple of level-1 rotations between events.
-		e.ScheduleTransient(37*time.Minute+time.Duration(round)*time.Microsecond, "hop", func() {
+		e.Schedule(37*time.Minute+time.Duration(round)*time.Microsecond, "hop", func() {
 			fires = append(fires, e.Now())
 			chain(round + 1)
 		})

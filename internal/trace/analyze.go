@@ -63,7 +63,7 @@ type Chain struct {
 // accepts the copy (so it has no matching EvRX intake).
 func frameLevel(r Reason) bool {
 	switch r {
-	case ReasonDecodeFail, ReasonVerifyReject, ReasonOwnEcho, ReasonLSExpired:
+	case ReasonDecodeFail, ReasonVerifyReject, ReasonOwnEcho, ReasonLSExpired, ReasonLifetimeExpired:
 		return true
 	}
 	return false

@@ -163,23 +163,27 @@ const (
 	// ReasonLSExpired: a packet queued behind a location-service lookup
 	// expired before the lookup resolved.
 	ReasonLSExpired
+	// ReasonLifetimeExpired: a received copy was older than its packet
+	// lifetime (dropped before intake).
+	ReasonLifetimeExpired
 
 	numReasons
 )
 
 var reasonNames = [numReasons]string{
-	ReasonNone:         "",
-	ReasonDecodeFail:   "decode_fail",
-	ReasonVerifyReject: "verify_reject",
-	ReasonOwnEcho:      "own_echo",
-	ReasonDuplicate:    "duplicate",
-	ReasonDupCustody:   "dup_custody",
-	ReasonDupIgnored:   "dup_ignored",
-	ReasonRHLExpired:   "rhl_expired",
-	ReasonGFExpired:    "gf_expired",
-	ReasonCBFCanceled:  "cbf_canceled",
-	ReasonStopped:      "stopped",
-	ReasonLSExpired:    "ls_expired",
+	ReasonNone:            "",
+	ReasonDecodeFail:      "decode_fail",
+	ReasonVerifyReject:    "verify_reject",
+	ReasonOwnEcho:         "own_echo",
+	ReasonDuplicate:       "duplicate",
+	ReasonDupCustody:      "dup_custody",
+	ReasonDupIgnored:      "dup_ignored",
+	ReasonRHLExpired:      "rhl_expired",
+	ReasonGFExpired:       "gf_expired",
+	ReasonCBFCanceled:     "cbf_canceled",
+	ReasonStopped:         "stopped",
+	ReasonLSExpired:       "ls_expired",
+	ReasonLifetimeExpired: "lifetime_expired",
 }
 
 // String returns the wire name of the reason ("" for ReasonNone).
