@@ -66,7 +66,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -95,13 +94,6 @@ func main() {
 		progress = flag.Bool("progress", false, "print a periodic progress heartbeat to stderr")
 		part     = flag.String("cells", "", "campaign mode: run only part i/n of the cells (canonical index ≡ i mod n); a finished part exits 0 without artifacts")
 		merge    = flag.String("merge", "", "campaign mode: comma-separated part journals to import (read-only) before running the cells still missing")
-
-		benchWorld    = flag.Bool("bench-world", false, "run one world benchmark variant in this process and print a one-line JSON result (see scripts/benchworld.sh)")
-		benchVehicles = flag.Int("bench-vehicles", 100_000, "bench-world: approximate vehicle population")
-		benchShards   = flag.Int("bench-shards", 0, "bench-world: engine shards (0 = sequential single-engine world)")
-		benchQueue    = flag.String("bench-queue", "wheel", "bench-world: scheduler implementation, wheel or heap")
-		benchSim      = flag.Duration("bench-sim", 5*time.Second, "bench-world: simulated duration of the timed Run phase")
-		benchSeed     = flag.Uint64("bench-seed", 1, "bench-world: world seed")
 	)
 	flag.Parse()
 
@@ -109,8 +101,9 @@ func main() {
 		printList()
 		return
 	}
-	if *benchWorld {
-		os.Exit(runBenchWorld(*benchVehicles, *benchShards, *benchQueue, *benchSim, *benchSeed))
+	if err := checkFlags(*format, *runs, *seeds, *workers, *maxCells, *fwd); err != nil {
+		logStderr("geosim: %v", err)
+		os.Exit(2)
 	}
 	if *campPath != "" {
 		opts := georoute.CampaignOptions{
@@ -137,23 +130,6 @@ func main() {
 	if *expID == "" {
 		fmt.Fprintln(os.Stderr, "geosim: pass -experiment <id>, -campaign <spec> or -list")
 		os.Exit(2)
-	}
-	switch {
-	case *format != "table" && *format != "csv" && *format != "json":
-		logStderr("geosim: -format %q: want table, csv or json", *format)
-		os.Exit(2)
-	case *runs < 1:
-		logStderr("geosim: -runs %d: want at least 1", *runs)
-		os.Exit(2)
-	case *seeds < 1:
-		logStderr("geosim: -showcase-seeds %d: want at least 1", *seeds)
-		os.Exit(2)
-	}
-	if *fwd != "" {
-		if _, ok := georoute.LookupForwarder(*fwd); !ok {
-			fmt.Fprintf(os.Stderr, "geosim: unknown forwarder %q (registered: %s)\n", *fwd, strings.Join(georoute.ForwarderNames(), ", "))
-			os.Exit(2)
-		}
 	}
 
 	var reg *georoute.TelemetryRegistry
@@ -226,88 +202,27 @@ func startFigureHeartbeat(reg *georoute.TelemetryRegistry, label string) func() 
 	}
 }
 
-// benchWorldResult is the one-line JSON record -bench-world prints. One
-// variant per process: the harness (scripts/benchworld.sh) execs geosim
-// once per configuration so no variant inherits another's heap growth or
-// GC history — the in-process b.Run siblings skew exactly that way (see
-// BENCH_engine.json's warm-up note).
-type benchWorldResult struct {
-	Vehicles     int     `json:"vehicles"`
-	Segments     int     `json:"segments"`
-	Shards       int     `json:"shards"` // 0 = sequential single-engine world
-	Gomaxprocs   int     `json:"gomaxprocs"`
-	Queue        string  `json:"queue"`
-	SimSeconds   float64 `json:"sim_seconds"`
-	BuildSeconds float64 `json:"build_seconds"`
-	RunSeconds   float64 `json:"run_seconds"`
-	Events       uint64  `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
-}
-
-// runBenchWorld builds the standard bench geometry (two one-way lanes,
-// 500 vehicles per lane per segment, 100 m spacing — the same world as
-// BenchmarkWorld*) and times one Run phase.
-func runBenchWorld(vehicles, shards int, queue string, simFor time.Duration, seed uint64) int {
-	const (
-		perLane  = 500
-		spawnGap = 100.0
-	)
-	var kind georoute.QueueKind
-	switch queue {
-	case "wheel":
-		kind = georoute.QueueWheel
-	case "heap":
-		kind = georoute.QueueHeap
-	default:
-		fmt.Fprintf(os.Stderr, "geosim: unknown -bench-queue %q (wheel or heap)\n", queue)
-		return 2
+// checkFlags rejects out-of-range flag values before any work starts,
+// in campaign and experiment mode alike; main exits 2 on its error.
+func checkFlags(format string, runs, showcaseSeeds, workers, maxCells int, forwarder string) error {
+	switch {
+	case format != "table" && format != "csv" && format != "json":
+		return fmt.Errorf("-format %q: want table, csv or json", format)
+	case runs < 1:
+		return fmt.Errorf("-runs %d: want at least 1", runs)
+	case showcaseSeeds < 1:
+		return fmt.Errorf("-showcase-seeds %d: want at least 1", showcaseSeeds)
+	case workers < 0:
+		return fmt.Errorf("-workers %d: want 0 (CPUs-1) or more", workers)
+	case maxCells < 0:
+		return fmt.Errorf("-max-cells %d: want 0 (no limit) or more", maxCells)
 	}
-	segments := vehicles / (2 * perLane)
-	if segments == 0 {
-		segments = 1
+	if forwarder != "" {
+		if _, ok := georoute.LookupForwarder(forwarder); !ok {
+			return fmt.Errorf("unknown forwarder %q (registered: %s)", forwarder, strings.Join(georoute.ForwarderNames(), ", "))
+		}
 	}
-	cfg := georoute.ScaleWorldConfig{
-		Seed:        seed,
-		Queue:       kind,
-		Segments:    segments,
-		SegmentRoad: georoute.RoadConfig{Length: spawnGap * (perLane - 1), LanesPerDirection: 2},
-		SpawnGap:    spawnGap,
-	}
-	res := benchWorldResult{
-		Segments:   segments,
-		Shards:     shards,
-		Gomaxprocs: runtime.GOMAXPROCS(0),
-		Queue:      queue,
-		SimSeconds: simFor.Seconds(),
-	}
-	buildStart := time.Now()
-	var run func(time.Duration)
-	var executed func() uint64
-	if shards > 0 {
-		sw := georoute.BuildShardedScaleWorld(georoute.ShardedScaleWorldConfig{
-			ScaleConfig: cfg,
-			Shards:      shards,
-		})
-		res.Vehicles = sw.VehicleCount()
-		run, executed = func(d time.Duration) { sw.Run(d) }, sw.Executed
-	} else {
-		w := georoute.BuildScaleWorld(cfg)
-		res.Vehicles = w.VehicleCount()
-		run, executed = w.Run, w.Engine.Executed
-	}
-	res.BuildSeconds = time.Since(buildStart).Seconds()
-	runStart := time.Now()
-	run(simFor)
-	res.RunSeconds = time.Since(runStart).Seconds()
-	res.Events = executed()
-	res.EventsPerSec = float64(res.Events) / res.RunSeconds
-	b, err := json.Marshal(res)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "geosim: %v\n", err)
-		return 1
-	}
-	fmt.Println(string(b))
-	return 0
+	return nil
 }
 
 func printList() {

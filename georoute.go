@@ -32,9 +32,9 @@
 //     its figure artifacts match Figure.Run's byte for byte.
 //   - RunHazard and RunCurve reproduce the traffic-efficiency and
 //     road-safety showcases (Figs 12 and 13).
-//   - BuildWorld, BuildScaleWorld and BuildShardedScaleWorld expose the
-//     underlying simulation world for custom scenarios and scale
-//     benchmarks (see the examples directory).
+//   - BuildWorld and BuildScaleWorld expose the underlying simulation
+//     world for custom scenarios and scale benchmarks (see the examples
+//     directory).
 package georoute
 
 import (
@@ -51,7 +51,6 @@ import (
 	"github.com/vanetsec/georoute/internal/mitigation"
 	"github.com/vanetsec/georoute/internal/radio"
 	"github.com/vanetsec/georoute/internal/showcase"
-	"github.com/vanetsec/georoute/internal/sim"
 	"github.com/vanetsec/georoute/internal/telemetry"
 	"github.com/vanetsec/georoute/internal/trace"
 	"github.com/vanetsec/georoute/internal/traffic"
@@ -130,16 +129,6 @@ type RoadConfig = traffic.RoadConfig
 // BuildWorld assembles a simulation world.
 func BuildWorld(cfg WorldConfig) *World { return vanet.New(cfg) }
 
-// QueueKind selects the engine's scheduler implementation.
-type QueueKind = sim.QueueKind
-
-// Scheduler implementations: the hierarchical timing wheel (default) and
-// the reference binary heap kept for differential testing and benchmarks.
-const (
-	QueueWheel = sim.QueueWheel
-	QueueHeap  = sim.QueueHeap
-)
-
 // ScaleWorldConfig parameterizes BuildScaleWorld.
 type ScaleWorldConfig = vanet.ScaleConfig
 
@@ -147,22 +136,6 @@ type ScaleWorldConfig = vanet.ScaleConfig
 // benchmarks: several RF-isolated copies of one road segment sharing a
 // single engine and medium (see internal/vanet.NewScaleWorld).
 func BuildScaleWorld(cfg ScaleWorldConfig) *World { return vanet.NewScaleWorld(cfg) }
-
-// ShardedWorld executes a multi-segment scale world as independent
-// per-shard engines advanced in lock-step epochs on a goroutine pool.
-// Merged artifacts are byte-identical to the sequential world's
-// regardless of worker count, epoch length or goroutine interleaving
-// (see internal/vanet.ShardedWorld for the determinism contract).
-type ShardedWorld = vanet.ShardedWorld
-
-// ShardedScaleWorldConfig parameterizes BuildShardedScaleWorld.
-type ShardedScaleWorldConfig = vanet.ShardedScaleConfig
-
-// BuildShardedScaleWorld partitions a scale world's segments into shards,
-// one engine + medium + traffic per shard, coordinated by epoch barriers.
-func BuildShardedScaleWorld(cfg ShardedScaleWorldConfig) *ShardedWorld {
-	return vanet.NewShardedScaleWorld(cfg)
-}
 
 // Well-known static addresses used by the experiments.
 const (

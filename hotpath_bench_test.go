@@ -1,8 +1,8 @@
 // End-to-end hot-path benchmarks for the per-hop packet pipeline.
-// Where bench_test.go regenerates the paper's figures, these two target
-// the simulator's throughput itself and back the numbers recorded in
-// BENCH_hotpath.json: run them with -benchmem to see the allocation
-// profile of a whole run.
+// Where bench_test.go regenerates the paper's figures, these target the
+// simulator's throughput itself; DESIGN.md ("Per-hop pipeline
+// internals") records what they measured. Run them with -benchmem to see
+// the allocation profile of a whole run.
 package georoute_test
 
 import (
@@ -14,8 +14,7 @@ import (
 
 // BenchmarkFig7aPair is the headline end-to-end pair: one attack-free +
 // one attacked Fig. 7a arm per iteration (DSRC, worst-case NLoS attack
-// range), the same workload the CI bench smoke and BENCH_radio.json
-// track. Broadcast beacons dominate it, so it exercises the decode-once
+// range), the same workload the CI bench smoke tracks. Broadcast beacons dominate it, so it exercises the decode-once
 // fan-out, pooled marshal, and cached HMAC paths together.
 func BenchmarkFig7aPair(b *testing.B) {
 	s := scaled(georoute.DefaultScenario())
@@ -49,7 +48,8 @@ func BenchmarkCBFStorm(b *testing.B) {
 // pair with a live telemetry registry attached: the engine probe fires
 // every 8192 events and publishes ~15 gauge/counter cells. Compare
 // against BenchmarkFig7aPair (nil registry, inlined no-op publishes) to
-// see the sampling overhead recorded in BENCH_telemetry.json.
+// see the sampling overhead; EXPERIMENTS.md ("Watching a run live") records
+// the figure measured when telemetry landed.
 func BenchmarkFig7aPairTelemetry(b *testing.B) {
 	atk := scaled(georoute.DefaultScenario())
 	atk.AttackMode = georoute.AttackInterArea

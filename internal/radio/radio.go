@@ -198,17 +198,6 @@ type Stats struct {
 	UnicastLost uint64 // unicast frames whose target was out of range
 }
 
-// Add accumulates o into s field by field. Sharded worlds fold the
-// per-shard medium counters in canonical shard order when merging run
-// summaries; every field is a per-frame count, so the fold is
-// order-independent by construction.
-func (s *Stats) Add(o Stats) {
-	s.Transmitted += o.Transmitted
-	s.Delivered += o.Delivered
-	s.Overheard += o.Overheard
-	s.UnicastLost += o.UnicastLost
-}
-
 // PoolStats counts free-list reuse across the medium's three pools
 // (delivery slices, transmissions, payload buffers). Each transmission
 // embeds its frame's FrameCache, so the Cache counters count
@@ -293,12 +282,9 @@ func (a *Antenna) SetRxRange(m float64) {
 // Position reports the antenna's current position.
 func (a *Antenna) Position() geo.Point { return a.pos() }
 
-// Medium is the shared broadcast channel. One medium per simulation run
-// — or, in a sharded world, one per engine shard: a medium is owned by
-// exactly one engine and carries single-goroutine mutable state (grid,
-// free pools, stats), so shards must never share one. Cross-shard
-// isolation is a construction-time property (shards are built from
-// RF-isolated segment sets), not something the medium checks.
+// Medium is the shared broadcast channel, one per simulation run. It is
+// owned by exactly one engine and carries single-goroutine mutable state
+// (grid, free pools, stats).
 //
 // Receiver lookup is served by a uniform grid bucketed along the road
 // (X) axis: each antenna occupies the cell floor(x/cellSize), and a

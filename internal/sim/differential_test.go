@@ -21,8 +21,8 @@ type handleBox struct {
 // implementations see identical randomness: callbacks draw from the shared
 // rng in execution order, so as long as the traces match, the draws match.
 // Any ordering divergence makes the traces differ and fails the test.
-func driveWorkload(seed int64, kind QueueKind) (trace []string, executed uint64, pendLive int) {
-	eng := NewEngineWithQueue(7, kind)
+func driveWorkload(seed int64, newEngine func(uint64) *Engine) (trace []string, executed uint64, pendLive int) {
+	eng := newEngine(7)
 	rng := rand.New(rand.NewSource(seed))
 	var boxes []*handleBox
 	nextID := 0
@@ -103,8 +103,8 @@ func TestDifferentialHeapWheel(t *testing.T) {
 	for _, seed := range seeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			wheelTrace, wheelExec, wheelPend := driveWorkload(seed, QueueWheel)
-			heapTrace, heapExec, heapPend := driveWorkload(seed, QueueHeap)
+			wheelTrace, wheelExec, wheelPend := driveWorkload(seed, NewEngine)
+			heapTrace, heapExec, heapPend := driveWorkload(seed, newHeapEngine)
 			if wheelExec != heapExec {
 				t.Fatalf("executed: wheel %d, heap %d", wheelExec, heapExec)
 			}

@@ -6,13 +6,12 @@
 // giving nanosecond resolution — far finer than the millisecond-scale CBF
 // contention timers the GeoNetworking experiments depend on.
 //
-// Two interchangeable queue implementations back the scheduler: a
-// hierarchical timing wheel (the default — O(1) schedule and pop for the
-// short-horizon events that dominate VANET workloads: CBF contention
-// timers, beacon jitter, radio propagation latency) and the original
-// binary heap, kept behind NewEngineWithQueue for differential testing.
-// Both order events by (time, sequence), so their event streams are
-// bit-identical.
+// A hierarchical timing wheel backs the scheduler: O(1) schedule and pop
+// for the short-horizon events that dominate VANET workloads (CBF
+// contention timers, beacon jitter, radio propagation latency). The
+// original binary heap stays in the package as the differential-testing
+// reference; only the tests build a heap-backed engine. Both order events
+// by (time, sequence), so their event streams are bit-identical.
 package sim
 
 import (
@@ -101,17 +100,6 @@ func (t Timer) Cancel() {
 	eng.canceledPending++
 }
 
-// QueueKind selects the scheduler implementation backing an Engine.
-type QueueKind int
-
-const (
-	// QueueWheel is the hierarchical timing wheel (default).
-	QueueWheel QueueKind = iota
-	// QueueHeap is the original binary heap, kept for differential testing
-	// and as a fallback.
-	QueueHeap
-)
-
 // Engine is a single-threaded discrete-event scheduler. The zero value is
 // not usable; construct with NewEngine.
 type Engine struct {
@@ -135,7 +123,8 @@ type Engine struct {
 	probeLeft  uint64
 	probeFn    func()
 
-	// Exactly one of wheel/heap is active, per the QueueKind.
+	// Exactly one of wheel/heap is active: NewEngine builds the wheel, and
+	// the tests swap in the heap as the differential reference.
 	wheel *wheel
 	heap  *eventHeap
 }
@@ -145,26 +134,10 @@ type Engine struct {
 // concurrent use; run one engine per goroutine and aggregate results
 // afterwards.
 func NewEngine(seed uint64) *Engine {
-	return NewEngineWithQueue(seed, QueueWheel)
-}
-
-// NewEngineWithQueue constructs an engine with an explicit scheduler
-// implementation. Both kinds execute identical event sequences (the
-// differential property test enforces it); the heap exists so regressions
-// in the wheel are detectable against a trivially-correct baseline.
-func NewEngineWithQueue(seed uint64, kind QueueKind) *Engine {
-	e := &Engine{
-		rng: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
+	return &Engine{
+		rng:   rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
+		wheel: newWheel(),
 	}
-	switch kind {
-	case QueueWheel:
-		e.wheel = newWheel()
-	case QueueHeap:
-		e.heap = &eventHeap{}
-	default:
-		panic(fmt.Sprintf("sim: unknown queue kind %d", kind))
-	}
-	return e
 }
 
 // Now reports the current simulated time.

@@ -37,16 +37,16 @@ var benchDelays = func() [1024]time.Duration {
 // log(inflight) and its cache misses; the wheel's stays flat.
 func BenchmarkEngineSchedule(b *testing.B) {
 	for _, inflight := range []int{1_000, 10_000, 100_000} {
-		for name, kind := range queueKinds {
+		for name, newEngine := range queueKinds {
 			b.Run(fmt.Sprintf("%s/pending=%d", name, inflight), func(b *testing.B) {
-				benchCycle(b, kind, inflight)
+				benchCycle(b, newEngine, inflight)
 			})
 		}
 	}
 }
 
-func benchCycle(b *testing.B, kind QueueKind, inflight int) {
-	e := NewEngineWithQueue(1, kind)
+func benchCycle(b *testing.B, newEngine func(uint64) *Engine, inflight int) {
+	e := newEngine(1)
 	left := b.N
 	i := 0
 	var fn func()
@@ -79,9 +79,9 @@ func benchCycle(b *testing.B, kind QueueKind, inflight int) {
 // wheel this is an O(1) unlink that recycles the object at once (0
 // allocs/op); on the heap a lazy mark that is reclaimed at the deadline.
 func BenchmarkEngineCancel(b *testing.B) {
-	for name, kind := range queueKinds {
+	for name, newEngine := range queueKinds {
 		b.Run(name, func(b *testing.B) {
-			e := NewEngineWithQueue(1, kind)
+			e := newEngine(1)
 			tick := e.Every(time.Millisecond, time.Millisecond, "drain", func() {})
 			defer tick.Stop()
 			b.ReportAllocs()

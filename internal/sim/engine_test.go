@@ -348,8 +348,8 @@ func TestScheduleReusesPooledEvents(t *testing.T) {
 // reused by a later Schedule, Cancel through the old handle must leave
 // the later event alone.
 func TestStaleFiredHandleCannotCancel(t *testing.T) {
-	for name, kind := range queueKinds {
-		e := NewEngineWithQueue(1, kind)
+	for name, newEngine := range queueKinds {
+		e := newEngine(1)
 		first := e.Schedule(time.Millisecond, "first", func() {})
 		e.Run(2 * time.Millisecond)
 		ran := false
@@ -376,8 +376,8 @@ func TestStaleFiredHandleCannotCancel(t *testing.T) {
 // heap); a second Cancel through its handle after the object was reused
 // must leave the later event alone.
 func TestStaleCanceledHandleCannotCancel(t *testing.T) {
-	for name, kind := range queueKinds {
-		e := NewEngineWithQueue(1, kind)
+	for name, newEngine := range queueKinds {
+		e := newEngine(1)
 		victim := e.Schedule(time.Millisecond, "victim", func() { t.Errorf("%s: canceled event fired", name) })
 		victim.Cancel()
 		if !victim.Canceled() {

@@ -3,8 +3,8 @@ package sim
 import "time"
 
 // eventHeap is a binary min-heap ordered by (time, sequence). It backs
-// QueueHeap engines — the differential-testing baseline — and the wheel's
-// overflow spill for events beyond the top-level horizon. Hand-rolled
+// the heap engine the tests build as the differential-testing baseline,
+// and the wheel's overflow spill for events beyond the top-level horizon. Hand-rolled
 // rather than container/heap: the old adapter maintained a per-event heap
 // index purely to support a heap.Remove path nothing ever called;
 // cancellation is lazy here (canceled events surface at their deadline

@@ -7,12 +7,21 @@ import (
 
 // queueKinds names both scheduler implementations so edge-case tests run
 // against each.
-var queueKinds = map[string]QueueKind{"wheel": QueueWheel, "heap": QueueHeap}
+var queueKinds = map[string]func(seed uint64) *Engine{"wheel": NewEngine, "heap": newHeapEngine}
+
+// newHeapEngine builds an engine backed by the binary heap instead of the
+// timing wheel: the trivially-correct reference the differential tests
+// hold the wheel against.
+func newHeapEngine(seed uint64) *Engine {
+	e := NewEngine(seed)
+	e.wheel, e.heap = nil, &eventHeap{}
+	return e
+}
 
 func TestRunBoundaryInclusive(t *testing.T) {
-	for name, kind := range queueKinds {
+	for name, newEngine := range queueKinds {
 		t.Run(name, func(t *testing.T) {
-			e := NewEngineWithQueue(1, kind)
+			e := newEngine(1)
 			fired := 0
 			e.Schedule(time.Second, "at-until", func() { fired++ })
 			e.Schedule(time.Second+1, "past-until", func() { t.Error("past-until fired") })
@@ -28,9 +37,9 @@ func TestRunBoundaryInclusive(t *testing.T) {
 }
 
 func TestScheduleAtNowDuringRun(t *testing.T) {
-	for name, kind := range queueKinds {
+	for name, newEngine := range queueKinds {
 		t.Run(name, func(t *testing.T) {
-			e := NewEngineWithQueue(1, kind)
+			e := newEngine(1)
 			var order []string
 			e.Schedule(time.Second, "a", func() {
 				order = append(order, "a")
@@ -48,9 +57,9 @@ func TestScheduleAtNowDuringRun(t *testing.T) {
 }
 
 func TestTickerStopFromOwnTick(t *testing.T) {
-	for name, kind := range queueKinds {
+	for name, newEngine := range queueKinds {
 		t.Run(name, func(t *testing.T) {
-			e := NewEngineWithQueue(1, kind)
+			e := newEngine(1)
 			var tk *Ticker
 			ticks := 0
 			tk = e.Every(time.Millisecond, time.Millisecond, "t", func() {
@@ -78,7 +87,7 @@ func TestFarFutureOverflowPromotion(t *testing.T) {
 	// Beyond the level-2 horizon (2^50 ns ≈ 13 days) events spill into the
 	// overflow heap and must be promoted back into the wheel — in exact
 	// order — as the clock approaches.
-	e := NewEngineWithQueue(1, QueueWheel)
+	e := NewEngine(1)
 	var order []string
 	far := 40 * 24 * time.Hour
 	e.Schedule(far+time.Millisecond, "f2", func() { order = append(order, "f2") })
@@ -100,7 +109,7 @@ func TestWheelWrapAroundAfterQuietGap(t *testing.T) {
 	// Long quiet gaps force the wheel clock to fast-forward many full
 	// level-0 rotations; scheduling afterwards must still place and fire
 	// events exactly.
-	e := NewEngineWithQueue(1, QueueWheel)
+	e := NewEngine(1)
 	var fires []time.Duration
 	var chain func(round int)
 	chain = func(round int) {
@@ -129,7 +138,7 @@ func TestWheelWrapAroundAfterQuietGap(t *testing.T) {
 }
 
 func TestCancelUnlinksWheelSlot(t *testing.T) {
-	e := NewEngineWithQueue(1, QueueWheel)
+	e := NewEngine(1)
 	fired := 0
 	e.Schedule(time.Millisecond, "keep1", func() { fired++ })
 	mid := e.Schedule(time.Millisecond, "victim", func() { t.Error("canceled event fired") })
@@ -150,7 +159,7 @@ func TestCancelUnlinksWheelSlot(t *testing.T) {
 }
 
 func TestCancelOverflowLazyReclaim(t *testing.T) {
-	e := NewEngineWithQueue(1, QueueWheel)
+	e := NewEngine(1)
 	far := 40 * 24 * time.Hour
 	ev := e.Schedule(far, "far", func() { t.Error("canceled overflow event fired") })
 	ev.Cancel()
@@ -168,7 +177,7 @@ func TestCancelOverflowLazyReclaim(t *testing.T) {
 }
 
 func TestQueueStatsMaxSlotDepth(t *testing.T) {
-	e := NewEngineWithQueue(1, QueueWheel)
+	e := NewEngine(1)
 	for i := 0; i < 7; i++ {
 		e.Schedule(time.Microsecond, "burst", func() {})
 	}

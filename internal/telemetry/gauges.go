@@ -50,46 +50,28 @@ type RunGauges struct {
 // NewRunGauges registers the per-run series on r for one worker slot.
 // Returns nil on a nil registry.
 func NewRunGauges(r *Registry, worker int) *RunGauges {
-	return newRunGauges(r, Label{Key: "worker", Value: strconv.Itoa(worker)})
-}
-
-// NewShardRunGauges registers the per-run series for one engine shard of
-// a sharded world: every gauge carries worker="worker",shard="shard"
-// labels, so several engines' probes publish into distinct cells instead
-// of colliding on the name-deduped registry (two samplers sharing one
-// identity silently clobber each other's samples — and a kind mismatch on
-// the shared name would panic). The cumulative counters stay unlabeled
-// and shared: shards push deltas into them atomically, so fold order
-// never matters. Returns nil on a nil registry.
-func NewShardRunGauges(r *Registry, worker, shard int) *RunGauges {
-	return newRunGauges(r,
-		Label{Key: "worker", Value: strconv.Itoa(worker)},
-		Label{Key: "shard", Value: strconv.Itoa(shard)})
-}
-
-func newRunGauges(r *Registry, labels ...Label) *RunGauges {
 	if r == nil {
 		return nil
 	}
-	w := labels
+	w := Label{Key: "worker", Value: strconv.Itoa(worker)}
 	return &RunGauges{
-		QueueDepth:   r.Gauge("georoute_engine_queue_depth", "Physically queued events (live plus canceled pending).", w...),
-		SimSeconds:   r.Gauge("georoute_engine_sim_seconds", "Current simulated time of the run.", w...),
-		EventsPerSec: r.Gauge("georoute_engine_events_per_second", "Events executed per wall-clock second.", w...),
-		SimWallRatio: r.Gauge("georoute_engine_sim_wall_ratio", "Simulated seconds advanced per wall-clock second.", w...),
+		QueueDepth:   r.Gauge("georoute_engine_queue_depth", "Physically queued events (live plus canceled pending).", w),
+		SimSeconds:   r.Gauge("georoute_engine_sim_seconds", "Current simulated time of the run.", w),
+		EventsPerSec: r.Gauge("georoute_engine_events_per_second", "Events executed per wall-clock second.", w),
+		SimWallRatio: r.Gauge("georoute_engine_sim_wall_ratio", "Simulated seconds advanced per wall-clock second.", w),
 
-		QueueLive:         r.Gauge("georoute_engine_queue_live", "Queued events that will actually fire.", w...),
-		QueueCanceled:     r.Gauge("georoute_engine_queue_canceled", "Canceled events awaiting lazy reclamation.", w...),
-		QueueOverflow:     r.Gauge("georoute_engine_queue_overflow", "Events beyond the timing-wheel horizon.", w...),
-		QueueMaxSlotDepth: r.Gauge("georoute_engine_queue_max_slot_depth", "Deepest timing-wheel slot at sample time.", w...),
+		QueueLive:         r.Gauge("georoute_engine_queue_live", "Queued events that will actually fire.", w),
+		QueueCanceled:     r.Gauge("georoute_engine_queue_canceled", "Canceled events awaiting lazy reclamation.", w),
+		QueueOverflow:     r.Gauge("georoute_engine_queue_overflow", "Events beyond the timing-wheel horizon.", w),
+		QueueMaxSlotDepth: r.Gauge("georoute_engine_queue_max_slot_depth", "Deepest timing-wheel slot at sample time.", w),
 
-		RadioInFlight: r.Gauge("georoute_radio_inflight", "Transmissions scheduled but not yet delivered.", w...),
-		ChannelBusy:   r.Gauge("georoute_radio_channel_busy_ratio", "Channel airtime per simulated second.", w...),
+		RadioInFlight: r.Gauge("georoute_radio_inflight", "Transmissions scheduled but not yet delivered.", w),
+		ChannelBusy:   r.Gauge("georoute_radio_channel_busy_ratio", "Channel airtime per simulated second.", w),
 
-		CBFArmed:    r.Gauge("georoute_geonet_cbf_armed", "Armed contention-based-forwarding timers across routers.", w...),
-		GFBuffered:  r.Gauge("georoute_geonet_gf_buffered", "Buffered greedy-forwarding unicast retries across routers.", w...),
-		LocTEntries: r.Gauge("georoute_geonet_loct_entries", "Location-table entries across routers.", w...),
-		Routers:     r.Gauge("georoute_geonet_routers", "Routers attached to the running world.", w...),
+		CBFArmed:    r.Gauge("georoute_geonet_cbf_armed", "Armed contention-based-forwarding timers across routers.", w),
+		GFBuffered:  r.Gauge("georoute_geonet_gf_buffered", "Buffered greedy-forwarding unicast retries across routers.", w),
+		LocTEntries: r.Gauge("georoute_geonet_loct_entries", "Location-table entries across routers.", w),
+		Routers:     r.Gauge("georoute_geonet_routers", "Routers attached to the running world.", w),
 
 		EventsTotal:     r.Counter("georoute_engine_events_total", "Simulation events executed, all workers."),
 		FramesTotal:     r.Counter("georoute_radio_frames_total", "Radio transmissions sent, all workers."),

@@ -363,62 +363,6 @@ func TestRunGaugesSharedCounters(t *testing.T) {
 	}
 }
 
-// TestMultiEngineShardRegistration is the multi-engine probe case: a
-// sharded world registers one RunGauges bundle per engine shard under the
-// same worker slot. Before shard labels existed the second registration
-// silently returned the first bundle's cells (samplers clobbering each
-// other); with them every shard gets distinct gauge series, the shared
-// counters still fold atomically, and the exposition stays valid.
-func TestMultiEngineShardRegistration(t *testing.T) {
-	r := NewRegistry()
-	s0 := NewShardRunGauges(r, 0, 0)
-	s1 := NewShardRunGauges(r, 0, 1)
-	if s0.QueueDepth.m == s1.QueueDepth.m {
-		t.Fatal("per-shard gauges must be distinct series")
-	}
-	s0.QueueDepth.Set(3)
-	s1.QueueDepth.Set(5)
-	if s0.QueueDepth.Value() != 3 || s1.QueueDepth.Value() != 5 {
-		t.Fatalf("shard gauges clobbered: %v, %v", s0.QueueDepth.Value(), s1.QueueDepth.Value())
-	}
-	// Cumulative counters are deliberately shared across shards.
-	s0.EventsTotal.Add(2)
-	s1.EventsTotal.Add(5)
-	if got := s0.EventsTotal.Value(); got != 7 {
-		t.Fatalf("shared counter = %d, want 7", got)
-	}
-	// A plain worker bundle coexists with shard bundles on the same names.
-	w := NewRunGauges(r, 0)
-	w.QueueDepth.Set(11)
-	if s0.QueueDepth.Value() != 3 {
-		t.Fatal("worker bundle clobbered a shard series")
-	}
-	// Re-registering the same shard returns the same cells (idempotent).
-	again := NewShardRunGauges(r, 0, 1)
-	if again.QueueDepth.m != s1.QueueDepth.m {
-		t.Fatal("re-registration must dedup to the same series")
-	}
-
-	var buf bytes.Buffer
-	r.WritePrometheus(&buf)
-	for _, want := range []string{
-		`georoute_engine_queue_depth{worker="0",shard="0"} 3`,
-		`georoute_engine_queue_depth{worker="0",shard="1"} 5`,
-		`georoute_engine_queue_depth{worker="0"} 11`,
-		"georoute_engine_events_total 7",
-	} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("exposition missing %q:\n%s", want, buf.String())
-		}
-	}
-	if err := ValidateExposition(strings.NewReader(buf.String())); err != nil {
-		t.Fatalf("multi-shard exposition invalid: %v", err)
-	}
-	if NewShardRunGauges(nil, 0, 0) != nil {
-		t.Fatal("NewShardRunGauges(nil) must be nil")
-	}
-}
-
 func min(a, b int) int {
 	if a < b {
 		return a

@@ -172,7 +172,6 @@ type Network struct {
 	spawnGap   float64
 	tick       time.Duration
 
-	firstID    int
 	nextID     int
 	vehicles   map[int]*Vehicle
 	gateClosed map[Direction]bool
@@ -246,7 +245,6 @@ func NewNetwork(engine *sim.Engine, cfg NetworkConfig) *Network {
 		entrySpeed: cfg.EntrySpeed,
 		spawnGap:   cfg.SpawnGap,
 		tick:       cfg.Tick,
-		firstID:    cfg.FirstID,
 		nextID:     cfg.FirstID,
 		vehicles:   make(map[int]*Vehicle),
 		gateClosed: make(map[Direction]bool),
@@ -267,12 +265,6 @@ func NewNetwork(engine *sim.Engine, cfg NetworkConfig) *Network {
 
 // Road returns the underlying road.
 func (n *Network) Road() *Road { return n.road }
-
-// FirstID reports the first vehicle ID this network hands out. Scale
-// worlds stride it per segment (global segment g starts at
-// g*SegmentIDStride), so FirstID identifies a network's global segment
-// regardless of which world — sequential or shard — owns it.
-func (n *Network) FirstID() int { return n.firstID }
 
 // Count reports the number of vehicles currently on the road.
 func (n *Network) Count() int { return len(n.vehicles) }

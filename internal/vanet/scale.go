@@ -2,14 +2,13 @@ package vanet
 
 import (
 	"github.com/vanetsec/georoute/internal/radio"
-	"github.com/vanetsec/georoute/internal/sim"
 	"github.com/vanetsec/georoute/internal/telemetry"
 	"github.com/vanetsec/georoute/internal/traffic"
 )
 
 // SegmentIDStride separates the vehicle-ID spaces of consecutive road
-// segments in a scale world: segment i hands out IDs starting at
-// i*SegmentIDStride + 1. Four million IDs per segment keeps addresses
+// segments in a scale world: segment i > 0 hands out IDs starting at
+// i*SegmentIDStride, segment 0 at 1. Four million IDs per segment keeps addresses
 // unique for any population this simulator can hold in memory.
 const SegmentIDStride = 1 << 22
 
@@ -20,10 +19,6 @@ const SegmentIDStride = 1 << 22
 // CBF contention) stays at the paper's highway density.
 type ScaleConfig struct {
 	Seed uint64
-
-	// Queue selects the scheduler implementation (wheel by default;
-	// QueueHeap for the benchmarking baseline).
-	Queue sim.QueueKind
 
 	Tech       radio.Technology
 	RangeClass radio.RangeClass
@@ -45,9 +40,10 @@ type ScaleConfig struct {
 	Telemetry *telemetry.RunGauges
 }
 
-// normalize fills the ScaleConfig defaults in place, so the sequential
-// builder and every shard of a sharded build agree on geometry.
-func (cfg *ScaleConfig) normalize() {
+// NewScaleWorld assembles the multi-segment world, fully prepopulated with
+// running router stacks. Spawning is disabled — the population is fixed,
+// which keeps benchmark iterations comparable.
+func NewScaleWorld(cfg ScaleConfig) *World {
 	if cfg.Segments == 0 {
 		cfg.Segments = 4
 	}
@@ -63,56 +59,24 @@ func (cfg *ScaleConfig) normalize() {
 	if cfg.SegmentRoad.LanesPerDirection == 0 {
 		cfg.SegmentRoad.LanesPerDirection = 2
 	}
-}
-
-// segmentRoad returns global segment g's geometry: the shared per-segment
-// road shifted to its slot on the world axis. Shard worlds keep the
-// global OriginX (not a shard-local one) so every vehicle position — and
-// therefore every protocol outcome — matches the sequential world.
-func (cfg *ScaleConfig) segmentRoad(g int) traffic.RoadConfig {
-	road := cfg.SegmentRoad
-	road.OriginX = float64(g) * (road.Length + cfg.SegmentGap)
-	return road
-}
-
-// NewScaleWorld assembles the multi-segment world, fully prepopulated with
-// running router stacks. Spawning is disabled — the population is fixed,
-// which keeps benchmark iterations comparable.
-func NewScaleWorld(cfg ScaleConfig) *World {
-	cfg.normalize()
-	segs := make([]int, cfg.Segments)
-	for i := range segs {
-		segs[i] = i
+	segmentRoad := func(g int) traffic.RoadConfig {
+		road := cfg.SegmentRoad
+		road.OriginX = float64(g) * (road.Length + cfg.SegmentGap)
+		return road
 	}
-	return newScaleShard(cfg, segs, cfg.Seed, false, cfg.Telemetry)
-}
-
-// newScaleShard builds one world over the given global segment indices
-// (ascending). It is the shared substrate of NewScaleWorld (all segments,
-// one engine) and NewShardedScaleWorld (a partition of the segments per
-// engine): a shard is literally the sequential world restricted to its
-// segment set, differing only in the engine seed and in batchedSync
-// forcing the world.sync ticker discipline even for single-segment
-// shards.
-func newScaleShard(cfg ScaleConfig, segs []int, engineSeed uint64, batchedSync bool, gauges *telemetry.RunGauges) *World {
-	g0 := segs[0]
 	w := New(Config{
 		Seed:          cfg.Seed,
-		EngineSeed:    engineSeed,
-		Queue:         cfg.Queue,
 		Tech:          cfg.Tech,
 		RangeClass:    cfg.RangeClass,
-		Road:          cfg.segmentRoad(g0),
+		Road:          segmentRoad(0),
 		SpawnGap:      cfg.SpawnGap,
 		Prepopulate:   true,
 		SpawnDisabled: true,
-		FirstID:       g0 * SegmentIDStride,
-		BatchedSync:   batchedSync,
-		Telemetry:     gauges,
+		Telemetry:     cfg.Telemetry,
 	})
-	for _, g := range segs[1:] {
+	for g := 1; g < cfg.Segments; g++ {
 		w.AddSegment(SegmentConfig{
-			Road:          cfg.segmentRoad(g),
+			Road:          segmentRoad(g),
 			SpawnGap:      cfg.SpawnGap,
 			Prepopulate:   true,
 			SpawnDisabled: true,

@@ -1,26 +1,29 @@
 package vanet
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 
+	"github.com/vanetsec/georoute/internal/geonet"
 	"github.com/vanetsec/georoute/internal/radio"
-	"github.com/vanetsec/georoute/internal/sim"
+	"github.com/vanetsec/georoute/internal/telemetry"
 	"github.com/vanetsec/georoute/internal/traffic"
 )
 
-func tinyScale(queue sim.QueueKind) *World {
-	return NewScaleWorld(ScaleConfig{
+func tinyScaleConfig() ScaleConfig {
+	return ScaleConfig{
 		Seed:        7,
-		Queue:       queue,
 		Segments:    3,
 		SegmentRoad: traffic.RoadConfig{Length: 1000, LanesPerDirection: 1},
 		SpawnGap:    100,
-	})
+	}
 }
 
+func tinyScale() *World { return NewScaleWorld(tinyScaleConfig()) }
+
 func TestScaleWorldAssembly(t *testing.T) {
-	w := tinyScale(sim.QueueWheel)
+	w := tinyScale()
 	if len(w.Segments()) != 3 {
 		t.Fatalf("segments = %d, want 3", len(w.Segments()))
 	}
@@ -51,7 +54,7 @@ func TestScaleWorldAssembly(t *testing.T) {
 }
 
 func TestScaleWorldSegmentsAreRFIsolated(t *testing.T) {
-	w := tinyScale(sim.QueueWheel)
+	w := tinyScale()
 	w.Run(5 * time.Second)
 	// A router in segment 0 must only ever hear segment-0 neighbors: the
 	// 2000 m inter-segment gap is far beyond any configured radio range.
@@ -71,32 +74,8 @@ func TestScaleWorldSegmentsAreRFIsolated(t *testing.T) {
 	}
 }
 
-// TestScaleWorldHeapWheelEquivalent is the end-to-end arm of the
-// differential test: the same multi-segment scenario must produce
-// identical protocol counters under both scheduler implementations.
-func TestScaleWorldHeapWheelEquivalent(t *testing.T) {
-	run := func(q sim.QueueKind) (geonet geonetStatsSummary, pendLive int) {
-		w := tinyScale(q)
-		w.Run(8 * time.Second)
-		s := w.ProtocolStats()
-		return geonetStatsSummary{s.BeaconsSent, s.BeaconsReceived, s.Delivered, s.GFForwarded + s.CBFForwarded}, w.Engine.PendingLive()
-	}
-	wheelStats, wheelPend := run(sim.QueueWheel)
-	heapStats, heapPend := run(sim.QueueHeap)
-	if wheelStats != heapStats {
-		t.Fatalf("wheel %+v != heap %+v", wheelStats, heapStats)
-	}
-	if wheelPend != heapPend {
-		t.Fatalf("PendingLive: wheel %d != heap %d", wheelPend, heapPend)
-	}
-}
-
-type geonetStatsSummary struct {
-	beaconsSent, beaconsReceived, delivered, forwarded uint64
-}
-
 func TestScaleWorldBulkChurn(t *testing.T) {
-	w := tinyScale(sim.QueueWheel)
+	w := tinyScale()
 	w.Run(2 * time.Second)
 	before := w.VehicleCount()
 
@@ -134,4 +113,94 @@ func TestScaleWorldBulkChurn(t *testing.T) {
 	}
 	// The world keeps running cleanly after the churn.
 	w.Run(8 * time.Second)
+}
+
+// summaryJSON is the StatsSummary encoding the benchmark's world_scale
+// workload digests.
+func summaryJSON(t *testing.T, w *World) string {
+	t.Helper()
+	b, err := json.Marshal(w.StatsSummary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestScaleWorldStatsSummary pins the StatsSummary artifact of a
+// sequential scale world: it does not depend on how Run is sliced or on
+// telemetry sampling, and its per-segment breakdown keeps the counters
+// of routers that left the world.
+func TestScaleWorldStatsSummary(t *testing.T) {
+	whole := tinyScale()
+	whole.Run(6 * time.Second)
+	want := summaryJSON(t, whole)
+
+	t.Run("sliced run", func(t *testing.T) {
+		// world_scale advances its world in 100 ms slices.
+		w := tinyScale()
+		w.Run(2 * time.Second)
+		w.Run(6 * time.Second)
+		if got := summaryJSON(t, w); got != want {
+			t.Fatalf("Run(2s)+Run(6s) summary differs from Run(6s):\n got %s\nwant %s", got, want)
+		}
+	})
+
+	t.Run("telemetry inert", func(t *testing.T) {
+		cfg := tinyScaleConfig()
+		cfg.Telemetry = telemetry.NewRunGauges(telemetry.NewRegistry(), 0)
+		w := NewScaleWorld(cfg)
+		w.Run(6 * time.Second)
+		w.SampleTelemetry()
+		if cfg.Telemetry.EventsTotal.Value() != w.Engine.Executed() {
+			t.Fatalf("sampler published %d events, engine ran %d", cfg.Telemetry.EventsTotal.Value(), w.Engine.Executed())
+		}
+		if got := summaryJSON(t, w); got != want {
+			t.Fatalf("telemetry changed the summary:\n got %s\nwant %s", got, want)
+		}
+	})
+
+	t.Run("churn keeps segment counters", func(t *testing.T) {
+		w := tinyScale()
+		w.Run(2 * time.Second)
+		seg := w.Segments()[1]
+		lane := seg.Road().Lanes[0]
+		vs := lane.Vehicles()
+		col := SpawnColumn(seg, lane, vs[len(vs)-1].S-50, 25, 4, 30)
+		// Past one full beacon interval, so every spawned router has
+		// counters of its own to hand over.
+		w.Run(2*time.Second + geonet.DefaultBeaconInterval + time.Second)
+		for _, v := range col {
+			if w.RouterOf(v).Stats().BeaconsSent == 0 {
+				t.Fatalf("spawned vehicle %d sent no beacons", v.ID)
+			}
+		}
+
+		before := w.StatsSummary()
+		seg.DespawnBulk(col)
+		after := w.StatsSummary()
+		if len(after.Segments) != 3 {
+			t.Fatalf("summary has %d segments, want 3", len(after.Segments))
+		}
+		for i := range after.Segments {
+			if after.Segments[i] != before.Segments[i] {
+				t.Fatalf("segment %d counters moved on despawn:\n got %+v\nwant %+v", i, after.Segments[i], before.Segments[i])
+			}
+		}
+		if after.Vehicles != before.Vehicles-len(col) {
+			t.Fatalf("vehicles = %d after despawn, want %d", after.Vehicles, before.Vehicles-len(col))
+		}
+
+		w.Run(10 * time.Second)
+		s := w.StatsSummary()
+		var sum geonet.Stats
+		for _, seg := range s.Segments {
+			sum.Add(seg.Protocol)
+		}
+		if sum != s.Protocol {
+			t.Fatalf("segments sum to %+v, summary Protocol is %+v", sum, s.Protocol)
+		}
+		if ps := w.ProtocolStats(); sum != ps {
+			t.Fatalf("segments sum to %+v, ProtocolStats is %+v", sum, ps)
+		}
+	})
 }

@@ -35,34 +35,6 @@ const (
 type Config struct {
 	Seed uint64
 
-	// EngineSeed, when non-zero, seeds the event engine's RNG instead of
-	// Seed. Sharded worlds give every shard engine a seed derived from
-	// (world seed, shard index) while keeping the world Seed for the
-	// radio medium's link hash and the PKI root, whose derivations are
-	// per-(node pair) and per-station — that split is what makes a
-	// shard's event stream bit-identical to the same segments running in
-	// the sequential world.
-	EngineSeed uint64
-
-	// Queue selects the engine's scheduler implementation. The zero value
-	// is the timing wheel; QueueHeap is the differential-testing and
-	// benchmarking baseline.
-	Queue sim.QueueKind
-
-	// FirstID strides the primary traffic network's vehicle-ID space
-	// (see traffic.NetworkConfig.FirstID). Shard worlds whose first
-	// segment is global segment g pass g*SegmentIDStride so addresses
-	// match the sequential world exactly; 0 keeps the default of 1.
-	FirstID int
-
-	// BatchedSync forces the world-level position-sync ticker from
-	// construction, even while the world has a single traffic network.
-	// Multi-segment worlds switch to it automatically on AddSegment; a
-	// single-segment shard of a sharded world sets it explicitly so the
-	// sync runs as its own event after the segment's integration step —
-	// the same event order the sequential multi-segment world produces.
-	BatchedSync bool
-
 	// Tech and RangeClass select the vehicle communication range
 	// (Table II); the paper's default is the NLoS median.
 	Tech       radio.Technology
@@ -129,8 +101,8 @@ type World struct {
 	// replaces per-network syncing once several segments share the medium.
 	syncTicker *sim.Ticker
 	// detached accumulates the protocol counters of routers stopped when
-	// their vehicle left the road, keyed by global segment index, so both
-	// ProtocolStats and the per-segment differential artifacts cover the
+	// their vehicle left the road, keyed by segment index, so both
+	// ProtocolStats and the per-segment StatsSummary breakdown cover the
 	// whole run.
 	detached map[int]geonet.Stats
 	// telemetry is the engine-probe sampler, nil when telemetry is off.
@@ -146,11 +118,7 @@ func New(cfg Config) *World {
 	if cfg.RangeClass == 0 {
 		cfg.RangeClass = radio.NLoSMedian
 	}
-	engineSeed := cfg.EngineSeed
-	if engineSeed == 0 {
-		engineSeed = cfg.Seed
-	}
-	engine := sim.NewEngineWithQueue(engineSeed, cfg.Queue)
+	engine := sim.NewEngine(cfg.Seed)
 	w := &World{
 		Engine:   engine,
 		Medium:   radio.NewMedium(engine, radio.Config{Latency: cfg.Latency, Obstructions: cfg.Obstructions, EdgeFactor: cfg.EdgeFactor, Seed: cfg.Seed, Tracer: cfg.Tracer}),
@@ -164,7 +132,6 @@ func New(cfg Config) *World {
 		SpawnGap:      cfg.SpawnGap,
 		Prepopulate:   cfg.Prepopulate,
 		SpawnDisabled: cfg.SpawnDisabled,
-		FirstID:       cfg.FirstID,
 		OnEnter:       func(v *traffic.Vehicle) { w.attachVehicle(v) },
 		OnExit:        func(v *traffic.Vehicle) { w.detachVehicle(v) },
 		// Vehicles only move inside the traffic integrator; re-syncing the
@@ -172,13 +139,6 @@ func New(cfg Config) *World {
 		OnStep: w.trafficStep,
 	})
 	w.segments = append(w.segments, w.Traffic)
-	if cfg.BatchedSync {
-		// Created after the traffic ticker so it holds the higher sequence
-		// number at each tick time: the sync always runs after the
-		// integration step, exactly as AddSegment arranges it.
-		tick := 100 * time.Millisecond
-		w.syncTicker = engine.Every(tick, tick, "world.sync", w.Medium.SyncPositions)
-	}
 	if cfg.Telemetry != nil {
 		w.telemetry = &sampler{w: w, gauges: cfg.Telemetry}
 		w.telemetry.attach()
@@ -400,8 +360,8 @@ func (w *World) ProtocolStats() geonet.Stats {
 	return total
 }
 
-// SegmentIndexOf maps a GeoNetworking address to its global segment
-// index: vehicle addresses decode through the SegmentIDStride striding,
+// SegmentIndexOf maps a GeoNetworking address to its segment index:
+// vehicle addresses decode through the SegmentIDStride striding,
 // static infrastructure (destinations, RSUs) counts as segment 0.
 func SegmentIndexOf(addr geonet.Address) int {
 	id := int64(addr) - int64(VehicleAddrBase)
@@ -412,10 +372,8 @@ func SegmentIndexOf(addr geonet.Address) int {
 }
 
 // ProtocolStatsBySegment folds the protocol counters of every router that
-// ever ran — live plus detached — keyed by global segment index. A shard
-// world reports exactly the segments it owns; the sequential world
-// reports all of them, which is what the sharded-vs-sequential
-// differential tests compare.
+// ever ran — live plus detached — keyed by segment index. It is the
+// per-segment breakdown StatsSummary reports.
 func (w *World) ProtocolStatsBySegment() map[int]geonet.Stats {
 	out := make(map[int]geonet.Stats, len(w.segments))
 	for seg, s := range w.detached {
@@ -430,8 +388,8 @@ func (w *World) ProtocolStatsBySegment() map[int]geonet.Stats {
 	return out
 }
 
-// SegmentStats pairs a global segment index with the folded protocol
-// counters of every router that ran in that segment.
+// SegmentStats pairs a segment index with the folded protocol counters
+// of every router that ran in that segment.
 type SegmentStats struct {
 	Segment  int          `json:"segment"`
 	Protocol geonet.Stats `json:"protocol"`
@@ -439,13 +397,12 @@ type SegmentStats struct {
 
 // WorldStats is the canonical end-of-run summary artifact: population,
 // whole-world protocol and radio counters, and the per-segment protocol
-// breakdown in ascending segment order. Its JSON encoding is the
-// byte-identity surface of the sharded-vs-sequential differential tests,
+// breakdown in ascending segment order. Its JSON encoding is the digest
+// the benchmark's world_scale workload checks against its golden file,
 // so everything in it is deterministic and folds canonically. Raw engine
-// event counts are deliberately absent: a sharded world runs one
-// world.sync ticker per shard instead of one total, so its event count
-// differs from the sequential run by that bookkeeping margin while every
-// protocol outcome stays identical.
+// event counts are deliberately absent, so a change that merges or
+// splits bookkeeping events keeps the digest while every protocol
+// outcome stays identical.
 type WorldStats struct {
 	Vehicles int            `json:"vehicles"`
 	Protocol geonet.Stats   `json:"protocol"`
@@ -453,24 +410,20 @@ type WorldStats struct {
 	Segments []SegmentStats `json:"segments"`
 }
 
-// buildWorldStats assembles the canonical summary from a per-segment map:
-// segments sort ascending and the whole-world protocol fold walks them in
-// that canonical order.
-func buildWorldStats(vehicles int, perSeg map[int]geonet.Stats, rs radio.Stats) WorldStats {
+// StatsSummary returns the world's canonical end-of-run summary: segments
+// sort ascending and the whole-world protocol fold walks them in that
+// canonical order.
+func (w *World) StatsSummary() WorldStats {
+	perSeg := w.ProtocolStatsBySegment()
 	segs := make([]int, 0, len(perSeg))
 	for g := range perSeg {
 		segs = append(segs, g)
 	}
 	sort.Ints(segs)
-	out := WorldStats{Vehicles: vehicles, Radio: rs, Segments: make([]SegmentStats, 0, len(segs))}
+	out := WorldStats{Vehicles: w.VehicleCount(), Radio: w.Medium.Stats(), Segments: make([]SegmentStats, 0, len(segs))}
 	for _, g := range segs {
 		out.Segments = append(out.Segments, SegmentStats{Segment: g, Protocol: perSeg[g]})
 		out.Protocol.Add(perSeg[g])
 	}
 	return out
-}
-
-// StatsSummary returns the world's canonical end-of-run summary.
-func (w *World) StatsSummary() WorldStats {
-	return buildWorldStats(w.VehicleCount(), w.ProtocolStatsBySegment(), w.Medium.Stats())
 }
