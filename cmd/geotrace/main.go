@@ -16,9 +16,10 @@
 //
 //	geotrace -validate results/smoke/traces/fig7a__af_wN__1.jsonl
 //
-// Detect mode replays an existing JSONL trace through the offline
-// misbehavior detector (internal/detect): every plausibility verdict the
-// online monitors would have raised is printed with its evidence,
+// Detect mode replays an existing JSONL trace through the misbehavior
+// detector (internal/detect), the same trace sink the online run uses.
+// JSONL carries no position vectors, so the beacon inter-arrival, churn
+// and own-echo checks run; each verdict is printed with its evidence,
 // followed by the run summary. -attacker labels the ground-truth replay
 // pseudonym (default: the built-in attacker's); pass 0 for unlabeled
 // traces:
@@ -62,6 +63,10 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := checkFlags(*duration, *packets, *workload, *atkMode); err != nil {
+		fmt.Fprintf(os.Stderr, "geotrace: %v\n", err)
+		os.Exit(2)
+	}
 	if *validate != "" {
 		os.Exit(runValidate(*validate))
 	}
@@ -72,6 +77,22 @@ func main() {
 		os.Exit(runDetect(*detPath, *attacker, *quiet))
 	}
 	os.Exit(runTrace(*duration, *packets, *workload, *atkMode, *atkRange, *seed, *beacons, *jsonl, *quiet))
+}
+
+// checkFlags rejects out-of-range run-mode flag values before any work
+// starts; main exits 2 on its error.
+func checkFlags(duration time.Duration, packets int, workload, atkMode string) error {
+	switch {
+	case duration <= 0:
+		return fmt.Errorf("-duration %v: want a positive duration", duration)
+	case packets < 0:
+		return fmt.Errorf("-packets %d: want 0 or more", packets)
+	case workload != "inter-area" && workload != "intra-area":
+		return fmt.Errorf("-workload %q: want inter-area or intra-area", workload)
+	case atkMode != "none" && atkMode != "inter-area" && atkMode != "intra-area":
+		return fmt.Errorf("-attack %q: want none, inter-area or intra-area", atkMode)
+	}
+	return nil
 }
 
 // runValidate strict-decodes a JSONL trace and re-runs the conservation
@@ -125,10 +146,9 @@ func runValidateMetrics(path string) int {
 	return 0
 }
 
-// runDetect replays a JSONL trace through the offline misbehavior
-// detector — the same plausibility checks the online monitors run on the
-// router's receive path, reconstructed from the trace's RX and drop
-// records (see internal/detect.Replay). Each verdict prints with its
+// runDetect replays a JSONL trace through the misbehavior detector — the
+// sink the online run feeds, here fed the trace's RX and drop records
+// (see internal/detect.Replay). Each verdict prints with its
 // evidence unless -quiet, then the aggregate summary. Exit 0 whenever
 // the trace parses: detection outcomes are reported, not judged — an
 // attack-free trace simply prints zero verdicts.
@@ -190,8 +210,7 @@ func runTrace(duration time.Duration, packets int, workload, atkMode string, atk
 			fmt.Fprintf(os.Stderr, "geotrace: %v\n", err)
 			return 1
 		}
-		// Reuse the file bundle's sinks inside the one shared tracer.
-		sinks = append(sinks, trace.FuncSink(func(r trace.Record) { ft.Tracer().Emit(r) }))
+		sinks = append(sinks, ft.Tracer())
 	}
 	tr := trace.New(sinks...)
 
@@ -213,9 +232,7 @@ func runTrace(duration time.Duration, packets int, workload, atkMode string, atk
 	w.AddStatic(vanet.WestDestAddr, geo.Pt(-20, 0), 0)
 	w.AddStatic(vanet.EastDestAddr, geo.Pt(4020, 0), 0)
 
-	switch atkMode {
-	case "none":
-	case "inter-area", "intra-area":
+	if atkMode != "none" {
 		mode := attack.InterArea
 		if atkMode == "intra-area" {
 			mode = attack.IntraArea
@@ -228,9 +245,6 @@ func runTrace(duration time.Duration, packets int, workload, atkMode string, atk
 			Mode:     mode,
 			Tracer:   tr,
 		})
-	default:
-		fmt.Fprintf(os.Stderr, "geotrace: unknown attack mode %q\n", atkMode)
-		return 2
 	}
 
 	// Let beacons settle, then inject packets from mid-road vehicles.

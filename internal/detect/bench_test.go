@@ -5,43 +5,31 @@ import (
 	"time"
 
 	"github.com/vanetsec/georoute/internal/geo"
+	"github.com/vanetsec/georoute/internal/trace"
 )
 
-// BenchmarkDetectObserve measures the monitor's per-claim cost on the
-// benign steady state — the price every traced reception pays when
-// detection is enabled. The claim stream mimics a neighbor beaconing at
-// the default cadence: fresh timestamps, plausible motion, no verdicts.
+// BenchmarkDetectObserve measures the detector sink's per-claim cost on
+// the benign steady state — the price every traced reception pays when
+// detection is enabled. The records mimic a neighbor's beacons at the
+// default cadence as the router records them: fresh timestamps,
+// plausible motion, no verdicts.
 func BenchmarkDetectObserve(b *testing.B) {
 	d := New(Config{})
-	m := d.NewMonitor(1)
-	c := Claim{
-		From: 7, Src: 7,
-		Pos:   geo.Pt(100, 0),
+	r := trace.Record{
+		Node: 1, Peer: 7, Src: 7, Event: trace.EvRX, PType: trace.PTBeacon, RHL: 1,
+		HasClaim: true, ClaimPos: geo.Pt(100, 0),
 		RxPos: geo.Pt(0, 0), RxRange: 500,
-		Single: true,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Now += 2250 * time.Millisecond
-		c.TS = c.Now
-		c.Pos.X += 30   // ~13 m/s: well inside the speed envelope
-		c.RxPos.X += 30 // receiver travels alongside, staying in range
-		m.ObserveClaim(c)
+		r.At += 2250 * time.Millisecond
+		r.ClaimTS = r.At
+		r.ClaimPos.X += 30 // ~13 m/s: well inside the speed envelope
+		r.RxPos.X += 30    // receiver travels alongside, staying in range
+		d.Record(r)
 	}
 	if d.Summary().Verdicts != 0 {
 		b.Fatal("benign benchmark stream produced verdicts")
-	}
-}
-
-// BenchmarkDetectObserveNil measures the disabled path: a nil monitor
-// must cost nothing beyond the call.
-func BenchmarkDetectObserveNil(b *testing.B) {
-	var m *Monitor
-	c := Claim{From: 7, Src: 7, Single: true}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ObserveClaim(c)
 	}
 }

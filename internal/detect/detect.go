@@ -1,15 +1,18 @@
 // Package detect is the misbehavior-detection observability layer: per-node
-// plausibility monitors that watch the router's receive path as pure
+// plausibility monitors that watch the routers' receive paths as pure
 // observers and flag physically implausible claims — the consistency-check
 // countermeasure direction the paper points at, since replayed beacons are
 // cryptographically valid and signature checking alone cannot flag them.
 //
-// The package follows the trace/telemetry discipline: a nil *Detector (and
-// the nil *Monitor it hands out) is the disabled state, every instrumented
-// call on it returns immediately, and monitors never touch protocol state —
-// golden artifacts stay byte-identical with detection on or off. Verdicts
-// are observability output (counters, histograms, an optional sink), not a
-// mitigation: flagged frames are still processed by the router.
+// A Detector is a trace.Sink. The router records every claim it accepts
+// (rx records whose position vector entered its LocT) and every echo of
+// its own packets (own_echo drops) on its one observer, the
+// *trace.Tracer; the detector reads them from there, so with tracing off
+// the receive path does no detection work at all. Monitors never touch
+// protocol state — golden artifacts stay byte-identical with detection
+// on or off. Verdicts are observability output (counters, histograms, an
+// optional sink), not a mitigation: flagged frames are still processed
+// by the router.
 //
 // Monitor taxonomy (one Check per class of implausibility):
 //
@@ -162,11 +165,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Detector aggregates verdicts for one run and hands out per-node
-// Monitors. A nil Detector is the disabled state: NewMonitor returns nil
-// and Summary returns nil.
+// Detector runs the monitors of every node of one run and aggregates
+// their verdicts. Feed it records as a trace.Sink; a nil Detector's
+// Summary is nil.
 type Detector struct {
 	cfg Config
+	// nodes is the monitors' memory: per receiving node, per claim source.
+	nodes map[uint64]map[uint64]*srcState
 
 	mu        sync.Mutex
 	verdicts  uint64
@@ -177,16 +182,7 @@ type Detector struct {
 
 // New constructs a Detector with defaults applied.
 func New(cfg Config) *Detector {
-	return &Detector{cfg: cfg.withDefaults()}
-}
-
-// NewMonitor returns the plausibility monitor for one node. Nil-safe: a
-// nil Detector returns a nil Monitor, whose observe calls are no-ops.
-func (d *Detector) NewMonitor(node uint64) *Monitor {
-	if d == nil {
-		return nil
-	}
-	return &Monitor{d: d, node: node, src: make(map[uint64]*srcState)}
+	return &Detector{cfg: cfg.withDefaults(), nodes: make(map[uint64]map[uint64]*srcState)}
 }
 
 // Summary snapshots the run's aggregate detection outcome. Nil on a nil
@@ -216,9 +212,8 @@ func (d *Detector) Summary() *Summary {
 
 // flag records one verdict: ground-truth labeling, counters, first-true
 // latency, and the optional sink. evidence is rendered lazily so the
-// no-sink path never formats strings. Returns (1,0) for a true verdict
-// and (0,1) for a false alarm, which the router folds into its Stats.
-func (d *Detector) flag(at time.Duration, node, suspect uint64, check Check, evidence func() string) (tp, fp uint64) {
+// no-sink path never formats strings.
+func (d *Detector) flag(at time.Duration, node, suspect uint64, check Check, evidence func() string) {
 	isTrue := d.cfg.Truth != nil && d.cfg.Truth(suspect)
 	first := false
 	d.mu.Lock()
@@ -244,8 +239,4 @@ func (d *Detector) flag(at time.Duration, node, suspect uint64, check Check, evi
 			True: isTrue, Evidence: evidence(),
 		})
 	}
-	if isTrue {
-		return 1, 0
-	}
-	return 0, 1
 }

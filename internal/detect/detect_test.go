@@ -10,18 +10,41 @@ import (
 
 const attacker = 99
 
-func newTestMonitor() (*Detector, *Monitor) {
-	d := New(Config{Truth: func(s uint64) bool { return s == attacker }})
-	return d, d.NewMonitor(1)
+func newTestDetector() *Detector {
+	return New(Config{Truth: func(s uint64) bool { return s == attacker }})
 }
 
-// claim builds a plausible single-hop claim: source co-located with the
-// receiver, PV stamped at arrival.
-func claim(at time.Duration, from uint64) Claim {
-	return Claim{
-		Now: at, From: from, Src: 7,
-		Pos: geo.Pt(100, 0), TS: at,
-		RxPos: geo.Pt(0, 0), RxRange: 500, Single: true,
+// claim builds the rx record of a plausible single-hop claim at node 1:
+// a beacon from source 7 co-located with the receiver, PV stamped at
+// arrival, heard from link sender from.
+func claim(at time.Duration, from uint64) trace.Record {
+	return trace.Record{
+		At: at, Node: 1, Peer: from, Src: 7, Event: trace.EvRX, PType: trace.PTBeacon, RHL: 1,
+		HasClaim: true, ClaimPos: geo.Pt(100, 0), ClaimTS: at,
+		RxPos: geo.Pt(0, 0), RxRange: 500,
+	}
+}
+
+// dataClaim builds the rx record of a multi-hop claim at node 1 for
+// source 7: a forwarded GBC whose PV entered the LocT.
+func dataClaim(at, ts time.Duration, from uint64, pos geo.Point) trace.Record {
+	return trace.Record{
+		At: at, Node: 1, Peer: from, Src: 7, Event: trace.EvRX, PType: trace.PTGeoBroadcast, RHL: 20,
+		HasClaim: true, ClaimPos: pos, ClaimTS: ts,
+		RxPos: geo.Pt(0, 0), RxRange: 500,
+	}
+}
+
+// echo builds node 1's own_echo drop of its own packet, originated
+// elapsed before at with the default 32-hop budget, hops of it consumed.
+func echo(at time.Duration, from uint64, beacon bool, elapsed time.Duration, hops int) trace.Record {
+	pt := trace.PTGeoBroadcast
+	if beacon {
+		pt = trace.PTBeacon
+	}
+	return trace.Record{
+		At: at, Node: 1, Peer: from, Src: 1, Event: trace.EvDrop, Reason: trace.ReasonOwnEcho,
+		PType: pt, InitRHL: 32, RHL: uint8(32 - hops), ClaimTS: at - elapsed,
 	}
 }
 
@@ -32,13 +55,13 @@ func checkCount(d *Detector, c Check) uint64 {
 }
 
 func TestMonitorBeaconGapThreshold(t *testing.T) {
-	d, m := newTestMonitor()
-	m.ObserveClaim(claim(0, attacker))
-	m.ObserveClaim(claim(2250*time.Millisecond, attacker)) // benign minimum gap
+	d := newTestDetector()
+	d.Record(claim(0, attacker))
+	d.Record(claim(2250*time.Millisecond, attacker)) // benign minimum gap
 	if got := checkCount(d, CheckBeacon); got != 0 {
 		t.Fatalf("benign 2.25s gap flagged %d times", got)
 	}
-	m.ObserveClaim(claim(3150*time.Millisecond, attacker)) // 900ms gap, below 1s floor
+	d.Record(claim(3150*time.Millisecond, attacker)) // 900ms gap, below 1s floor
 	if got := checkCount(d, CheckBeacon); got != 1 {
 		t.Fatalf("sub-floor gap flagged %d times, want 1", got)
 	}
@@ -48,53 +71,47 @@ func TestMonitorBeaconGapThreshold(t *testing.T) {
 }
 
 func TestMonitorRangeThreshold(t *testing.T) {
-	d, m := newTestMonitor()
+	d := newTestDetector()
 	c := claim(0, attacker)
-	c.Pos = geo.Pt(799, 0) // within 1.6 x 500m
-	m.ObserveClaim(c)
+	c.ClaimPos = geo.Pt(799, 0) // within 1.6 x 500m
+	d.Record(c)
 	if got := checkCount(d, CheckPosition); got != 0 {
 		t.Fatalf("in-envelope neighbor claim flagged %d times", got)
 	}
 	c = claim(time.Hour, attacker)
-	c.Pos = geo.Pt(801, 0) // beyond 1.6 x 500m
-	m.ObserveClaim(c)
+	c.ClaimPos = geo.Pt(801, 0) // beyond 1.6 x 500m
+	d.Record(c)
 	if got := checkCount(d, CheckPosition); got != 1 {
 		t.Fatalf("out-of-range neighbor claim flagged %d times, want 1", got)
 	}
 }
 
 func TestMonitorStaleTimestampThreshold(t *testing.T) {
-	d, m := newTestMonitor()
-	m.ObserveClaim(claim(0, 7))
+	d := newTestDetector()
+	d.Record(claim(0, 7))
 	c := claim(1500*time.Millisecond, attacker)
-	c.TS = 0 // replayed PV: timestamp not newer than the last one
-	m.ObserveClaim(c)
+	c.ClaimTS = 0 // replayed PV: timestamp not newer than the last one
+	d.Record(c)
 	if got := checkCount(d, CheckReplay); got != 1 {
 		t.Fatalf("stale-timestamp claim flagged %d times, want 1", got)
 	}
 	// A strictly newer PV from the same source is fine.
-	m.ObserveClaim(claim(3200*time.Millisecond, 7))
+	d.Record(claim(3200*time.Millisecond, 7))
 	if got := checkCount(d, CheckReplay); got != 1 {
 		t.Fatalf("fresh claim changed replay count to %d", got)
 	}
 }
 
 func TestMonitorImpliedSpeedThreshold(t *testing.T) {
-	d, m := newTestMonitor()
-	base := Claim{Now: 0, From: 7, Src: 7, Pos: geo.Pt(0, 0), TS: 0, RxPos: geo.Pt(0, 0), RxRange: 500}
-	m.ObserveClaim(base)
+	d := newTestDetector()
+	d.Record(dataClaim(0, 0, 7, geo.Pt(0, 0)))
 	// 74m in 1s: 70 m/s ceiling + 5m PosError allowance absorbs it.
-	ok := base
-	ok.Now, ok.TS, ok.Pos = time.Second, time.Second, geo.Pt(74, 0)
-	m.ObserveClaim(ok)
+	d.Record(dataClaim(time.Second, time.Second, 7, geo.Pt(74, 0)))
 	if got := checkCount(d, CheckPosition); got != 0 {
 		t.Fatalf("claim inside the speed envelope flagged %d times", got)
 	}
 	// 150m in a further second exceeds 70 m/s + 5m.
-	bad := base
-	bad.From = attacker
-	bad.Now, bad.TS, bad.Pos = 2*time.Second, 2*time.Second, geo.Pt(224, 0)
-	m.ObserveClaim(bad)
+	d.Record(dataClaim(2*time.Second, 2*time.Second, attacker, geo.Pt(224, 0)))
 	if got := checkCount(d, CheckPosition); got != 1 {
 		t.Fatalf("teleporting claim flagged %d times, want 1", got)
 	}
@@ -104,23 +121,20 @@ func TestMonitorSpeedAllowsQuantizedSampling(t *testing.T) {
 	// Two claims 10ms apart showing one mobility tick's displacement
 	// (~1.5m): enormous implied speed, but within the PosError allowance.
 	// This is the fig9a benign pattern that must never flag.
-	d, m := newTestMonitor()
-	base := Claim{Now: 0, From: 7, Src: 7, Pos: geo.Pt(3144.4, 2.5), TS: 0, RxPos: geo.Pt(3000, 2.5), RxRange: 500}
-	m.ObserveClaim(base)
-	next := base
-	next.Now, next.TS, next.Pos = 10*time.Millisecond, 10*time.Millisecond, geo.Pt(3145.9, 2.5)
-	m.ObserveClaim(next)
+	d := newTestDetector()
+	d.Record(dataClaim(0, 0, 7, geo.Pt(3144.4, 2.5)))
+	d.Record(dataClaim(10*time.Millisecond, 10*time.Millisecond, 7, geo.Pt(3145.9, 2.5)))
 	if got := d.Summary().Verdicts; got != 0 {
 		t.Fatalf("quantized position sampling produced %d verdicts", got)
 	}
 }
 
 func TestMonitorChurnThreshold(t *testing.T) {
-	d, m := newTestMonitor()
+	d := newTestDetector()
 	// Two claims in the 4s window is the honest maximum; the third flags.
 	for i, at := range []time.Duration{0, 1200 * time.Millisecond, 2400 * time.Millisecond} {
 		c := claim(at, attacker)
-		m.ObserveClaim(c)
+		d.Record(c)
 		got := checkCount(d, CheckChurn)
 		if i < 2 && got != 0 {
 			t.Fatalf("claim %d flagged churn early (%d)", i, got)
@@ -130,9 +144,9 @@ func TestMonitorChurnThreshold(t *testing.T) {
 		}
 	}
 	// Once the window slides past the oldest arrivals, cadence resets.
-	d2, m2 := newTestMonitor()
+	d2 := newTestDetector()
 	for _, at := range []time.Duration{0, 2250 * time.Millisecond, 4500 * time.Millisecond, 6750 * time.Millisecond} {
-		m2.ObserveClaim(claim(at, 7))
+		d2.Record(claim(at, 7))
 	}
 	if got := checkCount(d2, CheckChurn); got != 0 {
 		t.Fatalf("benign 2.25s beacon cadence flagged churn %d times", got)
@@ -140,43 +154,67 @@ func TestMonitorChurnThreshold(t *testing.T) {
 }
 
 func TestMonitorEchoThresholds(t *testing.T) {
-	d, m := newTestMonitor()
+	d := newTestDetector()
 	// Own beacon echoed: always a verdict regardless of timing.
-	m.ObserveEcho(Echo{Now: time.Second, From: attacker, Beacon: true, Elapsed: time.Hour, Hops: 0})
+	d.Record(echo(time.Second, attacker, true, time.Hour, 0))
 	if got := checkCount(d, CheckReplay); got != 1 {
 		t.Fatalf("own-beacon echo flagged %d times, want 1", got)
 	}
 	// Data packet back after 2 plausible hops: >= 2 x 500µs elapsed.
-	m.ObserveEcho(Echo{Now: 2 * time.Second, From: 7, Beacon: false, Elapsed: 1100 * time.Microsecond, Hops: 2})
+	d.Record(echo(2*time.Second, 7, false, 1100*time.Microsecond, 2))
 	if got := checkCount(d, CheckReplay); got != 1 {
 		t.Fatalf("plausible 2-hop echo flagged (count %d)", got)
 	}
 	// Same hop count squeezed under the per-hop floor: replay.
-	m.ObserveEcho(Echo{Now: 3 * time.Second, From: attacker, Beacon: false, Elapsed: 900 * time.Microsecond, Hops: 2})
+	d.Record(echo(3*time.Second, attacker, false, 900*time.Microsecond, 2))
 	if got := checkCount(d, CheckReplay); got != 2 {
 		t.Fatalf("implausible 2-hop echo flagged %d times, want 2", got)
 	}
 	// Zero consumed hops carries no timing evidence.
-	m.ObserveEcho(Echo{Now: 4 * time.Second, From: 7, Beacon: false, Elapsed: 0, Hops: 0})
+	d.Record(echo(4*time.Second, 7, false, 0, 0))
 	if got := checkCount(d, CheckReplay); got != 2 {
 		t.Fatalf("0-hop echo flagged (count %d)", got)
 	}
 }
 
-func TestNilDetectorAndMonitor(t *testing.T) {
+func TestNilDetector(t *testing.T) {
 	var d *Detector
-	m := d.NewMonitor(1)
-	if m != nil {
-		t.Fatal("nil detector returned non-nil monitor")
-	}
-	if tp, fp := m.ObserveClaim(Claim{}); tp != 0 || fp != 0 {
-		t.Error("nil monitor returned verdicts")
-	}
-	if tp, fp := m.ObserveEcho(Echo{}); tp != 0 || fp != 0 {
-		t.Error("nil monitor returned echo verdicts")
-	}
 	if d.Summary() != nil {
 		t.Error("nil detector returned a summary")
+	}
+}
+
+// TestClaimlessRecordsSkipPositionChecks: an rx record without a claim,
+// as decoded from JSONL, still feeds the cadence checks of single-hop
+// packets, but never the position and timestamp checks, and a multi-hop
+// record without a claim is ignored.
+func TestClaimlessRecordsSkipPositionChecks(t *testing.T) {
+	d := newTestDetector()
+	for _, at := range []time.Duration{0, 500 * time.Millisecond, 900 * time.Millisecond} {
+		c := claim(at, attacker)
+		c.HasClaim = false
+		c.ClaimPos = geo.Pt(5000, 0) // out of range, ignored without a claim
+		d.Record(c)
+		data := dataClaim(at, at, attacker, geo.Pt(5000, 0))
+		data.HasClaim = false
+		d.Record(data)
+	}
+	s := d.Summary()
+	if got := s.Checks[CheckBeacon.String()].TruePositives; got != 2 {
+		t.Errorf("beacon check = %d, want 2", got)
+	}
+	if got := s.Checks[CheckChurn.String()].TruePositives; got != 1 {
+		t.Errorf("churn check = %d, want 1", got)
+	}
+	if got := checkCount(d, CheckPosition) + checkCount(d, CheckReplay); got != 0 {
+		t.Errorf("claimless records ran %d position/replay verdicts", got)
+	}
+	// An own echo of a data packet with no hop budget carries no evidence.
+	e := echo(time.Second, attacker, false, 0, 2)
+	e.InitRHL, e.ClaimTS = 0, 0
+	d.Record(e)
+	if got := checkCount(d, CheckReplay); got != 0 {
+		t.Errorf("echo without hop budget flagged %d times", got)
 	}
 }
 
@@ -186,9 +224,8 @@ func TestDetectorSinkAndLatency(t *testing.T) {
 		Truth: func(s uint64) bool { return s == attacker },
 		Sink:  func(v Verdict) { got = append(got, v) },
 	})
-	m := d.NewMonitor(1)
-	m.ObserveEcho(Echo{Now: 3 * time.Second, From: 5, Beacon: true})        // false alarm
-	m.ObserveEcho(Echo{Now: 7 * time.Second, From: attacker, Beacon: true}) // first true
+	d.Record(echo(3*time.Second, 5, true, 0, 0))        // false alarm
+	d.Record(echo(7*time.Second, attacker, true, 0, 0)) // first true
 	s := d.Summary()
 	if !s.Detected || s.LatencySeconds != 7 {
 		t.Errorf("latency = %v detected = %v, want 7s detected", s.LatencySeconds, s.Detected)

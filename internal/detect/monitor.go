@@ -5,48 +5,11 @@ import (
 	"time"
 
 	"github.com/vanetsec/georoute/internal/geo"
+	"github.com/vanetsec/georoute/internal/trace"
 )
 
-// Claim is one neighbor-position assertion observed on a node's receive
-// path: a frame from link sender From carrying a position vector for Src.
-// Single marks single-hop claims (beacons/SHBs), the only ones the
-// inter-arrival, range, recency, and churn checks apply to — multi-hop
-// data packets legitimately carry their originator's PV from far away and
-// deliver duplicate copies under CBF.
-type Claim struct {
-	Now     time.Duration // arrival sim time
-	From    uint64        // link-layer sender (the suspect on violation)
-	Src     uint64        // claim subject (the PV's address)
-	Pos     geo.Point     // claimed position
-	TS      time.Duration // claimed PV timestamp
-	RxPos   geo.Point     // receiver's own position at arrival
-	RxRange float64       // receiver's radio range, meters
-	Single  bool          // beacon/SHB (direct-neighbor claim)
-}
-
-// Echo is a reception of the node's own packet (the router's own-echo
-// drop branch). Hops is the consumed hop budget (initial RHL minus the
-// received RHL); Elapsed is arrival time minus the packet's own
-// origination timestamp.
-type Echo struct {
-	Now     time.Duration
-	From    uint64 // link-layer sender (the suspect on violation)
-	Beacon  bool   // echoed packet was our own single-hop beacon
-	Elapsed time.Duration
-	Hops    int
-}
-
-// Monitor is one node's plausibility monitor. It keeps per-source
-// recency/cadence state internally (never reading the router's LocT) and
-// reports violations to its Detector. A nil Monitor is the disabled
-// state: both observe calls return immediately.
-type Monitor struct {
-	d    *Detector
-	node uint64
-	src  map[uint64]*srcState
-}
-
-// srcState is the monitor's memory of one claim source.
+// srcState is a node's monitor memory of one claim source. The monitors
+// keep it themselves and never read the router's LocT.
 type srcState struct {
 	haveBeacon bool
 	lastBeacon time.Duration // arrival time of the last single-hop claim
@@ -56,72 +19,91 @@ type srcState struct {
 	arrivals   []time.Duration // single-hop claim arrivals inside the churn window
 }
 
-// ObserveClaim runs the claim-facing checks and returns the number of
-// true and false verdicts they produced, for the router to fold into its
-// Detected/FalseAlarms stats. Safe on nil.
-func (m *Monitor) ObserveClaim(c Claim) (tp, fp uint64) {
-	if m == nil {
-		return 0, 0
+// Record implements trace.Sink. An rx record is a claim by its packet's
+// source, heard from the link-layer sender Peer (the suspect on
+// violation); an own_echo drop is an echo of the receiving node's own
+// packet. Every other record passes through.
+func (d *Detector) Record(r trace.Record) {
+	switch {
+	case r.Event == trace.EvRX:
+		d.observeClaim(&r)
+	case r.Event == trace.EvDrop && r.Reason == trace.ReasonOwnEcho:
+		d.observeEcho(&r)
 	}
-	cfg := &m.d.cfg
-	st := m.src[c.Src]
+}
+
+// observeClaim runs the claim-facing checks. Single-hop claims (beacons
+// and SHBs) get the inter-arrival, range, recency and churn checks;
+// multi-hop data packets legitimately carry their originator's PV from
+// far away and deliver duplicate copies under CBF. The checks that read a
+// position or timestamp skip records without a claim, which is every
+// record decoded from JSONL.
+func (d *Detector) observeClaim(c *trace.Record) {
+	single := c.PType == trace.PTBeacon || c.PType == trace.PTSHB
+	if !single && !c.HasClaim {
+		return
+	}
+	cfg := &d.cfg
+	srcs := d.nodes[c.Node]
+	if srcs == nil {
+		srcs = make(map[uint64]*srcState)
+		d.nodes[c.Node] = srcs
+	}
+	st := srcs[c.Src]
 	if st == nil {
 		st = &srcState{}
-		m.src[c.Src] = st
+		srcs[c.Src] = st
 	}
 
-	if c.Single {
+	if single {
 		// Beacon inter-arrival floor.
 		if st.haveBeacon {
-			gap := c.Now - st.lastBeacon
+			gap := c.At - st.lastBeacon
 			cfg.BeaconGapHist.Observe(gap.Seconds())
 			if gap < cfg.MinBeaconGap {
-				t, f := m.d.flag(c.Now, m.node, c.From, CheckBeacon, func() string {
+				d.flag(c.At, c.Node, c.Peer, CheckBeacon, func() string {
 					return fmt.Sprintf("beacons from %d arrived %v apart (floor %v)", c.Src, gap, cfg.MinBeaconGap)
 				})
-				tp += t
-				fp += f
 			}
 		}
 		st.haveBeacon = true
-		st.lastBeacon = c.Now
+		st.lastBeacon = c.At
 
-		// Direct-neighbor range plausibility.
-		if d := c.Pos.DistanceTo(c.RxPos); d > cfg.RangeFactor*c.RxRange {
-			cfg.PosErrorHist.Observe(d - cfg.RangeFactor*c.RxRange)
-			t, f := m.d.flag(c.Now, m.node, c.From, CheckPosition, func() string {
-				return fmt.Sprintf("neighbor claim for %d at %.0fm exceeds %.1fx range %.0fm", c.Src, d, cfg.RangeFactor, c.RxRange)
-			})
-			tp += t
-			fp += f
-		}
+		if c.HasClaim {
+			// Direct-neighbor range plausibility.
+			if dist := c.ClaimPos.DistanceTo(c.RxPos); dist > cfg.RangeFactor*c.RxRange {
+				cfg.PosErrorHist.Observe(dist - cfg.RangeFactor*c.RxRange)
+				d.flag(c.At, c.Node, c.Peer, CheckPosition, func() string {
+					return fmt.Sprintf("neighbor claim for %d at %.0fm exceeds %.1fx range %.0fm", c.Src, dist, cfg.RangeFactor, c.RxRange)
+				})
+			}
 
-		// Stale-timestamp recency: a fresh direct claim must carry a
-		// strictly newer PV than the last one seen for that source.
-		if st.havePV && c.TS <= st.lastTS {
-			t, f := m.d.flag(c.Now, m.node, c.From, CheckReplay, func() string {
-				return fmt.Sprintf("claim for %d repeats PV timestamp %v (last %v)", c.Src, c.TS, st.lastTS)
-			})
-			tp += t
-			fp += f
+			// Stale-timestamp recency: a fresh direct claim must carry a
+			// strictly newer PV than the last one seen for that source.
+			if st.havePV && c.ClaimTS <= st.lastTS {
+				d.flag(c.At, c.Node, c.Peer, CheckReplay, func() string {
+					return fmt.Sprintf("claim for %d repeats PV timestamp %v (last %v)", c.Src, c.ClaimTS, st.lastTS)
+				})
+			}
 		}
 
 		// Claim-cadence churn: prune the window, then count this arrival.
 		keep := st.arrivals[:0]
 		for _, at := range st.arrivals {
-			if c.Now-at < cfg.ChurnWindow {
+			if c.At-at < cfg.ChurnWindow {
 				keep = append(keep, at)
 			}
 		}
-		st.arrivals = append(keep, c.Now)
+		st.arrivals = append(keep, c.At)
 		if len(st.arrivals) > cfg.ChurnMax {
 			n := len(st.arrivals)
-			t, f := m.d.flag(c.Now, m.node, c.From, CheckChurn, func() string {
+			d.flag(c.At, c.Node, c.Peer, CheckChurn, func() string {
 				return fmt.Sprintf("%d neighbor claims for %d inside %v (max %d)", n, c.Src, cfg.ChurnWindow, cfg.ChurnMax)
 			})
-			tp += t
-			fp += f
 		}
+	}
+	if !c.HasClaim {
+		return
 	}
 
 	// Implied-speed plausibility applies to every claim with a strictly
@@ -129,45 +111,40 @@ func (m *Monitor) ObserveClaim(c Claim) (tp, fp uint64) {
 	// information and are the replay check's business). The PosError
 	// allowance absorbs measurement noise: without it the check degrades
 	// into dist/dt, which is unbounded as dt→0.
-	if st.havePV && c.TS > st.lastTS {
-		dt := (c.TS - st.lastTS).Seconds()
-		dist := c.Pos.DistanceTo(st.lastPos)
+	if st.havePV && c.ClaimTS > st.lastTS {
+		dt := (c.ClaimTS - st.lastTS).Seconds()
+		dist := c.ClaimPos.DistanceTo(st.lastPos)
 		if excess := dist - cfg.MaxSpeed*dt; excess > cfg.PosError {
 			cfg.PosErrorHist.Observe(excess)
-			t, f := m.d.flag(c.Now, m.node, c.From, CheckPosition, func() string {
+			d.flag(c.At, c.Node, c.Peer, CheckPosition, func() string {
 				return fmt.Sprintf("claims for %d moved %.0fm in %.2fs, %.0fm beyond the %.0f m/s envelope", c.Src, dist, dt, excess, cfg.MaxSpeed)
 			})
-			tp += t
-			fp += f
 		}
 	}
-	if !st.havePV || c.TS > st.lastTS {
+	if !st.havePV || c.ClaimTS > st.lastTS {
 		st.havePV = true
-		st.lastTS = c.TS
-		st.lastPos = c.Pos
+		st.lastTS = c.ClaimTS
+		st.lastPos = c.ClaimPos
 	}
-	return tp, fp
 }
 
-// ObserveEcho runs the own-echo replay check. An echo of our own beacon
+// observeEcho runs the own-echo replay check. An echo of our own beacon
 // is always implausible (no honest node retransmits beacons, and the
 // radio never delivers to self); an echo of our own data packet is
-// implausible when its consumed hop budget could not fit in the elapsed
-// time at MinHopDelay per hop. Safe on nil.
-func (m *Monitor) ObserveEcho(e Echo) (tp, fp uint64) {
-	if m == nil {
-		return 0, 0
-	}
-	cfg := &m.d.cfg
+// implausible when its consumed hop budget (InitRHL minus the received
+// RHL) could not fit in the time since its origination (ClaimTS) at
+// MinHopDelay per hop. An echo with no InitRHL carries no hop evidence.
+func (d *Detector) observeEcho(e *trace.Record) {
+	elapsed := e.At - e.ClaimTS
+	hops := int(e.InitRHL) - int(e.RHL)
 	switch {
-	case e.Beacon:
-		return m.d.flag(e.Now, m.node, e.From, CheckReplay, func() string {
-			return fmt.Sprintf("own beacon echoed back after %v", e.Elapsed)
+	case e.PType == trace.PTBeacon:
+		d.flag(e.At, e.Node, e.Peer, CheckReplay, func() string {
+			return fmt.Sprintf("own beacon echoed back after %v", elapsed)
 		})
-	case e.Hops >= 1 && e.Elapsed < time.Duration(e.Hops)*cfg.MinHopDelay:
-		return m.d.flag(e.Now, m.node, e.From, CheckReplay, func() string {
-			return fmt.Sprintf("own packet back after %v claiming %d hops (floor %v/hop)", e.Elapsed, e.Hops, cfg.MinHopDelay)
+	case hops >= 1 && elapsed < time.Duration(hops)*d.cfg.MinHopDelay:
+		d.flag(e.At, e.Node, e.Peer, CheckReplay, func() string {
+			return fmt.Sprintf("own packet back after %v claiming %d hops (floor %v/hop)", elapsed, hops, d.cfg.MinHopDelay)
 		})
 	}
-	return 0, 0
 }

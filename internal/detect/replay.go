@@ -6,16 +6,16 @@ import (
 	"github.com/vanetsec/georoute/internal/trace"
 )
 
-// Replay runs the monitors offline over a recorded JSONL trace and
-// returns the populated Detector (read its Summary; install cfg.Sink to
-// stream verdicts). Trace records carry no position vectors, so only the
-// trace-reconstructable subset of the taxonomy runs offline: beacon
-// inter-arrival, claim churn, and own-echo replay (origination times and
-// initial hop budgets are recovered from the source's own TX records).
-// Position/speed/stale-timestamp checks need the live receive path.
+// Replay runs the monitors offline over a recorded trace and returns the
+// populated Detector (read its Summary; install cfg.Sink to stream
+// verdicts). It feeds the records to the same sink the online run uses,
+// after one step: an own echo that carries no initial hop limit gets its
+// origination time and initial RHL from the source's last TX record of
+// that packet. JSONL records carry no position vectors, so on a decoded
+// trace only the beacon inter-arrival, claim churn and own-echo checks
+// run; the position and stale-timestamp checks need the in-memory claim.
 func Replay(records []trace.Record, cfg Config) *Detector {
 	d := New(cfg)
-	type streamKey struct{ node, src uint64 }
 	type txKey struct {
 		src uint64
 		sn  uint16
@@ -24,72 +24,17 @@ func Replay(records []trace.Record, cfg Config) *Detector {
 		at  time.Duration
 		rhl uint8
 	}
-	beacons := make(map[streamKey]*srcState)
 	lastTX := make(map[txKey]txInfo)
-
 	for _, r := range records {
-		switch r.Event {
-		case trace.EvTX:
-			if r.Node == r.Src {
-				// The source's own transmission: remember origination
-				// time and initial hop budget for the echo check.
-				lastTX[txKey{r.Src, r.SN}] = txInfo{at: r.At, rhl: r.RHL}
-			}
-		case trace.EvRX:
-			if r.PType != trace.PTBeacon {
-				continue
-			}
-			k := streamKey{r.Node, r.Src}
-			st := beacons[k]
-			if st == nil {
-				st = &srcState{}
-				beacons[k] = st
-			}
-			if st.haveBeacon {
-				gap := r.At - st.lastBeacon
-				cfg.BeaconGapHist.Observe(gap.Seconds())
-				if gap < d.cfg.MinBeaconGap {
-					d.flag(r.At, r.Node, r.Peer, CheckBeacon, func() string {
-						return "offline: beacon inter-arrival " + gap.String() + " below floor"
-					})
-				}
-			}
-			st.haveBeacon = true
-			st.lastBeacon = r.At
-			keep := st.arrivals[:0]
-			for _, at := range st.arrivals {
-				if r.At-at < d.cfg.ChurnWindow {
-					keep = append(keep, at)
-				}
-			}
-			st.arrivals = append(keep, r.At)
-			if len(st.arrivals) > d.cfg.ChurnMax {
-				d.flag(r.At, r.Node, r.Peer, CheckChurn, func() string {
-					return "offline: neighbor-claim churn above window budget"
-				})
-			}
-		case trace.EvDrop:
-			if r.Reason != trace.ReasonOwnEcho {
-				continue
-			}
-			if r.PType == trace.PTBeacon {
-				d.flag(r.At, r.Node, r.Peer, CheckReplay, func() string {
-					return "offline: own beacon echoed back"
-				})
-				continue
-			}
-			tx, ok := lastTX[txKey{r.Src, r.SN}]
-			if !ok {
-				continue
-			}
-			elapsed := r.At - tx.at
-			hops := int(tx.rhl) - int(r.RHL)
-			if hops >= 1 && elapsed < time.Duration(hops)*d.cfg.MinHopDelay {
-				d.flag(r.At, r.Node, r.Peer, CheckReplay, func() string {
-					return "offline: own packet echoed with implausible hop budget"
-				})
+		switch {
+		case r.Event == trace.EvTX && r.Node == r.Src:
+			lastTX[txKey{r.Src, r.SN}] = txInfo{at: r.At, rhl: r.RHL}
+		case r.Event == trace.EvDrop && r.Reason == trace.ReasonOwnEcho && r.InitRHL == 0:
+			if tx, ok := lastTX[txKey{r.Src, r.SN}]; ok {
+				r.ClaimTS, r.InitRHL = tx.at, tx.rhl
 			}
 		}
+		d.Record(r)
 	}
 	return d
 }

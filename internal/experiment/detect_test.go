@@ -1,10 +1,14 @@
 package experiment
 
 import (
+	"reflect"
 	"testing"
+	"time"
 
+	"github.com/vanetsec/georoute/internal/attack"
 	"github.com/vanetsec/georoute/internal/detect"
 	"github.com/vanetsec/georoute/internal/telemetry"
+	"github.com/vanetsec/georoute/internal/trace"
 )
 
 // TestFig7aGoldenWithDetection is the acceptance check of the detection
@@ -115,5 +119,58 @@ func TestDetectionAttackArmsDetected(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestOfflineDetectionMatchesOnline: detection over a recorded trace
+// agrees with detection during the run wherever the trace carries the
+// evidence. Replaying the run's in-memory records reproduces the online
+// summary exactly; replaying them after a JSONL round trip, which drops
+// the position claims, reproduces the beacon inter-arrival and churn
+// tallies.
+func TestOfflineDetectionMatchesOnline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scenario runs")
+	}
+	fig := Figures()["fig7a"]
+	for _, label := range []string{"atk_wN", "af_wN"} {
+		t.Run(label, func(t *testing.T) {
+			s, ok := fig.Arm(label)
+			if !ok {
+				t.Fatalf("fig7a has no arm %s", label)
+			}
+			s.Duration, s.Drain = 20*time.Second, 5*time.Second
+			mem := &trace.MemorySink{}
+			online := RunOnceObserved(s, s.Seed, Observe{Tracer: trace.New(mem), Detect: true}).Detection
+
+			var cfg detect.Config
+			if s.AttackMode != attack.None {
+				cfg.Truth = func(suspect uint64) bool { return suspect == uint64(attack.DefaultPseudonym) }
+			}
+			if got := detect.Replay(mem.Records, cfg).Summary(); !reflect.DeepEqual(got, online) {
+				t.Errorf("replay of the in-memory records = %+v, online = %+v", got, online)
+			}
+
+			decoded := make([]trace.Record, len(mem.Records))
+			var line []byte
+			for i, r := range mem.Records {
+				line = trace.AppendJSON(line[:0], r)
+				rec, err := trace.DecodeRecord(line)
+				if err != nil {
+					t.Fatal(err)
+				}
+				decoded[i] = rec
+			}
+			offline := detect.Replay(decoded, cfg).Summary()
+			for _, c := range []detect.Check{detect.CheckBeacon, detect.CheckChurn} {
+				on, off := online.Checks[c.String()], offline.Checks[c.String()]
+				if on != off {
+					t.Errorf("%s: online %+v, offline %+v", c, on, off)
+				}
+				if s.AttackMode != attack.None && on.TruePositives == 0 {
+					t.Errorf("%s: attack arm raised no true verdicts", c)
+				}
+			}
+		})
 	}
 }

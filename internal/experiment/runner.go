@@ -70,7 +70,8 @@ type RunResult struct {
 type Observe struct {
 	Tracer *trace.Tracer
 	Gauges *telemetry.RunGauges
-	// Detect arms per-node plausibility monitors for the run. Ground
+	// Detect arms the per-node plausibility monitors for the run: a
+	// detect.Detector joins the run's tracer as one more sink. Ground
 	// truth is labeled from the scenario (the attacker's replay pseudonym
 	// on attack arms; no suspect is ever true on attack-free arms), and
 	// the run result gains a Detection summary. Pure observation: the
@@ -88,9 +89,9 @@ func RunOnce(s Scenario, seed uint64) RunResult {
 	return RunOnceObserved(s, seed, Observe{})
 }
 
-// RunOnceObserved is RunOnce with both observability sinks threaded
-// through the world (see Observe). Neither sink influences the event
-// stream, so the measured series are identical across all variants.
+// RunOnceObserved is RunOnce with the observability sinks threaded
+// through the world (see Observe). No sink influences the event stream,
+// so the measured series are identical across all variants.
 func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 	tr := obs.Tracer
 	var w *vanet.World
@@ -128,6 +129,7 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 			dcfg.PosErrorHist = g.DetectPosError
 		}
 		det = detect.New(dcfg)
+		tr = trace.New(tr, det)
 	}
 
 	var latSum float64
@@ -149,7 +151,6 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 		DuplicateRule:    cfgRule,
 		Tracer:           tr,
 		Telemetry:        obs.Gauges,
-		Detector:         det,
 		OnDeliver: func(addr geonet.Address, p *geonet.Packet) {
 			t, ok := reg[p.Key()]
 			if !ok {

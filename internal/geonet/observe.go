@@ -6,10 +6,11 @@ import (
 )
 
 // This file is the router's observability seam: every lifecycle event
-// funnels through emit, and — the important part — every discarded packet
-// copy funnels through drop, which both bumps the matching Stats counter
-// and emits the trace record. Nothing in the router may discard a copy
-// without naming a trace.Reason.
+// funnels through emit, the one observer hook (misbehavior detection is
+// a trace sink, see internal/detect), and — the important part — every
+// discarded packet copy funnels through drop, which both bumps the
+// matching Stats counter and emits the trace record. Nothing in the
+// router may discard a copy without naming a trace.Reason.
 
 // emit sends one lifecycle record when tracing is enabled. The nil check
 // comes first so the disabled path costs one branch and keeps the receive
@@ -33,6 +34,15 @@ func (r *Router) emit(ev trace.Event, kind trace.Kind, reason trace.Reason, p *P
 		rec.SN = p.SN
 		rec.PType = trace.PType(p.Type)
 		rec.RHL = p.Basic.RHL
+		switch {
+		case ev == trace.EvRX && (p.Type == TypeBeacon || r.updateFromDa):
+			// The PV entered the LocT: record the claim it makes.
+			rec.HasClaim = true
+			rec.ClaimPos, rec.ClaimTS = p.SourcePV.Pos, p.SourcePV.Timestamp
+			rec.RxPos, rec.RxRange = r.cfg.Position(), r.cfg.Range
+		case reason == trace.ReasonOwnEcho:
+			rec.ClaimTS, rec.InitRHL = p.SourcePV.Timestamp, r.cfg.MaxHopLimit
+		}
 	}
 	r.cfg.Tracer.Emit(rec)
 }
@@ -127,6 +137,4 @@ func (s *Stats) Add(o Stats) {
 	s.DecodeErrors += o.DecodeErrors
 	s.EchoesDropped += o.EchoesDropped
 	s.StopDropped += o.StopDropped
-	s.Detected += o.Detected
-	s.FalseAlarms += o.FalseAlarms
 }

@@ -58,15 +58,9 @@ func TestStatsAddCoversAllFields(t *testing.T) {
 	}
 }
 
-// receiveFixture builds a router plus a cached signed beacon frame, the
-// simulator's hottest receive path.
-func receiveFixture(tb testing.TB, tr *trace.Tracer) (*Router, radio.Frame) {
-	return receiveFixtureMonitored(tb, tr, nil)
-}
-
 // testReceiver builds router 1 at the origin and the CA that enrolls its
 // peers.
-func testReceiver(tr *trace.Tracer, mon *detect.Monitor) (*Router, *sim.Engine, *security.SimCA) {
+func testReceiver(tr *trace.Tracer) (*Router, *sim.Engine, *security.SimCA) {
 	engine := sim.NewEngine(1)
 	ca := security.NewSimCA(1)
 	rx := NewRouter(Config{
@@ -78,23 +72,28 @@ func testReceiver(tr *trace.Tracer, mon *detect.Monitor) (*Router, *sim.Engine, 
 		Position: func() geo.Point { return geo.Pt(0, 0) },
 		Range:    486,
 		Tracer:   tr,
-		Monitor:  mon,
 	})
 	return rx, engine, ca
 }
 
-func receiveFixtureMonitored(tb testing.TB, tr *trace.Tracer, mon *detect.Monitor) (*Router, radio.Frame) {
+// receiveFixture builds a router plus a cached signed beacon frame, the
+// simulator's hottest receive path.
+func receiveFixture(tb testing.TB, tr *trace.Tracer) (*Router, radio.Frame) {
 	tb.Helper()
-	rx, _, ca := testReceiver(tr, mon)
+	rx, _, ca := testReceiver(tr)
 	rx.Start()
-	sender := ca.Enroll(2, 0)
+	return rx, signedBeacon(ca.Enroll(2, 0), 2)
+}
+
+// signedBeacon is a cached beacon frame from addr, sent by node 2.
+func signedBeacon(signer security.Signer, addr Address) radio.Frame {
 	beacon := &Packet{
 		Basic:    BasicHeader{Version: 1, RHL: 1},
 		Type:     TypeBeacon,
-		SourcePV: PositionVector{Addr: 2, Timestamp: time.Second, Pos: geo.Pt(100, 0), Speed: 30, Heading: 90},
+		SourcePV: PositionVector{Addr: addr, Timestamp: time.Second, Pos: geo.Pt(100, 0), Speed: 30, Heading: 90},
 	}
-	beacon.Sign(sender)
-	return rx, radio.Frame{From: 2, To: radio.BroadcastID, Payload: beacon.Marshal(), Cache: &radio.FrameCache{}}
+	beacon.Sign(signer)
+	return radio.Frame{From: 2, To: radio.BroadcastID, Payload: beacon.Marshal(), Cache: &radio.FrameCache{}}
 }
 
 // beaconRingPeriod is the PV timestamp step between consecutive beacons
@@ -112,7 +111,7 @@ const beaconRingPeriod = 100 * time.Millisecond
 // delivery; uncached frames decode on every delivery.
 func freshBeaconFixture(tb testing.TB, n int, cached bool) (*Router, *sim.Engine, []radio.Frame) {
 	tb.Helper()
-	rx, engine, ca := testReceiver(nil, nil)
+	rx, engine, ca := testReceiver(nil)
 	sender := ca.Enroll(2, 0)
 	ring := make([]radio.Frame, n)
 	for k := range ring {
@@ -194,41 +193,25 @@ func TestRouterReceiveAllocsNilTracer(t *testing.T) {
 	}
 }
 
-// TestRouterReceiveAllocsNilDetector asserts the same guarantee for the
-// detection subsystem: a disabled detector hands out nil monitors, and a
-// nil monitor keeps the cached-beacon receive path allocation-free.
-func TestRouterReceiveAllocsNilDetector(t *testing.T) {
-	var disabled *detect.Detector
-	rx, frame := receiveFixtureMonitored(t, nil, disabled.NewMonitor(1))
-	rx.Deliver(frame) // warm the decode/verify cache
-	allocs := testing.AllocsPerRun(200, func() {
-		rx.Deliver(frame)
-	})
-	if allocs != 0 {
-		t.Fatalf("receive path allocates %.1f/op with detection disabled, want 0", allocs)
-	}
-}
-
-// TestRouterReceiveMonitorFlagsReplay: delivering the same beacon frame
-// twice trips the stale-timestamp and inter-arrival checks, and the
-// verdicts fold into the router's Detected/FalseAlarms stats according to
-// the detector's ground-truth labeling.
+// TestRouterReceiveMonitorFlagsReplay: with a detector among its tracer's
+// sinks, a router that receives the same beacon frame twice trips the
+// stale-timestamp and inter-arrival checks, and the verdicts carry the
+// detector's ground-truth labeling.
 func TestRouterReceiveMonitorFlagsReplay(t *testing.T) {
 	det := detect.New(detect.Config{
 		Truth: func(suspect uint64) bool { return suspect == 2 },
 	})
-	rx, frame := receiveFixtureMonitored(t, nil, det.NewMonitor(1))
+	rx, frame := receiveFixture(t, trace.New(det))
 	rx.Deliver(frame)
 	rx.Deliver(frame) // same PV again: stale timestamp + sub-floor gap
 	s := det.Summary()
 	if !s.Detected || s.Verdicts == 0 {
 		t.Fatalf("replayed beacon produced no verdicts: %+v", s)
 	}
-	if got := rx.Stats().Detected; got != s.Verdicts {
-		t.Errorf("router folded %d detected verdicts, detector saw %d", got, s.Verdicts)
-	}
-	if got := rx.Stats().FalseAlarms; got != 0 {
-		t.Errorf("router folded %d false alarms, want 0 (suspect is labeled attacker)", got)
+	for check, cs := range s.Checks {
+		if cs.FalsePositives != 0 {
+			t.Errorf("check %s raised %d false alarms, want 0 (suspect is labeled attacker)", check, cs.FalsePositives)
+		}
 	}
 }
 
@@ -251,4 +234,28 @@ func TestRouterReceiveEmitsRX(t *testing.T) {
 	if got.Node != 1 || got.Peer != 2 || got.Src != 2 || got.PType != trace.PTBeacon {
 		t.Errorf("EvRX record fields wrong: %+v", *got)
 	}
+	if !got.HasClaim || got.ClaimPos != geo.Pt(100, 0) || got.ClaimTS != time.Second ||
+		got.RxPos != geo.Pt(0, 0) || got.RxRange != 486 {
+		t.Errorf("EvRX record claim wrong: %+v", *got)
+	}
+}
+
+// TestRouterOwnEchoRecordsHopBudget: an echo of the router's own packet
+// is recorded with the packet's origination time and the router's hop
+// limit, the evidence of the detector's own-echo check.
+func TestRouterOwnEchoRecordsHopBudget(t *testing.T) {
+	mem := &trace.MemorySink{}
+	rx, _, ca := testReceiver(trace.New(mem))
+	rx.Start()
+	rx.Deliver(signedBeacon(ca.Enroll(1, 0), 1))
+	for _, r := range mem.Records {
+		if r.Reason != trace.ReasonOwnEcho {
+			continue
+		}
+		if r.ClaimTS != time.Second || r.InitRHL != DefaultMaxHopLimit || r.HasClaim {
+			t.Errorf("own_echo record evidence wrong: %+v", r)
+		}
+		return
+	}
+	t.Fatalf("no own_echo record among %d records", len(mem.Records))
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"github.com/vanetsec/georoute/internal/detect"
 	"github.com/vanetsec/georoute/internal/geo"
 	"github.com/vanetsec/georoute/internal/radio"
 	"github.com/vanetsec/georoute/internal/security"
@@ -59,13 +58,6 @@ type Stats struct {
 	// contention) when the router was stopped: the node left the road
 	// carrying them.
 	StopDropped uint64
-
-	// Detected and FalseAlarms count misbehavior verdicts raised by this
-	// node's plausibility monitor (see internal/detect), split by ground
-	// truth. Tagged out of JSON so campaign artifacts stay byte-identical
-	// with detection enabled or disabled.
-	Detected    uint64 `json:"-"`
-	FalseAlarms uint64 `json:"-"`
 }
 
 // Config parameterizes a Router. Zero values take the defaults above.
@@ -126,15 +118,10 @@ type Config struct {
 	DuplicateRule DuplicateRule
 
 	// Tracer, when non-nil, receives a lifecycle record for every packet
-	// event at this router (see internal/trace). Nil keeps the receive
-	// path allocation-free.
+	// event at this router (see internal/trace). It is the router's one
+	// observer: misbehavior detection runs as one of its sinks. Nil keeps
+	// the receive path allocation-free.
 	Tracer *trace.Tracer
-
-	// Monitor, when non-nil, is this node's misbehavior plausibility
-	// monitor (see internal/detect). Like the Tracer it is a pure
-	// observer with a nil fast path: nil keeps the receive path
-	// allocation-free and monitors never influence forwarding.
-	Monitor *detect.Monitor
 }
 
 // Router is one node's GeoNetworking engine. Create with NewRouter, wire
@@ -528,18 +515,6 @@ func (r *Router) Deliver(f radio.Frame) {
 	}
 	if p.SourcePV.Addr == r.cfg.Addr {
 		// Echo of our own packet (e.g. replayed by an attacker).
-		if r.cfg.Monitor != nil {
-			now := r.cfg.Engine.Now()
-			tp, fa := r.cfg.Monitor.ObserveEcho(detect.Echo{
-				Now:     now,
-				From:    uint64(f.From),
-				Beacon:  p.Type == TypeBeacon,
-				Elapsed: now - p.SourcePV.Timestamp,
-				Hops:    int(r.cfg.MaxHopLimit) - int(p.Basic.RHL),
-			})
-			r.stats.Detected += tp
-			r.stats.FalseAlarms += fa
-		}
 		r.drop(p, f.From, trace.ReasonOwnEcho, trace.KindNone)
 		return
 	}
@@ -556,22 +531,7 @@ func (r *Router) Deliver(f radio.Frame) {
 		// The IS_NEIGHBOUR flag is derived from the PACKET TYPE alone, so
 		// a relayed beacon marks its (possibly distant) source as a
 		// direct neighbor.
-		single := p.Type == TypeBeacon || p.Type == TypeSHB
-		if r.cfg.Monitor != nil {
-			tp, fa := r.cfg.Monitor.ObserveClaim(detect.Claim{
-				Now:     now,
-				From:    uint64(f.From),
-				Src:     uint64(p.SourcePV.Addr),
-				Pos:     p.SourcePV.Pos,
-				TS:      p.SourcePV.Timestamp,
-				RxPos:   r.cfg.Position(),
-				RxRange: r.cfg.Range,
-				Single:  single,
-			})
-			r.stats.Detected += tp
-			r.stats.FalseAlarms += fa
-		}
-		r.loct.Update(p.SourcePV, now, single)
+		r.loct.Update(p.SourcePV, now, p.Type == TypeBeacon || p.Type == TypeSHB)
 	}
 	r.emit(trace.EvRX, trace.KindNone, trace.ReasonNone, p, f.From)
 

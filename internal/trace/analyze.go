@@ -119,11 +119,15 @@ type chainBuild struct {
 	// unicast frame accounting per (sender, target) pair
 	uniTX   map[pairKey]int
 	uniRecv map[pairKey]int
+	// accepted is the highest RHL each node has accepted (EvRX) so far.
+	accepted map[uint64]uint8
 }
 
 // Analyze reconstructs per-packet chains from a record stream and runs
-// the conservation checks. Beacon records are skipped (beacons have no
-// sequence identity); attacker capture/replay records are informational.
+// the conservation checks, plus the RHL check: a relay never sends a copy
+// whose RHL is not below the highest RHL it accepted for the packet.
+// Beacon records are skipped (beacons have no sequence identity);
+// attacker capture/replay records are informational.
 func Analyze(recs []Record) *Analysis {
 	a := &Analysis{FrameDrops: make(map[Reason]int), Records: len(recs)}
 	chains := make(map[ChainKey]*chainBuild)
@@ -133,9 +137,10 @@ func Analyze(recs []Record) *Analysis {
 		cb := chains[k]
 		if cb == nil {
 			cb = &chainBuild{
-				chain:   &Chain{Key: k, PType: r.PType, Drops: make(map[Reason]int)},
-				uniTX:   make(map[pairKey]int),
-				uniRecv: make(map[pairKey]int),
+				chain:    &Chain{Key: k, PType: r.PType, Drops: make(map[Reason]int)},
+				uniTX:    make(map[pairKey]int),
+				uniRecv:  make(map[pairKey]int),
+				accepted: make(map[uint64]uint8),
 			}
 			chains[k] = cb
 		}
@@ -174,8 +179,18 @@ func Analyze(recs []Record) *Analysis {
 			c.RX++
 			c.Intakes++
 			cb.uniRecv[pairKey{r.Peer, r.Node}]++
+			if r.RHL > cb.accepted[r.Node] {
+				cb.accepted[r.Node] = r.RHL
+			}
 		case EvTX:
 			c.TX++
+			// Every relay hop lowers the RHL: a node other than the source
+			// sends a copy below the highest RHL it has accepted.
+			if hi, ok := cb.accepted[r.Node]; ok && r.Node != r.Src && r.RHL >= hi {
+				c.violations = append(c.violations,
+					fmt.Sprintf("%s src=%d sn=%d: node %d sent RHL %d, not below the RHL %d it accepted",
+						r.PType, r.Src, r.SN, r.Node, r.RHL, hi))
+			}
 			switch {
 			case r.Kind == KindGFRetry:
 				cb.bufResolved++
@@ -279,10 +294,11 @@ func (c *Chain) check(cb *chainBuild) {
 	}
 }
 
-// Violations collects every conservation violation across all chains.
-// An empty slice means the trace balances: every copy of every packet is
-// accounted for as delivered, forwarded, dropped (with a reason), lost
-// in the medium, or still held when the trace ended.
+// Violations collects every conservation and RHL violation across all
+// chains. An empty slice means the trace balances: every copy of every
+// packet is accounted for as delivered, forwarded, dropped (with a
+// reason), lost in the medium, or still held when the trace ended, and
+// every relay hop lowered the RHL.
 func (a *Analysis) Violations() []string {
 	var out []string
 	for _, c := range a.Chains {

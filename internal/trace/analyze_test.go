@@ -154,8 +154,9 @@ func TestAnalyzeCBFBroadcast(t *testing.T) {
 	}
 }
 
-// TestAnalyzeViolations: an undisposed RX, a missing originate, and an
-// over-resolved contention must all be flagged.
+// TestAnalyzeViolations: an undisposed RX, a missing originate, an
+// over-resolved contention and a relay that does not lower the RHL must
+// all be flagged.
 func TestAnalyzeViolations(t *testing.T) {
 	leaked := []Record{
 		{At: ms(0), Node: 1, Src: 1, SN: 2, Event: EvOriginate, PType: PTGeoUnicast, RHL: 10},
@@ -189,6 +190,32 @@ func TestAnalyzeViolations(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("over-resolved contention not flagged: %v", v)
+	}
+
+	// Node 2 accepts the packet at RHL 10 and 8 and relays each copy: the
+	// copies balance, but the second relay sends RHL 10, not below the
+	// highest RHL the node accepted.
+	noDecrement := []Record{
+		{At: ms(0), Node: 1, Src: 1, SN: 4, Event: EvOriginate, PType: PTGeoUnicast, RHL: 10},
+		{At: ms(0), Node: 1, Peer: 2, Src: 1, SN: 4, Event: EvTX, Kind: KindGF, PType: PTGeoUnicast, RHL: 10},
+		{At: ms(1), Node: 2, Peer: 1, Src: 1, SN: 4, Event: EvRX, PType: PTGeoUnicast, RHL: 10},
+		{At: ms(1), Node: 2, Peer: 3, Src: 1, SN: 4, Event: EvTX, Kind: KindGF, PType: PTGeoUnicast, RHL: 9},
+		{At: ms(2), Node: 2, Peer: 3, Src: 1, SN: 4, Event: EvRX, PType: PTGeoUnicast, RHL: 8},
+		{At: ms(2), Node: 2, Peer: 4, Src: 1, SN: 4, Event: EvTX, Kind: KindGF, PType: PTGeoUnicast, RHL: 10},
+	}
+	if v := Analyze(noDecrement).Violations(); len(v) != 1 || !strings.Contains(v[0], "node 2 sent RHL 10, not below the RHL 10") {
+		t.Errorf("relay without RHL decrement not flagged: %v", v)
+	}
+	// The source itself and the attacker's verbatim replays are exempt.
+	exempt := []Record{
+		{At: ms(0), Node: 1, Src: 1, SN: 5, Event: EvOriginate, PType: PTGeoUnicast, RHL: 10},
+		{At: ms(0), Node: 1, Peer: 2, Src: 1, SN: 5, Event: EvTX, Kind: KindGF, PType: PTGeoUnicast, RHL: 10},
+		{At: ms(1), Node: 2, Peer: 1, Src: 1, SN: 5, Event: EvRX, PType: PTGeoUnicast, RHL: 10},
+		{At: ms(1), Node: 2, Src: 1, SN: 5, Event: EvReplay, PType: PTGeoUnicast, RHL: 10},
+		{At: ms(1), Node: 2, Peer: 3, Src: 1, SN: 5, Event: EvTX, Kind: KindGF, PType: PTGeoUnicast, RHL: 9},
+	}
+	if v := Analyze(exempt).Violations(); len(v) != 0 {
+		t.Errorf("source TX or replay flagged: %v", v)
 	}
 }
 

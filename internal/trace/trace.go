@@ -9,7 +9,11 @@
 // hot paths stay zero-alloc when tracing is off.
 package trace
 
-import "time"
+import (
+	"time"
+
+	"github.com/vanetsec/georoute/internal/geo"
+)
 
 // Event classifies what happened to a packet copy at a node.
 type Event uint8
@@ -195,8 +199,9 @@ func (r Reason) String() string {
 }
 
 // PType mirrors the GeoNetworking packet types without importing geonet
-// (trace sits below every other internal package). The numeric values
-// match the wire constants; internal/geonet cross-checks them in a test.
+// (trace sits below every other internal package but geo). The numeric
+// values match the wire constants; internal/geonet cross-checks them in a
+// test.
 type PType uint8
 
 // Packet types (values match geonet's wire encoding).
@@ -257,6 +262,26 @@ type Record struct {
 	PType PType
 	// RHL is the packet's remaining hop limit at the event.
 	RHL uint8
+
+	// The fields below live in memory only: the JSONL schema does not
+	// carry them, so a decoded record has them zero. They hold the claim
+	// the misbehavior detector (internal/detect) checks.
+
+	// InitRHL is, on an own_echo drop, the hop limit the echoed node
+	// gives its own multi-hop packets, so RHL tells the hops consumed.
+	InitRHL uint8
+	// HasClaim marks an rx record whose position vector entered the
+	// receiver's LocT; ClaimPos, ClaimTS, RxPos and RxRange are then set.
+	HasClaim bool
+	// ClaimPos and ClaimTS are the packet's source position vector: where
+	// and when its source claims to have been. ClaimTS is also set on an
+	// own_echo drop, as the echoed packet's origination time.
+	ClaimPos geo.Point
+	ClaimTS  time.Duration
+	// RxPos and RxRange are the receiver's own position and radio range
+	// at arrival.
+	RxPos   geo.Point
+	RxRange float64
 }
 
 // Sink consumes records. Implementations must be safe for use from a
@@ -267,20 +292,35 @@ type Sink interface {
 
 // Tracer fans records out to its sinks. A nil *Tracer is the disabled
 // state: Emit returns immediately, so instrumentation sites need no
-// separate enabled flag.
+// separate enabled flag. A Tracer is itself a Sink, so tracers nest.
 type Tracer struct {
 	sinks []Sink
 }
 
-// New builds a tracer over the given sinks. With no sinks it returns nil
-// (the disabled tracer), so callers can pass an optional sink list
+// New builds a tracer over the given sinks. A tracer among them
+// contributes its own sinks, so nesting costs no extra call per record,
+// and a nil tracer contributes none. With no sinks left it returns nil
+// (the disabled tracer), so callers can pass optional sinks and tracers
 // straight through.
 func New(sinks ...Sink) *Tracer {
-	if len(sinks) == 0 {
+	var live []Sink
+	for _, s := range sinks {
+		if t, ok := s.(*Tracer); ok {
+			if t != nil {
+				live = append(live, t.sinks...)
+			}
+			continue
+		}
+		live = append(live, s)
+	}
+	if len(live) == 0 {
 		return nil
 	}
-	return &Tracer{sinks: sinks}
+	return &Tracer{sinks: live}
 }
+
+// Record implements Sink by emitting r to the tracer's own sinks.
+func (t *Tracer) Record(r Record) { t.Emit(r) }
 
 // Emit sends one record to every sink. Safe on a nil tracer.
 func (t *Tracer) Emit(r Record) {

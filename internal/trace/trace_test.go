@@ -141,6 +141,23 @@ func TestTracerFanOut(t *testing.T) {
 	}
 }
 
+// TestTracerNests: a tracer is a sink of another tracer, and New leaves
+// out nil tracers, so an optional tracer composes with more sinks.
+func TestTracerNests(t *testing.T) {
+	var off *Tracer
+	if New(off) != nil {
+		t.Error("New over only a nil tracer must return the nil tracer")
+	}
+	inner, outer := &MemorySink{}, &MemorySink{}
+	tr := New(off, New(inner), outer)
+	for _, r := range allRecords() {
+		tr.Emit(r)
+	}
+	if len(inner.Records) != len(allRecords()) || len(outer.Records) != len(allRecords()) {
+		t.Fatalf("nested fan-out mismatch: %d / %d records", len(inner.Records), len(outer.Records))
+	}
+}
+
 func TestCountersRollup(t *testing.T) {
 	c := NewCounters()
 	for _, r := range allRecords() {

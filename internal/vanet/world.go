@@ -9,7 +9,6 @@ import (
 	"sort"
 	"time"
 
-	"github.com/vanetsec/georoute/internal/detect"
 	"github.com/vanetsec/georoute/internal/geo"
 	"github.com/vanetsec/georoute/internal/geonet"
 	"github.com/vanetsec/georoute/internal/radio"
@@ -78,11 +77,6 @@ type Config struct {
 	// observation: the event stream, and therefore every result, is
 	// identical with or without it (see internal/telemetry).
 	Telemetry *telemetry.RunGauges
-
-	// Detector, when non-nil, gives every router a per-node misbehavior
-	// plausibility monitor (see internal/detect). Monitors are pure
-	// observers: results are identical with or without them.
-	Detector *detect.Detector
 }
 
 // World is one assembled simulation run.
@@ -242,7 +236,6 @@ func (w *World) attachVehicle(v *traffic.Vehicle) {
 		ForwardFilter:    w.cfg.ForwardFilter,
 		DuplicateRule:    w.cfg.DuplicateRule,
 		Tracer:           w.cfg.Tracer,
-		Monitor:          w.cfg.Detector.NewMonitor(uint64(addr)),
 		OnDeliver: func(p *geonet.Packet) {
 			if w.cfg.OnDeliver != nil {
 				w.cfg.OnDeliver(addr, p)
@@ -290,7 +283,6 @@ func (w *World) AddStatic(addr geonet.Address, pos geo.Point, rangeM float64) *g
 		ForwardFilter:    w.cfg.ForwardFilter,
 		DuplicateRule:    w.cfg.DuplicateRule,
 		Tracer:           w.cfg.Tracer,
-		Monitor:          w.cfg.Detector.NewMonitor(uint64(addr)),
 		OnDeliver: func(p *geonet.Packet) {
 			if w.cfg.OnDeliver != nil {
 				w.cfg.OnDeliver(addr, p)
