@@ -101,7 +101,9 @@ func main() {
 		printList()
 		return
 	}
-	if err := checkFlags(*format, *runs, *seeds, *workers, *maxCells, *fwd); err != nil {
+	set := make(map[string]bool)
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkFlags(*format, *runs, *seeds, *workers, *maxCells, *fwd, set); err != nil {
 		logStderr("geosim: %v", err)
 		os.Exit(2)
 	}
@@ -202,9 +204,26 @@ func startFigureHeartbeat(reg *georoute.TelemetryRegistry, label string) func() 
 	}
 }
 
-// checkFlags rejects out-of-range flag values before any work starts,
-// in campaign and experiment mode alike; main exits 2 on its error.
-func checkFlags(format string, runs, showcaseSeeds, workers, maxCells int, forwarder string) error {
+// Flags only one mode reads. checkFlags rejects an explicitly set flag
+// that the chosen mode would silently ignore.
+var (
+	experimentOnly = []string{"experiment", "runs", "format", "showcase-seeds", "forwarder"}
+	campaignOnly   = []string{"resume", "results", "max-cells", "workers", "detect", "cells", "merge"}
+)
+
+// checkFlags rejects flags the chosen mode does not read (set holds the
+// flags given on the command line) and out-of-range flag values before
+// any work starts; main exits 2 on its error.
+func checkFlags(format string, runs, showcaseSeeds, workers, maxCells int, forwarder string, set map[string]bool) error {
+	unused, mode := campaignOnly, "without -campaign"
+	if set["campaign"] {
+		unused, mode = experimentOnly, "with -campaign"
+	}
+	for _, name := range unused {
+		if set[name] {
+			return fmt.Errorf("-%s is not used %s", name, mode)
+		}
+	}
 	switch {
 	case format != "table" && format != "csv" && format != "json":
 		return fmt.Errorf("-format %q: want table, csv or json", format)

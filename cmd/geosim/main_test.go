@@ -12,10 +12,15 @@ func TestCheckFlagsRejects(t *testing.T) {
 		format                                 string
 		runs, showcaseSeeds, workers, maxCells int
 		forwarder                              string
+		set                                    []string // flags given on the command line
 	}
 	defaults := flags{format: "table", runs: 10, showcaseSeeds: 5}
 	check := func(f flags) error {
-		return checkFlags(f.format, f.runs, f.showcaseSeeds, f.workers, f.maxCells, f.forwarder)
+		set := make(map[string]bool)
+		for _, name := range f.set {
+			set[name] = true
+		}
+		return checkFlags(f.format, f.runs, f.showcaseSeeds, f.workers, f.maxCells, f.forwarder, set)
 	}
 	if err := check(defaults); err != nil {
 		t.Fatalf("defaults rejected: %v", err)
@@ -33,6 +38,19 @@ func TestCheckFlagsRejects(t *testing.T) {
 		{"workers negative", func(f *flags) { f.workers = -3 }, "-workers"},
 		{"max-cells negative", func(f *flags) { f.maxCells = -1 }, "-max-cells"},
 		{"forwarder unknown", func(f *flags) { f.forwarder = "no-such-strategy" }, "unknown forwarder"},
+		// A flag the chosen mode would ignore is an error, not a no-op.
+		{"campaign with runs", func(f *flags) { f.set = []string{"campaign", "runs"} }, "-runs"},
+		{"campaign with format", func(f *flags) { f.set = []string{"campaign", "format"} }, "-format"},
+		{"campaign with showcase-seeds", func(f *flags) { f.set = []string{"showcase-seeds", "campaign"} }, "-showcase-seeds"},
+		{"campaign with forwarder", func(f *flags) { f.set = []string{"campaign", "forwarder"} }, "-forwarder"},
+		{"campaign with experiment", func(f *flags) { f.set = []string{"campaign", "experiment"} }, "-experiment"},
+		{"experiment with resume", func(f *flags) { f.set = []string{"experiment", "resume"} }, "-resume"},
+		{"experiment with results", func(f *flags) { f.set = []string{"experiment", "results"} }, "-results"},
+		{"experiment with max-cells", func(f *flags) { f.set = []string{"experiment", "max-cells"} }, "-max-cells"},
+		{"experiment with workers", func(f *flags) { f.set = []string{"experiment", "workers"} }, "-workers"},
+		{"experiment with detect", func(f *flags) { f.set = []string{"experiment", "detect"} }, "-detect"},
+		{"experiment with cells", func(f *flags) { f.set = []string{"experiment", "cells"} }, "-cells"},
+		{"experiment with merge", func(f *flags) { f.set = []string{"experiment", "merge"} }, "-merge"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := defaults
@@ -47,9 +65,12 @@ func TestCheckFlagsRejects(t *testing.T) {
 		})
 	}
 	// The zero values keep their meaning: CPUs-1 workers, no cell limit.
+	// Flags both modes read (-trace, -listen, -progress) pass in either.
 	for _, f := range []flags{
-		{format: "json", runs: 1, showcaseSeeds: 1},
-		{format: "csv", runs: 1, showcaseSeeds: 1, workers: 4, maxCells: 2, forwarder: "gpsr"},
+		{format: "json", runs: 1, showcaseSeeds: 1, set: []string{"experiment", "format", "runs", "showcase-seeds", "trace"}},
+		{format: "csv", runs: 1, showcaseSeeds: 1, forwarder: "gpsr", set: []string{"experiment", "forwarder", "listen", "progress"}},
+		{format: "table", runs: 10, showcaseSeeds: 5, workers: 4, maxCells: 2,
+			set: []string{"campaign", "resume", "results", "max-cells", "workers", "detect", "cells", "merge", "trace", "listen", "progress"}},
 	} {
 		if err := check(f); err != nil {
 			t.Fatalf("%+v rejected: %v", f, err)

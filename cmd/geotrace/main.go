@@ -63,7 +63,9 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := checkFlags(*duration, *packets, *workload, *atkMode); err != nil {
+	set := make(map[string]bool)
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkFlags(*duration, *packets, *workload, *atkMode, set); err != nil {
 		fmt.Fprintf(os.Stderr, "geotrace: %v\n", err)
 		os.Exit(2)
 	}
@@ -79,10 +81,35 @@ func main() {
 	os.Exit(runTrace(*duration, *packets, *workload, *atkMode, *atkRange, *seed, *beacons, *jsonl, *quiet))
 }
 
-// checkFlags rejects out-of-range run-mode flag values before any work
-// starts; main exits 2 on its error.
-func checkFlags(duration time.Duration, packets int, workload, atkMode string) error {
+// runOnly are the flags only run mode reads.
+var runOnly = []string{"duration", "packets", "workload", "attack", "range", "seed", "beacons", "jsonl"}
+
+// checkFlags rejects flags the chosen mode does not read (set holds the
+// flags given on the command line) and out-of-range run-mode flag values
+// before any work starts; main exits 2 on its error.
+func checkFlags(duration time.Duration, packets int, workload, atkMode string, set map[string]bool) error {
+	mode := ""
+	for _, m := range []string{"validate", "validate-metrics", "detect"} {
+		if !set[m] {
+			continue
+		}
+		if mode != "" {
+			return fmt.Errorf("-%s and -%s are separate modes", mode, m)
+		}
+		mode = m
+	}
+	if mode != "" {
+		for _, name := range runOnly {
+			if set[name] {
+				return fmt.Errorf("-%s is not used with -%s", name, mode)
+			}
+		}
+	}
 	switch {
+	case set["quiet"] && (mode == "validate" || mode == "validate-metrics"):
+		return fmt.Errorf("-quiet is not used with -%s", mode)
+	case set["attacker"] && mode != "detect":
+		return fmt.Errorf("-attacker is not used without -detect")
 	case duration <= 0:
 		return fmt.Errorf("-duration %v: want a positive duration", duration)
 	case packets < 0:

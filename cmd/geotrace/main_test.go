@@ -13,10 +13,15 @@ func TestCheckFlagsRejects(t *testing.T) {
 		duration          time.Duration
 		packets           int
 		workload, atkMode string
+		set               []string // flags given on the command line
 	}
 	defaults := flags{duration: 30 * time.Second, packets: 3, workload: "inter-area", atkMode: "none"}
 	check := func(f flags) error {
-		return checkFlags(f.duration, f.packets, f.workload, f.atkMode)
+		set := make(map[string]bool)
+		for _, name := range f.set {
+			set[name] = true
+		}
+		return checkFlags(f.duration, f.packets, f.workload, f.atkMode, set)
 	}
 	if err := check(defaults); err != nil {
 		t.Fatalf("defaults rejected: %v", err)
@@ -33,6 +38,16 @@ func TestCheckFlagsRejects(t *testing.T) {
 		{"workload empty", func(f *flags) { f.workload = "" }, "-workload"},
 		{"attack unknown", func(f *flags) { f.atkMode = "blackhole" }, "-attack"},
 		{"attack empty", func(f *flags) { f.atkMode = "" }, "-attack"},
+		// A flag the chosen mode would ignore is an error, not a no-op.
+		{"validate with duration", func(f *flags) { f.set = []string{"validate", "duration"} }, "-duration"},
+		{"validate with quiet", func(f *flags) { f.set = []string{"validate", "quiet"} }, "-quiet"},
+		{"validate-metrics with packets", func(f *flags) { f.set = []string{"validate-metrics", "packets"} }, "-packets"},
+		{"detect with attack", func(f *flags) { f.set = []string{"detect", "attack"} }, "-attack"},
+		{"detect with jsonl", func(f *flags) { f.set = []string{"jsonl", "detect"} }, "-jsonl"},
+		{"detect with seed", func(f *flags) { f.set = []string{"detect", "seed"} }, "-seed"},
+		{"validate with detect", func(f *flags) { f.set = []string{"validate", "detect"} }, "separate modes"},
+		{"attacker without detect", func(f *flags) { f.set = []string{"attacker"} }, "-attacker"},
+		{"attacker with validate", func(f *flags) { f.set = []string{"validate", "attacker"} }, "-attacker"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := defaults
@@ -47,9 +62,13 @@ func TestCheckFlagsRejects(t *testing.T) {
 		})
 	}
 	// Zero packets is a beacon-only run; both workloads and attacks pass.
+	// -quiet serves run and detect mode, -attacker detect mode.
 	for _, f := range []flags{
-		{duration: time.Second, packets: 0, workload: "intra-area", atkMode: "intra-area"},
+		{duration: time.Second, packets: 0, workload: "intra-area", atkMode: "intra-area",
+			set: []string{"duration", "packets", "workload", "attack", "range", "seed", "beacons", "jsonl", "quiet"}},
 		{duration: time.Second, packets: 5, workload: "inter-area", atkMode: "inter-area"},
+		{duration: 30 * time.Second, packets: 3, workload: "inter-area", atkMode: "none", set: []string{"detect", "attacker", "quiet"}},
+		{duration: 30 * time.Second, packets: 3, workload: "inter-area", atkMode: "none", set: []string{"validate"}},
 	} {
 		if err := check(f); err != nil {
 			t.Fatalf("%+v rejected: %v", f, err)

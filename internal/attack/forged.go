@@ -1,8 +1,6 @@
 package attack
 
 import (
-	"time"
-
 	"github.com/vanetsec/georoute/internal/geo"
 	"github.com/vanetsec/georoute/internal/geonet"
 	"github.com/vanetsec/georoute/internal/radio"
@@ -45,24 +43,20 @@ type ForgedBeaconConfig struct {
 	Claim geo.Point
 	// Range is the transmit range.
 	Range float64
-	// Interval between forged beacons; defaults to the protocol's 3 s.
-	Interval time.Duration
 	// Signer signs the forgeries. The attacker holds no enrolment with
 	// the victims' CA, so this is a key of its own (e.g. from a rogue
 	// CA); pass nil to use a fresh self-made one.
 	Signer security.Signer
 }
 
-// NewForgedBeaconAttacker deploys the forger; it beacons until Stop.
+// NewForgedBeaconAttacker deploys the forger; it beacons every
+// geonet.BeaconInterval until Stop.
 func NewForgedBeaconAttacker(cfg ForgedBeaconConfig) *ForgedBeaconAttacker {
 	if cfg.Engine == nil || cfg.Medium == nil {
 		panic("attack: Engine and Medium are required")
 	}
 	if cfg.Pseudonym == 0 {
 		cfg.Pseudonym = 0xF0A6EDB7
-	}
-	if cfg.Interval == 0 {
-		cfg.Interval = geonet.DefaultBeaconInterval
 	}
 	if cfg.Signer == nil {
 		rogue := security.NewSimCA(0xBAD5EED)
@@ -77,7 +71,7 @@ func NewForgedBeaconAttacker(cfg ForgedBeaconConfig) *ForgedBeaconAttacker {
 	}
 	pos := cfg.Position
 	a.antenna = cfg.Medium.Attach(cfg.Pseudonym, cfg.Range, func() geo.Point { return pos }, noopReceiver{}, false)
-	a.ticker = cfg.Engine.Every(0, cfg.Interval, "attack.forgedBeacon", a.beacon)
+	a.ticker = cfg.Engine.Every(0, geonet.BeaconInterval, "attack.forgedBeacon", a.beacon)
 	return a
 }
 

@@ -78,7 +78,7 @@ func NewAggregator(sp Spec) (*Aggregator, error) {
 
 // Feed folds one completed cell. It is not safe for concurrent use; the
 // runner feeds it from a single collector goroutine.
-func (a *Aggregator) Feed(c Cell, res CellResult) error {
+func (a *Aggregator) Feed(c experiment.Cell, res CellResult) error {
 	key := c.Key()
 	if a.done[key] {
 		return fmt.Errorf("campaign: cell %s aggregated twice", key)
@@ -120,7 +120,7 @@ func (a *Aggregator) Feed(c Cell, res CellResult) error {
 	if !ok {
 		return fmt.Errorf("campaign: cell %s references unknown figure", key)
 	}
-	return fold.Add(experiment.Cell{Figure: c.Figure, Arm: c.Arm, Seed: c.Seed}, res.Run)
+	return fold.Add(c, res.Run)
 }
 
 func (h *hazardArmAgg) feed(r *showcase.HazardResult) {

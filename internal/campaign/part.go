@@ -8,6 +8,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"github.com/vanetsec/georoute/internal/experiment"
 )
 
 // Part is a static share of a campaign: the cells whose index in the
@@ -48,7 +50,7 @@ func (p Part) has(i int) bool { return p.Count <= 1 || i%p.Count == p.Index }
 // or an earlier part already holds must carry the same result, resource
 // measurements aside; a different one means the parts did not run the
 // same code, and is an error.
-func importParts(paths []string, sp Spec, cells []Cell, have map[string]CellResult) (map[string]CellResult, error) {
+func importParts(paths []string, sp Spec, cells []experiment.Cell, have map[string]CellResult) (map[string]CellResult, error) {
 	merged := make(map[string]CellResult)
 	for _, path := range paths {
 		f, err := os.Open(path)

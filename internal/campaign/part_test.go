@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/vanetsec/georoute/internal/experiment"
 )
 
 func TestParsePart(t *testing.T) {
@@ -64,7 +66,7 @@ func TestPartsPartitionCells(t *testing.T) {
 
 // writePart writes a journal for sp holding the given cells, then appends
 // tail verbatim (a torn write, when non-empty). It returns the file bytes.
-func writePart(t testing.TB, path string, sp Spec, cells []Cell, results map[string]CellResult, tail string) []byte {
+func writePart(t testing.TB, path string, sp Spec, cells []experiment.Cell, results map[string]CellResult, tail string) []byte {
 	t.Helper()
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
@@ -94,7 +96,7 @@ func writePart(t testing.TB, path string, sp Spec, cells []Cell, results map[str
 	return b
 }
 
-func syntheticResults(sp Spec, seed uint64) ([]Cell, map[string]CellResult) {
+func syntheticResults(sp Spec, seed uint64) ([]experiment.Cell, map[string]CellResult) {
 	cells, _ := sp.Cells()
 	rng := rand.New(rand.NewPCG(seed, 3))
 	results := make(map[string]CellResult, len(cells))
@@ -107,7 +109,7 @@ func syntheticResults(sp Spec, seed uint64) ([]Cell, map[string]CellResult) {
 }
 
 // noSeries returns results with c's run result stripped of its series.
-func noSeries(c Cell, results map[string]CellResult) map[string]CellResult {
+func noSeries(c experiment.Cell, results map[string]CellResult) map[string]CellResult {
 	res := results[c.Key()]
 	run := *res.Run
 	run.Series = nil
@@ -130,7 +132,7 @@ func TestMergeFinalizesFromParts(t *testing.T) {
 	dir := t.TempDir()
 	p0, p1 := filepath.Join(dir, "p0.jsonl"), filepath.Join(dir, "p1.jsonl")
 	// p1 overlaps p0 on its first cell, with a different measurement.
-	var even, odd []Cell
+	var even, odd []experiment.Cell
 	for i, c := range cells {
 		if i%2 == 0 {
 			even = append(even, c)
@@ -146,7 +148,7 @@ func TestMergeFinalizesFromParts(t *testing.T) {
 	overlap := results[even[0].Key()]
 	overlap.Resources = &CellResources{WallSeconds: 99}
 	p1Results[even[0].Key()] = overlap
-	b1 := writePart(t, p1, sp, append([]Cell{even[0]}, odd...), p1Results, tornTail)
+	b1 := writePart(t, p1, sp, append([]experiment.Cell{even[0]}, odd...), p1Results, tornTail)
 
 	info, err := Run(context.Background(), sp, Options{ResultsDir: filepath.Join(dir, "res"), Merge: []string{p0, p1}})
 	if err != nil {

@@ -144,7 +144,7 @@ func Run(ctx context.Context, sp Spec, opts Options) (Info, error) {
 	// identically, but canonical order gives deterministic error paths).
 	// A merged cell reaches this run's journal only once the aggregator
 	// has accepted it.
-	var todo []Cell
+	var todo []experiment.Cell
 	for i, c := range cells {
 		key := c.Key()
 		if res, ok := replayed[key]; ok {
@@ -200,7 +200,7 @@ func Run(ctx context.Context, sp Spec, opts Options) (Info, error) {
 // aggregating each completion from a single collector loop. target is
 // the number of cells the journal holds once every dispatched cell is
 // done.
-func runPool(ctx context.Context, dispatch []Cell, target int, opts Options, j *Journal, agg *Aggregator, info *Info) error {
+func runPool(ctx context.Context, dispatch []experiment.Cell, target int, opts Options, j *Journal, agg *Aggregator, info *Info) error {
 	if len(dispatch) == 0 {
 		return nil
 	}
@@ -215,11 +215,11 @@ func runPool(ctx context.Context, dispatch []Cell, target int, opts Options, j *
 	figs := experiment.Figures()
 
 	type completion struct {
-		cell Cell
+		cell experiment.Cell
 		res  CellResult
 		err  error
 	}
-	jobs := make(chan Cell)
+	jobs := make(chan experiment.Cell)
 	results := make(chan completion)
 
 	var wg sync.WaitGroup
@@ -303,7 +303,7 @@ func runPool(ctx context.Context, dispatch []Cell, target int, opts Options, j *
 // (nil-safe) feed the live telemetry registry. Showcase cells (hazard,
 // curve) have no router receive path to monitor, so detection does not
 // apply to them.
-func runCell(figs map[string]experiment.Figure, c Cell, traceDir string, detectOn bool, gauges *telemetry.RunGauges) (CellResult, error) {
+func runCell(figs map[string]experiment.Figure, c experiment.Cell, traceDir string, detectOn bool, gauges *telemetry.RunGauges) (CellResult, error) {
 	return measureCell(func() (CellResult, error) {
 		switch c.Figure {
 		case hazardGFID, hazardCBFID:
@@ -330,10 +330,7 @@ func runCell(figs map[string]experiment.Figure, c Cell, traceDir string, detectO
 				return CellResult{}, err
 			}
 		}
-		rr, err := fig.RunCell(
-			experiment.Cell{Figure: c.Figure, Arm: c.Arm, Seed: c.Seed},
-			experiment.Observe{Tracer: ft.Tracer(), Gauges: gauges, Detect: detectOn},
-		)
+		rr, err := fig.RunCell(c, experiment.Observe{Tracer: ft.Tracer(), Gauges: gauges, Detect: detectOn})
 		if ft != nil {
 			if cerr := ft.Close(); cerr != nil && err == nil {
 				err = cerr

@@ -156,46 +156,32 @@ func (sp Spec) Hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Cell identifies one runnable unit of the campaign. Figure cells carry
-// the registry figure ID; showcase cells use the fig12a/fig12b/fig13 IDs
-// with arms "af"/"atk".
-type Cell struct {
-	Figure string
-	Arm    string
-	Seed   uint64
-}
-
-// Key renders the stable journal key, "<figure>/<arm>/<seed>".
-func (c Cell) Key() string { return fmt.Sprintf("%s/%s/%d", c.Figure, c.Arm, c.Seed) }
-
 // Cells enumerates every cell of the campaign in canonical order: sorted
 // figure IDs (arm declaration order, ascending seed within each), then the
 // hazard showcases, then the curve pair. The canonical order is also the
 // dispatch order and — via the in-order aggregator — the aggregation
 // order, which is what makes resumed campaigns byte-identical.
-func (sp Spec) Cells() ([]Cell, error) {
+func (sp Spec) Cells() ([]experiment.Cell, error) {
 	ids, err := sp.figureIDs()
 	if err != nil {
 		return nil, err
 	}
 	figs := experiment.Figures()
-	var cells []Cell
+	var cells []experiment.Cell
 	for _, id := range ids {
-		for _, ec := range figs[id].Cells(sp.Runs) {
-			cells = append(cells, Cell{Figure: ec.Figure, Arm: ec.Arm, Seed: ec.Seed})
-		}
+		cells = append(cells, figs[id].Cells(sp.Runs)...)
 	}
 	for _, id := range []string{hazardGFID, hazardCBFID} {
 		for _, arm := range []string{"af", "atk"} {
 			for s := 1; s <= sp.HazardSeeds; s++ {
-				cells = append(cells, Cell{Figure: id, Arm: arm, Seed: uint64(s)})
+				cells = append(cells, experiment.Cell{Figure: id, Arm: arm, Seed: uint64(s)})
 			}
 		}
 	}
 	if sp.Curve {
 		cells = append(cells,
-			Cell{Figure: curveID, Arm: "af", Seed: 1},
-			Cell{Figure: curveID, Arm: "atk", Seed: 1},
+			experiment.Cell{Figure: curveID, Arm: "af", Seed: 1},
+			experiment.Cell{Figure: curveID, Arm: "atk", Seed: 1},
 		)
 	}
 	return cells, nil

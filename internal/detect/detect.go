@@ -17,7 +17,7 @@
 // Monitor taxonomy (one Check per class of implausibility):
 //
 //   - CheckBeacon: single-hop beacon inter-arrival floor. A source beacons
-//     every BeaconInterval±jitter (3s±750ms by default), so two beacons
+//     every BeaconInterval+jitter (3s+0–750ms), so two beacons
 //     from one source inside MinBeaconGap mean a second emitter — the
 //     replay pipeline — is injecting copies.
 //   - CheckPosition: claimed-position plausibility. A single-hop claim
@@ -38,8 +38,7 @@
 // When direct and replayed copies interleave, the flagged arrival can be
 // the innocent victim's own (the replayer made the victim's claim stream
 // anomalous), so per-check precision in attack arms is reported rather
-// than assumed 1.0; at default thresholds no check fires in attack-free
-// runs.
+// than assumed 1.0; no check fires in attack-free runs.
 package detect
 
 import (
@@ -94,39 +93,55 @@ type Verdict struct {
 	Evidence string        `json:"evidence,omitempty"`
 }
 
-// Config parameterizes a Detector. Zero values select the defaults, which
-// are calibrated so that no check fires in attack-free runs of the
-// paper's scenarios (see the threshold tests).
-type Config struct {
-	// MinBeaconGap is the beacon inter-arrival floor per source. Default
-	// 1s; the benign minimum is BeaconInterval-jitter = 2.25s.
-	MinBeaconGap time.Duration
+// Plausibility thresholds. Each admits every honest node of the model
+// (TestThresholdsAdmitHonestNodes checks the bounds against the protocol,
+// radio and mobility constants they depend on) and names the replay
+// attacker it catches; an attacker who stays inside a bound goes unseen
+// by that check.
+const (
+	// MinBeaconGap is the beacon inter-arrival floor per source. Honest:
+	// a source beacons at least BeaconInterval−BeaconJitter = 2.25 s
+	// apart. Catches: a replayer re-injecting a neighbor's beacon less
+	// than 1 s after the original, as the paper's pipeline does.
+	MinBeaconGap = time.Second
 	// MaxSpeed is the implied-speed ceiling between successive claims, in
-	// m/s. Default 70; highway traffic in the model stays well under it.
-	MaxSpeed float64
+	// m/s. Honest: the IDM's desired velocity is 30 m/s. Catches: a
+	// replay relaying a claim from a position its source could not have
+	// driven to since its previous claim.
+	MaxSpeed = 70.0
 	// RangeFactor scales the receiver's radio range into the maximum
-	// plausible distance of a directly-heard neighbor. Default 1.6, above
-	// the soft-edge ablation's 1.15 reception stretch.
-	RangeFactor float64
-	// ChurnWindow/ChurnMax bound single-hop claims per source: more than
-	// ChurnMax inside ChurnWindow flags. Defaults 4s/2 — an honest source
-	// fits at most 2 beacons in any 4s window.
-	ChurnWindow time.Duration
-	ChurnMax    int
-	// MinHopDelay is the minimum believable per-hop latency (radio access
-	// + airtime). An own-packet echo whose consumed hop budget times this
-	// exceeds the elapsed time is a replay. Default 500µs, the radio
-	// medium's default delivery latency.
-	MinHopDelay time.Duration
+	// plausible distance of a directly-heard neighbor. Honest: soft-edge
+	// reception stretches the range by at most radio.SoftEdgeFactor
+	// (1.15). Catches: the inter-area hijack, whose single-hop beacon
+	// claims a source beyond 1.6× the range.
+	RangeFactor = 1.6
+	// ChurnWindow and ChurnMax bound single-hop claims per source: more
+	// than ChurnMax inside ChurnWindow flags. Honest: beacons 2.25 s
+	// apart fit at most 2 into any 4 s window. Catches: the LocT-poisoning
+	// cadence of the hijack, where every beacon arrives twice (direct and
+	// replayed).
+	ChurnWindow = 4 * time.Second
+	ChurnMax    = 2
+	// MinHopDelay is the minimum believable per-hop latency. Honest: every
+	// radio hop costs the medium's fixed 500 µs delivery latency. Catches:
+	// an echo of a node's own packet whose consumed hop budget could not
+	// fit in the time since its origination — a replay that short-cut
+	// the path.
+	MinHopDelay = 500 * time.Microsecond
 	// PosError is the position measurement allowance of the implied-speed
-	// check, in meters: successive claims flag only when their displacement
-	// exceeds MaxSpeed*dt + PosError. Real GNSS fixes carry meters of
-	// error, and the mobility model integrates positions at a discrete
-	// tick while PV timestamps are continuous, so two claims sampled
-	// closely in time can legitimately show a whole tick's displacement in
-	// near-zero claimed time. Default 5m.
-	PosError float64
+	// check, in meters: successive claims flag only when their
+	// displacement exceeds MaxSpeed·dt + PosError. Honest: GNSS fixes
+	// carry meters of error, and the mobility model integrates positions
+	// at a discrete tick while PV timestamps are continuous, so two claims
+	// sampled closely in time can show a whole tick's displacement in
+	// near-zero claimed time. Catches: a relayed claim displaced by more
+	// than 5 m beyond the speed envelope.
+	PosError = 5.0
+)
 
+// Config parameterizes a Detector's outputs; the thresholds above are
+// fixed.
+type Config struct {
 	// Truth labels a suspect as ground-truth attacker. Nil labels every
 	// verdict false (offline replay of unlabeled traces).
 	Truth func(suspect uint64) bool
@@ -138,31 +153,6 @@ type Config struct {
 	LatencyHist   *telemetry.Histogram // first-true-verdict sim time, seconds
 	BeaconGapHist *telemetry.Histogram // single-hop claim inter-arrival, seconds
 	PosErrorHist  *telemetry.Histogram // implausible claim displacement excess, meters
-}
-
-func (c Config) withDefaults() Config {
-	if c.MinBeaconGap == 0 {
-		c.MinBeaconGap = time.Second
-	}
-	if c.MaxSpeed == 0 {
-		c.MaxSpeed = 70
-	}
-	if c.RangeFactor == 0 {
-		c.RangeFactor = 1.6
-	}
-	if c.ChurnWindow == 0 {
-		c.ChurnWindow = 4 * time.Second
-	}
-	if c.ChurnMax == 0 {
-		c.ChurnMax = 2
-	}
-	if c.MinHopDelay == 0 {
-		c.MinHopDelay = 500 * time.Microsecond
-	}
-	if c.PosError == 0 {
-		c.PosError = 5
-	}
-	return c
 }
 
 // Detector runs the monitors of every node of one run and aggregates
@@ -180,9 +170,9 @@ type Detector struct {
 	checks    [numChecks]struct{ tp, fp uint64 }
 }
 
-// New constructs a Detector with defaults applied.
+// New constructs a Detector.
 func New(cfg Config) *Detector {
-	return &Detector{cfg: cfg.withDefaults(), nodes: make(map[uint64]map[uint64]*srcState)}
+	return &Detector{cfg: cfg, nodes: make(map[uint64]map[uint64]*srcState)}
 }
 
 // Summary snapshots the run's aggregate detection outcome. Nil on a nil

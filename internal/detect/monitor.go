@@ -60,9 +60,9 @@ func (d *Detector) observeClaim(c *trace.Record) {
 		if st.haveBeacon {
 			gap := c.At - st.lastBeacon
 			cfg.BeaconGapHist.Observe(gap.Seconds())
-			if gap < cfg.MinBeaconGap {
+			if gap < MinBeaconGap {
 				d.flag(c.At, c.Node, c.Peer, CheckBeacon, func() string {
-					return fmt.Sprintf("beacons from %d arrived %v apart (floor %v)", c.Src, gap, cfg.MinBeaconGap)
+					return fmt.Sprintf("beacons from %d arrived %v apart (floor %v)", c.Src, gap, MinBeaconGap)
 				})
 			}
 		}
@@ -71,10 +71,10 @@ func (d *Detector) observeClaim(c *trace.Record) {
 
 		if c.HasClaim {
 			// Direct-neighbor range plausibility.
-			if dist := c.ClaimPos.DistanceTo(c.RxPos); dist > cfg.RangeFactor*c.RxRange {
-				cfg.PosErrorHist.Observe(dist - cfg.RangeFactor*c.RxRange)
+			if dist := c.ClaimPos.DistanceTo(c.RxPos); dist > RangeFactor*c.RxRange {
+				cfg.PosErrorHist.Observe(dist - RangeFactor*c.RxRange)
 				d.flag(c.At, c.Node, c.Peer, CheckPosition, func() string {
-					return fmt.Sprintf("neighbor claim for %d at %.0fm exceeds %.1fx range %.0fm", c.Src, dist, cfg.RangeFactor, c.RxRange)
+					return fmt.Sprintf("neighbor claim for %d at %.0fm exceeds %.1fx range %.0fm", c.Src, dist, RangeFactor, c.RxRange)
 				})
 			}
 
@@ -90,15 +90,15 @@ func (d *Detector) observeClaim(c *trace.Record) {
 		// Claim-cadence churn: prune the window, then count this arrival.
 		keep := st.arrivals[:0]
 		for _, at := range st.arrivals {
-			if c.At-at < cfg.ChurnWindow {
+			if c.At-at < ChurnWindow {
 				keep = append(keep, at)
 			}
 		}
 		st.arrivals = append(keep, c.At)
-		if len(st.arrivals) > cfg.ChurnMax {
+		if len(st.arrivals) > ChurnMax {
 			n := len(st.arrivals)
 			d.flag(c.At, c.Node, c.Peer, CheckChurn, func() string {
-				return fmt.Sprintf("%d neighbor claims for %d inside %v (max %d)", n, c.Src, cfg.ChurnWindow, cfg.ChurnMax)
+				return fmt.Sprintf("%d neighbor claims for %d inside %v (max %d)", n, c.Src, ChurnWindow, ChurnMax)
 			})
 		}
 	}
@@ -114,10 +114,10 @@ func (d *Detector) observeClaim(c *trace.Record) {
 	if st.havePV && c.ClaimTS > st.lastTS {
 		dt := (c.ClaimTS - st.lastTS).Seconds()
 		dist := c.ClaimPos.DistanceTo(st.lastPos)
-		if excess := dist - cfg.MaxSpeed*dt; excess > cfg.PosError {
+		if excess := dist - MaxSpeed*dt; excess > PosError {
 			cfg.PosErrorHist.Observe(excess)
 			d.flag(c.At, c.Node, c.Peer, CheckPosition, func() string {
-				return fmt.Sprintf("claims for %d moved %.0fm in %.2fs, %.0fm beyond the %.0f m/s envelope", c.Src, dist, dt, excess, cfg.MaxSpeed)
+				return fmt.Sprintf("claims for %d moved %.0fm in %.2fs, %.0fm beyond the %.0f m/s envelope", c.Src, dist, dt, excess, MaxSpeed)
 			})
 		}
 	}
@@ -142,9 +142,9 @@ func (d *Detector) observeEcho(e *trace.Record) {
 		d.flag(e.At, e.Node, e.Peer, CheckReplay, func() string {
 			return fmt.Sprintf("own beacon echoed back after %v", elapsed)
 		})
-	case hops >= 1 && elapsed < time.Duration(hops)*d.cfg.MinHopDelay:
+	case hops >= 1 && elapsed < time.Duration(hops)*MinHopDelay:
 		d.flag(e.At, e.Node, e.Peer, CheckReplay, func() string {
-			return fmt.Sprintf("own packet back after %v claiming %d hops (floor %v/hop)", elapsed, hops, d.cfg.MinHopDelay)
+			return fmt.Sprintf("own packet back after %v claiming %d hops (floor %v/hop)", elapsed, hops, MinHopDelay)
 		})
 	}
 }

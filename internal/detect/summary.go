@@ -32,7 +32,7 @@ type CheckArm struct {
 // ArmSummary is the per-arm detection report written into
 // detection.json: how many runs detected the attack, how fast, and how
 // each check performed. FalseAlarmRate is the fraction of runs with at
-// least one false verdict — on benign arms at default thresholds it must
+// least one false verdict — on benign arms at the fixed thresholds it must
 // be exactly 0.
 type ArmSummary struct {
 	Runs               int                 `json:"runs"`

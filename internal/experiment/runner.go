@@ -75,12 +75,10 @@ type Observe struct {
 	// truth is labeled from the scenario (the attacker's replay pseudonym
 	// on attack arms; no suspect is ever true on attack-free arms), and
 	// the run result gains a Detection summary. Pure observation: the
-	// measured series are bit-identical with detection on or off.
+	// measured series are bit-identical with detection on or off. For
+	// per-verdict output, give Tracer a detect.New(detect.Config{Sink: …})
+	// sink instead.
 	Detect bool
-	// Verdicts, when non-nil alongside Detect, receives every individual
-	// verdict (evidence rendered). Campaign runs leave it nil and keep
-	// only the aggregate summary.
-	Verdicts func(detect.Verdict)
 }
 
 // RunOnce executes a single seeded run of the scenario arm and returns
@@ -116,7 +114,7 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 
 	var det *detect.Detector
 	if obs.Detect {
-		dcfg := detect.Config{Sink: obs.Verdicts}
+		var dcfg detect.Config
 		if s.AttackMode != attack.None {
 			// The attacker replays under its pseudonym from t=0; any
 			// verdict naming it is a true detection.

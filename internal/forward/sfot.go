@@ -28,7 +28,7 @@ type SlottedCBF struct {
 func (s SlottedCBF) Timeout(r *geonet.Router, _ *geonet.Packet, from geonet.Address) time.Duration {
 	e := r.LocT().Lookup(from, r.Now())
 	if e == nil {
-		return r.TOMax()
+		return geonet.TOMax
 	}
 	frac := r.Position().DistanceTo(e.PV.Pos) / r.Range()
 	if frac > 1 {
@@ -40,8 +40,8 @@ func (s SlottedCBF) Timeout(r *geonet.Router, _ *geonet.Packet, from geonet.Addr
 	if slot >= s.Slots {
 		slot = s.Slots - 1
 	}
-	span := int64(r.TOMax() - r.TOMin())
-	return r.TOMin() + time.Duration(span*int64(slot)/int64(s.Slots))
+	span := int64(geonet.TOMax - geonet.TOMin)
+	return geonet.TOMin + time.Duration(span*int64(slot)/int64(s.Slots))
 }
 
 // CancelOnDuplicate implements geonet.ContentionPolicy: standard

@@ -170,7 +170,7 @@ func TestPacketStateBoundedByLifetime(t *testing.T) {
 	if got := w.routers[5].Stats().Delivered; got < rate*uint64(duration/time.Second)*9/10 {
 		t.Fatalf("far node delivered only %d packets: the flood did not run", got)
 	}
-	sweepLag := DefaultBeaconInterval + DefaultBeaconJitter
+	sweepLag := BeaconInterval + BeaconJitter
 	bound := rate*int((lifetime+sweepLag)/time.Second) + rate
 	if peak > bound {
 		t.Fatalf("peak packet states per router = %d, want <= %d (rate × (lifetime + sweep lag) + slack)", peak, bound)

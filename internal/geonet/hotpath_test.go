@@ -261,7 +261,7 @@ func TestCBFArmCycleAllocs(t *testing.T) {
 		}},
 		{"fire", func() {
 			arm()
-			w.engine.Run(w.engine.Now() + r.cfg.TOMax)
+			w.engine.Run(w.engine.Now() + TOMax)
 			if st.cbfArm != nil || !st.cbfForwarded {
 				t.Fatal("contention did not fire")
 			}
@@ -278,14 +278,14 @@ func TestCBFArmCycleAllocs(t *testing.T) {
 }
 
 // TestRouterSizeClass pins every Router allocation to the allocator's
-// 576-byte size class. Objects over 512 bytes that hold pointers carry an
-// 8-byte allocation header, so the struct itself may use 568 bytes; one
-// word more moves every router into the 640-byte class, which a
-// 50,000-vehicle world pays in full. That is why the arm pool is an
-// intrusive list rather than a slice.
+// 512-byte size class. Objects up to 512 bytes carry no allocation
+// header, so the struct may use all 512 bytes; one word more moves every
+// router into the 576-byte class, which a 50,000-vehicle world pays in
+// full. That is why the arm pool is an intrusive list rather than a
+// slice.
 func TestRouterSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(Router{}); got > 568 {
-		t.Fatalf("unsafe.Sizeof(Router{}) = %d, want <= 568 (576-byte class less its 8-byte header)", got)
+	if got := unsafe.Sizeof(Router{}); got > 512 {
+		t.Fatalf("unsafe.Sizeof(Router{}) = %d, want <= 512 (the 512-byte class)", got)
 	}
 }
 
@@ -415,7 +415,7 @@ func TestBeaconOriginationAllocs(t *testing.T) {
 		}
 		beacon := func() {
 			tx.SendBeacon()
-			w.engine.Run(w.engine.Now() + w.medium.Latency())
+			w.engine.Run(w.engine.Now() + radio.Latency)
 		}
 		beacon() // receivers learn the sender; pools warm up
 		allocs := testing.AllocsPerRun(500, beacon)

@@ -35,7 +35,7 @@ func (r *Router) emit(ev trace.Event, kind trace.Kind, reason trace.Reason, p *P
 		rec.PType = trace.PType(p.Type)
 		rec.RHL = p.Basic.RHL
 		switch {
-		case ev == trace.EvRX && (p.Type == TypeBeacon || r.updateFromDa):
+		case ev == trace.EvRX:
 			// The PV entered the LocT: record the claim it makes.
 			rec.HasClaim = true
 			rec.ClaimPos, rec.ClaimTS = p.SourcePV.Pos, p.SourcePV.Timestamp

@@ -13,15 +13,27 @@ import (
 	"github.com/vanetsec/georoute/internal/trace"
 )
 
-// Protocol defaults from EN 302 636-4-1 and the paper.
+// Protocol timing fixed by EN 302 636-4-1 (Annex H defaults), which the
+// paper's results depend on; no caller overrides it.
 const (
-	DefaultBeaconInterval = 3 * time.Second
-	DefaultBeaconJitter   = 750 * time.Millisecond
-	DefaultTOMin          = 1 * time.Millisecond
-	DefaultTOMax          = 100 * time.Millisecond
+	// BeaconInterval and BeaconJitter: a beacon every 3 s plus a uniform
+	// 0–750 ms jitter (itsGnBeaconServiceRetransmitTimer/MaxJitter).
+	BeaconInterval = 3 * time.Second
+	BeaconJitter   = 750 * time.Millisecond
+	// TOMin and TOMax bound the CBF contention timer (itsGnCbfMinTime/
+	// itsGnCbfMaxTime).
+	TOMin = 1 * time.Millisecond
+	TOMax = 100 * time.Millisecond
+	// RetryInterval is the store-carry-forward buffer's retry period, a
+	// choice of this simulator rather than a standard constant: one
+	// second re-checks the LocT a few times per beacon round.
+	RetryInterval = 1 * time.Second
+)
+
+// Defaults for the Config fields callers may override.
+const (
 	DefaultMaxHopLimit    = 32
 	DefaultPacketLifetime = 60 * time.Second
-	DefaultRetryInterval  = 1 * time.Second
 )
 
 // Stats are per-router protocol counters.
@@ -77,31 +89,15 @@ type Config struct {
 	// DIST_MAX in the CBF timeout formula.
 	Range float64
 
-	BeaconInterval time.Duration
-	BeaconJitter   time.Duration
-	LocTTTL        time.Duration
+	LocTTTL time.Duration
 	// NeighborLifetime bounds how long after the last direct beacon an
 	// entry stays eligible as a GF next hop. Defaults to one beacon round
 	// (interval+jitter): a station that missed its latest beacon window is
 	// no longer assumed reachable. Set >= LocTTTL for the literal standard
 	// behavior where neighbor status lives as long as the entry.
 	NeighborLifetime time.Duration
-	TOMin            time.Duration
-	TOMax            time.Duration
 	MaxHopLimit      uint8
 	PacketLifetime   time.Duration
-	RetryInterval    time.Duration
-
-	// UpdateLocTFromData mirrors the standard: source PVs of forwarded
-	// packets refresh the LocT, not just beacons. Default true.
-	UpdateLocTFromData *bool
-
-	// Rand drives the router's stochastic choices (beacon jitter). When
-	// nil a private PCG stream seeded from the address is used, making
-	// each router's beacon schedule independent of global event ordering
-	// — this keeps attack-free and attacked arms of an A/B experiment
-	// perfectly paired.
-	Rand *rand.Rand
 
 	// OnDeliver is invoked once per packet delivered to the upper layer.
 	OnDeliver func(p *Packet)
@@ -130,8 +126,13 @@ type Config struct {
 type Router struct {
 	cfg     Config
 	antenna *radio.Antenna
-	loct    *LocT
-	stats   Stats
+	// rng draws the beacon jitter from a private PCG stream seeded from
+	// the address, making each router's beacon schedule independent of
+	// global event ordering — this keeps attack-free and attacked arms of
+	// an A/B experiment perfectly paired.
+	rng   *rand.Rand
+	loct  *LocT
+	stats Stats
 
 	// nextHop and contention are the strategy pair resolved from
 	// cfg.Forwarder; per-router instances so policies may keep scratch
@@ -151,10 +152,9 @@ type Router struct {
 	// size class (see TestRouterSizeClass).
 	armFree *cbfArm
 	// seq packs with the flags into one word.
-	seq          uint16
-	updateFromDa bool
-	started      bool
-	stopped      bool
+	seq     uint16
+	started bool
+	stopped bool
 	// cbfArmed counts packets currently holding an armed contention timer
 	// (incremented when contend schedules one, decremented exactly once
 	// when the contention resolves: fire, duplicate cancel, or Stop). A
@@ -233,20 +233,8 @@ func NewRouter(cfg Config) *Router {
 	if cfg.Range <= 0 {
 		panic(fmt.Sprintf("geonet: non-positive range %v", cfg.Range))
 	}
-	if cfg.BeaconInterval == 0 {
-		cfg.BeaconInterval = DefaultBeaconInterval
-	}
-	if cfg.BeaconJitter == 0 {
-		cfg.BeaconJitter = DefaultBeaconJitter
-	}
 	if cfg.NeighborLifetime == 0 {
-		cfg.NeighborLifetime = cfg.BeaconInterval + cfg.BeaconJitter
-	}
-	if cfg.TOMin == 0 {
-		cfg.TOMin = DefaultTOMin
-	}
-	if cfg.TOMax == 0 {
-		cfg.TOMax = DefaultTOMax
+		cfg.NeighborLifetime = BeaconInterval + BeaconJitter
 	}
 	if cfg.MaxHopLimit == 0 {
 		cfg.MaxHopLimit = DefaultMaxHopLimit
@@ -254,29 +242,19 @@ func NewRouter(cfg Config) *Router {
 	if cfg.PacketLifetime == 0 {
 		cfg.PacketLifetime = DefaultPacketLifetime
 	}
-	if cfg.RetryInterval == 0 {
-		cfg.RetryInterval = DefaultRetryInterval
-	}
 	strat, ok := LookupStrategy(cfg.Forwarder)
 	if !ok {
 		panic(fmt.Sprintf("geonet: unknown forwarder strategy %q (registered: %v)", cfg.Forwarder, StrategyNames()))
 	}
-	updateFromData := true
-	if cfg.UpdateLocTFromData != nil {
-		updateFromData = *cfg.UpdateLocTFromData
-	}
-	if cfg.Rand == nil {
-		cfg.Rand = rand.New(rand.NewPCG(uint64(cfg.Addr), uint64(cfg.Addr)^0xda3e39cb94b95bdb))
-	}
 	return &Router{
-		cfg:          cfg,
-		loct:         NewLocT(cfg.LocTTTL, cfg.NeighborLifetime),
-		nextHop:      strat.NewNextHop(),
-		contention:   strat.NewContention(),
-		state:        make(map[Key]*pktState),
-		lsQueue:      make(map[Address][]lsPending),
-		retryTimers:  make(map[*pending]sim.Timer),
-		updateFromDa: updateFromData,
+		cfg:         cfg,
+		rng:         rand.New(rand.NewPCG(uint64(cfg.Addr), uint64(cfg.Addr)^0xda3e39cb94b95bdb)),
+		loct:        NewLocT(cfg.LocTTTL, cfg.NeighborLifetime),
+		nextHop:     strat.NewNextHop(),
+		contention:  strat.NewContention(),
+		state:       make(map[Key]*pktState),
+		lsQueue:     make(map[Address][]lsPending),
+		retryTimers: make(map[*pending]sim.Timer),
 	}
 }
 
@@ -311,7 +289,7 @@ func (r *Router) Start() {
 	r.started = true
 	r.antenna = r.cfg.Medium.Attach(radio.NodeID(r.cfg.Addr), r.cfg.Range, r.cfg.Position, r, false)
 	r.beaconFn = r.beaconTick
-	first := time.Duration(r.cfg.Rand.Int64N(int64(r.cfg.BeaconInterval)))
+	first := time.Duration(r.rng.Int64N(int64(BeaconInterval)))
 	r.beaconTimer = r.cfg.Engine.Schedule(first, "geonet.beacon", r.beaconFn)
 }
 
@@ -406,7 +384,7 @@ func (r *Router) beaconTick() {
 	r.SendBeacon()
 	r.purgeLSQueue()
 	r.purgeStates()
-	next := r.cfg.BeaconInterval + time.Duration(r.cfg.Rand.Int64N(int64(r.cfg.BeaconJitter)))
+	next := BeaconInterval + time.Duration(r.rng.Int64N(int64(BeaconJitter)))
 	r.beaconTimer = r.cfg.Engine.Schedule(next, "geonet.beacon", r.beaconFn)
 }
 
@@ -418,7 +396,7 @@ func (r *Router) beaconTick() {
 // only because p is dropped here — emit copies scalars, not slices.
 func (r *Router) SendBeacon() {
 	p := &Packet{
-		Basic:    BasicHeader{Version: protocolVersion, RHL: 1, LifetimeMs: uint32(r.cfg.BeaconInterval / time.Millisecond)},
+		Basic:    BasicHeader{Version: protocolVersion, RHL: 1, LifetimeMs: uint32(BeaconInterval / time.Millisecond)},
 		Type:     TypeBeacon,
 		SourcePV: r.pv(),
 	}
@@ -525,14 +503,13 @@ func (r *Router) Deliver(f radio.Frame) {
 		r.drop(p, f.From, trace.ReasonLifetimeExpired, trace.KindNone)
 		return
 	}
-	if p.Type == TypeBeacon || r.updateFromDa {
-		// No plausibility check on the PV: the beacon may have been
-		// relayed from far away (vulnerability #2 of the GF analysis).
-		// The IS_NEIGHBOUR flag is derived from the PACKET TYPE alone, so
-		// a relayed beacon marks its (possibly distant) source as a
-		// direct neighbor.
-		r.loct.Update(p.SourcePV, now, p.Type == TypeBeacon || p.Type == TypeSHB)
-	}
+	// Every reception refreshes the LocT with the source PV, as the
+	// standard has it. No plausibility check on the PV: the beacon may
+	// have been relayed from far away (vulnerability #2 of the GF
+	// analysis). The IS_NEIGHBOUR flag is derived from the PACKET TYPE
+	// alone, so a relayed beacon marks its (possibly distant) source as a
+	// direct neighbor.
+	r.loct.Update(p.SourcePV, now, p.Type == TypeBeacon || p.Type == TypeSHB)
 	r.emit(trace.EvRX, trace.KindNone, trace.ReasonNone, p, f.From)
 
 	switch p.Type {
@@ -792,7 +769,7 @@ func (r *Router) buffer(p *Packet, target geo.Point, st *pktState) {
 }
 
 func (r *Router) scheduleRetry(pe *pending) {
-	r.retryTimers[pe] = r.cfg.Engine.Schedule(r.cfg.RetryInterval, "geonet.gfretry", func() {
+	r.retryTimers[pe] = r.cfg.Engine.Schedule(RetryInterval, "geonet.gfretry", func() {
 		delete(r.retryTimers, pe)
 		if r.stopped {
 			return

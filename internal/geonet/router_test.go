@@ -296,12 +296,12 @@ func TestCBFContentionTimeoutFormula(t *testing.T) {
 		t.Fatalf("TO at 250/500 m = %v, want %v", got, want)
 	}
 	// Unknown sender: TO_MAX.
-	if got := pol.Timeout(r, nil, 99); got != DefaultTOMax {
+	if got := pol.Timeout(r, nil, 99); got != TOMax {
 		t.Fatalf("TO for unknown sender = %v, want TOMax", got)
 	}
 	// Beyond DIST_MAX: TO_MIN.
 	r.LocT().Update(PositionVector{Addr: 3, Timestamp: 1, Pos: geo.Pt(900, 0)}, 0, true)
-	if got := pol.Timeout(r, nil, 3); got != DefaultTOMin {
+	if got := pol.Timeout(r, nil, 3); got != TOMin {
 		t.Fatalf("TO beyond DIST_MAX = %v, want TOMin", got)
 	}
 }

@@ -150,10 +150,6 @@ func (r *Router) Now() time.Duration { return r.cfg.Engine.Now() }
 // Range reports the configured communication range (DIST_MAX).
 func (r *Router) Range() float64 { return r.cfg.Range }
 
-// TOMin and TOMax report the configured CBF contention timer bounds.
-func (r *Router) TOMin() time.Duration { return r.cfg.TOMin }
-func (r *Router) TOMax() time.Duration { return r.cfg.TOMax }
-
 // standardGreedy is the extracted GF next-hop selection: the neighbor
 // whose advertised position is strictly closest to the target, excluding
 // the packet source and the previous hop.
@@ -206,14 +202,14 @@ func (standardCBF) Timeout(r *Router, p *Packet, from Address) time.Duration {
 	now := r.cfg.Engine.Now()
 	entry := r.loct.Lookup(from, now)
 	if entry == nil {
-		return r.cfg.TOMax
+		return TOMax
 	}
 	dist := r.cfg.Position().DistanceTo(entry.PV.Pos)
 	if dist > r.cfg.Range {
-		return r.cfg.TOMin
+		return TOMin
 	}
-	span := float64(r.cfg.TOMax - r.cfg.TOMin)
-	to := float64(r.cfg.TOMax) - span*dist/r.cfg.Range
+	span := float64(TOMax - TOMin)
+	to := float64(TOMax) - span*dist/r.cfg.Range
 	return time.Duration(to)
 }
 

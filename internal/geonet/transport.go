@@ -29,7 +29,7 @@ type lsPending struct {
 func (r *Router) SendSHB(payload []byte) Key {
 	r.seq++
 	p := &Packet{
-		Basic:    BasicHeader{Version: protocolVersion, RHL: 1, LifetimeMs: uint32(r.cfg.BeaconInterval / time.Millisecond)},
+		Basic:    BasicHeader{Version: protocolVersion, RHL: 1, LifetimeMs: uint32(BeaconInterval / time.Millisecond)},
 		Type:     TypeSHB,
 		SN:       r.seq,
 		SourcePV: r.pv(),

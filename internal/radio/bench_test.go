@@ -52,7 +52,7 @@ func drive(b *testing.B, e *sim.Engine, m *Medium, tx *Antenna, to NodeID) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Send(tx, to, payload)
-		e.Run(e.Now() + 2*DefaultLatency)
+		e.Run(e.Now() + 2*Latency)
 	}
 }
 
@@ -106,6 +106,6 @@ func BenchmarkMediumChurn(b *testing.B) {
 		m.Attach(id, benchRange, func() geo.Point { return p }, nopReceiver{}, false)
 		m.Send(tx, BroadcastID, payload)
 		m.Detach(id)
-		e.Run(e.Now() + 2*DefaultLatency)
+		e.Run(e.Now() + 2*Latency)
 	}
 }

@@ -244,7 +244,7 @@ func TestDeliverySliceReuseAcrossFrames(t *testing.T) {
 
 	for i := 0; i < 100; i++ {
 		m.Send(tx, BroadcastID, []byte{byte(i)})
-		e.Run(e.Now() + 2*DefaultLatency)
+		e.Run(e.Now() + 2*Latency)
 	}
 	if len(a.delivered) != 100 || len(b.delivered) != 100 {
 		t.Fatalf("deliveries = %d/%d, want 100/100", len(a.delivered), len(b.delivered))
@@ -509,7 +509,7 @@ func runLinearScanOracle(t *testing.T, seed uint64) oracleCoverage {
 		} else {
 			m.Send(from.ant, to, payload[:])
 		}
-		e.Schedule(m.Latency(), "oracle.check", func() {
+		e.Schedule(Latency, "oracle.check", func() {
 			check(id, to, cands, addressed, targetReached)
 		})
 	}

@@ -1,7 +1,7 @@
 // Package radio models the shared vehicular wireless channel.
 //
 // The model is a unit-disk broadcast medium: a frame transmitted by a node
-// with transmit range R is delivered, after a configurable access latency,
+// with transmit range R is delivered, after a fixed access latency,
 // to every other registered node within R meters — unless an obstruction
 // blocks the line between transmitter and receiver. Communication ranges
 // for DSRC and C-V2X come from the Utah DOT field test the paper uses
@@ -299,7 +299,6 @@ func (a *Antenna) Position() geo.Point { return a.pos() }
 // scenario actors) call after updating positions.
 type Medium struct {
 	engine       *sim.Engine
-	latency      time.Duration
 	nodes        map[NodeID]*Antenna
 	order        []*Antenna // all attached antennas; unordered (swap-removal), see Antenna.orderIdx
 	obstructions []Obstruction
@@ -338,10 +337,6 @@ type delivery struct {
 
 // Config parameterizes a Medium.
 type Config struct {
-	// Latency is the access + transmission delay between the send call and
-	// delivery at receivers. Defaults to 500µs, roughly the airtime of a
-	// 300-byte frame at 6 Mb/s including channel access.
-	Latency time.Duration
 	// Obstructions optionally block specific links.
 	Obstructions []Obstruction
 	// EdgeFactor softens the reception boundary: within range R the frame
@@ -358,12 +353,6 @@ type Config struct {
 	EdgeFactor float64
 	// Seed salts the edge-decision hash.
 	Seed uint64
-	// CellSize overrides the spatial-index cell width in meters. Zero
-	// selects the adaptive default: the cell size tracks the largest
-	// attached transmit range, so a receiver query touches a constant
-	// number of cells. The setting only affects performance, never which
-	// receivers hear a frame.
-	CellSize float64
 	// Tracer, when non-nil, receives a lifecycle record for every unicast
 	// frame the medium loses (target out of range or detached in flight).
 	Tracer *trace.Tracer
@@ -377,31 +366,25 @@ const (
 	SoftEdgeFactor    = 1.15
 )
 
-// DefaultLatency is the frame delivery delay used when Config.Latency is 0.
-const DefaultLatency = 500 * time.Microsecond
+// Latency is the access + transmission delay between the send call and
+// delivery at receivers: roughly the airtime of a 300-byte frame at
+// 6 Mb/s including channel access.
+const Latency = 500 * time.Microsecond
 
 // NewMedium constructs a medium bound to the simulation engine.
 func NewMedium(engine *sim.Engine, cfg Config) *Medium {
-	if cfg.Latency == 0 {
-		cfg.Latency = DefaultLatency
-	}
 	if cfg.EdgeFactor == 0 {
 		cfg.EdgeFactor = DefaultEdgeFactor
 	}
 	if cfg.EdgeFactor < 1 {
 		panic(fmt.Sprintf("radio: edge factor %v below 1", cfg.EdgeFactor))
 	}
-	if cfg.CellSize < 0 {
-		panic(fmt.Sprintf("radio: negative cell size %v", cfg.CellSize))
-	}
 	return &Medium{
 		engine:       engine,
-		latency:      cfg.Latency,
 		nodes:        make(map[NodeID]*Antenna),
 		obstructions: cfg.Obstructions,
 		edgeFactor:   cfg.EdgeFactor,
 		seed:         cfg.Seed,
-		cellSize:     cfg.CellSize,
 		cells:        make(map[int64][]*Antenna),
 		tracer:       cfg.Tracer,
 	}
@@ -457,9 +440,6 @@ func (m *Medium) PoolStats() PoolStats { return m.poolStats }
 // InFlight reports how many transmissions are scheduled but not yet
 // delivered.
 func (m *Medium) InFlight() int { return m.inflight }
-
-// Latency reports the configured delivery delay.
-func (m *Medium) Latency() time.Duration { return m.latency }
 
 // Attach registers a node. The receiver set of a frame is computed from
 // current positions at send time; movers must call SyncPositions after
@@ -683,7 +663,7 @@ func (m *Medium) send(from *Antenna, to NodeID, payload []byte, pooled bool) Fra
 	t.targetReached = targetReached
 	t.pooled = pooled
 	m.inflight++
-	m.engine.Schedule(m.latency, "radio.deliver", t.run)
+	m.engine.Schedule(Latency, "radio.deliver", t.run)
 	return f
 }
 

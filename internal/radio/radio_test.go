@@ -193,21 +193,28 @@ func TestAsymmetricRanges(t *testing.T) {
 
 func TestDeliveryLatency(t *testing.T) {
 	e := sim.NewEngine(1)
-	m := NewMedium(e, Config{Latency: 2 * time.Millisecond})
+	m := NewMedium(e, Config{})
 	var rx collector
 	tx := m.Attach(1, 100, staticPos(geo.Pt(0, 0)), &collector{}, false)
 	m.Attach(2, 100, staticPos(geo.Pt(10, 0)), &rx, false)
 
+	var early int
 	var deliveredAt time.Duration
 	e.Schedule(time.Millisecond, "send", func() {
 		m.Send(tx, BroadcastID, nil)
 	})
-	e.Schedule(4*time.Millisecond, "check", func() {
+	e.Schedule(time.Millisecond+Latency/2, "early", func() {
+		early = len(rx.delivered)
+	})
+	e.Schedule(time.Millisecond+2*Latency, "check", func() {
 		if len(rx.delivered) == 1 {
 			deliveredAt = rx.delivered[0].TxTime
 		}
 	})
 	e.Run(time.Second)
+	if early != 0 {
+		t.Fatalf("%d frames delivered before the %v latency elapsed", early, Latency)
+	}
 	if len(rx.delivered) != 1 {
 		t.Fatal("frame not delivered")
 	}

@@ -74,11 +74,14 @@ func (c *curveActor) step(dt float64) {
 	c.s += c.dir * c.v * dt
 }
 
+// curveDuration is the length of a Figure 13 run: both vehicles have
+// passed the apex (or collided) well before it ends.
+const curveDuration = 25 * time.Second
+
 // CurveConfig parameterizes a Figure 13 run.
 type CurveConfig struct {
 	Attacked bool
 	Seed     uint64
-	Duration time.Duration // default 25 s
 }
 
 // CurveResult is the outcome of one Figure 13 run.
@@ -103,9 +106,6 @@ type CurveResult struct {
 
 // RunCurve executes the blind-curve scenario of Figure 13.
 func RunCurve(cfg CurveConfig) CurveResult {
-	if cfg.Duration == 0 {
-		cfg.Duration = 25 * time.Second
-	}
 	engine := sim.NewEngine(cfg.Seed)
 	hill := radio.CircleObstruction{Center: geo.Pt(0, curveR), Radius: hillR}
 	medium := radio.NewMedium(engine, radio.Config{Obstructions: []radio.Obstruction{hill}})
@@ -233,7 +233,7 @@ func RunCurve(cfg CurveConfig) CurveResult {
 		res.V2Speed = append(res.V2Speed, v2.v)
 	})
 
-	engine.Run(cfg.Duration)
+	engine.Run(curveDuration)
 	res.RSURelayed = rsu.Stats().CBFForwarded > 0
 	res.Events = engine.Executed()
 	return res

@@ -38,23 +38,20 @@ const (
 	CaseCBF
 )
 
+// The Figure 12 geometry (§IV-B): a 4 km road whose eastbound lanes a
+// hazard blocks 3.6 km in, 5 s into the run.
+const (
+	roadLength = 4000.0
+	hazardX    = 3600.0
+	hazardAt   = 5 * time.Second
+)
+
 // HazardConfig parameterizes a Figure 12 run.
 type HazardConfig struct {
-	Case        HazardCase
-	Attacked    bool
-	Seed        uint64
-	Duration    time.Duration // default 200 s
-	HazardAt    time.Duration // default 5 s
-	HazardX     float64       // default 3,600 m
-	RoadLength  float64       // default 4,000 m
-	AttackRange float64       // default: mN for CaseGF, 500 m for CaseCBF
-	// SpawnGap is the entry gap. The empty-start GF case defaults to the
-	// IDM equilibrium headway (~50 m at 30 m/s) so that entering vehicles
-	// do not brake and tear a permanent hole behind the very first
-	// (free-flowing) vehicle; the resulting inflow of ~0.6 veh/s/lane
-	// matches the paper's Maryland-derived ~1.1 veh/s per direction. The
-	// prepopulated CBF case keeps the paper's default 30 m spacing.
-	SpawnGap float64
+	Case     HazardCase
+	Attacked bool
+	Seed     uint64
+	Duration time.Duration // default 200 s
 }
 
 // HazardResult is the measured outcome of one Figure 12 run.
@@ -70,49 +67,33 @@ type HazardResult struct {
 	Events uint64
 }
 
-func (c *HazardConfig) setDefaults() {
-	if c.Duration == 0 {
-		c.Duration = 200 * time.Second
-	}
-	if c.HazardAt == 0 {
-		c.HazardAt = 5 * time.Second
-	}
-	if c.HazardX == 0 {
-		c.HazardX = 3600
-	}
-	if c.RoadLength == 0 {
-		c.RoadLength = 4000
-	}
-	if c.AttackRange == 0 {
-		if c.Case == CaseGF {
-			c.AttackRange = radio.Range(radio.DSRC, radio.NLoSMedian)
-		} else {
-			c.AttackRange = 500
-		}
-	}
-	if c.SpawnGap == 0 {
-		if c.Case == CaseGF {
-			c.SpawnGap = 50
-		} else {
-			c.SpawnGap = 30
-		}
-	}
-}
-
 // RunHazard executes one Figure 12 scenario.
 func RunHazard(cfg HazardConfig) HazardResult {
-	cfg.setDefaults()
+	if cfg.Duration == 0 {
+		cfg.Duration = 200 * time.Second
+	}
+	// The empty-start GF case spawns at the IDM equilibrium headway (~50 m
+	// at 30 m/s) so that entering vehicles do not brake and tear a
+	// permanent hole behind the very first (free-flowing) vehicle; the
+	// resulting inflow of ~0.6 veh/s/lane matches the paper's
+	// Maryland-derived ~1.1 veh/s per direction. Its inter-area attacker
+	// has a vehicle's range. The prepopulated CBF case keeps the paper's
+	// 30 m spacing, and its intra-area attacker a 500 m range.
+	spawnGap, attackRange := 30.0, 500.0
+	if cfg.Case == CaseGF {
+		spawnGap, attackRange = 50, radio.Range(radio.DSRC, radio.NLoSMedian)
+	}
 	var res HazardResult
 	var w *vanet.World
 
 	w = vanet.New(vanet.Config{
 		Seed: cfg.Seed,
 		Road: traffic.RoadConfig{
-			Length:            cfg.RoadLength,
+			Length:            roadLength,
 			LanesPerDirection: 2,
 			TwoWay:            cfg.Case == CaseGF,
 		},
-		SpawnGap: cfg.SpawnGap,
+		SpawnGap: spawnGap,
 		// Case 1 (Fig 12a) starts from an empty road that fills over the
 		// run; case 2 (Fig 12b) needs on-road vehicles as CBF relays at
 		// event time.
@@ -129,7 +110,7 @@ func RunHazard(cfg HazardConfig) HazardResult {
 		},
 	})
 	w.AddStatic(EntranceAddr, geo.Pt(-20, 0), 0)
-	reporter := w.AddStatic(ReporterAddr, geo.Pt(cfg.HazardX, 2.5), 0)
+	reporter := w.AddStatic(ReporterAddr, geo.Pt(hazardX, 2.5), 0)
 
 	if cfg.Attacked {
 		mode := attack.InterArea
@@ -139,19 +120,19 @@ func RunHazard(cfg HazardConfig) HazardResult {
 		attack.NewAttacker(attack.Config{
 			Engine:   w.Engine,
 			Medium:   w.Medium,
-			Position: geo.Pt(cfg.RoadLength/2, -2.5),
-			Range:    cfg.AttackRange,
+			Position: geo.Pt(roadLength/2, -2.5),
+			Range:    attackRange,
 			Mode:     mode,
 		})
 	}
 
 	// The hazard appears, blocking both eastbound lanes.
-	w.Engine.ScheduleAt(cfg.HazardAt, "showcase.hazard", func() {
-		w.Traffic.PlaceHazard(traffic.East, cfg.HazardX)
+	w.Engine.ScheduleAt(hazardAt, "showcase.hazard", func() {
+		w.Traffic.PlaceHazard(traffic.East, hazardX)
 	})
 
 	// The warning area covers the road segment and the entrance.
-	area := geo.NewRect(geo.Pt(cfg.RoadLength/2-35, 0), cfg.RoadLength/2+40, 30, 90)
+	area := geo.NewRect(geo.Pt(roadLength/2-35, 0), roadLength/2+40, 30, 90)
 
 	// Every second after the hazard, the stopped vehicle at the event spot
 	// re-issues the warning until the entrance confirms (gate closed).
@@ -166,7 +147,7 @@ func RunHazard(cfg HazardConfig) HazardResult {
 			reporter.SendGeoBroadcast(area, []byte("hazard"))
 		}
 	}
-	for t := cfg.HazardAt + time.Second; t <= cfg.Duration; t += time.Second {
+	for t := hazardAt + time.Second; t <= cfg.Duration; t += time.Second {
 		w.Engine.ScheduleAt(t, "showcase.notify", notify)
 	}
 

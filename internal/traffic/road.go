@@ -166,11 +166,8 @@ func (r *Road) LanesOf(d Direction) []*Lane {
 type Network struct {
 	engine *sim.Engine
 	road   *Road
-	idm    IDMParams
 
-	entrySpeed float64
-	spawnGap   float64
-	tick       time.Duration
+	spawnGap float64
 
 	nextID     int
 	vehicles   map[int]*Vehicle
@@ -190,13 +187,18 @@ type Network struct {
 	OnStep func()
 }
 
+// entrySpeed is the speed of spawned and prepopulated vehicles, the
+// IDM desired speed of Table I (m/s).
+const entrySpeed = 30.0
+
+// Tick is the mobility integration step: a 10 Hz update, fine against
+// IDM's second-scale reaction (time headway 1.5 s).
+const Tick = 100 * time.Millisecond
+
 // NetworkConfig parameterizes NewNetwork.
 type NetworkConfig struct {
-	Road       *Road
-	IDM        IDMParams
-	EntrySpeed float64       // default 30 m/s
-	SpawnGap   float64       // inter-vehicle space; default 30 m
-	Tick       time.Duration // integration step; default 100 ms
+	Road     *Road
+	SpawnGap float64 // inter-vehicle space; default 30 m
 	// Prepopulate fills each lane with vehicles SpawnGap apart at t=0 so
 	// the steady-state density holds from the first simulated second.
 	Prepopulate bool
@@ -223,17 +225,8 @@ func NewNetwork(engine *sim.Engine, cfg NetworkConfig) *Network {
 	if cfg.Road == nil {
 		cfg.Road = NewRoad(RoadConfig{})
 	}
-	if cfg.IDM == (IDMParams{}) {
-		cfg.IDM = DefaultIDM()
-	}
-	if cfg.EntrySpeed == 0 {
-		cfg.EntrySpeed = 30
-	}
 	if cfg.SpawnGap == 0 {
 		cfg.SpawnGap = 30
-	}
-	if cfg.Tick == 0 {
-		cfg.Tick = 100 * time.Millisecond
 	}
 	if cfg.FirstID == 0 {
 		cfg.FirstID = 1
@@ -241,10 +234,7 @@ func NewNetwork(engine *sim.Engine, cfg NetworkConfig) *Network {
 	n := &Network{
 		engine:     engine,
 		road:       cfg.Road,
-		idm:        cfg.IDM,
-		entrySpeed: cfg.EntrySpeed,
 		spawnGap:   cfg.SpawnGap,
-		tick:       cfg.Tick,
 		nextID:     cfg.FirstID,
 		vehicles:   make(map[int]*Vehicle),
 		gateClosed: make(map[Direction]bool),
@@ -255,11 +245,11 @@ func NewNetwork(engine *sim.Engine, cfg NetworkConfig) *Network {
 	if cfg.Prepopulate {
 		n.prepopulate()
 	}
-	step := func() { n.Step(cfg.Tick.Seconds()) }
+	step := func() { n.Step(Tick.Seconds()) }
 	if cfg.SpawnDisabled {
-		step = func() { n.integrate(cfg.Tick.Seconds()) }
+		step = func() { n.integrate(Tick.Seconds()) }
 	}
-	n.ticker = engine.Every(cfg.Tick, cfg.Tick, "traffic.step", step)
+	n.ticker = engine.Every(Tick, Tick, "traffic.step", step)
 	return n
 }
 
@@ -402,7 +392,7 @@ func (n *Network) prepopulate() {
 		for s := n.road.Length - n.laneStagger(lane); s >= 0; s -= n.spawnGap {
 			ss = append(ss, s)
 		}
-		n.BulkAdd(lane, ss, n.entrySpeed)
+		n.BulkAdd(lane, ss, entrySpeed)
 	}
 }
 
@@ -422,15 +412,16 @@ func (n *Network) spawn() {
 			if rear.S <= n.spawnGap {
 				continue
 			}
-		} else if n.engine.Now() < time.Duration(n.laneStagger(lane)/n.entrySpeed*float64(time.Second)) {
+		} else if n.engine.Now() < time.Duration(n.laneStagger(lane)/entrySpeed*float64(time.Second)) {
 			// Keep empty lanes staggered at startup too.
 			continue
 		}
-		n.AddVehicle(lane, 0, n.entrySpeed)
+		n.AddVehicle(lane, 0, entrySpeed)
 	}
 }
 
 func (n *Network) integrate(dt float64) {
+	idm := DefaultIDM()
 	// Two passes: compute accelerations from the unmodified state, then
 	// integrate, so update order within a tick cannot leak.
 	for _, lane := range n.road.Lanes {
@@ -443,7 +434,7 @@ func (n *Network) integrate(dt float64) {
 			leadSpeed := 0.0
 			if i > 0 {
 				lead := lane.vehicles[i-1]
-				gap = lead.S - v.S - n.idm.VehicleLength
+				gap = lead.S - v.S - idm.VehicleLength
 				leadSpeed = lead.Speed
 			}
 			if lane.hazardS >= 0 && v.S < lane.hazardS {
@@ -453,7 +444,7 @@ func (n *Network) integrate(dt float64) {
 					leadSpeed = 0
 				}
 			}
-			v.Accel = n.idm.Accel(v.Speed, gap, leadSpeed)
+			v.Accel = idm.Accel(v.Speed, gap, leadSpeed)
 		}
 	}
 	for _, lane := range n.road.Lanes {

@@ -1,7 +1,6 @@
 package vanet
 
 import (
-	"github.com/vanetsec/georoute/internal/radio"
 	"github.com/vanetsec/georoute/internal/telemetry"
 	"github.com/vanetsec/georoute/internal/traffic"
 )
@@ -12,16 +11,19 @@ import (
 // unique for any population this simulator can hold in memory.
 const SegmentIDStride = 1 << 22
 
+// segmentGap is the RF-isolation spacing between consecutive segments of
+// a scale world: far beyond any Table II range, so segments never hear
+// each other and total neighbor degree stays bounded.
+const segmentGap = 2000.0
+
 // ScaleConfig parameterizes NewScaleWorld: a world made of several
 // RF-isolated copies of the same road segment sharing one engine, one
 // radio medium and one PKI. The shape exists to push the event engine to
 // six-figure vehicle counts while the per-node workload (neighbor tables,
-// CBF contention) stays at the paper's highway density.
+// CBF contention) stays at the paper's highway density. Vehicles use the
+// default DSRC NLoS-median range.
 type ScaleConfig struct {
 	Seed uint64
-
-	Tech       radio.Technology
-	RangeClass radio.RangeClass
 
 	// Segments is the number of road copies (default 4).
 	Segments int
@@ -29,10 +31,6 @@ type ScaleConfig struct {
 	// rest defaults as in traffic.NewRoad. The default is one-way: two
 	// eastbound lanes.
 	SegmentRoad traffic.RoadConfig
-	// SegmentGap is the RF-isolation spacing between consecutive segments
-	// (default 2000 m — far beyond any Table II range, so segments never
-	// hear each other and total neighbor degree stays bounded).
-	SegmentGap float64
 	// SpawnGap is the prepopulation spacing (default 100 m, a sparse
 	// highway: ~20 vehicles per kilometre of lane).
 	SpawnGap float64
@@ -47,9 +45,6 @@ func NewScaleWorld(cfg ScaleConfig) *World {
 	if cfg.Segments == 0 {
 		cfg.Segments = 4
 	}
-	if cfg.SegmentGap == 0 {
-		cfg.SegmentGap = 2000
-	}
 	if cfg.SpawnGap == 0 {
 		cfg.SpawnGap = 100
 	}
@@ -61,13 +56,11 @@ func NewScaleWorld(cfg ScaleConfig) *World {
 	}
 	segmentRoad := func(g int) traffic.RoadConfig {
 		road := cfg.SegmentRoad
-		road.OriginX = float64(g) * (road.Length + cfg.SegmentGap)
+		road.OriginX = float64(g) * (road.Length + segmentGap)
 		return road
 	}
 	w := New(Config{
 		Seed:          cfg.Seed,
-		Tech:          cfg.Tech,
-		RangeClass:    cfg.RangeClass,
 		Road:          segmentRoad(0),
 		SpawnGap:      cfg.SpawnGap,
 		Prepopulate:   true,
@@ -75,13 +68,7 @@ func NewScaleWorld(cfg ScaleConfig) *World {
 		Telemetry:     cfg.Telemetry,
 	})
 	for g := 1; g < cfg.Segments; g++ {
-		w.AddSegment(SegmentConfig{
-			Road:          segmentRoad(g),
-			SpawnGap:      cfg.SpawnGap,
-			Prepopulate:   true,
-			SpawnDisabled: true,
-			FirstID:       g * SegmentIDStride,
-		})
+		w.addSegment(segmentRoad(g), cfg.SpawnGap, g*SegmentIDStride)
 	}
 	return w
 }

@@ -168,7 +168,7 @@ func TestScaleWorldStatsSummary(t *testing.T) {
 		col := SpawnColumn(seg, lane, vs[len(vs)-1].S-50, 25, 4, 30)
 		// Past one full beacon interval, so every spawned router has
 		// counters of its own to hand over.
-		w.Run(2*time.Second + geonet.DefaultBeaconInterval + time.Second)
+		w.Run(2*time.Second + geonet.BeaconInterval + time.Second)
 		for _, v := range col {
 			if w.RouterOf(v).Stats().BeaconsSent == 0 {
 				t.Fatalf("spawned vehicle %d sent no beacons", v.ID)

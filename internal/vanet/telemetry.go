@@ -3,6 +3,7 @@ package vanet
 import (
 	"time"
 
+	"github.com/vanetsec/georoute/internal/radio"
 	"github.com/vanetsec/georoute/internal/telemetry"
 )
 
@@ -67,7 +68,7 @@ func (s *sampler) sample() {
 		// frame occupies the channel for the medium latency (access +
 		// transmission), so the ratio is frames/s × latency.
 		txDelta := float64(st.Transmitted - s.lastStats.transmitted)
-		g.ChannelBusy.Set(txDelta * w.Medium.Latency().Seconds() / simDelta)
+		g.ChannelBusy.Set(txDelta * radio.Latency.Seconds() / simDelta)
 	}
 
 	cbf, gf, loct := 0, 0, 0

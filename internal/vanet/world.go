@@ -55,10 +55,6 @@ type Config struct {
 	ForwardFilter geonet.ForwardFilter
 	DuplicateRule geonet.DuplicateRule
 
-	// Obstructions are passed to the radio medium.
-	Obstructions []radio.Obstruction
-	// Latency overrides the medium's delivery delay (0 = default).
-	Latency time.Duration
 	// EdgeFactor overrides the medium's soft reception edge (0 = default,
 	// 1.0 = hard unit disk).
 	EdgeFactor float64
@@ -89,7 +85,7 @@ type World struct {
 	cfg     Config
 	routers map[geonet.Address]*geonet.Router
 	// segments lists every traffic network in the world, Traffic first.
-	// Additional entries come from AddSegment (scale worlds).
+	// Additional entries come from addSegment (scale worlds).
 	segments []*traffic.Network
 	// syncTicker, when non-nil, is the world-level position sync that
 	// replaces per-network syncing once several segments share the medium.
@@ -115,7 +111,7 @@ func New(cfg Config) *World {
 	engine := sim.NewEngine(cfg.Seed)
 	w := &World{
 		Engine:   engine,
-		Medium:   radio.NewMedium(engine, radio.Config{Latency: cfg.Latency, Obstructions: cfg.Obstructions, EdgeFactor: cfg.EdgeFactor, Seed: cfg.Seed, Tracer: cfg.Tracer}),
+		Medium:   radio.NewMedium(engine, radio.Config{EdgeFactor: cfg.EdgeFactor, Seed: cfg.Seed, Tracer: cfg.Tracer}),
 		CA:       security.NewSimCA(cfg.Seed),
 		cfg:      cfg,
 		routers:  make(map[geonet.Address]*geonet.Router),
@@ -153,37 +149,20 @@ func (w *World) trafficStep() {
 	}
 }
 
-// SegmentConfig parameterizes AddSegment.
-type SegmentConfig struct {
-	Road          traffic.RoadConfig
-	SpawnGap      float64
-	Prepopulate   bool
-	SpawnDisabled bool
-	// FirstID strides the segment's vehicle-ID space (see
-	// traffic.NetworkConfig.FirstID); required to keep GeoNetworking
-	// addresses unique across segments.
-	FirstID int
-	// Tick is the integration step; it must match the other segments'
-	// (default 100 ms).
-	Tick time.Duration
-}
-
-// AddSegment attaches an additional road segment to the world as its own
-// traffic network sharing the engine, medium and PKI. Vehicles entering
-// the segment get full router stacks through the same hooks as the
-// primary network. The first call switches the world to one batched
-// position sync per tick (see trafficStep).
-func (w *World) AddSegment(sc SegmentConfig) *traffic.Network {
-	if sc.Tick == 0 {
-		sc.Tick = 100 * time.Millisecond
-	}
+// addSegment attaches an additional prepopulated road segment to the
+// world as its own traffic network sharing the engine, medium and PKI,
+// with spawning disabled and vehicle IDs starting at firstID (which keeps
+// GeoNetworking addresses unique across segments). Its vehicles get full
+// router stacks through the same hooks as the primary network. The first
+// call switches the world to one batched position sync per tick (see
+// trafficStep).
+func (w *World) addSegment(road traffic.RoadConfig, spawnGap float64, firstID int) {
 	n := traffic.NewNetwork(w.Engine, traffic.NetworkConfig{
-		Road:          traffic.NewRoad(sc.Road),
-		SpawnGap:      sc.SpawnGap,
-		Prepopulate:   sc.Prepopulate,
-		SpawnDisabled: sc.SpawnDisabled,
-		FirstID:       sc.FirstID,
-		Tick:          sc.Tick,
+		Road:          traffic.NewRoad(road),
+		SpawnGap:      spawnGap,
+		Prepopulate:   true,
+		SpawnDisabled: true,
+		FirstID:       firstID,
 		OnEnter:       func(v *traffic.Vehicle) { w.attachVehicle(v) },
 		OnExit:        func(v *traffic.Vehicle) { w.detachVehicle(v) },
 		OnStep:        w.trafficStep,
@@ -196,8 +175,7 @@ func (w *World) AddSegment(sc SegmentConfig) *traffic.Network {
 	if w.syncTicker != nil {
 		w.syncTicker.Stop()
 	}
-	w.syncTicker = w.Engine.Every(sc.Tick, sc.Tick, "world.sync", w.Medium.SyncPositions)
-	return n
+	w.syncTicker = w.Engine.Every(traffic.Tick, traffic.Tick, "world.sync", w.Medium.SyncPositions)
 }
 
 // Segments returns every traffic network in the world, the primary one
