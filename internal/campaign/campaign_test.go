@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -295,9 +296,17 @@ func TestJournalRejectsForeignSpec(t *testing.T) {
 // readArtifacts returns name → contents of every .json artifact in dir.
 func readArtifacts(t *testing.T, dir string) map[string]string {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
+	out, err := loadArtifacts(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return out
+}
+
+func loadArtifacts(dir string) (map[string]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
 	}
 	out := make(map[string]string)
 	for _, e := range entries {
@@ -310,11 +319,49 @@ func readArtifacts(t *testing.T, dir string) map[string]string {
 		}
 		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		out[e.Name()] = string(b)
 	}
-	return out
+	return out, nil
+}
+
+// plainRun is one uninterrupted run of fig7aSpec("camp", 1) with no
+// options, made at most once per test binary. The resume, telemetry,
+// detection and direct-run tests each compare a variant run against
+// exactly this run, so they share it rather than each re-running the
+// six Fig. 7a cells. Those tests also run in parallel with each other:
+// a campaign's default pool is NumCPU−1 workers, a single worker on a
+// 2-CPU host, which leaves a CPU idle under a serial go test.
+var plainRun struct {
+	once sync.Once
+	arts map[string]string
+	err  error
+}
+
+// plainArtifacts returns the artifacts of the shared plain run.
+func plainArtifacts(t *testing.T) map[string]string {
+	t.Helper()
+	plainRun.once.Do(func() {
+		dir, err := os.MkdirTemp("", "campaign-plain-")
+		if err != nil {
+			plainRun.err = err
+			return
+		}
+		defer os.RemoveAll(dir)
+		if _, err := Run(context.Background(), fig7aSpec("camp", 1), Options{ResultsDir: dir}); err != nil {
+			plainRun.err = err
+			return
+		}
+		plainRun.arts, plainRun.err = loadArtifacts(filepath.Join(dir, "camp"))
+	})
+	if plainRun.err != nil {
+		t.Fatalf("plain reference run: %v", plainRun.err)
+	}
+	if len(plainRun.arts) == 0 {
+		t.Fatal("plain reference run wrote no artifacts")
+	}
+	return plainRun.arts
 }
 
 func TestAggregatorOrderIndependent(t *testing.T) {
@@ -410,14 +457,9 @@ func TestResumeDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real fig7a cells")
 	}
+	t.Parallel()
 	base := t.TempDir()
 	ctx := context.Background()
-
-	// Uninterrupted reference run.
-	ref := fig7aSpec("camp", 1)
-	if _, err := Run(ctx, ref, Options{ResultsDir: filepath.Join(base, "ref")}); err != nil {
-		t.Fatal(err)
-	}
 
 	// Interrupted run: budget of 2 cells, then resume.
 	sp := fig7aSpec("camp", 1)
@@ -440,10 +482,7 @@ func TestResumeDeterminism(t *testing.T) {
 		t.Fatalf("resume replayed %d cells, want 2", info.Replayed)
 	}
 
-	want := readArtifacts(t, filepath.Join(base, "ref", "camp"))
-	if len(want) == 0 {
-		t.Fatal("reference run wrote no artifacts")
-	}
+	want := plainArtifacts(t) // the uninterrupted reference run
 	sameArtifacts := func(dir, how string) {
 		t.Helper()
 		got := readArtifacts(t, filepath.Join(base, dir, "camp"))
@@ -492,6 +531,7 @@ func TestCampaignCancelAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real fig7a and fig13 cells")
 	}
+	t.Parallel()
 	base := t.TempDir()
 	sp := Spec{Name: "cancel", Runs: 1, Figures: []string{"fig7a"}, Curve: true}
 	if err := sp.Validate(); err != nil {
@@ -541,15 +581,7 @@ func TestCampaignMatchesDirectFigureRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real fig7a cells")
 	}
-	base := t.TempDir()
-	sp := fig7aSpec("direct", 1)
-	if _, err := Run(context.Background(), sp, Options{ResultsDir: base}); err != nil {
-		t.Fatal(err)
-	}
-	fromCampaign, err := os.ReadFile(filepath.Join(base, "direct", "fig7a.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
 	res, err := experiment.Figures()["fig7a"].Run(1, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -558,7 +590,11 @@ func TestCampaignMatchesDirectFigureRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(fromCampaign) != string(direct) {
+	fromCampaign, ok := plainArtifacts(t)["fig7a.json"]
+	if !ok {
+		t.Fatal("campaign wrote no fig7a.json")
+	}
+	if fromCampaign != string(direct) {
 		t.Fatal("campaign artifact differs from direct Figure.Run artifact")
 	}
 }

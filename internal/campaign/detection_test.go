@@ -18,17 +18,14 @@ func TestCampaignDetectionArtifact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real fig7a cells")
 	}
+	t.Parallel()
 	base := t.TempDir()
-	ctx := context.Background()
-	sp := fig7aSpec("det", 1)
-	if _, err := Run(ctx, sp, Options{ResultsDir: filepath.Join(base, "on"), Detect: true}); err != nil {
+	if _, err := Run(context.Background(), fig7aSpec("camp", 1), Options{ResultsDir: base, Detect: true}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(ctx, sp, Options{ResultsDir: filepath.Join(base, "off")}); err != nil {
-		t.Fatal(err)
-	}
+	off := plainArtifacts(t) // the detection-off run
 
-	onDir := filepath.Join(base, "on", "det")
+	onDir := filepath.Join(base, "camp")
 	raw, err := os.ReadFile(filepath.Join(onDir, "detection.json"))
 	if err != nil {
 		t.Fatalf("detection.json not written: %v", err)
@@ -68,13 +65,12 @@ func TestCampaignDetectionArtifact(t *testing.T) {
 			t.Error("summary.json lists detection in its figure index")
 		}
 	}
-	if _, err := os.Stat(filepath.Join(base, "off", "det", "detection.json")); !os.IsNotExist(err) {
-		t.Errorf("detection-off run wrote detection.json (err=%v)", err)
+	if _, ok := off["detection.json"]; ok {
+		t.Error("detection-off run wrote detection.json")
 	}
 
 	// Byte-identity of everything else.
 	on := readArtifacts(t, onDir)
-	off := readArtifacts(t, filepath.Join(base, "off", "det"))
 	delete(on, "detection.json")
 	if len(on) != len(off) {
 		t.Fatalf("artifact sets differ: on=%v off=%v", keys(on), keys(off))

@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -49,6 +50,49 @@ func TestTriangleInequalityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDistanceNeverBelowAxisGap pins the property the radio medium's
+// pre-reject relies on: DistanceTo never returns less than the absolute
+// X gap (nor the Y gap), so a receiver whose X gap alone exceeds the
+// reception limit is out of range without computing the distance. The
+// coordinates span ordinary road scale, huge magnitudes near overflow,
+// tiny and subnormal ones, mixed scales, and uniformly random bit
+// patterns.
+func TestDistanceNeverBelowAxisGap(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	check := func(p, q Point) {
+		t.Helper()
+		d := p.DistanceTo(q)
+		if dx, dy := math.Abs(p.X-q.X), math.Abs(p.Y-q.Y); d < dx || d < dy {
+			t.Fatalf("%v.DistanceTo(%v) = %v, below the axis gap (|dx| %v, |dy| %v)", p, q, d, dx, dy)
+		}
+	}
+	coord := func(scale float64) float64 { return (rng.Float64()*2 - 1) * scale }
+	scales := []float64{1, 1500, 1e7, 1e300, math.MaxFloat64 / 4, 1e-300, 1e-310, 5e-324}
+	for _, sx := range scales {
+		for _, sy := range scales {
+			for i := 0; i < 2000; i++ {
+				check(Pt(coord(sx), coord(sy)), Pt(coord(sx), coord(sy)))
+			}
+		}
+	}
+	finite := func() float64 {
+		for {
+			if v := math.Float64frombits(rng.Uint64()); !math.IsNaN(v) && !math.IsInf(v, 0) {
+				return v
+			}
+		}
+	}
+	for i := 0; i < 200000; i++ {
+		check(Pt(finite(), finite()), Pt(finite(), finite()))
+	}
+	// Exact gaps: on one axis the distance is the gap itself.
+	for _, g := range []float64{0, 5e-324, 1, 100, 1283, math.MaxFloat64} {
+		if d := Pt(0, 7).DistanceTo(Pt(g, 7)); d != g {
+			t.Fatalf("axis-aligned distance %v, want exactly %v", d, g)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package radio
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"github.com/vanetsec/georoute/internal/geo"
@@ -26,19 +27,32 @@ const (
 )
 
 // benchMedium lays out n nodes along the road axis and returns the
-// middle node as the transmitter.
+// middle node as the transmitter. Nodes attach in a seeded shuffled
+// order, as vehicles join a real road, so attach sequence and road
+// position are uncorrelated; then three rounds of motion, each followed
+// by SyncPositions, move nodes between grid cells. Each round moves a
+// node at most 2·benchSpacing, so the transmitter's up-road neighbor
+// stays in range.
 func benchMedium(b *testing.B, n int, promiscuousEvery int) (*sim.Engine, *Medium, *Antenna) {
 	b.Helper()
 	e := sim.NewEngine(1)
 	m := NewMedium(e, Config{})
+	rng := rand.New(rand.NewPCG(uint64(n), 0xbe7c4))
+	pos := make([]geo.Point, n)
 	var tx *Antenna
-	for i := 0; i < n; i++ {
-		p := geo.Pt(float64(i)*benchSpacing, 0)
+	for _, i := range rng.Perm(n) {
+		pos[i] = geo.Pt(float64(i)*benchSpacing, 0)
 		promisc := promiscuousEvery > 0 && i%promiscuousEvery == 0
-		a := m.Attach(NodeID(i+1), benchRange, func() geo.Point { return p }, nopReceiver{}, promisc)
+		a := m.Attach(NodeID(i+1), benchRange, func() geo.Point { return pos[i] }, nopReceiver{}, promisc)
 		if i == n/2 {
 			tx = a
 		}
+	}
+	for round := 0; round < 3; round++ {
+		for i := range pos {
+			pos[i].X += (rng.Float64()*2 - 1) * 2 * benchSpacing
+		}
+		m.SyncPositions()
 	}
 	return e, m, tx
 }

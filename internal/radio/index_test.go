@@ -233,6 +233,89 @@ func TestSetRangeGrowsQueryReach(t *testing.T) {
 	}
 }
 
+// unsortedBucket reports a grid bucket out of seq order, if any; the
+// merge in collect relies on that order. It checks non-decreasing, not
+// increasing, order: the known ghost duplicate (see the oracle) shares
+// its antenna's seq.
+func unsortedBucket(m *Medium) error {
+	for c, bucket := range m.cells {
+		for i := 1; i < len(bucket); i++ {
+			if bucket[i-1].seq > bucket[i].seq {
+				return fmt.Errorf("cell %d holds seq %d before seq %d", c, bucket[i-1].seq, bucket[i].seq)
+			}
+		}
+	}
+	return nil
+}
+
+// orderLog attaches receivers that append their node ID to one shared
+// delivery log.
+type orderLog []NodeID
+
+func (l *orderLog) attach(m *Medium, id NodeID, rangeM float64, p geo.Point) *Antenna {
+	return m.Attach(id, rangeM, staticPos(p), &loggingReceiver{fn: func(Frame) { *l = append(*l, id) }}, false)
+}
+
+func TestExtendedReceiversMergeInAttachOrder(t *testing.T) {
+	// The extended list is in reclassify order, not attach order. Each
+	// extended receiver must still land between the grid receivers by
+	// attach sequence, and a node reclassified back into the grid must
+	// rejoin its bucket at its seq position.
+	e, m := newTestMedium(t)
+	var got orderLog
+	tx := got.attach(m, 1, 100, geo.Pt(0, 0))
+	got.attach(m, 2, 100, geo.Pt(10, 0))
+	far3 := got.attach(m, 3, 100, geo.Pt(900, 0))
+	back4 := got.attach(m, 4, 100, geo.Pt(20, 0))
+	far5 := got.attach(m, 5, 100, geo.Pt(800, 0))
+	got.attach(m, 6, 100, geo.Pt(-30, 0))
+	far7 := got.attach(m, 7, 100, geo.Pt(950, 0))
+	got.attach(m, 8, 100, geo.Pt(30, 0))
+
+	far7.SetRxRange(1000)
+	back4.SetRxRange(1000)
+	far3.SetRxRange(1000)
+	far5.SetRxRange(1000)
+	back4.SetRxRange(0)
+	if ids := []NodeID{m.extended[0].id, m.extended[1].id, m.extended[2].id}; !reflect.DeepEqual(ids, []NodeID{7, 3, 5}) {
+		t.Fatalf("extended list = %v, want reclassify order [7 3 5]", ids)
+	}
+	if err := unsortedBucket(m); err != nil {
+		t.Fatal(err)
+	}
+
+	m.Send(tx, BroadcastID, nil)
+	e.Run(time.Second)
+	if want := (orderLog{2, 3, 4, 5, 6, 7, 8}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("delivery order %v, want attach order %v", got, want)
+	}
+}
+
+func TestRegridAfterChurnKeepsAttachOrder(t *testing.T) {
+	// Detach swap-removes from Medium.order, so a later regrid (SetRange
+	// growing the cell size) rebuckets from a shuffled order. The buckets
+	// must come out in seq order, and delivery in attach order.
+	e, m := newTestMedium(t)
+	var got orderLog
+	tx := got.attach(m, 1, 50, geo.Pt(0, 0))
+	for id := NodeID(2); id <= 12; id++ {
+		got.attach(m, id, 50, geo.Pt(float64(id*37%400), 0))
+	}
+	m.Detach(2)
+	m.Detach(5)
+	m.Detach(9)
+	tx.SetRange(500)
+	if err := unsortedBucket(m); err != nil {
+		t.Fatal(err)
+	}
+
+	m.Send(tx, BroadcastID, nil)
+	e.Run(time.Second)
+	if want := (orderLog{3, 4, 6, 7, 8, 10, 11, 12}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("delivery order %v, want attach order %v", got, want)
+	}
+}
+
 func TestDeliverySliceReuseAcrossFrames(t *testing.T) {
 	// Back-to-back frames recycle the pooled receiver slice without
 	// cross-contaminating receiver sets.
@@ -269,6 +352,9 @@ type oracleNode struct {
 	overhears bool // receiver implements Overhearer
 	attached  bool
 	extended  bool // static, off-grid (the sniffer)
+	// gridX mirrors Antenna.gridX: the X the medium last indexed, which
+	// decides whether a frame's grid query enumerates the node.
+	gridX float64
 }
 
 // oracleRx is the receiver every oracle node attaches with; it logs
@@ -309,9 +395,25 @@ type oracleSniffer struct{ oracleRx }
 func (r *oracleSniffer) Overhear(f Frame) { r.record(f, true) }
 
 // oracleCoverage counts the features one scenario exercised, so the
-// test can assert it is not vacuous.
+// test can assert it is not vacuous. preRejected counts enumerated
+// candidates whose X gap alone rules them out (the medium's pre-Hypot
+// reject); boundary counts enumerated candidates at an X gap of exactly
+// the reception limit, where that reject must not fire.
 type oracleCoverage struct {
-	softEdge, blocked, extended, unicastLost, inFlightDetach, overlapping, overheard, ghost int
+	softEdge, blocked, extended, unicastLost, inFlightDetach, overlapping, overheard, ghost, preRejected, boundary int
+}
+
+func (c *oracleCoverage) add(o oracleCoverage) {
+	c.softEdge += o.softEdge
+	c.blocked += o.blocked
+	c.extended += o.extended
+	c.unicastLost += o.unicastLost
+	c.inFlightDetach += o.inFlightDetach
+	c.overlapping += o.overlapping
+	c.overheard += o.overheard
+	c.ghost += o.ghost
+	c.preRejected += o.preRejected
+	c.boundary += o.boundary
 }
 
 // TestIndexMatchesLinearScanOracle drives the medium through seeded
@@ -321,34 +423,36 @@ type oracleCoverage struct {
 // flight so pooled transmissions are recycled while others are pending
 // — and checks every frame's receiver set, delivery order and the Stats
 // counters against a brute-force scan of all attached antennas in
-// attach order.
+// attach order. It runs the soft edge and the hard disk; the hard-disk
+// arm also plants receivers at exactly the transmitter's range on the
+// road axis, the boundary the pre-Hypot reject must leave alone.
 func TestIndexMatchesLinearScanOracle(t *testing.T) {
-	var total oracleCoverage
-	for seed := uint64(1); seed <= 6; seed++ {
-		cov := runLinearScanOracle(t, seed)
-		total.softEdge += cov.softEdge
-		total.blocked += cov.blocked
-		total.extended += cov.extended
-		total.unicastLost += cov.unicastLost
-		total.inFlightDetach += cov.inFlightDetach
-		total.overlapping += cov.overlapping
-		total.overheard += cov.overheard
-		total.ghost += cov.ghost
-	}
-	v := reflect.ValueOf(total)
-	for i := 0; i < v.NumField(); i++ {
-		if v.Field(i).Int() == 0 {
-			t.Errorf("scenarios never exercised %s: the oracle is vacuous there (%+v)", v.Type().Field(i).Name, total)
+	for _, arm := range []struct {
+		edgeFactor float64
+		exempt     string // coverage the arm cannot produce
+	}{
+		{SoftEdgeFactor, "boundary"},
+		{DefaultEdgeFactor, "softEdge"},
+	} {
+		var total oracleCoverage
+		for seed := uint64(1); seed <= 6; seed++ {
+			total.add(runLinearScanOracle(t, seed, arm.edgeFactor))
+		}
+		v := reflect.ValueOf(total)
+		for i := 0; i < v.NumField(); i++ {
+			if name := v.Type().Field(i).Name; name != arm.exempt && v.Field(i).Int() == 0 {
+				t.Errorf("edge factor %v: scenarios never exercised %s: the oracle is vacuous there (%+v)", arm.edgeFactor, name, total)
+			}
 		}
 	}
 }
 
-func runLinearScanOracle(t *testing.T, seed uint64) oracleCoverage {
+func runLinearScanOracle(t *testing.T, seed uint64, edgeFactor float64) oracleCoverage {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, 0x0ac1e))
 	hill := CircleObstruction{Center: geo.Pt(700, 20), Radius: 12}
 	e := sim.NewEngine(seed)
-	m := NewMedium(e, Config{EdgeFactor: SoftEdgeFactor, Seed: seed, Obstructions: []Obstruction{hill}})
+	m := NewMedium(e, Config{EdgeFactor: edgeFactor, Seed: seed, Obstructions: []Obstruction{hill}})
 	log := make(map[uint64][]oracleEvent)
 	var (
 		nodes  []*oracleNode // every attachment, in attach order
@@ -379,7 +483,7 @@ func runLinearScanOracle(t *testing.T, seed uint64) oracleCoverage {
 	}
 	attach := func(id NodeID, pos geo.Point, rangeM, rxRange float64, promisc, overhears bool) {
 		n := &oracleNode{id: id, pos: pos, rangeM: rangeM, rxRange: rxRange, promisc: promisc,
-			overhears: overhears, attached: true, extended: rxRange > 0}
+			overhears: overhears, attached: true, extended: rxRange > 0, gridX: pos.X}
 		var recv Receiver = &oracleRx{t: t, node: n, log: log}
 		if overhears {
 			recv = &oracleSniffer{oracleRx{t: t, node: n, log: log}}
@@ -466,12 +570,24 @@ func runLinearScanOracle(t *testing.T, seed uint64) oracleCoverage {
 		var addressed []bool
 		targetReached := false
 		now := e.Now()
+		reach := from.rangeM * edgeFactor
+		lo := math.Floor((from.pos.X-reach)/cellSize) - 1
+		hi := math.Floor((from.pos.X+reach)/cellSize) + 1
 		for _, n := range nodes {
 			if !n.attached || n.id == from.id {
 				continue
 			}
 			d := from.pos.DistanceTo(n.pos)
 			limit := math.Max(from.rangeM, n.rxRange)
+			if c := math.Floor(n.gridX / cellSize); n.extended || (c >= lo && c <= hi) {
+				dx := math.Abs(from.pos.X - n.pos.X)
+				if dx > limit && dx >= limit*edgeFactor {
+					cov.preRejected++
+				}
+				if dx == limit {
+					cov.boundary++
+				}
+			}
 			if !m.receives(d, limit, from.id, n.id, now) {
 				continue
 			}
@@ -482,11 +598,10 @@ func runLinearScanOracle(t *testing.T, seed uint64) oracleCoverage {
 				cov.blocked++
 				continue
 			}
-			if d > from.rangeM*SoftEdgeFactor {
+			if d > from.rangeM*edgeFactor {
 				cov.extended++
 			}
 			copies := 1
-			reach := from.rangeM * SoftEdgeFactor
 			if n == ghost && math.Floor((from.pos.X-reach)/cellSize)-1 <= 0 && math.Floor((from.pos.X+reach)/cellSize)+1 >= 0 {
 				copies = 2
 				cov.ghost++
@@ -514,9 +629,32 @@ func runLinearScanOracle(t *testing.T, seed uint64) oracleCoverage {
 		})
 	}
 
+	// boundaryProbe attaches a transmitter at an integer X and two
+	// receivers at exactly its range along the road axis — one on its Y,
+	// on the hard disk's edge and received, one a meter off it and just
+	// outside — then broadcasts from the transmitter.
+	boundaryProbe := func() {
+		const r = 120
+		x, y := float64(100+rng.IntN(1300)), float64(rng.IntN(29)-14)
+		attach(nextID, geo.Pt(x, y), r, 0, false, false)
+		tx := nodes[len(nodes)-1]
+		attach(nextID+1, geo.Pt(x+r, y), r, 0, false, false)
+		attach(nextID+2, geo.Pt(x-r, y+1), r, 0, false, false)
+		nextID += 3
+		send(tx, BroadcastID)
+	}
+
 	unsynced := 0
 	for op := 0; op < 400; op++ {
 		e.ScheduleAt(time.Duration(op)*150*time.Microsecond, "oracle.op", func() {
+			defer func() {
+				if err := unsortedBucket(m); err != nil {
+					t.Fatalf("seed %d op %d: %v", seed, op, err)
+				}
+			}()
+			if edgeFactor == DefaultEdgeFactor && rng.IntN(20) == 0 {
+				boundaryProbe()
+			}
 			live := attached()
 			pick := func() *oracleNode { return live[rng.IntN(len(live))] }
 			switch r := rng.IntN(100); {
@@ -558,6 +696,9 @@ func runLinearScanOracle(t *testing.T, seed uint64) oracleCoverage {
 				unsynced++
 				if unsynced == 3 || rng.IntN(2) == 0 {
 					m.SyncPositions()
+					for _, n := range live {
+						n.gridX = n.pos.X
+					}
 					unsynced = 0
 				}
 			}

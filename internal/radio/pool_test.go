@@ -1,10 +1,12 @@
 package radio
 
 import (
+	"math/rand/v2"
 	"testing"
 	"time"
 
 	"github.com/vanetsec/georoute/internal/geo"
+	"github.com/vanetsec/georoute/internal/sim"
 )
 
 // cacheProbe records the frame cache pointer and payload each delivery saw.
@@ -112,5 +114,42 @@ func TestSendPooledNoTargetsReleasesImmediately(t *testing.T) {
 	back := m.GrabPayload()
 	if cap(back) == 0 || &back[:1][0] != &buf[:1][0] {
 		t.Fatal("no-target send did not release the pooled buffer")
+	}
+}
+
+// TestWarmBroadcastAllocs pins a warm broadcast — Send, the merge of the
+// grid buckets and the extended sniffer into the receiver slice, and
+// the delivery event — at zero allocations: the merge scratch, the
+// receiver slices, transmissions and engine events are all reused.
+func TestWarmBroadcastAllocs(t *testing.T) {
+	e := sim.NewEngine(1)
+	m := NewMedium(e, Config{})
+	rng := rand.New(rand.NewPCG(3, 4))
+	var tx *Antenna
+	for k, i := range rng.Perm(200) {
+		if k == 100 {
+			// The sniffer attaches mid-sequence, so its merge is not an append.
+			m.Attach(999, benchRange, staticPos(geo.Pt(4000, 0)), nopReceiver{}, true).SetRxRange(2000)
+		}
+		p := geo.Pt(float64(i)*benchSpacing, 0)
+		a := m.Attach(NodeID(i+1), benchRange, staticPos(p), nopReceiver{}, i%10 == 0)
+		if i == 100 {
+			tx = a
+		}
+	}
+	payload := []byte("warm-frame")
+	round := func() {
+		m.Send(tx, BroadcastID, payload)
+		e.Run(e.Now() + 2*Latency)
+	}
+	for i := 0; i < 10; i++ {
+		round()
+	}
+	before := m.Stats().Delivered
+	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+		t.Fatalf("warm broadcast made %v allocs/op, want 0", allocs)
+	}
+	if per := (m.Stats().Delivered - before) / 201; per < 30 {
+		t.Fatalf("%d deliveries per frame: the scenario does not fan out across cells", per)
 	}
 }

@@ -14,9 +14,12 @@
 package radio
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
+	"sort"
 	"time"
 
 	"github.com/vanetsec/georoute/internal/geo"
@@ -240,19 +243,20 @@ type Antenna struct {
 	promiscuous bool
 	removed     bool
 
-	// Spatial-index state. seq is the attach sequence number; candidate
-	// receivers are sorted by it so delivery order matches the historical
-	// attach-order scan exactly. gridX/cell track the bucket the antenna
-	// currently occupies; extended antennas (rxRange > 0) live outside the
-	// grid on Medium.extended and are considered for every frame.
+	// Spatial-index state. seq is the attach sequence number: every grid
+	// bucket is kept sorted by it, and collect merges the buckets on it, so
+	// delivery order matches the historical attach-order scan exactly.
+	// gridX/cell track the bucket the antenna currently occupies; extended
+	// antennas (rxRange > 0) live outside the grid on Medium.extended and
+	// are considered for every frame.
 	seq      uint64
 	gridX    float64
 	cell     int64
 	extended bool
 	// orderIdx is the antenna's slot in Medium.order, kept current by
 	// swap-removal so Detach is O(1) even in 100k-node worlds. Nothing
-	// order-sensitive iterates Medium.order (Send sorts candidates by
-	// seq), so the slice is free to reorder.
+	// order-sensitive iterates Medium.order (delivery order comes from
+	// the seq-sorted buckets), so the slice is free to reorder.
 	orderIdx int
 }
 
@@ -311,11 +315,17 @@ type Medium struct {
 	// the "frames on the air" gauge the telemetry sampler reads.
 	inflight int
 
-	// Spatial index over antenna positions.
+	// Spatial index over antenna positions. Each bucket is sorted by
+	// Antenna.seq.
 	cellSize  float64
 	cells     map[int64][]*Antenna
 	extended  []*Antenna // rxRange > 0: always candidate receivers
 	attachSeq uint64
+
+	// run is collect's scratch buffer: one bucket's (or one extended
+	// antenna's) accepted receivers, in seq order, before they are merged
+	// into the frame's receiver slice. It holds no antenna between frames.
+	run []delivery
 
 	// pool recycles receiver slices between frames. The engine is
 	// single-threaded, so no synchronization is needed; a slice is grabbed
@@ -330,8 +340,11 @@ type Medium struct {
 }
 
 // delivery is one receiver's slot in a frame's batched delivery walk.
+// seq copies rx.seq so that merging receiver runs compares slots without
+// dereferencing the antenna.
 type delivery struct {
 	rx        *Antenna
+	seq       uint64
 	addressed bool
 }
 
@@ -485,8 +498,9 @@ func (m *Medium) Detach(id NodeID) {
 const minCellSize = 1.0
 
 // ensureCellSize grows the grid cell width to at least r and rebuckets
-// every gridded antenna. Growth happens at most a handful of times per
-// run (when a longer-range node first attaches), so the O(N) rebucket is
+// every gridded antenna, then restores each bucket's seq order (m.order
+// is unordered). Growth happens at most a handful of times per run (when
+// a longer-range node first attaches), so the O(N log N) rebucket is
 // negligible.
 func (m *Medium) ensureCellSize(r float64) {
 	if r < minCellSize {
@@ -503,6 +517,9 @@ func (m *Medium) ensureCellSize(r float64) {
 		}
 		a.cell = m.cellOf(a.gridX)
 		m.cells[a.cell] = append(m.cells[a.cell], a)
+	}
+	for _, bucket := range m.cells {
+		slices.SortFunc(bucket, func(x, y *Antenna) int { return cmp.Compare(x.seq, y.seq) })
 	}
 }
 
@@ -521,7 +538,20 @@ func (m *Medium) insertIndex(a *Antenna) {
 	a.extended = false
 	a.gridX = a.pos().X
 	a.cell = m.cellOf(a.gridX)
-	m.cells[a.cell] = append(m.cells[a.cell], a)
+	m.addToCell(a)
+}
+
+// seqIndex returns the first position in the seq-sorted bucket whose
+// antenna does not precede seq.
+func seqIndex(bucket []*Antenna, seq uint64) int {
+	return sort.Search(len(bucket), func(i int) bool { return bucket[i].seq >= seq })
+}
+
+// addToCell inserts a into bucket a.cell at its seq position. A fresh
+// Attach carries the highest seq, so it lands at the end.
+func (m *Medium) addToCell(a *Antenna) {
+	bucket := m.cells[a.cell]
+	m.cells[a.cell] = slices.Insert(bucket, seqIndex(bucket, a.seq+1), a)
 }
 
 func (m *Medium) removeIndex(a *Antenna) {
@@ -537,19 +567,12 @@ func (m *Medium) removeIndex(a *Antenna) {
 	m.removeFromCell(a)
 }
 
-// removeFromCell drops a from its bucket. Within-cell order is free to
-// change (swap-remove): Send restores the deterministic attach order by
-// sorting candidates on Antenna.seq.
+// removeFromCell drops a from its bucket, keeping the rest in seq order
+// (slices.Delete shifts the tail down and clears the vacated slot).
 func (m *Medium) removeFromCell(a *Antenna) {
 	bucket := m.cells[a.cell]
-	for i, o := range bucket {
-		if o == a {
-			last := len(bucket) - 1
-			bucket[i] = bucket[last]
-			bucket[last] = nil
-			bucket = bucket[:last]
-			break
-		}
+	if i := seqIndex(bucket, a.seq); i < len(bucket) && bucket[i] == a {
+		bucket = slices.Delete(bucket, i, i+1)
 	}
 	if len(bucket) == 0 {
 		delete(m.cells, a.cell)
@@ -588,7 +611,7 @@ func (m *Medium) SyncPositions() {
 		if c := m.cellOf(x); c != a.cell {
 			m.removeFromCell(a)
 			a.cell = c
-			m.cells[c] = append(m.cells[c], a)
+			m.addToCell(a)
 		}
 	}
 }
@@ -701,28 +724,27 @@ func (t *transmission) fire() {
 // transmitter's reach (plus one guard cell per side, tolerating
 // sub-cell position drift between syncs) and every extended-range
 // antenna. Candidates pass exactly the distance/edge/obstruction checks
-// the linear scan applied, then are sorted into attach order.
+// the linear scan applied. Each bucket is seq-sorted, so a bucket's
+// accepted receivers form one seq-sorted run; merging every run (and
+// each accepted extended antenna) into the sorted prefix yields the
+// attach order in time linear in the receiver count.
 func (m *Medium) collect(from *Antenna, to NodeID, txPos geo.Point, at time.Duration) ([]delivery, bool) {
 	targets := m.grabDelivery()
 	targetReached := false
-
-	consider := func(rx *Antenna) {
-		if rx.id == from.id {
+	run := m.run
+	accept := func(rx *Antenna) {
+		if !m.hears(from, rx, txPos, at) {
 			return
 		}
-		rxPos := rx.Position()
-		limit := math.Max(from.rangeM, rx.rxRange)
-		if !m.receives(txPos.DistanceTo(rxPos), limit, from.id, rx.id, at) {
-			return
-		}
-		if m.blocked(txPos, rxPos) {
-			return
-		}
-		addressed := to == BroadcastID || to == rx.id
-		if addressed && to == rx.id {
+		run = append(run, delivery{rx: rx, seq: rx.seq, addressed: to == BroadcastID || to == rx.id})
+		if to == rx.id {
 			targetReached = true
 		}
-		targets = append(targets, delivery{rx: rx, addressed: addressed})
+	}
+	flush := func() {
+		targets = mergeRun(targets, run)
+		clear(run) // drop antenna references for the GC
+		run = run[:0]
 	}
 
 	if m.cellSize > 0 {
@@ -731,28 +753,65 @@ func (m *Medium) collect(from *Antenna, to NodeID, txPos geo.Point, at time.Dura
 		hi := m.cellOf(txPos.X+reach) + 1
 		for c := lo; c <= hi; c++ {
 			for _, rx := range m.cells[c] {
-				consider(rx)
+				accept(rx)
 			}
+			flush()
 		}
 	}
 	for _, rx := range m.extended {
-		consider(rx)
+		accept(rx)
+		flush()
 	}
+	m.run = run
+	return targets, targetReached
+}
 
-	// Insertion sort on the attach sequence; it allocates nothing,
-	// unlike sort.Slice. The candidates are not nearly ordered: they
-	// arrive as one seq-sorted run per grid cell (~7 per frame in
-	// Fig. 7a), so this is the hottest loop of the medium.
-	for i := 1; i < len(targets); i++ {
-		d := targets[i]
-		j := i - 1
-		for j >= 0 && targets[j].rx.seq > d.rx.seq {
-			targets[j+1] = targets[j]
+// hears reports whether rx receives a frame that from sends at txPos:
+// the distance, soft-edge and obstruction checks of the linear scan.
+func (m *Medium) hears(from, rx *Antenna, txPos geo.Point, at time.Duration) bool {
+	if rx.id == from.id {
+		return false
+	}
+	rxPos := rx.Position()
+	limit := max(from.rangeM, rx.rxRange) // builtin: math.Max semantics, no call
+	// Reject on the road-axis gap alone, before the Hypot, when it already
+	// puts rx past both the disk and the soft edge. The decision is the
+	// one receives would make: Hypot returns max·sqrt(1+(min/max)²), never
+	// below |dx|. The gap must exceed limit strictly, because a receiver
+	// at exactly the range on the same Y is received on the hard disk.
+	// The live position is used, not gridX, since unsynced drift is
+	// allowed.
+	if dx := math.Abs(txPos.X - rxPos.X); dx > limit && dx >= limit*m.edgeFactor {
+		return false
+	}
+	if !m.receives(txPos.DistanceTo(rxPos), limit, from.id, rx.id, at) {
+		return false
+	}
+	return !m.blocked(txPos, rxPos)
+}
+
+// mergeRun merges the seq-sorted run into the seq-sorted dst and returns
+// the grown dst. It fills from the tail, so only the dst entries that
+// sort after the run's head move, and a run that already follows dst is
+// a plain append. Entries of equal seq (the grid's known duplicate, see
+// DESIGN.md) keep dst's copy first.
+func mergeRun(dst, run []delivery) []delivery {
+	n := len(dst)
+	dst = append(dst, run...)
+	if n == 0 || len(run) == 0 || dst[n-1].seq <= run[0].seq {
+		return dst
+	}
+	i, j := n-1, len(run)-1
+	for w := len(dst) - 1; j >= 0; w-- {
+		if i >= 0 && dst[i].seq > run[j].seq {
+			dst[w] = dst[i]
+			i--
+		} else {
+			dst[w] = run[j]
 			j--
 		}
-		targets[j+1] = d
 	}
-	return targets, targetReached
+	return dst
 }
 
 // deliver is the batched delivery event for one frame. Per-receiver
