@@ -32,9 +32,9 @@
 // observation: every other artifact is byte-identical with it on or off.
 //
 // Both modes also accept -listen <addr>, which serves live telemetry over
-// HTTP while the run executes — Prometheus text exposition on /metrics,
-// a JSON snapshot on /telemetry.json, and the standard pprof profiles
-// under /debug/pprof/ — and -progress, a periodic stderr heartbeat
+// HTTP while the run executes — a JSON snapshot of every gauge and
+// counter on /telemetry.json and the standard pprof profiles under
+// /debug/pprof/ — and -progress, a periodic stderr heartbeat
 // (cells done/total, throughput and ETA in campaign mode; event counts in
 // figure mode). In campaign mode SIGQUIT (Ctrl-\) dumps goroutine stacks
 // plus a telemetry snapshot into results/<name>/ without stopping the
@@ -90,7 +90,7 @@ func main() {
 		workers  = flag.Int("workers", 0, "campaign worker pool size (default: CPUs-1)")
 		traceDir = flag.String("trace", "", "write per-cell packet-lifecycle traces (JSONL + counter rollup) into this directory")
 		detectOn = flag.Bool("detect", false, "campaign mode: run the misbehavior plausibility monitors in every cell and write results/<name>/detection.json (pure observation; other artifacts are byte-identical)")
-		listen   = flag.String("listen", "", "serve live telemetry on this address while running: /metrics (Prometheus), /telemetry.json, /debug/pprof/")
+		listen   = flag.String("listen", "", "serve live telemetry on this address while running: /telemetry.json, /debug/pprof/")
 		progress = flag.Bool("progress", false, "print a periodic progress heartbeat to stderr")
 		part     = flag.String("cells", "", "campaign mode: run only part i/n of the cells (canonical index ≡ i mod n); a finished part exits 0 without artifacts")
 		merge    = flag.String("merge", "", "campaign mode: comma-separated part journals to import (read-only) before running the cells still missing")
@@ -133,40 +133,39 @@ func main() {
 		fmt.Fprintln(os.Stderr, "geosim: pass -experiment <id>, -campaign <spec> or -list")
 		os.Exit(2)
 	}
+	os.Exit(runFigures(*expID, *runs, *format, *seeds, *traceDir, *fwd, *listen, *progress))
+}
 
-	var reg *georoute.TelemetryRegistry
-	if *listen != "" || *progress {
-		reg = georoute.NewTelemetryRegistry()
-		georoute.RegisterRuntimeMetrics(reg)
+// runFigures runs one experiment, or every one for "all", and prints its
+// output to stdout. Exit codes: 0 done, 1 error.
+func runFigures(expID string, runs int, format string, showcaseSeeds int, traceDir, forwarder, listen string, progress bool) int {
+	reg, srv, err := startTelemetry(listen, progress)
+	if err != nil {
+		logStderr("geosim: %v", err)
+		return 1
 	}
-	if *listen != "" {
-		srv, err := georoute.ServeTelemetry(reg, *listen)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "geosim: %v\n", err)
-			os.Exit(1)
-		}
-		defer shutdownTelemetry(srv)
-		fmt.Fprintf(os.Stderr, "geosim: telemetry on http://%s/metrics (pprof under /debug/pprof/)\n", srv.Addr)
-	}
+	defer shutdownTelemetry(srv)
 
-	ids := []string{*expID}
-	if *expID == "all" {
+	ids := []string{expID}
+	if expID == "all" {
 		ids = georoute.FigureIDs()
 		ids = append(ids, "fig12a", "fig12b", "fig13", "tableI", "tableII")
 	}
-	var stopHB func()
-	if *progress {
-		stopHB = startFigureHeartbeat(reg, *expID)
+	stopHB := func() {}
+	if progress {
+		stopHB = startFigureHeartbeat(reg, expID)
 	}
 	for _, id := range ids {
-		if err := runExperiment(id, *runs, *format, *seeds, *traceDir, *fwd, reg); err != nil {
-			fmt.Fprintf(os.Stderr, "geosim: %v\n", err)
-			os.Exit(1)
+		if err = runExperiment(id, runs, format, showcaseSeeds, traceDir, forwarder, reg); err != nil {
+			break
 		}
 	}
-	if stopHB != nil {
-		stopHB()
+	stopHB()
+	if err != nil {
+		logStderr("geosim: %v", err)
+		return 1
 	}
+	return 0
 }
 
 // startFigureHeartbeat prints a stderr heartbeat every two seconds while
@@ -266,9 +265,30 @@ func logStderr(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 }
 
-// shutdownTelemetry drains in-flight scrapes before closing the listener,
-// so a /metrics request racing process exit gets its response instead of
-// a reset. Falls back to a hard close after the grace period.
+// startTelemetry builds the registry that -listen and -progress read and,
+// with -listen, serves it over HTTP. Both are nil when neither flag is
+// set; a nil server is safe to pass to shutdownTelemetry.
+func startTelemetry(listen string, progress bool) (*georoute.TelemetryRegistry, *georoute.TelemetryServer, error) {
+	if listen == "" && !progress {
+		return nil, nil, nil
+	}
+	reg := georoute.NewTelemetryRegistry()
+	georoute.RegisterRuntimeMetrics(reg)
+	if listen == "" {
+		return reg, nil, nil
+	}
+	srv, err := georoute.ServeTelemetry(reg, listen)
+	if err != nil {
+		return nil, nil, err
+	}
+	logStderr("geosim: telemetry on http://%s/telemetry.json (pprof under /debug/pprof/)", srv.Addr)
+	return reg, srv, nil
+}
+
+// shutdownTelemetry drains in-flight requests before closing the
+// listener, so a /telemetry.json request racing process exit gets its
+// response instead of a reset. Falls back to a hard close after the grace
+// period.
 func shutdownTelemetry(srv *georoute.TelemetryServer) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -287,22 +307,12 @@ func runCampaign(specPath string, opts georoute.CampaignOptions, listen string, 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var reg *georoute.TelemetryRegistry
-	if listen != "" || progress {
-		reg = georoute.NewTelemetryRegistry()
-		georoute.RegisterRuntimeMetrics(reg)
+	reg, srv, err := startTelemetry(listen, progress)
+	if err != nil {
+		logStderr("geosim: %v", err)
+		return 1
 	}
-	if listen != "" {
-		srv, err := georoute.ServeTelemetry(reg, listen)
-		if err != nil {
-			logStderr("geosim: %v", err)
-			return 1
-		}
-		// Shutdown (not Close) so a /metrics scrape racing the end of the
-		// run is answered before the listener goes away.
-		defer shutdownTelemetry(srv)
-		logStderr("geosim: telemetry on http://%s/metrics (pprof under /debug/pprof/)", srv.Addr)
-	}
+	defer shutdownTelemetry(srv)
 
 	// SIGQUIT (Ctrl-\) dumps goroutine stacks and a telemetry snapshot
 	// into the campaign's results directory and keeps running — the

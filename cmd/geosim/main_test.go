@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net"
 	"strings"
 	"testing"
 )
@@ -76,4 +77,24 @@ func TestCheckFlagsRejects(t *testing.T) {
 			t.Fatalf("%+v rejected: %v", f, err)
 		}
 	}
+}
+
+// TestRunFiguresReturnsExitCode: a failing figure run returns exit 1
+// through runFigures, so its deferred telemetry shutdown runs and frees
+// the -listen address.
+func TestRunFiguresReturnsExitCode(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	if code := runFigures("nosuchfig", 1, "table", 1, "", "", addr, true); code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	ln, err = net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("telemetry listener still bound after exit: %v", err)
+	}
+	ln.Close()
 }

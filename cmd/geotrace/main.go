@@ -1,4 +1,4 @@
-// Command geotrace inspects packet lifecycles. It has two modes:
+// Command geotrace inspects packet lifecycles. It has three modes:
 //
 // Run mode executes a single seeded simulation with the lifecycle tracer
 // (internal/trace) threaded through the radio medium, every router stack,
@@ -30,7 +30,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"time"
@@ -57,7 +56,6 @@ func main() {
 		jsonl    = flag.String("jsonl", "", "also write the raw trace to this JSONL file (plus a .counters.json rollup)")
 		quiet    = flag.Bool("quiet", false, "suppress the per-event lines, print only the analysis")
 		validate = flag.String("validate", "", "validate an existing JSONL trace file and exit")
-		valMet   = flag.String("validate-metrics", "", "validate a Prometheus text exposition (as scraped from geosim -listen's /metrics; '-' reads stdin) and exit")
 		detPath  = flag.String("detect", "", "replay an existing JSONL trace through the offline misbehavior detector and exit")
 		attacker = flag.Uint64("attacker", uint64(attack.DefaultPseudonym), "with -detect: ground-truth attacker pseudonym for verdict labeling (0 = unlabeled)")
 	)
@@ -71,9 +69,6 @@ func main() {
 	}
 	if *validate != "" {
 		os.Exit(runValidate(*validate))
-	}
-	if *valMet != "" {
-		os.Exit(runValidateMetrics(*valMet))
 	}
 	if *detPath != "" {
 		os.Exit(runDetect(*detPath, *attacker, *quiet))
@@ -89,7 +84,7 @@ var runOnly = []string{"duration", "packets", "workload", "attack", "range", "se
 // before any work starts; main exits 2 on its error.
 func checkFlags(duration time.Duration, packets int, workload, atkMode string, set map[string]bool) error {
 	mode := ""
-	for _, m := range []string{"validate", "validate-metrics", "detect"} {
+	for _, m := range []string{"validate", "detect"} {
 		if !set[m] {
 			continue
 		}
@@ -106,7 +101,7 @@ func checkFlags(duration time.Duration, packets int, workload, atkMode string, s
 		}
 	}
 	switch {
-	case set["quiet"] && (mode == "validate" || mode == "validate-metrics"):
+	case set["quiet"] && mode == "validate":
 		return fmt.Errorf("-quiet is not used with -%s", mode)
 	case set["attacker"] && mode != "detect":
 		return fmt.Errorf("-attacker is not used without -detect")
@@ -147,29 +142,6 @@ func runValidate(path string) int {
 	}
 	fmt.Printf("%s: %d records, %d chains, %d delivered — conservation OK\n",
 		path, an.Records, len(an.Chains), an.Delivered())
-	return 0
-}
-
-// runValidateMetrics strict-checks a Prometheus text-format exposition —
-// the CI smoke job scrapes a live campaign's /metrics into a file and
-// feeds it here. Exit 0 only for a well-formed exposition with at least
-// one sample.
-func runValidateMetrics(path string) int {
-	r := io.Reader(os.Stdin)
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "geotrace: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		r = f
-	}
-	if err := georoute.ValidateMetricsExposition(r); err != nil {
-		fmt.Fprintf(os.Stderr, "geotrace: %s: %v\n", path, err)
-		return 1
-	}
-	fmt.Printf("%s: valid Prometheus exposition\n", path)
 	return 0
 }
 

@@ -41,7 +41,6 @@ func TestCheckFlagsRejects(t *testing.T) {
 		// A flag the chosen mode would ignore is an error, not a no-op.
 		{"validate with duration", func(f *flags) { f.set = []string{"validate", "duration"} }, "-duration"},
 		{"validate with quiet", func(f *flags) { f.set = []string{"validate", "quiet"} }, "-quiet"},
-		{"validate-metrics with packets", func(f *flags) { f.set = []string{"validate-metrics", "packets"} }, "-packets"},
 		{"detect with attack", func(f *flags) { f.set = []string{"detect", "attack"} }, "-attack"},
 		{"detect with jsonl", func(f *flags) { f.set = []string{"jsonl", "detect"} }, "-jsonl"},
 		{"detect with seed", func(f *flags) { f.set = []string{"detect", "seed"} }, "-seed"},

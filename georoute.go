@@ -39,7 +39,6 @@ package georoute
 
 import (
 	"context"
-	"io"
 	"time"
 
 	"github.com/vanetsec/georoute/internal/attack"
@@ -229,8 +228,8 @@ func NewFileTracer(path string) (*FileTracer, error) { return trace.NewFileTrace
 // The telemetry registry (internal/telemetry) samples live run and
 // campaign state — engine queue depth, events/sec, radio in-flight
 // counts, CBF contention-buffer occupancy, campaign progress — into
-// lock-free gauge/counter cells, and serves them over HTTP as Prometheus
-// text exposition, JSON, and net/http/pprof profiles. A nil registry
+// lock-free gauge/counter cells, and serves them over HTTP as a JSON
+// snapshot beside the net/http/pprof profiles. A nil registry
 // disables everything: handles come back nil and every publish is an
 // inlined no-op, so instrumented hot paths cost nothing with telemetry
 // off. Sampling is pure observation — simulated outcomes and campaign
@@ -239,8 +238,8 @@ func NewFileTracer(path string) (*FileTracer, error) { return trace.NewFileTrace
 // TelemetryRegistry holds live metric cells and serves snapshots.
 type TelemetryRegistry = telemetry.Registry
 
-// TelemetryServer is a live /metrics + /telemetry.json + /debug/pprof
-// HTTP server over a registry.
+// TelemetryServer is a live /telemetry.json + /debug/pprof HTTP server
+// over a registry.
 type TelemetryServer = telemetry.Server
 
 // RunTelemetry bundles the per-run gauge handles sampled by a world.
@@ -256,10 +255,10 @@ func NewRunTelemetry(r *TelemetryRegistry, worker int) *RunTelemetry {
 }
 
 // RegisterRuntimeMetrics adds Go-runtime memory/GC/goroutine gauges,
-// refreshed only when scraped.
+// refreshed only when a snapshot is taken.
 func RegisterRuntimeMetrics(r *TelemetryRegistry) { telemetry.RegisterRuntime(r) }
 
-// ServeTelemetry starts the exposition server on addr (":0" picks a free
+// ServeTelemetry starts the telemetry server on addr (":0" picks a free
 // port; the resolved address is in Server.Addr).
 func ServeTelemetry(r *TelemetryRegistry, addr string) (*TelemetryServer, error) {
 	return telemetry.ListenAndServe(r, addr)
@@ -271,10 +270,6 @@ func ServeTelemetry(r *TelemetryRegistry, addr string) (*TelemetryServer, error)
 func WriteTelemetryDebugDump(dir string, r *TelemetryRegistry) (stackPath, snapPath string, err error) {
 	return telemetry.WriteDebugDump(dir, r)
 }
-
-// ValidateMetricsExposition strict-checks a Prometheus text-format
-// exposition (as served on /metrics) for well-formedness.
-func ValidateMetricsExposition(r io.Reader) error { return telemetry.ValidateExposition(r) }
 
 // Campaigns ------------------------------------------------------------------
 //

@@ -47,8 +47,9 @@ type Options struct {
 	Progress func(done, total, replayed int, key string)
 	// Telemetry, when non-nil, receives live campaign gauges (cells
 	// done/total, throughput, ETA) and per-worker run gauges (queue depth,
-	// events/sec, CBF occupancy, ...) for /metrics scraping. Telemetry is
-	// pure observation: artifacts are byte-identical with it on or off.
+	// events/sec, CBF occupancy, ...), read through its JSON snapshot.
+	// Telemetry is pure observation: artifacts are byte-identical with it
+	// on or off.
 	Telemetry *telemetry.Registry
 	// Detect runs the misbehavior plausibility monitors in every figure
 	// cell and makes Finalize write results/<name>/detection.json — the

@@ -10,7 +10,7 @@
 // *trace.Tracer; the detector reads them from there, so with tracing off
 // the receive path does no detection work at all. Monitors never touch
 // protocol state — golden artifacts stay byte-identical with detection
-// on or off. Verdicts are observability output (counters, histograms, an
+// on or off. Verdicts are observability output (counters, a Summary, an
 // optional sink), not a mitigation: flagged frames are still processed
 // by the router.
 //
@@ -45,8 +45,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"github.com/vanetsec/georoute/internal/telemetry"
 )
 
 // Check identifies one plausibility-monitor class.
@@ -148,11 +146,6 @@ type Config struct {
 	// Sink, when non-nil, receives every verdict. Evidence strings are
 	// only rendered when a sink is installed.
 	Sink func(Verdict)
-
-	// Optional distribution outputs; nil handles are no-ops.
-	LatencyHist   *telemetry.Histogram // first-true-verdict sim time, seconds
-	BeaconGapHist *telemetry.Histogram // single-hop claim inter-arrival, seconds
-	PosErrorHist  *telemetry.Histogram // implausible claim displacement excess, meters
 }
 
 // Detector runs the monitors of every node of one run and aggregates
@@ -205,7 +198,6 @@ func (d *Detector) Summary() *Summary {
 // no-sink path never formats strings.
 func (d *Detector) flag(at time.Duration, node, suspect uint64, check Check, evidence func() string) {
 	isTrue := d.cfg.Truth != nil && d.cfg.Truth(suspect)
-	first := false
 	d.mu.Lock()
 	d.verdicts++
 	if isTrue {
@@ -213,15 +205,11 @@ func (d *Detector) flag(at time.Duration, node, suspect uint64, check Check, evi
 		if !d.detected {
 			d.detected = true
 			d.firstTrue = at
-			first = true
 		}
 	} else {
 		d.checks[check].fp++
 	}
 	d.mu.Unlock()
-	if first {
-		d.cfg.LatencyHist.Observe(at.Seconds())
-	}
 	if d.cfg.Sink != nil {
 		d.cfg.Sink(Verdict{
 			At: at, Node: node, Suspect: suspect,

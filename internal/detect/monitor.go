@@ -43,7 +43,6 @@ func (d *Detector) observeClaim(c *trace.Record) {
 	if !single && !c.HasClaim {
 		return
 	}
-	cfg := &d.cfg
 	srcs := d.nodes[c.Node]
 	if srcs == nil {
 		srcs = make(map[uint64]*srcState)
@@ -59,7 +58,6 @@ func (d *Detector) observeClaim(c *trace.Record) {
 		// Beacon inter-arrival floor.
 		if st.haveBeacon {
 			gap := c.At - st.lastBeacon
-			cfg.BeaconGapHist.Observe(gap.Seconds())
 			if gap < MinBeaconGap {
 				d.flag(c.At, c.Node, c.Peer, CheckBeacon, func() string {
 					return fmt.Sprintf("beacons from %d arrived %v apart (floor %v)", c.Src, gap, MinBeaconGap)
@@ -72,7 +70,6 @@ func (d *Detector) observeClaim(c *trace.Record) {
 		if c.HasClaim {
 			// Direct-neighbor range plausibility.
 			if dist := c.ClaimPos.DistanceTo(c.RxPos); dist > RangeFactor*c.RxRange {
-				cfg.PosErrorHist.Observe(dist - RangeFactor*c.RxRange)
 				d.flag(c.At, c.Node, c.Peer, CheckPosition, func() string {
 					return fmt.Sprintf("neighbor claim for %d at %.0fm exceeds %.1fx range %.0fm", c.Src, dist, RangeFactor, c.RxRange)
 				})
@@ -115,7 +112,6 @@ func (d *Detector) observeClaim(c *trace.Record) {
 		dt := (c.ClaimTS - st.lastTS).Seconds()
 		dist := c.ClaimPos.DistanceTo(st.lastPos)
 		if excess := dist - MaxSpeed*dt; excess > PosError {
-			cfg.PosErrorHist.Observe(excess)
 			d.flag(c.At, c.Node, c.Peer, CheckPosition, func() string {
 				return fmt.Sprintf("claims for %d moved %.0fm in %.2fs, %.0fm beyond the %.0f m/s envelope", c.Src, dist, dt, excess, MaxSpeed)
 			})

@@ -121,11 +121,6 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 			pseudonym := uint64(attack.DefaultPseudonym)
 			dcfg.Truth = func(suspect uint64) bool { return suspect == pseudonym }
 		}
-		if g := obs.Gauges; g != nil {
-			dcfg.LatencyHist = g.DetectLatency
-			dcfg.BeaconGapHist = g.DetectBeaconGap
-			dcfg.PosErrorHist = g.DetectPosError
-		}
 		det = detect.New(dcfg)
 		tr = trace.New(tr, det)
 	}

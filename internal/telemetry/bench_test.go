@@ -16,7 +16,7 @@ func BenchmarkNilGaugeSet(b *testing.B) {
 
 // BenchmarkGaugeSet is the live publish: one atomic store.
 func BenchmarkGaugeSet(b *testing.B) {
-	g := NewRegistry().Gauge("g", "bench gauge")
+	g := NewRegistry().Gauge("g")
 	for i := 0; i < b.N; i++ {
 		g.Set(float64(i))
 	}
@@ -24,15 +24,15 @@ func BenchmarkGaugeSet(b *testing.B) {
 
 // BenchmarkCounterAdd is the live counter bump: one atomic add.
 func BenchmarkCounterAdd(b *testing.B) {
-	c := NewRegistry().Counter("c", "bench counter")
+	c := NewRegistry().Counter("c")
 	for i := 0; i < b.N; i++ {
 		c.Add(1)
 	}
 }
 
-// BenchmarkWritePrometheus is one full /metrics scrape over a registry
+// BenchmarkWriteJSON is one full /telemetry.json scrape over a registry
 // the size a campaign run produces (~30 series).
-func BenchmarkWritePrometheus(b *testing.B) {
+func BenchmarkWriteJSON(b *testing.B) {
 	r := NewRegistry()
 	RegisterRuntime(r)
 	for w := 0; w < 2; w++ {
@@ -41,7 +41,7 @@ func BenchmarkWritePrometheus(b *testing.B) {
 	NewCampaignGauges(r)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := r.WritePrometheus(io.Discard); err != nil {
+		if err := r.WriteJSON(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

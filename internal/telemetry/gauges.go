@@ -13,7 +13,7 @@ import (
 type RunGauges struct {
 	// Engine health.
 	QueueDepth   *Gauge // physically queued events (live + canceled pending)
-	SimSeconds   *Gauge // current simulated time
+	SimSeconds   *Gauge // current simulated time of the run, seconds
 	EventsPerSec *Gauge // events executed per wall-second, since last sample
 	SimWallRatio *Gauge // simulated seconds per wall second, since last sample
 
@@ -21,30 +21,24 @@ type RunGauges struct {
 	QueueLive         *Gauge // events that will actually fire
 	QueueCanceled     *Gauge // canceled events awaiting lazy reclamation
 	QueueOverflow     *Gauge // events spilled beyond the wheel horizon
-	QueueMaxSlotDepth *Gauge // deepest wheel slot (granularity fit)
+	QueueMaxSlotDepth *Gauge // deepest wheel slot at sample time (granularity fit)
 
 	// Radio medium.
 	RadioInFlight *Gauge // transmissions scheduled but not yet delivered
 	ChannelBusy   *Gauge // busy ratio: airtime seconds per sim second
 
 	// GeoNetworking routers (summed over the run's routers).
-	CBFArmed    *Gauge // armed contention-buffer timers
-	GFBuffered  *Gauge // buffered greedy-forwarding retries
+	CBFArmed    *Gauge // armed contention-based-forwarding timers
+	GFBuffered  *Gauge // buffered greedy-forwarding unicast retries
 	LocTEntries *Gauge // location-table entries
-	Routers     *Gauge // live routers in the world
+	Routers     *Gauge // routers attached to the running world
 
 	// Cumulative counters, shared across workers (samplers push deltas).
 	EventsTotal     *Counter // sim events executed
-	FramesTotal     *Counter // radio transmissions
-	DeliveriesTotal *Counter // radio deliveries (incl. overhears)
+	FramesTotal     *Counter // radio transmissions sent
+	DeliveriesTotal *Counter // radio frame deliveries (incl. overhears)
 	PoolHits        *Counter // radio free-list hits (delivery+cache+payload)
-	PoolMisses      *Counter // radio free-list misses
-
-	// Misbehavior-detection distributions, shared across workers
-	// (observations are atomic, so fold order never matters).
-	DetectLatency   *Histogram // first-true-verdict sim time per run, seconds
-	DetectBeaconGap *Histogram // single-hop claim inter-arrival, seconds
-	DetectPosError  *Histogram // implausible claim displacement excess, meters
+	PoolMisses      *Counter // radio free-list misses (fresh allocations)
 }
 
 // NewRunGauges registers the per-run series on r for one worker slot.
@@ -55,43 +49,39 @@ func NewRunGauges(r *Registry, worker int) *RunGauges {
 	}
 	w := Label{Key: "worker", Value: strconv.Itoa(worker)}
 	return &RunGauges{
-		QueueDepth:   r.Gauge("georoute_engine_queue_depth", "Physically queued events (live plus canceled pending).", w),
-		SimSeconds:   r.Gauge("georoute_engine_sim_seconds", "Current simulated time of the run.", w),
-		EventsPerSec: r.Gauge("georoute_engine_events_per_second", "Events executed per wall-clock second.", w),
-		SimWallRatio: r.Gauge("georoute_engine_sim_wall_ratio", "Simulated seconds advanced per wall-clock second.", w),
+		QueueDepth:   r.Gauge("georoute_engine_queue_depth", w),
+		SimSeconds:   r.Gauge("georoute_engine_sim_seconds", w),
+		EventsPerSec: r.Gauge("georoute_engine_events_per_second", w),
+		SimWallRatio: r.Gauge("georoute_engine_sim_wall_ratio", w),
 
-		QueueLive:         r.Gauge("georoute_engine_queue_live", "Queued events that will actually fire.", w),
-		QueueCanceled:     r.Gauge("georoute_engine_queue_canceled", "Canceled events awaiting lazy reclamation.", w),
-		QueueOverflow:     r.Gauge("georoute_engine_queue_overflow", "Events beyond the timing-wheel horizon.", w),
-		QueueMaxSlotDepth: r.Gauge("georoute_engine_queue_max_slot_depth", "Deepest timing-wheel slot at sample time.", w),
+		QueueLive:         r.Gauge("georoute_engine_queue_live", w),
+		QueueCanceled:     r.Gauge("georoute_engine_queue_canceled", w),
+		QueueOverflow:     r.Gauge("georoute_engine_queue_overflow", w),
+		QueueMaxSlotDepth: r.Gauge("georoute_engine_queue_max_slot_depth", w),
 
-		RadioInFlight: r.Gauge("georoute_radio_inflight", "Transmissions scheduled but not yet delivered.", w),
-		ChannelBusy:   r.Gauge("georoute_radio_channel_busy_ratio", "Channel airtime per simulated second.", w),
+		RadioInFlight: r.Gauge("georoute_radio_inflight", w),
+		ChannelBusy:   r.Gauge("georoute_radio_channel_busy_ratio", w),
 
-		CBFArmed:    r.Gauge("georoute_geonet_cbf_armed", "Armed contention-based-forwarding timers across routers.", w),
-		GFBuffered:  r.Gauge("georoute_geonet_gf_buffered", "Buffered greedy-forwarding unicast retries across routers.", w),
-		LocTEntries: r.Gauge("georoute_geonet_loct_entries", "Location-table entries across routers.", w),
-		Routers:     r.Gauge("georoute_geonet_routers", "Routers attached to the running world.", w),
+		CBFArmed:    r.Gauge("georoute_geonet_cbf_armed", w),
+		GFBuffered:  r.Gauge("georoute_geonet_gf_buffered", w),
+		LocTEntries: r.Gauge("georoute_geonet_loct_entries", w),
+		Routers:     r.Gauge("georoute_geonet_routers", w),
 
-		EventsTotal:     r.Counter("georoute_engine_events_total", "Simulation events executed, all workers."),
-		FramesTotal:     r.Counter("georoute_radio_frames_total", "Radio transmissions sent, all workers."),
-		DeliveriesTotal: r.Counter("georoute_radio_deliveries_total", "Radio frame deliveries (including overhears), all workers."),
-		PoolHits:        r.Counter("georoute_radio_pool_hits_total", "Radio free-list reuse hits, all workers."),
-		PoolMisses:      r.Counter("georoute_radio_pool_misses_total", "Radio free-list misses (fresh allocations), all workers."),
-
-		DetectLatency:   r.Histogram("georoute_detect_latency_seconds", "Detection latency: sim time of the first true verdict per run.", LogBuckets(0.001, 4, 10)),
-		DetectBeaconGap: r.Histogram("georoute_detect_beacon_gap_seconds", "Single-hop neighbor-claim inter-arrival per source.", LogBuckets(0.0001, 4, 12)),
-		DetectPosError:  r.Histogram("georoute_detect_position_error_meters", "Claim displacement beyond the plausibility envelope.", LogBuckets(1, 4, 10)),
+		EventsTotal:     r.Counter("georoute_engine_events_total"),
+		FramesTotal:     r.Counter("georoute_radio_frames_total"),
+		DeliveriesTotal: r.Counter("georoute_radio_deliveries_total"),
+		PoolHits:        r.Counter("georoute_radio_pool_hits_total"),
+		PoolMisses:      r.Counter("georoute_radio_pool_misses_total"),
 	}
 }
 
 // CampaignGauges bundles campaign-progress series.
 type CampaignGauges struct {
-	CellsTotal    *Gauge
-	CellsDone     *Gauge
+	CellsTotal    *Gauge // cells in the campaign plan
+	CellsDone     *Gauge // cells completed, executed or replayed
 	CellsReplayed *Gauge // cells satisfied from the resume journal
-	CellsPerSec   *Gauge
-	ETASeconds    *Gauge
+	CellsPerSec   *Gauge // executed-cell throughput
+	ETASeconds    *Gauge // estimated seconds until the campaign completes
 }
 
 // NewCampaignGauges registers the campaign-progress series on r. Returns
@@ -101,11 +91,11 @@ func NewCampaignGauges(r *Registry) *CampaignGauges {
 		return nil
 	}
 	return &CampaignGauges{
-		CellsTotal:    r.Gauge("georoute_campaign_cells_total", "Cells in the campaign plan."),
-		CellsDone:     r.Gauge("georoute_campaign_cells_done", "Cells completed (executed or replayed)."),
-		CellsReplayed: r.Gauge("georoute_campaign_cells_replayed", "Cells satisfied from the resume journal."),
-		CellsPerSec:   r.Gauge("georoute_campaign_cells_per_second", "Executed-cell throughput."),
-		ETASeconds:    r.Gauge("georoute_campaign_eta_seconds", "Estimated seconds until campaign completion."),
+		CellsTotal:    r.Gauge("georoute_campaign_cells_total"),
+		CellsDone:     r.Gauge("georoute_campaign_cells_done"),
+		CellsReplayed: r.Gauge("georoute_campaign_cells_replayed"),
+		CellsPerSec:   r.Gauge("georoute_campaign_cells_per_second"),
+		ETASeconds:    r.Gauge("georoute_campaign_eta_seconds"),
 	}
 }
 
@@ -116,12 +106,12 @@ func RegisterRuntime(r *Registry) {
 	if r == nil {
 		return
 	}
-	heap := r.Gauge("georoute_runtime_heap_bytes", "Bytes of allocated heap objects (MemStats.HeapAlloc).")
-	sys := r.Gauge("georoute_runtime_sys_bytes", "Total bytes obtained from the OS (MemStats.Sys).")
-	totalAlloc := r.Gauge("georoute_runtime_alloc_bytes_total", "Cumulative bytes allocated (MemStats.TotalAlloc).")
-	gcs := r.Gauge("georoute_runtime_gc_cycles_total", "Completed GC cycles (MemStats.NumGC).")
-	pauseNS := r.Gauge("georoute_runtime_gc_pause_ns_total", "Cumulative GC stop-the-world pause (MemStats.PauseTotalNs).")
-	goroutines := r.Gauge("georoute_runtime_goroutines", "Live goroutines.")
+	heap := r.Gauge("georoute_runtime_heap_bytes")              // MemStats.HeapAlloc
+	sys := r.Gauge("georoute_runtime_sys_bytes")                // MemStats.Sys
+	totalAlloc := r.Gauge("georoute_runtime_alloc_bytes_total") // MemStats.TotalAlloc
+	gcs := r.Gauge("georoute_runtime_gc_cycles_total")          // MemStats.NumGC
+	pauseNS := r.Gauge("georoute_runtime_gc_pause_ns_total")    // MemStats.PauseTotalNs
+	goroutines := r.Gauge("georoute_runtime_goroutines")
 	r.OnCollect(func() {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)

@@ -12,16 +12,12 @@ import (
 	"time"
 )
 
-// Handler builds the telemetry HTTP mux: Prometheus text format at
-// /metrics, a JSON snapshot at /telemetry.json, and the stdlib profiler
-// under /debug/pprof/. The pprof handlers are wired explicitly so nothing
-// leaks onto http.DefaultServeMux.
+// Handler builds the telemetry HTTP mux: a JSON snapshot at
+// /telemetry.json and the stdlib profiler under /debug/pprof/. The pprof
+// handlers are wired explicitly so nothing leaks onto
+// http.DefaultServeMux.
 func Handler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WritePrometheus(w)
-	})
 	mux.HandleFunc("/telemetry.json", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		reg.WriteJSON(w)
@@ -38,7 +34,9 @@ func Handler(reg *Registry) http.Handler {
 type Server struct {
 	Addr string // actual listen address (resolves ":0")
 	srv  *http.Server
-	ln   net.Listener
+	// ln is closed by Close and Shutdown too: Serve closes it only from
+	// its own goroutine, which may not have started when they return.
+	ln net.Listener
 }
 
 // ListenAndServe binds addr and serves Handler(reg) in a background
@@ -65,17 +63,19 @@ func (s *Server) Close() error {
 	if s == nil {
 		return nil
 	}
+	defer s.ln.Close()
 	return s.srv.Close()
 }
 
 // Shutdown stops accepting new scrapes and waits — up to the context
 // deadline — for in-flight responses to flush before closing the
-// listener. This is the clean-exit path: a Prometheus scrape that landed
+// listener. This is the clean-exit path: a snapshot request that landed
 // just as the run finished is answered instead of reset.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s == nil {
 		return nil
 	}
+	defer s.ln.Close()
 	if err := s.srv.Shutdown(ctx); err != nil {
 		// Past the deadline: fall back to the hard close so the process
 		// never hangs on a stuck scraper.

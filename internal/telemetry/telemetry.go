@@ -1,6 +1,6 @@
 // Package telemetry is the runtime-health observability layer: a
-// zero-dependency counter/gauge registry with Prometheus text-format and
-// JSON exposition, built for live scraping of long campaign runs.
+// zero-dependency counter/gauge registry with a JSON snapshot, built for
+// watching long campaign runs live.
 //
 // Where internal/trace answers "what happened to packet X", telemetry
 // answers "how is the runtime doing right now": event-queue depth,
@@ -14,13 +14,15 @@
 // single-goroutine and must never be touched from a scrape. Instrumented
 // components therefore PUBLISH into atomic metric cells from their own
 // goroutine (the engine probe, see sim.Engine.SetProbe), and the HTTP
-// exposition goroutine only ever reads those atomics. Publishing is a
+// snapshot goroutine only ever reads those atomics. Publishing is a
 // wait-free atomic store; scraping can never block or perturb the event
 // loop.
 package telemetry
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"sort"
 	"strings"
@@ -40,30 +42,23 @@ type kind uint8
 const (
 	kindCounter kind = iota + 1
 	kindGauge
-	kindHistogram
 )
 
 func (k kind) String() string {
-	switch k {
-	case kindCounter:
+	if k == kindCounter {
 		return "counter"
-	case kindHistogram:
-		return "histogram"
 	}
 	return "gauge"
 }
 
 // metric is one registered time series: an identity plus an atomic value
 // cell. Counters store the value directly as a uint64; gauges store
-// math.Float64bits of the value. Histograms keep their state in hist and
-// leave bits unused.
+// math.Float64bits of the value.
 type metric struct {
 	name   string
-	help   string
 	kind   kind
 	labels []Label
 	bits   atomic.Uint64
-	hist   *histogramState
 }
 
 // id renders the metric's full identity (name plus sorted label pairs),
@@ -102,7 +97,7 @@ func NewRegistry() *Registry {
 // register returns the metric with the given identity, creating it on
 // first use. Re-registering an existing identity with a different kind is
 // a programming error and panics.
-func (r *Registry) register(name, help string, k kind, labels []Label) *metric {
+func (r *Registry) register(name string, k kind, labels []Label) *metric {
 	id := metricID(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -112,32 +107,32 @@ func (r *Registry) register(name, help string, k kind, labels []Label) *metric {
 		}
 		return m
 	}
-	m := &metric{name: name, help: help, kind: k, labels: append([]Label(nil), labels...)}
+	m := &metric{name: name, kind: k, labels: append([]Label(nil), labels...)}
 	r.index[id] = m
 	r.metrics = append(r.metrics, m)
 	return m
 }
 
 // Counter registers (or looks up) a monotonically increasing counter.
-// Counter names should end in "_total" per Prometheus convention. On a
-// nil registry it returns nil, whose methods are no-ops.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
+// Counter names end in "_total". On a nil registry it returns nil, whose
+// methods are no-ops.
+func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	return &Counter{m: r.register(name, help, kindCounter, labels)}
+	return &Counter{m: r.register(name, kindCounter, labels)}
 }
 
 // Gauge registers (or looks up) an instantaneous-value gauge. On a nil
 // registry it returns nil, whose methods are no-ops.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
+func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return &Gauge{m: r.register(name, help, kindGauge, labels)}
+	return &Gauge{m: r.register(name, kindGauge, labels)}
 }
 
-// OnCollect registers a hook run before every snapshot or exposition —
+// OnCollect registers a hook run before every snapshot —
 // the place to refresh gauges that are cheaper to sample on demand than
 // continuously (e.g. runtime.ReadMemStats). Hooks run on the scraping
 // goroutine and must only touch goroutine-safe state. No-op on nil.
@@ -151,7 +146,7 @@ func (r *Registry) OnCollect(fn func()) {
 }
 
 // snapshotMetrics runs the collect hooks and returns the metric list in a
-// deterministic exposition order: grouped by name in first-registration
+// deterministic order: grouped by name in first-registration
 // order of the name, then by label identity.
 func (r *Registry) snapshotMetrics() []*metric {
 	r.mu.Lock()
@@ -185,6 +180,48 @@ func (m *metric) value() float64 {
 		return float64(b)
 	}
 	return math.Float64frombits(b)
+}
+
+// Sample is one time series in a JSON snapshot.
+type Sample struct {
+	Name   string            `json:"name"`
+	Kind   string            `json:"kind"`
+	Labels map[string]string `json:"labels,omitempty"`
+	Value  float64           `json:"value"`
+}
+
+// Snapshot runs the collect hooks and returns every series' current
+// value: names in first-registration order, series within a name sorted
+// by label identity. Nil registry returns nil.
+func (r *Registry) Snapshot() []Sample {
+	if r == nil {
+		return nil
+	}
+	ms := r.snapshotMetrics()
+	out := make([]Sample, 0, len(ms))
+	for _, m := range ms {
+		s := Sample{Name: m.name, Kind: m.kind.String(), Value: m.value()}
+		if len(m.labels) > 0 {
+			s.Labels = make(map[string]string, len(m.labels))
+			for _, l := range m.labels {
+				s.Labels[l.Key] = l.Value
+			}
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// WriteJSON writes the snapshot as an indented JSON array — the payload
+// of the /telemetry.json endpoint and of debug dumps.
+func (r *Registry) WriteJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	samples := r.Snapshot()
+	if samples == nil {
+		samples = []Sample{}
+	}
+	return enc.Encode(samples)
 }
 
 // Counter is a handle to a monotonically increasing metric. A nil handle

@@ -2,13 +2,13 @@ package telemetry
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
-	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -16,8 +16,8 @@ import (
 
 func TestNilRegistryIsInert(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x_total", "help")
-	g := r.Gauge("y", "help")
+	c := r.Counter("x_total")
+	g := r.Gauge("y")
 	if c != nil || g != nil {
 		t.Fatalf("nil registry must hand out nil handles")
 	}
@@ -32,8 +32,8 @@ func TestNilRegistryIsInert(t *testing.T) {
 		t.Fatalf("nil registry snapshot = %v, want nil", s)
 	}
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil || buf.Len() != 0 {
-		t.Fatalf("nil registry exposition = %q, %v", buf.String(), err)
+	if err := r.WriteJSON(&buf); err != nil || strings.TrimSpace(buf.String()) != "[]" {
+		t.Fatalf("nil registry JSON = %q, %v", buf.String(), err)
 	}
 }
 
@@ -52,8 +52,8 @@ func TestNilHandleAllocs(t *testing.T) {
 
 func TestLiveHandleAllocs(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("x_total", "h")
-	g := r.Gauge("y", "h")
+	c := r.Counter("x_total")
+	g := r.Gauge("y")
 	n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		g.Set(2.5)
@@ -65,13 +65,13 @@ func TestLiveHandleAllocs(t *testing.T) {
 
 func TestCounterGaugeValues(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("hits_total", "h")
+	c := r.Counter("hits_total")
 	c.Inc()
 	c.Add(9)
 	if got := c.Value(); got != 10 {
 		t.Fatalf("counter = %d, want 10", got)
 	}
-	g := r.Gauge("depth", "h")
+	g := r.Gauge("depth")
 	g.Set(-2.25)
 	if got := g.Value(); got != -2.25 {
 		t.Fatalf("gauge = %v, want -2.25", got)
@@ -80,14 +80,14 @@ func TestCounterGaugeValues(t *testing.T) {
 
 func TestRegistryDedup(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("n_total", "h", Label{"worker", "0"})
-	b := r.Counter("n_total", "h", Label{"worker", "0"})
+	a := r.Counter("n_total", Label{"worker", "0"})
+	b := r.Counter("n_total", Label{"worker", "0"})
 	a.Add(2)
 	b.Add(3)
 	if a.Value() != 5 || b.Value() != 5 {
 		t.Fatalf("same identity must share a cell: %d vs %d", a.Value(), b.Value())
 	}
-	other := r.Counter("n_total", "h", Label{"worker", "1"})
+	other := r.Counter("n_total", Label{"worker", "1"})
 	if other.Value() != 0 {
 		t.Fatalf("different labels must be a distinct series")
 	}
@@ -95,19 +95,19 @@ func TestRegistryDedup(t *testing.T) {
 
 func TestKindConflictPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("m", "h")
+	r.Counter("m")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("re-registering a counter as a gauge must panic")
 		}
 	}()
-	r.Gauge("m", "h")
+	r.Gauge("m")
 }
 
 func TestConcurrentPublishAndScrape(t *testing.T) {
 	r := NewRegistry()
-	g := r.Gauge("depth", "h", Label{"worker", "0"})
-	c := r.Counter("events_total", "h")
+	g := r.Gauge("depth", Label{"worker", "0"})
+	c := r.Counter("events_total")
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -125,63 +125,41 @@ func TestConcurrentPublishAndScrape(t *testing.T) {
 	}()
 	for i := 0; i < 50; i++ {
 		var buf bytes.Buffer
-		if err := r.WritePrometheus(&buf); err != nil {
+		if err := r.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := ValidateExposition(bytes.NewReader(buf.Bytes())); err != nil {
+		var got []Sample
+		if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
 			t.Fatalf("scrape %d invalid: %v\n%s", i, err, buf.String())
+		}
+		if len(got) != 2 || got[0].Name != "depth" || got[1].Name != "events_total" {
+			t.Fatalf("scrape %d = %+v", i, got)
 		}
 	}
 	close(stop)
 	wg.Wait()
 }
 
-func TestPrometheusExpositionShape(t *testing.T) {
+// TestSnapshotOrder pins the snapshot order: names in first-registration
+// order, series within a name sorted by label identity.
+func TestSnapshotOrder(t *testing.T) {
 	r := NewRegistry()
-	r.Gauge("georoute_engine_queue_depth", "Pending events.", Label{"worker", "1"}).Set(42)
-	r.Gauge("georoute_engine_queue_depth", "Pending events.", Label{"worker", "0"}).Set(7)
-	r.Counter("georoute_engine_events_total", "Events.").Add(123)
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
+	r.Gauge("georoute_engine_queue_depth", Label{"worker", "1"}).Set(42)
+	r.Gauge("georoute_engine_queue_depth", Label{"worker", "0"}).Set(7)
+	r.Counter("georoute_engine_events_total").Add(123)
+	want := []Sample{
+		{Name: "georoute_engine_queue_depth", Kind: "gauge", Labels: map[string]string{"worker": "0"}, Value: 7},
+		{Name: "georoute_engine_queue_depth", Kind: "gauge", Labels: map[string]string{"worker": "1"}, Value: 42},
+		{Name: "georoute_engine_events_total", Kind: "counter", Value: 123},
 	}
-	out := buf.String()
-	want := `# HELP georoute_engine_queue_depth Pending events.
-# TYPE georoute_engine_queue_depth gauge
-georoute_engine_queue_depth{worker="0"} 7
-georoute_engine_queue_depth{worker="1"} 42
-# HELP georoute_engine_events_total Events.
-# TYPE georoute_engine_events_total counter
-georoute_engine_events_total 123
-`
-	if out != want {
-		t.Fatalf("exposition mismatch:\ngot:\n%s\nwant:\n%s", out, want)
-	}
-	if err := ValidateExposition(strings.NewReader(out)); err != nil {
-		t.Fatalf("own exposition fails validation: %v", err)
-	}
-}
-
-func TestFormatValueSpecials(t *testing.T) {
-	cases := map[float64]string{
-		math.Inf(1):  "+Inf",
-		math.Inf(-1): "-Inf",
-		1.5:          "1.5",
-		0:            "0",
-	}
-	for in, want := range cases {
-		if got := formatValue(in); got != want {
-			t.Errorf("formatValue(%v) = %q, want %q", in, got, want)
-		}
-	}
-	if got := formatValue(math.NaN()); got != "NaN" {
-		t.Errorf("formatValue(NaN) = %q", got)
+	if got := r.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshot = %+v\nwant %+v", got, want)
 	}
 }
 
 func TestOnCollectRefreshesBeforeSnapshot(t *testing.T) {
 	r := NewRegistry()
-	g := r.Gauge("lazy", "h")
+	g := r.Gauge("lazy")
 	calls := 0
 	r.OnCollect(func() {
 		calls++
@@ -192,39 +170,16 @@ func TestOnCollectRefreshesBeforeSnapshot(t *testing.T) {
 		t.Fatalf("snapshot after first collect = %+v (calls=%d)", s, calls)
 	}
 	var buf bytes.Buffer
-	r.WritePrometheus(&buf)
-	if calls != 2 || !strings.Contains(buf.String(), "lazy 2") {
-		t.Fatalf("exposition after second collect: calls=%d out=%q", calls, buf.String())
-	}
-}
-
-func TestValidateExpositionRejects(t *testing.T) {
-	bad := map[string]string{
-		"no type":        "orphan 1\n",
-		"bad name":       "# TYPE 0bad gauge\n0bad 1\n",
-		"bad type":       "# TYPE m fancy\nm 1\n",
-		"bad value":      "# TYPE m gauge\nm elephant\n",
-		"dup series":     "# TYPE m gauge\nm 1\nm 2\n",
-		"dup type":       "# TYPE m gauge\n# TYPE m gauge\nm 1\n",
-		"bad label":      "# TYPE m gauge\nm{0k=\"v\"} 1\n",
-		"unquoted label": "# TYPE m gauge\nm{k=v} 1\n",
-		"empty":          "",
-	}
-	for name, in := range bad {
-		if err := ValidateExposition(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: want error, got nil", name)
-		}
-	}
-	good := "# HELP m metric with \\\\ escape\n# TYPE m gauge\nm{k=\"a\\\"b\",z=\"c\"} +Inf\nm 4e-07\n# random comment\n"
-	if err := ValidateExposition(strings.NewReader(good)); err != nil {
-		t.Errorf("good exposition rejected: %v", err)
+	r.WriteJSON(&buf)
+	if calls != 2 || !strings.Contains(buf.String(), `"value": 2`) {
+		t.Fatalf("JSON after second collect: calls=%d out=%q", calls, buf.String())
 	}
 }
 
 func TestJSONSnapshotRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	r.Gauge("depth", "h", Label{"worker", "3"}).Set(11)
-	r.Counter("hits_total", "h").Add(4)
+	r.Gauge("depth", Label{"worker", "3"}).Set(11)
+	r.Counter("hits_total").Add(4)
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -246,8 +201,8 @@ func TestJSONSnapshotRoundTrip(t *testing.T) {
 
 func TestServerEndpoints(t *testing.T) {
 	r := NewRegistry()
-	r.Gauge("depth", "h").Set(5)
-	r.Counter("hits_total", "h").Add(2)
+	r.Gauge("depth").Set(5)
+	r.Counter("hits_total").Add(2)
 	RegisterRuntime(r)
 	srv, err := ListenAndServe(r, "127.0.0.1:0")
 	if err != nil {
@@ -255,14 +210,14 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	defer srv.Close()
 
-	get := func(path string) []byte {
+	get := func(path string, status int) []byte {
 		resp, err := http.Get("http://" + srv.Addr + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		if resp.StatusCode != status {
+			t.Fatalf("GET %s: status %d, want %d", path, resp.StatusCode, status)
 		}
 		b, err := io.ReadAll(resp.Body)
 		if err != nil {
@@ -271,31 +226,44 @@ func TestServerEndpoints(t *testing.T) {
 		return b
 	}
 
-	metrics := get("/metrics")
-	if err := ValidateExposition(bytes.NewReader(metrics)); err != nil {
-		t.Fatalf("/metrics invalid: %v\n%s", err, metrics)
-	}
-	if !bytes.Contains(metrics, []byte("georoute_runtime_heap_bytes")) {
-		t.Fatalf("/metrics missing runtime gauges:\n%s", metrics)
-	}
-
 	var snap []Sample
-	if err := json.Unmarshal(get("/telemetry.json"), &snap); err != nil {
+	if err := json.Unmarshal(get("/telemetry.json", http.StatusOK), &snap); err != nil {
 		t.Fatalf("/telemetry.json: %v", err)
 	}
-	if len(snap) == 0 {
-		t.Fatal("/telemetry.json empty")
+	runtimeGauge := false
+	for _, s := range snap {
+		runtimeGauge = runtimeGauge || s.Name == "georoute_runtime_heap_bytes" && s.Value > 0
+	}
+	if !runtimeGauge {
+		t.Fatalf("/telemetry.json missing runtime gauges: %+v", snap)
 	}
 
-	if !bytes.Contains(get("/debug/pprof/"), []byte("goroutine")) {
+	if !bytes.Contains(get("/debug/pprof/", http.StatusOK), []byte("goroutine")) {
 		t.Fatal("/debug/pprof/ index missing goroutine profile")
+	}
+	get("/metrics", http.StatusNotFound)
+}
+
+// TestShutdownFreesAddress: once Shutdown returns, the address can be
+// bound again, even when Serve's goroutine has not started yet.
+func TestShutdownFreesAddress(t *testing.T) {
+	addr := "127.0.0.1:0"
+	for i := 0; i < 50; i++ {
+		srv, err := ListenAndServe(NewRegistry(), addr)
+		if err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		addr = srv.Addr
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 func TestWriteDebugDump(t *testing.T) {
 	dir := t.TempDir()
 	r := NewRegistry()
-	r.Gauge("depth", "h").Set(9)
+	r.Gauge("depth").Set(9)
 	stacks, snap, err := WriteDebugDump(filepath.Join(dir, "results"), r)
 	if err != nil {
 		t.Fatal(err)
@@ -337,15 +305,20 @@ func TestRunGaugesNilRegistry(t *testing.T) {
 	g := NewRunGauges(r, 2)
 	g.QueueDepth.Set(3)
 	g.EventsTotal.Add(10)
-	var buf bytes.Buffer
-	r.WritePrometheus(&buf)
-	for _, want := range []string{
-		`georoute_engine_queue_depth{worker="2"} 3`,
-		"georoute_engine_events_total 10",
-	} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("exposition missing %q:\n%s", want, buf.String())
+	want := map[string]Sample{
+		"georoute_engine_queue_depth":  {Name: "georoute_engine_queue_depth", Kind: "gauge", Labels: map[string]string{"worker": "2"}, Value: 3},
+		"georoute_engine_events_total": {Name: "georoute_engine_events_total", Kind: "counter", Value: 10},
+	}
+	for _, s := range r.Snapshot() {
+		if w, ok := want[s.Name]; ok {
+			if !reflect.DeepEqual(s, w) {
+				t.Fatalf("snapshot sample = %+v, want %+v", s, w)
+			}
+			delete(want, s.Name)
 		}
+	}
+	if len(want) != 0 {
+		t.Fatalf("snapshot missing %v", want)
 	}
 }
 
@@ -370,14 +343,16 @@ func min(a, b int) int {
 	return b
 }
 
-func ExampleRegistry_WritePrometheus() {
+func ExampleRegistry_WriteJSON() {
 	r := NewRegistry()
-	r.Gauge("georoute_campaign_cells_done", "Cells completed.").Set(12)
-	var buf bytes.Buffer
-	r.WritePrometheus(&buf)
-	fmt.Print(buf.String())
+	r.Gauge("georoute_campaign_cells_done").Set(12)
+	r.WriteJSON(os.Stdout)
 	// Output:
-	// # HELP georoute_campaign_cells_done Cells completed.
-	// # TYPE georoute_campaign_cells_done gauge
-	// georoute_campaign_cells_done 12
+	// [
+	//   {
+	//     "name": "georoute_campaign_cells_done",
+	//     "kind": "gauge",
+	//     "value": 12
+	//   }
+	// ]
 }
