@@ -45,6 +45,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"github.com/vanetsec/georoute/addrtab"
 )
 
 // Check identifies one plausibility-monitor class.
@@ -154,7 +156,7 @@ type Config struct {
 type Detector struct {
 	cfg Config
 	// nodes is the monitors' memory: per receiving node, per claim source.
-	nodes map[uint64]map[uint64]*srcState
+	nodes addrtab.Table[uint64, addrtab.Table[uint64, srcState]]
 
 	mu        sync.Mutex
 	verdicts  uint64
@@ -165,7 +167,7 @@ type Detector struct {
 
 // New constructs a Detector.
 func New(cfg Config) *Detector {
-	return &Detector{cfg: cfg, nodes: make(map[uint64]map[uint64]*srcState)}
+	return &Detector{cfg: cfg}
 }
 
 // Summary snapshots the run's aggregate detection outcome. Nil on a nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/vanetsec/georoute/addrtab"
 	"github.com/vanetsec/georoute/internal/geo"
 	"github.com/vanetsec/georoute/internal/trace"
 )
@@ -43,15 +44,15 @@ func (d *Detector) observeClaim(c *trace.Record) {
 	if !single && !c.HasClaim {
 		return
 	}
-	srcs := d.nodes[c.Node]
+	srcs := d.nodes.Get(c.Node)
 	if srcs == nil {
-		srcs = make(map[uint64]*srcState)
-		d.nodes[c.Node] = srcs
+		srcs = new(addrtab.Table[uint64, srcState])
+		d.nodes.Put(c.Node, srcs)
 	}
-	st := srcs[c.Src]
+	st := srcs.Get(c.Src)
 	if st == nil {
-		st = &srcState{}
-		srcs[c.Src] = st
+		st = new(srcState)
+		srcs.Put(c.Src, st)
 	}
 
 	if single {

@@ -1,6 +1,7 @@
 package geonet
 
 import (
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -65,6 +66,45 @@ func BenchmarkLocTUpdate(b *testing.B) {
 			Pos:       geo.Pt(float64(i%4000), 0),
 		}, time.Duration(i), true)
 	}
+}
+
+// BenchmarkLocTFrameOrder measures LocT refreshes in the order a
+// beacon-heavy run makes them: 480 vehicles on a ring, each frame a fresh
+// PV from one source refreshing the tables of the 150 consecutive
+// receivers around it, sources taking turns in a fixed shuffled order.
+// BenchmarkLocTUpdate's single 64-entry table stays in L1; here the
+// tables (480 × 150 entries) do not, so the cost of reaching the index
+// and the entry shows. One op is one frame; ns/update is per refresh.
+func BenchmarkLocTFrameOrder(b *testing.B) {
+	const (
+		vehicles  = 480
+		heard     = 150
+		addrBase  = 1000 // vehicle addresses start here, as in internal/vanet
+		frameStep = 3 * time.Second / vehicles
+	)
+	tables := make([]*LocT, vehicles)
+	for i := range tables {
+		tables[i] = NewLocT(0, 0)
+	}
+	order := rand.New(rand.NewPCG(1, 2)).Perm(vehicles)
+	now := time.Duration(0)
+	frame := func(k int) {
+		src := order[k%vehicles]
+		now += frameStep
+		pv := PositionVector{Addr: Address(addrBase + src), Timestamp: now, Pos: geo.Pt(float64(src)*10, 0)}
+		for j := src - heard/2; j < src+heard/2; j++ {
+			tables[(j+vehicles)%vehicles].Update(pv, now, true)
+		}
+	}
+	for k := 0; k < vehicles; k++ { // every receiver learns its sources
+		frame(k)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frame(i)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*heard), "ns/update")
 }
 
 func BenchmarkLocTClosest64Neighbors(b *testing.B) {

@@ -3,6 +3,7 @@ package geonet
 import (
 	"time"
 
+	"github.com/vanetsec/georoute/addrtab"
 	"github.com/vanetsec/georoute/internal/geo"
 )
 
@@ -39,17 +40,27 @@ func (e *LocTEntry) NeighborAt(now time.Duration) bool {
 // forwarded packets. Entries expire after the configured TTL (default
 // 20 s per the standard).
 //
-// Entry lifetime: Update overwrites a stored *LocTEntry in place, so a
-// pointer handed out by Lookup, Neighbors, AppendNeighbors or Closest is
-// a view that is valid only within the current event — until the next
-// Update of that address. Callers read it and drop it (the greedy and
-// GPSR next-hop walks, the CBF contention timers, the location-service
-// shortcut, next-hop acceptance filters); none may retain it across an
-// Update, and one that needs a snapshot copies the value.
+// Index: an addrtab.Table of 16-byte slots, each an address and a pointer
+// to its separately allocated LocTEntry, linear-probed from the address's
+// Fibonacci hash and grown by doubling above 7/8 load. The entries stay
+// separate objects because receivers learn a source in reception order,
+// so the entries of one source sit next to each other in memory and the
+// next frame from that source refreshes them in the same order; entries
+// inlined into the slots would scatter them. Slot order never reaches an
+// output: enumeration sorts by address.
+//
+// Entry lifetime: Update overwrites a stored *LocTEntry in place, and the
+// index moves only slots, so a pointer handed out by Lookup,
+// AppendNeighbors or Closest is a view that is valid only within the
+// current event — until the next Update of that address. Callers read it
+// and drop it (the greedy and GPSR next-hop walks, the CBF contention
+// timers, the location-service shortcut, next-hop acceptance filters);
+// none may retain it across an Update, and one that needs a snapshot
+// copies the value.
 type LocT struct {
 	ttl         time.Duration
 	neighborTTL time.Duration
-	entries     map[Address]*LocTEntry
+	entries     addrtab.Table[Address, LocTEntry]
 	// scratch is the reused enumeration buffer behind Closest, keeping
 	// per-forwarding-decision neighbor walks allocation-free once warm.
 	scratch []*LocTEntry
@@ -69,7 +80,7 @@ func NewLocT(ttl, neighborTTL time.Duration) *LocT {
 	if neighborTTL == 0 || neighborTTL > ttl {
 		neighborTTL = ttl
 	}
-	return &LocT{ttl: ttl, neighborTTL: neighborTTL, entries: make(map[Address]*LocTEntry)}
+	return &LocT{ttl: ttl, neighborTTL: neighborTTL}
 }
 
 // TTL reports the configured entry lifetime.
@@ -89,7 +100,8 @@ func (t *LocT) TTL() time.Duration { return t.ttl }
 // simulator's hottest operation — allocates nothing; only an address
 // learned for the first time (or again after a purge) gets a new entry.
 func (t *LocT) Update(pv PositionVector, now time.Duration, isNeighbor bool) bool {
-	e, ok := t.entries[pv.Addr]
+	e := t.entries.Get(pv.Addr)
+	ok := e != nil
 	if ok && now <= e.ExpiresAt && pv.Timestamp <= e.PV.Timestamp {
 		if pv.Timestamp < e.PV.Timestamp {
 			// A strictly older PV is a stale replay; it neither updates
@@ -117,7 +129,7 @@ func (t *LocT) Update(pv PositionVector, now time.Duration, isNeighbor bool) boo
 	}
 	if !ok {
 		e = new(LocTEntry)
-		t.entries[pv.Addr] = e
+		t.entries.Put(pv.Addr, e)
 	}
 	*e = LocTEntry{
 		Addr:          pv.Addr,
@@ -132,12 +144,12 @@ func (t *LocT) Update(pv PositionVector, now time.Duration, isNeighbor bool) boo
 
 // Lookup returns the live entry for addr, or nil.
 func (t *LocT) Lookup(addr Address, now time.Duration) *LocTEntry {
-	e, ok := t.entries[addr]
-	if !ok {
+	e := t.entries.Get(addr)
+	if e == nil {
 		return nil
 	}
 	if now > e.ExpiresAt {
-		delete(t.entries, addr)
+		t.entries.Delete(addr)
 		return nil
 	}
 	return e
@@ -145,39 +157,29 @@ func (t *LocT) Lookup(addr Address, now time.Duration) *LocTEntry {
 
 // Len reports the number of stored entries including not-yet-purged
 // expired ones.
-func (t *LocT) Len() int { return len(t.entries) }
+func (t *LocT) Len() int { return t.entries.Len() }
 
 // Purge drops expired entries.
 func (t *LocT) Purge(now time.Duration) {
-	for addr, e := range t.entries {
-		if now > e.ExpiresAt {
-			delete(t.entries, addr)
-		}
-	}
+	t.entries.Sweep(func(e *LocTEntry) bool { return now <= e.ExpiresAt })
 }
 
-// Neighbors returns the live entries sorted by address (deterministic
-// iteration for reproducible runs). The entries are shared; callers must
-// not mutate them, and they change under the caller on the next Update
-// (see the entry-lifetime note on LocT).
-func (t *LocT) Neighbors(now time.Duration) []*LocTEntry {
-	return t.AppendNeighbors(make([]*LocTEntry, 0, len(t.entries)), now)
-}
-
-// AppendNeighbors appends the live entries to dst in address order,
-// purging expired ones, and returns the extended slice. It is the
-// allocation-free counterpart of Neighbors for callers that reuse a
-// scratch buffer (forwarding strategies enumerate the neighborhood on
-// every hop). The entries are shared; callers must not mutate them.
+// AppendNeighbors appends the live entries to dst in address order
+// (deterministic iteration for reproducible runs), purging expired ones,
+// and returns the extended slice. Callers reuse a scratch buffer, so
+// forwarding strategies enumerate the neighborhood on every hop without
+// allocating. The entries are shared; callers must not mutate them, and
+// they change under the caller on the next Update (see the
+// entry-lifetime note on LocT).
 func (t *LocT) AppendNeighbors(dst []*LocTEntry, now time.Duration) []*LocTEntry {
 	start := len(dst)
-	for addr, e := range t.entries {
+	t.entries.Sweep(func(e *LocTEntry) bool {
 		if now > e.ExpiresAt {
-			delete(t.entries, addr)
-			continue
+			return false
 		}
 		dst = append(dst, e)
-	}
+		return true
+	})
 	// Insertion sort instead of sort.Slice: the appended window is small
 	// (a radio neighborhood) and sort.Slice's closure would allocate on
 	// every forwarding decision.

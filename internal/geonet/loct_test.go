@@ -97,18 +97,18 @@ func TestLocTNeighborsSortedAndLive(t *testing.T) {
 	lt.Update(pvAt(3, 30, 0), 0, true)
 	lt.Update(pvAt(1, 10, 0), 0, true)
 	lt.Update(pvAt(2, 20, 5*time.Second), 5*time.Second, true)
-	ns := lt.Neighbors(12 * time.Second) // 1 and 3 expired at t=10s
+	ns := lt.AppendNeighbors(nil, 12*time.Second) // 1 and 3 expired at t=10s
 	if len(ns) != 1 || ns[0].Addr != 2 {
-		t.Fatalf("Neighbors = %+v, want only addr 2", ns)
+		t.Fatalf("AppendNeighbors = %+v, want only addr 2", ns)
 	}
 	lt2 := NewLocT(10*time.Second, 0)
 	for _, a := range []Address{5, 2, 9, 1} {
 		lt2.Update(pvAt(a, float64(a), 0), 0, true)
 	}
-	ns2 := lt2.Neighbors(0)
+	ns2 := lt2.AppendNeighbors(nil, 0)
 	for i := 1; i < len(ns2); i++ {
 		if ns2[i-1].Addr >= ns2[i].Addr {
-			t.Fatalf("Neighbors not sorted: %+v", ns2)
+			t.Fatalf("AppendNeighbors not sorted: %+v", ns2)
 		}
 	}
 }
@@ -168,5 +168,61 @@ func TestLocTPurge(t *testing.T) {
 	lt.Purge(5 * time.Second)
 	if lt.Len() != 0 {
 		t.Fatalf("Len after purge = %d, want 0", lt.Len())
+	}
+}
+
+// TestLocTWarmAllocs: on a warm table, Lookup, AppendNeighbors and Purge
+// allocate nothing, also when they remove expired entries, and an
+// address learned again after its removal allocates exactly its one new
+// entry.
+func TestLocTWarmAllocs(t *testing.T) {
+	const addrs = 64
+	lt := NewLocT(time.Second, 0)
+	buf := make([]*LocTEntry, 0, addrs)
+	now := time.Duration(0)
+	learn := func() {
+		now += 2 * time.Second
+		for a := Address(1); a <= addrs; a++ {
+			lt.Update(pvAt(a, float64(a), now), now, true)
+		}
+	}
+	learn()
+	if allocs := testing.AllocsPerRun(100, func() {
+		for a := Address(1); a <= addrs; a++ {
+			if lt.Lookup(a, now) == nil {
+				t.Fatal("live entry not found")
+			}
+		}
+		if buf = lt.AppendNeighbors(buf[:0], now); len(buf) != addrs {
+			t.Fatalf("AppendNeighbors = %d entries, want %d", len(buf), addrs)
+		}
+		lt.Purge(now)
+	}); allocs != 0 {
+		t.Fatalf("Lookup, AppendNeighbors and Purge of live entries allocate %.1f, want 0", allocs)
+	}
+	for _, c := range []struct {
+		name   string
+		remove func()
+	}{
+		{"Lookup", func() {
+			for a := Address(1); a <= addrs; a++ {
+				lt.Lookup(a, now)
+			}
+		}},
+		{"AppendNeighbors", func() { buf = lt.AppendNeighbors(buf[:0], now) }},
+		{"Purge", func() { lt.Purge(now) }},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			learn()
+			now += 2 * time.Second
+			c.remove()
+			if lt.Len() != 0 {
+				t.Fatalf("%s left %d expired entries", c.name, lt.Len())
+			}
+		})
+		if allocs != addrs {
+			t.Errorf("re-learning %d addresses and removing them with %s allocates %.1f, want %d (one entry each)",
+				addrs, c.name, allocs, addrs)
+		}
 	}
 }

@@ -63,7 +63,7 @@ func TestScaleWorldSegmentsAreRFIsolated(t *testing.T) {
 		if r == nil {
 			continue
 		}
-		for _, e := range r.LocT().Neighbors(w.Engine.Now()) {
+		for _, e := range r.LocT().AppendNeighbors(nil, w.Engine.Now()) {
 			if e.Addr >= VehicleAddrBase+SegmentIDStride {
 				t.Fatalf("segment-0 vehicle %d learned cross-segment address %d", v.ID, e.Addr)
 			}
