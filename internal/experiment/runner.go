@@ -3,6 +3,7 @@ package experiment
 import (
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -27,9 +28,9 @@ type tracked struct {
 	// and whether it did.
 	dest      geonet.Address
 	delivered bool
-	// IntraArea: the on-road population at send time and how many of it
-	// received the packet.
-	targets  map[geonet.Address]bool
+	// IntraArea: the addresses of the on-road population at send time,
+	// sorted, and how many of it received the packet.
+	targets  []geonet.Address
 	received int
 }
 
@@ -156,7 +157,7 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 				}
 				t.delivered = true
 			case IntraArea:
-				if !t.targets[addr] {
+				if _, ok := slices.BinarySearch(t.targets, addr); !ok {
 					return
 				}
 				t.received++
@@ -250,12 +251,14 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 			if r == nil {
 				return
 			}
-			targets := make(map[geonet.Address]bool, len(vs))
+			// Vehicles sorts by ID and AddrOf is monotone in it, so the
+			// targets come out sorted.
+			targets := make([]geonet.Address, 0, len(vs)-1)
 			for _, v := range vs {
 				if v.ID == src.ID {
 					continue
 				}
-				targets[vanet.AddrOf(v)] = true
+				targets = append(targets, vanet.AddrOf(v))
 			}
 			track(r.SendGeoBroadcast(area, nil), &tracked{targets: targets})
 		}

@@ -91,18 +91,21 @@ type Area interface {
 // transform so that exact border points count as inside.
 const containsTol = 1e-9
 
-// local transforms p into the area's local frame: origin at center,
-// rotated so that the area's "long axis" at azimuth (compass degrees)
-// becomes the local X axis.
-func local(p, center Point, azimuthDeg float64) (x, y float64) {
-	// Azimuth is measured like a heading: 0 => +Y, 90 => +X. Rotating the
-	// world by -azimuth maps the axis direction onto local +X.
+// axis returns the unit vector, in world coordinates, of an area's
+// "long axis" at azimuth (compass degrees). Azimuth is measured like a
+// heading: 0 => +Y, 90 => +X. The area constructors compute it once, so
+// that evaluating an area at a point takes no sine or cosine.
+func axis(azimuthDeg float64) (ax, ay float64) {
 	rad := azimuthDeg * math.Pi / 180
+	return math.Sin(rad), math.Cos(rad)
+}
+
+// local transforms p into the area's local frame: origin at center,
+// rotated by -azimuth so that the long axis (ax, ay) becomes the local X
+// axis.
+func local(p, center Point, ax, ay float64) (x, y float64) {
 	dx := p.X - center.X
 	dy := p.Y - center.Y
-	// Unit vector of the long axis in world coordinates.
-	ax := math.Sin(rad)
-	ay := math.Cos(rad)
 	// Local x is the projection on the axis, local y on its normal.
 	x = dx*ax + dy*ay
 	y = -dx*ay + dy*ax
@@ -142,11 +145,14 @@ func (a Circle) DistanceTo(p Point) float64 {
 }
 
 // Rect is a rectangular destination area with half-lengths A (along the
-// azimuth axis) and B (normal to it).
+// azimuth axis) and B (normal to it). Build it with NewRect, which also
+// sets the unexported unit axis that F, Contains and DistanceTo read; a
+// Rect literal has no axis.
 type Rect struct {
 	C          Point
 	A, B       float64 // half side lengths in meters
 	AzimuthDeg float64 // compass orientation of the A axis
+	ax, ay     float64 // unit vector of the A axis, from AzimuthDeg
 }
 
 var _ Area = Rect{}
@@ -154,12 +160,13 @@ var _ Area = Rect{}
 // NewRect constructs a rectangle centered at c. a and b are HALF side
 // lengths along and across the azimuth axis.
 func NewRect(c Point, a, b, azimuthDeg float64) Rect {
-	return Rect{C: c, A: a, B: b, AzimuthDeg: azimuthDeg}
+	ax, ay := axis(azimuthDeg)
+	return Rect{C: c, A: a, B: b, AzimuthDeg: azimuthDeg, ax: ax, ay: ay}
 }
 
 // F implements Area using f = min(1-(x/a)^2, 1-(y/b)^2).
 func (a Rect) F(p Point) float64 {
-	x, y := local(p, a.C, a.AzimuthDeg)
+	x, y := local(p, a.C, a.ax, a.ay)
 	fx := 1 - (x/a.A)*(x/a.A)
 	fy := 1 - (y/a.B)*(y/a.B)
 	return math.Min(fx, fy)
@@ -173,30 +180,34 @@ func (a Rect) Center() Point { return a.C }
 
 // DistanceTo implements Area.
 func (a Rect) DistanceTo(p Point) float64 {
-	x, y := local(p, a.C, a.AzimuthDeg)
+	x, y := local(p, a.C, a.ax, a.ay)
 	dx := math.Max(math.Abs(x)-a.A, 0)
 	dy := math.Max(math.Abs(y)-a.B, 0)
 	return math.Hypot(dx, dy)
 }
 
 // Ellipse is an elliptical destination area with semi-axes A (along the
-// azimuth axis) and B (normal to it).
+// azimuth axis) and B (normal to it). Build it with NewEllipse, which also
+// sets the unexported unit axis that F, Contains and DistanceTo read; an
+// Ellipse literal has no axis.
 type Ellipse struct {
 	C          Point
 	A, B       float64 // semi-axis lengths in meters
 	AzimuthDeg float64 // compass orientation of the A axis
+	ax, ay     float64 // unit vector of the A axis, from AzimuthDeg
 }
 
 var _ Area = Ellipse{}
 
 // NewEllipse constructs an ellipse centered at c with semi-axes a, b.
 func NewEllipse(c Point, a, b, azimuthDeg float64) Ellipse {
-	return Ellipse{C: c, A: a, B: b, AzimuthDeg: azimuthDeg}
+	ax, ay := axis(azimuthDeg)
+	return Ellipse{C: c, A: a, B: b, AzimuthDeg: azimuthDeg, ax: ax, ay: ay}
 }
 
 // F implements Area using f = 1 - (x/a)^2 - (y/b)^2.
 func (a Ellipse) F(p Point) float64 {
-	x, y := local(p, a.C, a.AzimuthDeg)
+	x, y := local(p, a.C, a.ax, a.ay)
 	return 1 - (x/a.A)*(x/a.A) - (y/a.B)*(y/a.B)
 }
 
@@ -214,7 +225,7 @@ func (a Ellipse) DistanceTo(p Point) float64 {
 	if a.Contains(p) {
 		return 0
 	}
-	x, y := local(p, a.C, a.AzimuthDeg)
+	x, y := local(p, a.C, a.ax, a.ay)
 	d := math.Hypot(x, y)
 	if d == 0 {
 		return 0

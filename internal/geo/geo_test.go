@@ -413,3 +413,54 @@ func TestSegmentDistanceToPoint(t *testing.T) {
 		})
 	}
 }
+
+// localPerCall is the area transform as it was before the constructors
+// cached the axis: it takes the sine and cosine of the azimuth on every
+// call.
+func localPerCall(p, center Point, azimuthDeg float64) (x, y float64) {
+	rad := azimuthDeg * math.Pi / 180
+	dx := p.X - center.X
+	dy := p.Y - center.Y
+	ax := math.Sin(rad)
+	ay := math.Cos(rad)
+	x = dx*ax + dy*ay
+	y = -dx*ay + dy*ax
+	return x, y
+}
+
+// TestAreaAxisCachedMatchesPerCall requires F and DistanceTo of areas
+// built by NewRect and NewEllipse to equal, bit for bit, the same
+// formulas evaluated with the per-call transform, over random centers,
+// sizes, azimuths (arbitrary, and in the wire format's 0.1° steps) and
+// points inside and outside.
+func TestAreaAxisCachedMatchesPerCall(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for i := 0; i < 20000; i++ {
+		c := Pt(rng.Float64()*8000-4000, rng.Float64()*200-100)
+		a, b := 1+rng.Float64()*2000, 1+rng.Float64()*100
+		az := rng.Float64() * 360
+		if i%2 == 0 {
+			az = float64(rng.IntN(3600)) / 10
+		}
+		p := Pt(c.X+(rng.Float64()*2-1)*1.5*a, c.Y+(rng.Float64()*2-1)*1.5*a)
+		x, y := localPerCall(p, c, az)
+
+		r := NewRect(c, a, b, az)
+		rectF := math.Min(1-(x/a)*(x/a), 1-(y/b)*(y/b))
+		rectD := math.Hypot(math.Max(math.Abs(x)-a, 0), math.Max(math.Abs(y)-b, 0))
+		if !same(r.F(p), rectF) || !same(r.DistanceTo(p), rectD) || r.Contains(p) != (rectF >= -containsTol) {
+			t.Fatalf("Rect(%v, %v, %v, %v) at %v: F %v, DistanceTo %v; per-call %v, %v", c, a, b, az, p, r.F(p), r.DistanceTo(p), rectF, rectD)
+		}
+
+		e := NewEllipse(c, a, b, az)
+		ellF := 1 - (x/a)*(x/a) - (y/b)*(y/b)
+		ellD := 0.0
+		if d := math.Hypot(x, y); ellF < -containsTol && d != 0 {
+			ellD = d * (1 - 1/math.Sqrt((x/a)*(x/a)+(y/b)*(y/b)))
+		}
+		if !same(e.F(p), ellF) || !same(e.DistanceTo(p), ellD) || e.Contains(p) != (ellF >= -containsTol) {
+			t.Fatalf("Ellipse(%v, %v, %v, %v) at %v: F %v, DistanceTo %v; per-call %v, %v", c, a, b, az, p, e.F(p), e.DistanceTo(p), ellF, ellD)
+		}
+	}
+}

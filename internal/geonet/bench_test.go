@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"github.com/vanetsec/georoute/internal/geo"
+	"github.com/vanetsec/georoute/internal/radio"
 	"github.com/vanetsec/georoute/internal/security"
+	"github.com/vanetsec/georoute/internal/sim"
 )
 
 func benchPacket(b *testing.B) (*Packet, security.Signer, security.Verifier) {
@@ -146,4 +148,95 @@ func BenchmarkRouterBeaconReceive(b *testing.B) {
 		engine.Run(lap + time.Duration(k+1)*beaconRingPeriod)
 		rx.Deliver(ring[k])
 	}
+}
+
+// stateSink keeps the benchmarked lookups from being optimized away.
+var stateSink *pktState
+
+// BenchmarkRouterPacketState measures the router's per-packet state in
+// the shape of a Fig. 9 CBF storm (the cbf_storm workload): 270 routers,
+// each holding the same 300 live packets, whose sources were drawn at
+// random from 270 vehicles. Routers take turns, so the states do not stay
+// in cache between a router's operations.
+//
+//   - duplicate: a later copy of a held packet;
+//   - first-copy: the first copy of a new packet (the routers are
+//     refilled, untimed, after each has taken another 300);
+//   - purge: a beacon round's purge while no packet has expired, as in
+//     every cbf_storm run (40 s against a 60 s lifetime).
+func BenchmarkRouterPacketState(b *testing.B) {
+	const (
+		routers  = 270
+		sources  = 270
+		held     = 300
+		addrBase = 1000
+	)
+	engine := sim.NewEngine(1)
+	engine.Run(30 * time.Second)
+	ca := security.NewSimCA(1)
+	medium := radio.NewMedium(engine, radio.Config{})
+	rng := rand.New(rand.NewPCG(3, 4))
+	sn := make([]uint16, sources)
+	// packets draws n packets from random sources, numbered per source.
+	packets := func(n int) []*Packet {
+		ps := make([]*Packet, n)
+		for i := range ps {
+			src := rng.IntN(sources)
+			sn[src]++
+			ps[i] = &Packet{
+				Basic:    BasicHeader{LifetimeMs: 60000},
+				SN:       sn[src],
+				SourcePV: PositionVector{Addr: Address(addrBase + src), Timestamp: engine.Now() - time.Second},
+			}
+		}
+		return ps
+	}
+	base := packets(held)
+	var rs []*Router
+	fill := func() {
+		rs = make([]*Router, routers)
+		for i := range rs {
+			rs[i] = NewRouter(Config{
+				Addr:     Address(addrBase + i),
+				Engine:   engine,
+				Medium:   medium,
+				Signer:   ca.Enroll(security.StationID(addrBase+i), 0),
+				Verifier: ca,
+				Position: func() geo.Point { return geo.Pt(0, 0) },
+				Range:    500,
+			})
+			for _, p := range base {
+				rs[i].stateFor(p)
+			}
+		}
+	}
+	fill()
+	b.Run("duplicate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			stateSink = rs[i%routers].stateFor(base[(i/routers*7+i)%held])
+		}
+	})
+	b.Run("first-copy", func(b *testing.B) {
+		fresh := packets(held)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i % (routers * held)
+			if k == 0 && i > 0 {
+				b.StopTimer()
+				fill()
+				fresh = packets(held)
+				b.StartTimer()
+			}
+			stateSink = rs[k%routers].stateFor(fresh[k/routers])
+		}
+	})
+	fill()
+	b.Run("purge", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rs[i%routers].purgeStates()
+		}
+	})
 }

@@ -131,14 +131,14 @@ func TestCopyPastLifetimeDroppedBeforeState(t *testing.T) {
 	if relay.Stats().GFExpired != 1 {
 		t.Fatalf("buffer did not expire: %+v", relay.Stats())
 	}
-	if len(relay.state) != 0 {
-		t.Fatalf("relay still holds %d packet states after the lifetime", len(relay.state))
+	if n := countStates(relay); n != 0 {
+		t.Fatalf("relay still holds %d packet states after the lifetime", n)
 	}
 	relay.Deliver(radio.Frame{From: 7, To: 2, Payload: wire})
 	if st := relay.Stats(); st.GFRecustody != 0 || st.GFExpired != 2 || st.GFBuffered != 1 {
 		t.Fatalf("copy past its lifetime was not dropped as expired: %+v", st)
 	}
-	if len(relay.state) != 0 {
+	if countStates(relay) != 0 {
 		t.Fatal("copy past its lifetime created a packet state")
 	}
 }
@@ -162,7 +162,7 @@ func TestPacketStateBoundedByLifetime(t *testing.T) {
 	peak := 0
 	w.engine.Every(time.Second, 250*time.Millisecond, "test.sample", func() {
 		for _, r := range w.routers {
-			peak = max(peak, len(r.state))
+			peak = max(peak, countStates(r))
 		}
 	})
 	w.engine.Run(duration)

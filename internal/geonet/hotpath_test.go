@@ -289,6 +289,15 @@ func TestRouterSizeClass(t *testing.T) {
 	}
 }
 
+// TestPacketStateSizeClass pins pktState to the allocator's 48-byte size
+// class: a CBF storm allocates one per packet per router, and the next
+// class is 64 bytes.
+func TestPacketStateSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(pktState{}); got > 48 {
+		t.Fatalf("unsafe.Sizeof(pktState{}) = %d, want <= 48 (the 48-byte class)", got)
+	}
+}
+
 // TestMarshalPathAllocs asserts AppendMarshal into a pre-grown buffer
 // and the uncached verify's one-shot signing path stay within bounds.
 func TestMarshalPathAllocs(t *testing.T) {

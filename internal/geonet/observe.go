@@ -64,8 +64,8 @@ func (r *Router) drop(p *Packet, from radio.NodeID, reason trace.Reason, kind tr
 }
 
 // dropKey is drop for a copy we only know by its end-to-end key: Stop
-// finds the armed contentions through the state map and drops them by
-// key, in key order.
+// takes the key of each armed contention from its buffered copy before
+// it releases the arm, and drops the copies in key order.
 func (r *Router) dropKey(k Key, reason trace.Reason, kind trace.Kind) {
 	r.countDrop(reason)
 	if r.cfg.Tracer == nil {

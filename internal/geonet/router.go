@@ -2,10 +2,12 @@ package geonet
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sort"
 	"time"
 
+	"github.com/vanetsec/georoute/addrtab"
 	"github.com/vanetsec/georoute/internal/geo"
 	"github.com/vanetsec/georoute/internal/radio"
 	"github.com/vanetsec/georoute/internal/security"
@@ -140,7 +142,13 @@ type Router struct {
 	nextHop    NextHopPolicy
 	contention ContentionPolicy
 
-	state       map[Key]*pktState
+	// state holds the packet states by source address: the source's
+	// newest packet, with older ones chained behind it through
+	// pktState.next. A pointer keeps Router in its size class.
+	state *addrtab.Table[Address, pktState]
+	// purgeAt is a lower bound on the expiry of every state a purge could
+	// still remove; purgeStates does nothing until the clock passes it.
+	purgeAt     time.Duration
 	lsQueue     map[Address][]lsPending
 	beaconTimer sim.Timer
 	// beaconFn is r.beaconTick bound once at Start, so rescheduling the
@@ -159,14 +167,14 @@ type Router struct {
 	// (incremented when contend schedules one, decremented exactly once
 	// when the contention resolves: fire, duplicate cancel, or Stop). A
 	// plain int kept on the router so the telemetry sampler reads occupancy
-	// without walking the state map.
+	// without walking the state table.
 	cbfArmed int
 }
 
 // pktState tracks per-packet progress at this node.
 type pktState struct {
-	// Word-sized fields lead and the flags pack behind them, keeping the
-	// struct in the 48-byte size class.
+	// Word-sized fields lead and the narrow ones pack behind them, keeping
+	// the struct in the 48-byte size class (TestPacketStateSizeClass).
 
 	// expires is when the packet's lifetime ends (source timestamp plus
 	// LifetimeMs). Later copies are dropped before the state lookup, so
@@ -176,8 +184,10 @@ type pktState struct {
 	// GF never hands the packet straight back to it (split horizon), which
 	// keeps custody transfers between two carriers from livelocking.
 	prevHop Address
-	cbfDups int     // duplicate copies seen while the contention was armed
-	cbfArm  *cbfArm // the armed contention, nil once resolved
+	cbfArm  *cbfArm   // the armed contention, nil once resolved
+	next    *pktState // the source's next older packet
+	cbfDups int32     // duplicate copies seen while the contention was armed
+	sn      uint16    // the packet's sequence number; its source is the chain's key
 
 	delivered bool
 	// gfSeen marks the packet as having entered GF handling at least once.
@@ -252,7 +262,8 @@ func NewRouter(cfg Config) *Router {
 		loct:        NewLocT(cfg.LocTTTL, cfg.NeighborLifetime),
 		nextHop:     strat.NewNextHop(),
 		contention:  strat.NewContention(),
-		state:       make(map[Key]*pktState),
+		state:       new(addrtab.Table[Address, pktState]),
+		purgeAt:     never,
 		lsQueue:     make(map[Address][]lsPending),
 		retryTimers: make(map[*pending]sim.Timer),
 	}
@@ -316,16 +327,19 @@ func (r *Router) Stop() {
 		r.drop(pe.pkt, 0, trace.ReasonStopped, trace.KindBuffer)
 	}
 	var armed []Key
-	for k, st := range r.state {
-		// Only unresolved contentions still hold an arm.
-		if a := st.cbfArm; a != nil {
-			a.timer.Cancel()
-			r.releaseArm(a)
-			st.cbfResolved = true
-			r.cbfArmed--
-			armed = append(armed, k)
+	r.state.Sweep(func(head *pktState) bool {
+		for st := head; st != nil; st = st.next {
+			// Only unresolved contentions still hold an arm.
+			if a := st.cbfArm; a != nil {
+				armed = append(armed, a.pkt.Key())
+				a.timer.Cancel()
+				r.releaseArm(a)
+				st.cbfResolved = true
+				r.cbfArmed--
+			}
 		}
-	}
+		return true
+	})
 	sortKeys(armed)
 	for _, k := range armed {
 		r.dropKey(k, trace.ReasonStopped, trace.KindArm)
@@ -530,27 +544,65 @@ func (r *Router) Deliver(f radio.Frame) {
 	}
 }
 
+// stateFor returns p's packet state, creating it on p's first copy.
 func (r *Router) stateFor(p *Packet) *pktState {
-	k := p.Key()
-	st, ok := r.state[k]
-	if !ok {
-		st = &pktState{expires: p.SourcePV.Timestamp + p.lifetime()}
-		r.state[k] = st
+	head := r.state.Get(p.SourcePV.Addr)
+	for st := head; st != nil; st = st.next {
+		if st.sn == p.SN {
+			return st
+		}
+	}
+	st := &pktState{expires: p.SourcePV.Timestamp + p.lifetime(), next: head, sn: p.SN}
+	r.state.Put(p.SourcePV.Addr, st)
+	// The bound covers the new state and, again, the old head: a purge
+	// leaves a head it kept past its lifetime out of the bound.
+	r.purgeAt = min(r.purgeAt, st.expires)
+	if head != nil {
+		r.purgeAt = min(r.purgeAt, head.expires)
 	}
 	return st
 }
 
-// purgeStates forgets packets past their lifetime that hold neither
-// custody nor an armed contention. Deliver drops every later copy before
-// the state lookup, so forgetting changes no decision, and the map stays
-// bounded by packet rate × lifetime.
+// never is a purge bound no clock reaches: no state to remove.
+const never = time.Duration(math.MaxInt64)
+
+// purgeable reports whether a purge at now may forget st: its lifetime
+// has run out and it holds neither custody nor an armed contention.
+func (st *pktState) purgeable(now time.Duration) bool {
+	return now > st.expires && !st.custody && st.cbfArm == nil
+}
+
+// purgeStates forgets purgeable packet states. Deliver drops every later
+// copy of such a packet before the state lookup, so forgetting changes no
+// decision, and the table stays bounded by packet rate × lifetime.
+//
+// It drops a source once its whole chain is purgeable, and otherwise
+// unlinks the purgeable states behind the head. A purgeable head that
+// stays is left out of the new bound, which it would reopen every round;
+// stateFor counts it again once a newer packet displaces it.
 func (r *Router) purgeStates() {
 	now := r.cfg.Engine.Now()
-	for k, st := range r.state {
-		if now > st.expires && !st.custody && st.cbfArm == nil {
-			delete(r.state, k)
-		}
+	if now <= r.purgeAt {
+		return
 	}
+	bound := never
+	r.state.Sweep(func(head *pktState) bool {
+		prev := head
+		for st := head.next; st != nil; st = st.next {
+			if st.purgeable(now) {
+				prev.next = st.next
+				continue
+			}
+			bound = min(bound, st.expires)
+			prev = st
+		}
+		if !head.purgeable(now) {
+			bound = min(bound, head.expires)
+			return true
+		}
+		return head.next != nil
+	})
+	r.purgeAt = bound
 }
 
 // deliverOnce hands p to the upper layer the first time and reports
@@ -639,7 +691,7 @@ func (r *Router) contend(p *Packet, f radio.Frame, st *pktState) {
 		st.cbfDups++
 		cancels := r.cfg.DuplicateRule == nil || r.cfg.DuplicateRule.CancelsContention(st.cbfFirstRHL, p.Basic.RHL)
 		if cancels {
-			cancels = r.contention.CancelOnDuplicate(r, st.cbfFirstRHL, p.Basic.RHL, st.cbfDups)
+			cancels = r.contention.CancelOnDuplicate(r, st.cbfFirstRHL, p.Basic.RHL, int(st.cbfDups))
 		}
 		if cancels {
 			// Someone else re-broadcast first: discard the buffered packet

@@ -5,7 +5,9 @@
 package vanet
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -298,7 +300,7 @@ func (w *World) Vehicles() []*traffic.Vehicle {
 			vs = append(vs, v)
 		}
 	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i].ID < vs[j].ID })
+	slices.SortFunc(vs, func(a, b *traffic.Vehicle) int { return cmp.Compare(a.ID, b.ID) })
 	return vs
 }
 
