@@ -496,26 +496,9 @@ func runExperiment(id string, runs int, format string, showcaseSeeds int, traceD
 // (<figure>__<arm>__<seed>.jsonl + .counters.json) per cell into traceDir
 // and publishing live per-worker gauges into the telemetry registry.
 func runFigure(fig georoute.Figure, runs int, traceDir string, reg *georoute.TelemetryRegistry) (georoute.FigureResult, error) {
-	var hook georoute.ObserveHook
-	if traceDir != "" || reg != nil {
-		if traceDir != "" {
-			if err := os.MkdirAll(traceDir, 0o755); err != nil {
-				return georoute.FigureResult{}, err
-			}
-		}
-		hook = func(c georoute.ExperimentCell, worker int) (georoute.Observe, func() error, error) {
-			obs := georoute.Observe{Gauges: georoute.NewRunTelemetry(reg, worker)}
-			if traceDir == "" {
-				return obs, nil, nil
-			}
-			name := fmt.Sprintf("%s__%s__%d.jsonl", c.Figure, c.Arm, c.Seed)
-			ft, err := georoute.NewFileTracer(filepath.Join(traceDir, name))
-			if err != nil {
-				return obs, nil, err
-			}
-			obs.Tracer = ft.Tracer()
-			return obs, ft.Close, nil
-		}
+	hook, err := georoute.CellObservers(traceDir, reg, false)
+	if err != nil {
+		return georoute.FigureResult{}, err
 	}
 	return fig.Run(runs, hook)
 }

@@ -27,7 +27,8 @@
 //   - Figures returns the registry of runnable paper figures
 //     (fig7a…fig14b); each Figure.Run produces per-bin reception series,
 //     measured γ/λ per arm pair, and the paper-reported values to compare
-//     against. An optional ObserveHook observes each (arm, seed) cell.
+//     against. CellObservers builds the ObserveHook that traces, gauges
+//     and monitors each (arm, seed) cell, the same one campaigns use.
 //   - RunCampaign runs a figure sweep as a resumable, partitionable job;
 //     its figure artifacts match Figure.Run's byte for byte.
 //   - RunHazard and RunCurve reproduce the traffic-efficiency and
@@ -191,12 +192,17 @@ type Figure = experiment.Figure
 // FigureResult carries a figure's measured series and drop rates.
 type FigureResult = experiment.FigureResult
 
-// ExperimentCell identifies one (figure, arm, seed) run unit.
-type ExperimentCell = experiment.Cell
-
 // ObserveHook provisions the observers of each cell Figure.Run executes
 // (nil = an unobserved run).
 type ObserveHook = experiment.ObserveHook
+
+// CellObservers returns the ObserveHook that writes each cell's
+// <figure>__<arm>__<seed>.jsonl trace and counter rollup into traceDir
+// (when set), publishes the worker's run gauges into reg, and arms the
+// detection monitors with detectOn; nil when there is nothing to observe.
+func CellObservers(traceDir string, reg *TelemetryRegistry, detectOn bool) (ObserveHook, error) {
+	return experiment.CellObservers(traceDir, reg, detectOn)
+}
 
 // Figures returns the registry of reproducible experiments keyed by ID
 // (fig7a…fig14b, fig9-range-sweep, ...).
@@ -215,13 +221,6 @@ func FigureIDs() []string { return experiment.FigureIDs() }
 
 // Tracer fans packet-lifecycle records out to its sinks.
 type Tracer = trace.Tracer
-
-// FileTracer writes a JSONL trace plus a counter-rollup artifact.
-type FileTracer = trace.FileTracer
-
-// NewFileTracer opens a JSONL trace file; Close writes the counter
-// rollup next to it.
-func NewFileTracer(path string) (*FileTracer, error) { return trace.NewFileTracer(path) }
 
 // Telemetry ------------------------------------------------------------------
 //

@@ -284,9 +284,6 @@ func (a *Aggregator) Finalize(dir string) error {
 	return writeArtifact(dir, "summary", sum)
 }
 
-// writeArtifact writes one pretty-printed JSON artifact atomically (tmp +
-// rename), so a crash during finalize never leaves a half-written
-// artifact next to a complete journal.
 // marshalArtifact is the one serialization used for every artifact, so
 // campaign output and direct-mode output are comparable byte for byte.
 func marshalArtifact(v any) ([]byte, error) {
@@ -297,6 +294,9 @@ func marshalArtifact(v any) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
+// writeArtifact writes one pretty-printed JSON artifact atomically (tmp +
+// rename), so a crash during finalize never leaves a half-written
+// artifact next to a complete journal.
 func writeArtifact(dir, name string, v any) error {
 	b, err := marshalArtifact(v)
 	if err != nil {

@@ -6,14 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
-	"sync"
 	"time"
 
 	"github.com/vanetsec/georoute/internal/experiment"
 	"github.com/vanetsec/georoute/internal/showcase"
 	"github.com/vanetsec/georoute/internal/telemetry"
-	"github.com/vanetsec/georoute/internal/trace"
 )
 
 // ErrInterrupted reports that the campaign stopped before completing all
@@ -83,8 +80,8 @@ type Info struct {
 }
 
 // Run executes the campaign: enumerate cells, replay the journal, import
-// any part journals, shard the missing cells of this run's part across a
-// bounded worker pool, journal each completion, and — once the journal
+// any part journals, run the missing cells of this run's part on the
+// experiment.RunCells pool, journal each completion, and — once the journal
 // holds every cell — finalize the streaming aggregates into per-figure
 // artifacts. On context cancellation it stops dispatching, waits for
 // in-flight cells to finish and be journaled, and returns ErrInterrupted —
@@ -107,10 +104,9 @@ func Run(ctx context.Context, sp Spec, opts Options) (Info, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return info, fmt.Errorf("campaign: %w", err)
 	}
-	if opts.TraceDir != "" {
-		if err := os.MkdirAll(opts.TraceDir, 0o755); err != nil {
-			return info, fmt.Errorf("campaign: %w", err)
-		}
+	hook, err := experiment.CellObservers(opts.TraceDir, opts.Telemetry, opts.Detect)
+	if err != nil {
+		return info, fmt.Errorf("campaign: %w", err)
 	}
 
 	journalPath := filepath.Join(dir, "journal.jsonl")
@@ -169,7 +165,8 @@ func Run(ctx context.Context, sp Spec, opts Options) (Info, error) {
 	if opts.Progress != nil {
 		opts.Progress(journaled, target, journaled, "")
 	}
-	if cg := telemetry.NewCampaignGauges(opts.Telemetry); cg != nil {
+	cg := telemetry.NewCampaignGauges(opts.Telemetry)
+	if cg != nil {
 		cg.CellsTotal.Set(float64(target))
 		cg.CellsDone.Set(float64(journaled))
 		cg.CellsReplayed.Set(float64(journaled))
@@ -184,7 +181,39 @@ func Run(ctx context.Context, sp Spec, opts Options) (Info, error) {
 		interrupted = true
 	}
 
-	if err := runPool(ctx, dispatch, target, opts, j, agg, &info); err != nil {
+	figs := experiment.Figures()
+	poolStart := time.Now()
+	err = experiment.RunCells(ctx, dispatch, opts.Workers,
+		func(c experiment.Cell, worker int) (CellResult, error) { return runCell(figs, c, worker, hook) },
+		func(c experiment.Cell, res CellResult, err error) error {
+			if err != nil {
+				return err
+			}
+			// Journal first: a cell the aggregator has seen is always on disk.
+			if err := j.Record(c.Key(), res); err != nil {
+				return err
+			}
+			if err := agg.Feed(c, res); err != nil {
+				return err
+			}
+			info.Executed++
+			done := journaled + info.Executed
+			if opts.Progress != nil {
+				opts.Progress(done, target, journaled, c.Key())
+			}
+			if cg != nil {
+				cg.CellsDone.Set(float64(done))
+				if elapsed := time.Since(poolStart).Seconds(); elapsed > 0 {
+					rate := float64(info.Executed) / elapsed
+					cg.CellsPerSec.Set(rate)
+					if rate > 0 {
+						cg.ETASeconds.Set(float64(target-done) / rate)
+					}
+				}
+			}
+			return nil
+		})
+	if err != nil {
 		return info, err
 	}
 	done := journaled + info.Executed
@@ -197,114 +226,12 @@ func Run(ctx context.Context, sp Spec, opts Options) (Info, error) {
 	return info, agg.Finalize(dir)
 }
 
-// runPool shards the cells across the worker pool, journaling and
-// aggregating each completion from a single collector loop. target is
-// the number of cells the journal holds once every dispatched cell is
-// done.
-func runPool(ctx context.Context, dispatch []experiment.Cell, target int, opts Options, j *Journal, agg *Aggregator, info *Info) error {
-	if len(dispatch) == 0 {
-		return nil
-	}
-	// A local cancel stops the feeder early when a cell or journal write
-	// fails; the caller's context stays untouched.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	workers := opts.Workers
-	if workers > len(dispatch) {
-		workers = len(dispatch)
-	}
-	figs := experiment.Figures()
-
-	type completion struct {
-		cell experiment.Cell
-		res  CellResult
-		err  error
-	}
-	jobs := make(chan experiment.Cell)
-	results := make(chan completion)
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			gauges := telemetry.NewRunGauges(opts.Telemetry, worker)
-			for c := range jobs {
-				res, err := runCell(figs, c, opts.TraceDir, opts.Detect, gauges)
-				results <- completion{cell: c, res: res, err: err}
-			}
-		}(w)
-	}
-	go func() {
-		defer close(jobs)
-		for _, c := range dispatch {
-			select {
-			case jobs <- c:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	cg := telemetry.NewCampaignGauges(opts.Telemetry)
-	poolStart := time.Now()
-
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-			cancel()
-		}
-	}
-	for d := range results {
-		if d.err != nil {
-			fail(d.err)
-			continue
-		}
-		if firstErr != nil {
-			continue // drain remaining completions without journaling
-		}
-		if err := j.Record(d.cell.Key(), d.res); err != nil {
-			fail(err)
-			continue
-		}
-		if err := agg.Feed(d.cell, d.res); err != nil {
-			fail(err)
-			continue
-		}
-		info.Executed++
-		journaled := info.Replayed + info.Merged
-		done := journaled + info.Executed
-		if opts.Progress != nil {
-			opts.Progress(done, target, journaled, d.cell.Key())
-		}
-		if cg != nil {
-			cg.CellsDone.Set(float64(done))
-			elapsed := time.Since(poolStart).Seconds()
-			if elapsed > 0 {
-				rate := float64(info.Executed) / elapsed
-				cg.CellsPerSec.Set(rate)
-				if rate > 0 {
-					cg.ETASeconds.Set(float64(target-done) / rate)
-				}
-			}
-		}
-	}
-	return firstErr
-}
-
 // runCell executes one cell of any kind under per-cell resource
-// accounting. When traceDir is non-empty, figure cells run with a
-// per-cell file tracer writing a JSONL stream and counter rollup named
-// after the cell key; detectOn arms the plausibility monitors; gauges
-// (nil-safe) feed the live telemetry registry. Showcase cells (hazard,
-// curve) have no router receive path to monitor, so detection does not
-// apply to them.
-func runCell(figs map[string]experiment.Figure, c experiment.Cell, traceDir string, detectOn bool, gauges *telemetry.RunGauges) (CellResult, error) {
+// accounting. Figure cells run under the observers hook provisions on
+// this worker (trace file, run gauges, detection; nil = unobserved).
+// Showcase cells (hazard, curve) have no router receive path to observe,
+// so they run without it.
+func runCell(figs map[string]experiment.Figure, c experiment.Cell, worker int, hook experiment.ObserveHook) (CellResult, error) {
 	return measureCell(func() (CellResult, error) {
 		switch c.Figure {
 		case hazardGFID, hazardCBFID:
@@ -322,21 +249,7 @@ func runCell(figs map[string]experiment.Figure, c experiment.Cell, traceDir stri
 		if !ok {
 			return CellResult{}, fmt.Errorf("campaign: cell %s references unknown figure", c.Key())
 		}
-		var ft *trace.FileTracer
-		if traceDir != "" {
-			name := strings.ReplaceAll(c.Key(), "/", "__") + ".jsonl"
-			var err error
-			ft, err = trace.NewFileTracer(filepath.Join(traceDir, name))
-			if err != nil {
-				return CellResult{}, err
-			}
-		}
-		rr, err := fig.RunCell(c, experiment.Observe{Tracer: ft.Tracer(), Gauges: gauges, Detect: detectOn})
-		if ft != nil {
-			if cerr := ft.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
+		rr, err := fig.RunHooked(c, worker, hook)
 		if err != nil {
 			return CellResult{}, err
 		}

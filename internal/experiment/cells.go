@@ -1,6 +1,10 @@
 package experiment
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+	"sync"
+)
 
 // Cell identifies one independently runnable unit of an experiment sweep:
 // a single seeded run of one arm of one figure. Cell keys are the stable
@@ -57,6 +61,89 @@ func (f Figure) RunCell(c Cell, obs Observe) (RunResult, error) {
 		return RunResult{}, fmt.Errorf("experiment: cell %s references unknown arm", c.Key())
 	}
 	return RunOnceObserved(s, c.Seed, obs), nil
+}
+
+// RunHooked runs one cell on pool worker `worker` under the observers
+// the hook provisions for it (a nil hook is an unobserved run). The hook's
+// finalizer runs right after the cell; the first error wins.
+func (f Figure) RunHooked(c Cell, worker int, hook ObserveHook) (RunResult, error) {
+	var obs Observe
+	var finish func() error
+	if hook != nil {
+		var err error
+		if obs, finish, err = hook(c, worker); err != nil {
+			return RunResult{}, err
+		}
+	}
+	res, err := f.RunCell(c, obs)
+	if finish != nil {
+		if ferr := finish(); err == nil {
+			err = ferr
+		}
+	}
+	return res, err
+}
+
+// RunCells is the one pool that runs cells: run executes each cell on one
+// of min(workers, len(cells)) goroutines (at least one), passing the
+// goroutine's fixed worker index, and done receives every completion, in
+// completion order, on the caller's goroutine — so done needs no locking.
+// Dispatch stops once ctx ends or done returns an error; cells already
+// running still finish, and still reach done unless done has failed.
+// RunCells returns done's first error; a caller that passes a cancellable
+// ctx reads ctx.Err() to tell an interrupted run from a complete one.
+func RunCells[R any](ctx context.Context, cells []Cell, workers int,
+	run func(c Cell, worker int) (R, error), done func(c Cell, r R, err error) error) error {
+	if len(cells) == 0 {
+		return nil
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	type completion struct {
+		cell Cell
+		res  R
+		err  error
+	}
+	jobs := make(chan Cell)
+	results := make(chan completion)
+	var wg sync.WaitGroup
+	for w := 0; w < max(1, min(workers, len(cells))); w++ {
+		wg.Add(1)
+		go func(worker int) {
+			defer wg.Done()
+			for c := range jobs {
+				res, err := run(c, worker)
+				results <- completion{cell: c, res: res, err: err}
+			}
+		}(w)
+	}
+	go func() {
+		defer close(jobs)
+		for _, c := range cells {
+			if ctx.Err() != nil {
+				return
+			}
+			select {
+			case jobs <- c:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	go func() {
+		wg.Wait()
+		close(results)
+	}()
+	var firstErr error
+	for d := range results {
+		if firstErr != nil {
+			continue // drain the cells still running
+		}
+		if firstErr = done(d.cell, d.res, d.err); firstErr != nil {
+			cancel()
+		}
+	}
+	return firstErr
 }
 
 // RunIndex converts a cell's absolute seed back to its 0-based run index

@@ -77,30 +77,43 @@ func attackFor(w Workload) attack.Type {
 	return attack.InterArea
 }
 
-// rangeArms builds matched af/atk arm pairs for a set of attack ranges.
-// For InterArea workloads the attack-free arm depends on the attack range
-// (it shapes the vulnerable-packet population), so each range gets its
-// own baseline; for IntraArea a single shared baseline suffices but the
-// per-range baseline keeps the structure uniform.
-func rangeArms(base Scenario, ranges map[string]float64) ([]Arm, []Pair) {
+// addAB appends the matched arm pair af_<label> (s without its attack)
+// and atk_<label> (s) and the Pair comparing them, with the drop the
+// paper reports for it (negative: none).
+func (f *Figure) addAB(label string, s Scenario, paper float64) {
+	f.Arms = append(f.Arms,
+		Arm{Label: "af_" + label, Scenario: s.withoutAttack()},
+		Arm{Label: "atk_" + label, Scenario: s},
+	)
+	f.Pairs = append(f.Pairs, Pair{Label: label, Free: "af_" + label, Attacked: "atk_" + label, PaperDrop: paper})
+}
+
+// addRanges adds one af/atk pair per attack range, in label order, with
+// the paper drops of the labels it names. For InterArea workloads the
+// attack-free arm depends on the attack range (it shapes the
+// vulnerable-packet population), so each range gets its own baseline;
+// for IntraArea a single shared baseline would do but the per-range
+// baseline keeps the structure uniform.
+func (f *Figure) addRanges(base Scenario, ranges, paper map[string]float64) {
 	labels := make([]string, 0, len(ranges))
 	for l := range ranges {
 		labels = append(labels, l)
 	}
 	sort.Strings(labels)
-	var arms []Arm
-	var pairs []Pair
 	for _, l := range labels {
 		s := base
 		s.AttackRange = ranges[l]
 		s.AttackMode = attackFor(s.Workload)
-		arms = append(arms,
-			Arm{Label: "af_" + l, Scenario: s.withoutAttack()},
-			Arm{Label: "atk_" + l, Scenario: s},
-		)
-		pairs = append(pairs, Pair{Label: l, Free: "af_" + l, Attacked: "atk_" + l, PaperDrop: -1})
+		f.addAB(l, s, paperDrop(paper, l))
 	}
-	return arms, pairs
+}
+
+// paperDrop is the paper's drop for a pair label, or -1 when it gives none.
+func paperDrop(paper map[string]float64, label string) float64 {
+	if d, ok := paper[label]; ok {
+		return d
+	}
+	return -1
 }
 
 // rangesOf returns the three Table II range labels for a technology.
@@ -112,113 +125,79 @@ func rangesOf(t radio.Technology) map[string]float64 {
 	}
 }
 
-func setPaperDrops(pairs []Pair, drops map[string]float64) {
-	for i := range pairs {
-		if d, ok := drops[pairs[i].Label]; ok {
-			pairs[i].PaperDrop = d
-		}
-	}
-}
-
 // Figures returns the full registry of reproducible experiments, keyed by
 // ID. Each figure's pairs carry the paper-reported drop rates so the
 // harness can print paper-vs-measured tables.
 func Figures() map[string]Figure {
 	figs := make(map[string]Figure)
-	add := func(f Figure) { figs[f.ID] = f }
+	add := func(f *Figure) { figs[f.ID] = *f }
 
 	// ---- Figure 7: inter-area interception effectiveness ----
 	{
-		base := Default()
-		arms, pairs := rangeArms(base, rangesOf(radio.DSRC))
-		setPaperDrops(pairs, map[string]float64{"wN": 0.468, "mN": 0.999, "mL": 0.999})
-		add(Figure{ID: "fig7a", Title: "Inter-area interception vs attack range (DSRC)", Arms: arms, Pairs: pairs})
+		f := &Figure{ID: "fig7a", Title: "Inter-area interception vs attack range (DSRC)"}
+		f.addRanges(Default(), rangesOf(radio.DSRC), map[string]float64{"wN": 0.468, "mN": 0.999, "mL": 0.999})
+		add(f)
 	}
 	{
 		base := Default()
 		base.Tech = radio.CV2X
-		arms, pairs := rangeArms(base, rangesOf(radio.CV2X))
-		setPaperDrops(pairs, map[string]float64{"wN": 0.352, "mN": 1.0, "mL": 1.0})
-		add(Figure{ID: "fig7b", Title: "Inter-area interception vs attack range (C-V2X)", Arms: arms, Pairs: pairs})
+		f := &Figure{ID: "fig7b", Title: "Inter-area interception vs attack range (C-V2X)"}
+		f.addRanges(base, rangesOf(radio.CV2X), map[string]float64{"wN": 0.352, "mN": 1.0, "mL": 1.0})
+		add(f)
 	}
 	{
-		var arms []Arm
-		var pairs []Pair
+		f := &Figure{ID: "fig7c", Title: "Inter-area interception vs LocTE TTL (DSRC, wN attacker)"}
+		paper := map[string]float64{"wN_ttl20s": 0.468, "wN_ttl10s": 0.462, "wN_ttl5s": 0.374}
 		for _, ttl := range []time.Duration{20 * time.Second, 10 * time.Second, 5 * time.Second} {
 			s := Default()
 			s.LocTTTL = ttl
 			s.AttackMode = attack.InterArea
 			label := fmt.Sprintf("wN_ttl%ds", int(ttl.Seconds()))
-			arms = append(arms,
-				Arm{Label: "af_" + label, Scenario: s.withoutAttack()},
-				Arm{Label: "atk_" + label, Scenario: s},
-			)
-			pairs = append(pairs, Pair{Label: label, Free: "af_" + label, Attacked: "atk_" + label, PaperDrop: -1})
+			f.addAB(label, s, paperDrop(paper, label))
 		}
 		// The dotted line: a median-NLoS attacker defeats even the 5 s TTL.
 		s := Default()
 		s.LocTTTL = 5 * time.Second
 		s.AttackMode = attack.InterArea
 		s.AttackRange = radio.Range(radio.DSRC, radio.NLoSMedian)
-		arms = append(arms,
-			Arm{Label: "af_mN_ttl5s", Scenario: s.withoutAttack()},
-			Arm{Label: "atk_mN_ttl5s", Scenario: s},
-		)
-		pairs = append(pairs, Pair{Label: "mN_ttl5s", Free: "af_mN_ttl5s", Attacked: "atk_mN_ttl5s", PaperDrop: 0.979})
-		setPaperDrops(pairs, map[string]float64{"wN_ttl20s": 0.468, "wN_ttl10s": 0.462, "wN_ttl5s": 0.374})
-		add(Figure{ID: "fig7c", Title: "Inter-area interception vs LocTE TTL (DSRC, wN attacker)", Arms: arms, Pairs: pairs})
+		f.addAB("mN_ttl5s", s, 0.979)
+		add(f)
 	}
 	{
-		var arms []Arm
-		var pairs []Pair
+		f := &Figure{ID: "fig7d", Title: "Inter-area interception vs inter-vehicle space (DSRC, wN attacker)"}
+		paper := map[string]float64{"wN_i30m": 0.468, "wN_i100m": 0.478, "wN_i300m": 0.447}
 		for _, sp := range []float64{30, 100, 300} {
 			s := Default()
 			s.Spacing = sp
 			s.AttackMode = attack.InterArea
 			label := fmt.Sprintf("wN_i%dm", int(sp))
-			arms = append(arms,
-				Arm{Label: "af_" + label, Scenario: s.withoutAttack()},
-				Arm{Label: "atk_" + label, Scenario: s},
-			)
-			pairs = append(pairs, Pair{Label: label, Free: "af_" + label, Attacked: "atk_" + label, PaperDrop: -1})
+			f.addAB(label, s, paperDrop(paper, label))
 		}
-		setPaperDrops(pairs, map[string]float64{"wN_i30m": 0.468, "wN_i100m": 0.478, "wN_i300m": 0.447})
-		add(Figure{ID: "fig7d", Title: "Inter-area interception vs inter-vehicle space (DSRC, wN attacker)", Arms: arms, Pairs: pairs})
+		add(f)
 	}
 	{
-		var arms []Arm
-		var pairs []Pair
+		f := &Figure{ID: "fig7e", Title: "Inter-area interception vs road directions (DSRC, wN attacker)"}
 		for _, twoWay := range []bool{false, true} {
 			s := Default()
 			s.TwoWay = twoWay
 			s.AttackMode = attack.InterArea
-			label := "wN_oneway"
+			label, paper := "wN_oneway", 0.468
 			if twoWay {
-				label = "wN_twoway"
+				label, paper = "wN_twoway", 0.583
 			}
-			arms = append(arms,
-				Arm{Label: "af_" + label, Scenario: s.withoutAttack()},
-				Arm{Label: "atk_" + label, Scenario: s},
-			)
-			pairs = append(pairs, Pair{Label: label, Free: "af_" + label, Attacked: "atk_" + label, PaperDrop: -1})
+			f.addAB(label, s, paper)
 		}
-		setPaperDrops(pairs, map[string]float64{"wN_oneway": 0.468, "wN_twoway": 0.583})
-		add(Figure{ID: "fig7e", Title: "Inter-area interception vs road directions (DSRC, wN attacker)", Arms: arms, Pairs: pairs})
+		add(f)
 	}
 
 	// ---- Figure 8: accumulated interception over time (DSRC) ----
 	{
-		var arms []Arm
-		var pairs []Pair
+		f := &Figure{ID: "fig8", Title: "Accumulated inter-area interception rate over time (DSRC)"}
 		variant := func(label string, mutate func(*Scenario), paper float64) {
 			s := Default()
 			s.AttackMode = attack.InterArea
 			mutate(&s)
-			arms = append(arms,
-				Arm{Label: "af_" + label, Scenario: s.withoutAttack()},
-				Arm{Label: "atk_" + label, Scenario: s},
-			)
-			pairs = append(pairs, Pair{Label: label, Free: "af_" + label, Attacked: "atk_" + label, PaperDrop: paper})
+			f.addAB(label, s, paper)
 		}
 		variant("wN_dflt", func(*Scenario) {}, 0.468)
 		variant("mL_dflt", func(s *Scenario) { s.AttackRange = radio.Range(radio.DSRC, radio.LoSMedian) }, 0.999)
@@ -229,7 +208,7 @@ func Figures() map[string]Figure {
 		variant("wN_ttl5", func(s *Scenario) { s.LocTTTL = 5 * time.Second }, 0.374)
 		variant("wN_i300", func(s *Scenario) { s.Spacing = 300 }, 0.447)
 		variant("wN_2way", func(s *Scenario) { s.TwoWay = true }, 0.583)
-		add(Figure{ID: "fig8", Title: "Accumulated inter-area interception rate over time (DSRC)", Arms: arms, Pairs: pairs})
+		add(f)
 	}
 
 	// ---- Figure 9: intra-area blockage effectiveness ----
@@ -239,115 +218,86 @@ func Figures() map[string]Figure {
 		s.Drain = 10 * time.Second // CBF settles in milliseconds
 		return s
 	}
+	// intraMN is the intra-area scenario under the median-NLoS attacker.
+	intraMN := func() Scenario {
+		s := intraBase()
+		s.AttackMode = attack.IntraArea
+		s.AttackRange = radio.Range(radio.DSRC, radio.NLoSMedian)
+		return s
+	}
 	{
-		arms, pairs := rangeArms(intraBase(), rangesOf(radio.DSRC))
-		setPaperDrops(pairs, map[string]float64{"mN": 0.385})
-		add(Figure{ID: "fig9a", Title: "Intra-area blockage vs attack range (DSRC)", Arms: arms, Pairs: pairs})
+		f := &Figure{ID: "fig9a", Title: "Intra-area blockage vs attack range (DSRC)"}
+		f.addRanges(intraBase(), rangesOf(radio.DSRC), map[string]float64{"mN": 0.385})
+		add(f)
 	}
 	{
 		base := intraBase()
 		base.Tech = radio.CV2X
-		arms, pairs := rangeArms(base, rangesOf(radio.CV2X))
-		setPaperDrops(pairs, map[string]float64{"mN": 0.358})
-		add(Figure{ID: "fig9b", Title: "Intra-area blockage vs attack range (C-V2X)", Arms: arms, Pairs: pairs})
+		f := &Figure{ID: "fig9b", Title: "Intra-area blockage vs attack range (C-V2X)"}
+		f.addRanges(base, rangesOf(radio.CV2X), map[string]float64{"mN": 0.358})
+		add(f)
 	}
 	{
-		var arms []Arm
-		var pairs []Pair
+		f := &Figure{ID: "fig9c", Title: "Intra-area blockage vs LocTE TTL (DSRC, mN attacker)"}
+		paper := map[string]float64{"mN_ttl20s": 0.385, "mN_ttl10s": 0.382, "mN_ttl5s": 0.379}
 		for _, ttl := range []time.Duration{20 * time.Second, 10 * time.Second, 5 * time.Second} {
-			s := intraBase()
+			s := intraMN()
 			s.LocTTTL = ttl
-			s.AttackMode = attack.IntraArea
-			s.AttackRange = radio.Range(radio.DSRC, radio.NLoSMedian)
 			label := fmt.Sprintf("mN_ttl%ds", int(ttl.Seconds()))
-			arms = append(arms,
-				Arm{Label: "af_" + label, Scenario: s.withoutAttack()},
-				Arm{Label: "atk_" + label, Scenario: s},
-			)
-			pairs = append(pairs, Pair{Label: label, Free: "af_" + label, Attacked: "atk_" + label, PaperDrop: -1})
+			f.addAB(label, s, paperDrop(paper, label))
 		}
-		setPaperDrops(pairs, map[string]float64{"mN_ttl20s": 0.385, "mN_ttl10s": 0.382, "mN_ttl5s": 0.379})
-		add(Figure{ID: "fig9c", Title: "Intra-area blockage vs LocTE TTL (DSRC, mN attacker)", Arms: arms, Pairs: pairs})
+		add(f)
 	}
 	{
-		var arms []Arm
-		var pairs []Pair
+		f := &Figure{ID: "fig9d", Title: "Intra-area blockage vs inter-vehicle space (DSRC, mN attacker)"}
 		for _, sp := range []float64{30, 100, 300} {
-			s := intraBase()
+			s := intraMN()
 			s.Spacing = sp
-			s.AttackMode = attack.IntraArea
-			s.AttackRange = radio.Range(radio.DSRC, radio.NLoSMedian)
-			label := fmt.Sprintf("mN_i%dm", int(sp))
-			arms = append(arms,
-				Arm{Label: "af_" + label, Scenario: s.withoutAttack()},
-				Arm{Label: "atk_" + label, Scenario: s},
-			)
-			pairs = append(pairs, Pair{Label: label, Free: "af_" + label, Attacked: "atk_" + label, PaperDrop: 0.38})
+			f.addAB(fmt.Sprintf("mN_i%dm", int(sp)), s, 0.38)
 		}
-		add(Figure{ID: "fig9d", Title: "Intra-area blockage vs inter-vehicle space (DSRC, mN attacker)", Arms: arms, Pairs: pairs})
+		add(f)
 	}
 	{
-		var arms []Arm
-		var pairs []Pair
+		f := &Figure{ID: "fig9e", Title: "Intra-area blockage vs road directions (DSRC, mN attacker)"}
 		for _, twoWay := range []bool{false, true} {
-			s := intraBase()
+			s := intraMN()
 			s.TwoWay = twoWay
-			s.AttackMode = attack.IntraArea
-			s.AttackRange = radio.Range(radio.DSRC, radio.NLoSMedian)
-			label := "mN_oneway"
+			label, paper := "mN_oneway", 0.385
 			if twoWay {
-				label = "mN_twoway"
+				label, paper = "mN_twoway", 0.38
 			}
-			arms = append(arms,
-				Arm{Label: "af_" + label, Scenario: s.withoutAttack()},
-				Arm{Label: "atk_" + label, Scenario: s},
-			)
-			pairs = append(pairs, Pair{Label: label, Free: "af_" + label, Attacked: "atk_" + label, PaperDrop: -1})
+			f.addAB(label, s, paper)
 		}
-		setPaperDrops(pairs, map[string]float64{"mN_oneway": 0.385, "mN_twoway": 0.38})
-		add(Figure{ID: "fig9e", Title: "Intra-area blockage vs road directions (DSRC, mN attacker)", Arms: arms, Pairs: pairs})
+		add(f)
 	}
 	{
 		// §IV-A text: sweeping the attack range shows ~500 m is optimal
 		// against 486 m DSRC vehicles; larger ranges deliver the replay to
 		// too many first-time receivers.
-		var arms []Arm
-		var pairs []Pair
+		f := &Figure{ID: "fig9-range-sweep", Title: "Intra-area blockage vs attack range sweep (DSRC; paper: 500 m optimal)"}
 		for _, r := range []float64{327, 400, 500, 600, 800, 1283} {
 			s := intraBase()
 			s.AttackMode = attack.IntraArea
 			s.AttackRange = r
-			label := fmt.Sprintf("r%dm", int(r))
-			arms = append(arms,
-				Arm{Label: "af_" + label, Scenario: s.withoutAttack()},
-				Arm{Label: "atk_" + label, Scenario: s},
-			)
-			pairs = append(pairs, Pair{Label: label, Free: "af_" + label, Attacked: "atk_" + label, PaperDrop: -1})
+			f.addAB(fmt.Sprintf("r%dm", int(r)), s, -1)
 		}
-		add(Figure{ID: "fig9-range-sweep", Title: "Intra-area blockage vs attack range sweep (DSRC; paper: 500 m optimal)", Arms: arms, Pairs: pairs})
+		add(f)
 	}
 
 	// ---- Figure 10: accumulated blockage over time (DSRC) ----
 	{
-		var arms []Arm
-		var pairs []Pair
+		f := &Figure{ID: "fig10", Title: "Accumulated intra-area blockage rate over time (DSRC)"}
 		variant := func(label string, mutate func(*Scenario), paper float64) {
-			s := intraBase()
-			s.AttackMode = attack.IntraArea
-			s.AttackRange = radio.Range(radio.DSRC, radio.NLoSMedian)
+			s := intraMN()
 			mutate(&s)
-			arms = append(arms,
-				Arm{Label: "af_" + label, Scenario: s.withoutAttack()},
-				Arm{Label: "atk_" + label, Scenario: s},
-			)
-			pairs = append(pairs, Pair{Label: label, Free: "af_" + label, Attacked: "atk_" + label, PaperDrop: paper})
+			f.addAB(label, s, paper)
 		}
 		variant("mN_dflt", func(*Scenario) {}, 0.385)
 		variant("wN_dflt", func(s *Scenario) { s.AttackRange = radio.Range(radio.DSRC, radio.NLoSWorst) }, -1)
 		variant("mN_ttl5", func(s *Scenario) { s.LocTTTL = 5 * time.Second }, 0.379)
 		variant("mN_i300", func(s *Scenario) { s.Spacing = 300 }, 0.38)
 		variant("mN_2way", func(s *Scenario) { s.TwoWay = true }, 0.38)
-		add(Figure{ID: "fig10", Title: "Accumulated intra-area blockage rate over time (DSRC)", Arms: arms, Pairs: pairs})
+		add(f)
 	}
 
 	// ---- Figure 14: mitigation effectiveness ----
@@ -381,7 +331,7 @@ func Figures() map[string]Figure {
 		pairs = append(pairs, Pair{Label: "af_gain", Free: "af_check", Attacked: "af", PaperDrop: -1})
 		sort.Slice(arms, func(i, j int) bool { return arms[i].Label < arms[j].Label })
 		sort.Slice(pairs, func(i, j int) bool { return pairs[i].Label < pairs[j].Label })
-		add(Figure{ID: "fig14a", Title: "Plausibility-check mitigation vs inter-area interception (DSRC)", Arms: arms, Pairs: pairs})
+		add(&Figure{ID: "fig14a", Title: "Plausibility-check mitigation vs inter-area interception (DSRC)", Arms: arms, Pairs: pairs})
 	}
 	{
 		// 14b: RHL-drop check under the intra-area attack for wN and mN
@@ -405,7 +355,7 @@ func Figures() map[string]Figure {
 		for _, label := range []string{"wN", "mN"} {
 			pairs = append(pairs, Pair{Label: label + "_residual", Free: "af", Attacked: "mit_" + label, PaperDrop: 0})
 		}
-		add(Figure{ID: "fig14b", Title: "RHL-drop-check mitigation vs intra-area blockage (DSRC)", Arms: arms, Pairs: pairs})
+		add(&Figure{ID: "fig14b", Title: "RHL-drop-check mitigation vs intra-area blockage (DSRC)", Arms: arms, Pairs: pairs})
 	}
 
 	// ---- Ablations (DESIGN.md) ----
@@ -414,68 +364,39 @@ func Figures() map[string]Figure {
 		// stations GF-eligible for the full LocT TTL, which recovers the
 		// paper's TTL trend at the cost of a much weaker attack-free
 		// baseline (stale "ghost" entries poison GF's argmin).
-		var arms []Arm
-		var pairs []Pair
+		f := &Figure{ID: "ablation-neighbor-ttl", Title: "Ablation: IS_NEIGHBOUR lifetime = full LocT TTL (literal standard)"}
 		for _, ttl := range []time.Duration{20 * time.Second, 5 * time.Second} {
 			s := Default()
 			s.LocTTTL = ttl
 			s.NeighborLifetime = ttl // >= TTL: literal standard
 			s.AttackMode = attack.InterArea
-			label := fmt.Sprintf("strict_ttl%ds", int(ttl.Seconds()))
-			arms = append(arms,
-				Arm{Label: "af_" + label, Scenario: s.withoutAttack()},
-				Arm{Label: "atk_" + label, Scenario: s},
-			)
-			pairs = append(pairs, Pair{Label: label, Free: "af_" + label, Attacked: "atk_" + label, PaperDrop: -1})
+			f.addAB(fmt.Sprintf("strict_ttl%ds", int(ttl.Seconds())), s, -1)
 		}
-		add(Figure{ID: "ablation-neighbor-ttl", Title: "Ablation: IS_NEIGHBOUR lifetime = full LocT TTL (literal standard)", Arms: arms, Pairs: pairs})
+		add(f)
 	}
 	{
 		// Soft-edge radio ablation: both attacks under probabilistic
 		// boundary reception instead of the hard unit disk.
-		var arms []Arm
-		var pairs []Pair
+		f := &Figure{ID: "ablation-soft-edge", Title: "Ablation: probabilistic soft-edge reception"}
 		gf := Default()
 		gf.RadioEdgeFactor = 1.15
 		gf.AttackMode = attack.InterArea
-		arms = append(arms,
-			Arm{Label: "af_gf_soft", Scenario: gf.withoutAttack()},
-			Arm{Label: "atk_gf_soft", Scenario: gf},
-		)
-		pairs = append(pairs, Pair{Label: "gf_soft", Free: "af_gf_soft", Attacked: "atk_gf_soft", PaperDrop: -1})
-		cbf := Default()
-		cbf.Workload = IntraArea
-		cbf.Drain = 10 * time.Second
+		f.addAB("gf_soft", gf, -1)
+		cbf := intraMN()
 		cbf.RadioEdgeFactor = 1.15
-		cbf.AttackMode = attack.IntraArea
-		cbf.AttackRange = radio.Range(radio.DSRC, radio.NLoSMedian)
-		arms = append(arms,
-			Arm{Label: "af_cbf_soft", Scenario: cbf.withoutAttack()},
-			Arm{Label: "atk_cbf_soft", Scenario: cbf},
-		)
-		pairs = append(pairs, Pair{Label: "cbf_soft", Free: "af_cbf_soft", Attacked: "atk_cbf_soft", PaperDrop: -1})
-		add(Figure{ID: "ablation-soft-edge", Title: "Ablation: probabilistic soft-edge reception", Arms: arms, Pairs: pairs})
+		f.addAB("cbf_soft", cbf, -1)
+		add(f)
 	}
 	{
 		// Attacker-speed ablation: a slow attacker misses the TO_MIN
 		// contention window and the blockage attack decays.
-		var arms []Arm
-		var pairs []Pair
+		f := &Figure{ID: "ablation-attacker-delay", Title: "Ablation: attacker capture-to-replay latency vs blockage rate"}
 		for _, d := range []time.Duration{300 * time.Microsecond, 2 * time.Millisecond, 10 * time.Millisecond} {
-			s := Default()
-			s.Workload = IntraArea
-			s.Drain = 10 * time.Second
-			s.AttackMode = attack.IntraArea
-			s.AttackRange = radio.Range(radio.DSRC, radio.NLoSMedian)
+			s := intraMN()
 			s.AttackerDelay = d
-			label := fmt.Sprintf("delay%dus", d.Microseconds())
-			arms = append(arms,
-				Arm{Label: "af_" + label, Scenario: s.withoutAttack()},
-				Arm{Label: "atk_" + label, Scenario: s},
-			)
-			pairs = append(pairs, Pair{Label: label, Free: "af_" + label, Attacked: "atk_" + label, PaperDrop: -1})
+			f.addAB(fmt.Sprintf("delay%dus", d.Microseconds()), s, -1)
 		}
-		add(Figure{ID: "ablation-attacker-delay", Title: "Ablation: attacker capture-to-replay latency vs blockage rate", Arms: arms, Pairs: pairs})
+		add(f)
 	}
 
 	// ---- Forwarder arena tournaments ----
@@ -504,7 +425,7 @@ func Figures() map[string]Figure {
 				Pair{Label: "echo_" + name, Free: "af_intra_" + name, Attacked: "echo_" + name, PaperDrop: -1},
 			)
 		}
-		add(Figure{ID: "tournament", Title: "Forwarder arena: delivery, overhead, latency and attack resilience per strategy", Arms: arms, Pairs: pairs})
+		add(&Figure{ID: "tournament", Title: "Forwarder arena: delivery, overhead, latency and attack resilience per strategy", Arms: arms, Pairs: pairs})
 	}
 	{
 		// The designed local-minimum detour (see LocalMinLayout): greedy
@@ -520,7 +441,7 @@ func Figures() map[string]Figure {
 			s.Drain = 60 * time.Second
 			arms = append(arms, Arm{Label: "lm_" + name, Scenario: s})
 		}
-		add(Figure{ID: "tournament-localmin", Title: "Forwarder arena: designed local-minimum detour (greedy strands, perimeter recovers)", Arms: arms})
+		add(&Figure{ID: "tournament-localmin", Title: "Forwarder arena: designed local-minimum detour (greedy strands, perimeter recovers)", Arms: arms})
 	}
 
 	return figs

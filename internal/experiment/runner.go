@@ -1,10 +1,13 @@
 package experiment
 
 import (
+	"context"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
-	"sync"
+	"strings"
 	"time"
 
 	"github.com/vanetsec/georoute/internal/attack"
@@ -80,6 +83,44 @@ type Observe struct {
 	// per-verdict output, give Tracer a detect.New(detect.Config{Sink: …})
 	// sink instead.
 	Detect bool
+}
+
+// ObserveHook provisions the observers of one figure cell run on pool
+// worker `worker` (0-based and fixed for the worker's lifetime, so
+// per-worker telemetry gauges can be labeled by it). It returns the
+// cell's Observe and an optional finalizer run on the worker right after
+// the cell completes (typically flushing a per-cell trace file).
+// Concurrent cells need distinct tracers.
+type ObserveHook func(c Cell, worker int) (Observe, func() error, error)
+
+// CellObservers returns the hook that figure runs and campaigns share to
+// observe their cells: with traceDir set, a file tracer writing
+// <figure>__<arm>__<seed>.jsonl plus its counter rollup into traceDir
+// (created here); the worker's run gauges in reg; and, with detectOn, the
+// plausibility monitors. With nothing to observe it returns nil, an
+// unobserved run.
+func CellObservers(traceDir string, reg *telemetry.Registry, detectOn bool) (ObserveHook, error) {
+	if traceDir == "" && reg == nil && !detectOn {
+		return nil, nil
+	}
+	if traceDir != "" {
+		if err := os.MkdirAll(traceDir, 0o755); err != nil {
+			return nil, err
+		}
+	}
+	return func(c Cell, worker int) (Observe, func() error, error) {
+		obs := Observe{Gauges: telemetry.NewRunGauges(reg, worker), Detect: detectOn}
+		if traceDir == "" {
+			return obs, nil, nil
+		}
+		name := strings.ReplaceAll(c.Key(), "/", "__") + ".jsonl"
+		ft, err := trace.NewFileTracer(filepath.Join(traceDir, name))
+		if err != nil {
+			return obs, nil, err
+		}
+		obs.Tracer = ft.Tracer()
+		return obs, ft.Close, nil
+	}, nil
 }
 
 // RunOnce executes a single seeded run of the scenario arm and returns
@@ -304,21 +345,13 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 	return res
 }
 
-// ObserveHook provisions the observers of one figure cell that
-// Figure.Run executes on pool worker `worker` (0-based and fixed for the
-// worker's lifetime, so per-worker telemetry gauges can be labeled by
-// it). It returns the cell's Observe and an optional finalizer run on the
-// worker right after the cell completes (typically flushing a per-cell
-// trace file). Concurrent cells need distinct tracers.
-type ObserveHook func(c Cell, worker int) (Observe, func() error, error)
-
 // Run executes every cell of the figure — `runs` seeded repetitions per
 // arm, runs <= 0 meaning one — and folds each completion as it arrives.
-// All arms' cells feed one pool of MaxParallel() workers, so the slowest
-// arm's tail does not idle the cores that finished faster arms. A nil
-// hook is an unobserved run; observers never change the result. Every
-// cell runs even after an error, and the first hook, finalizer or fold
-// error is returned.
+// All arms' cells feed one RunCells pool of MaxParallel() workers, so the
+// slowest arm's tail does not idle the cores that finished faster arms.
+// A nil hook is an unobserved run; observers never change the result.
+// Dispatch stops at the first hook, finalizer or fold error, which is
+// returned once the cells already running have finished.
 func (f Figure) Run(runs int, hook ObserveHook) (FigureResult, error) {
 	fo, err := f.runFold(runs, hook)
 	if err != nil {
@@ -327,67 +360,20 @@ func (f Figure) Run(runs int, hook ObserveHook) (FigureResult, error) {
 	return fo.Result(), nil
 }
 
-// runFold runs the figure's cells on the shared pool and returns their
-// fold. Workers finish in any order; the Fold restores seed order, so the
-// result is deterministic regardless of scheduling.
+// runFold runs the figure's cells and returns their fold. Workers finish
+// in any order; the Fold restores seed order, so the result is
+// deterministic regardless of scheduling.
 func (f Figure) runFold(runs int, hook ObserveHook) (*Fold, error) {
 	fo := NewFold(f, runs)
-	cells := f.Cells(runs)
-	type completion struct {
-		cell Cell
-		res  *RunResult
-		err  error
-	}
-	queue := make(chan Cell)
-	done := make(chan completion)
-	var wg sync.WaitGroup
-	for w := 0; w < min(MaxParallel(), len(cells)); w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for c := range queue {
-				res, err := f.runHooked(c, worker, hook)
-				done <- completion{cell: c, res: res, err: err}
+	err := RunCells(context.TODO(), f.Cells(runs), MaxParallel(),
+		func(c Cell, worker int) (RunResult, error) { return f.RunHooked(c, worker, hook) },
+		func(c Cell, r RunResult, err error) error {
+			if err != nil {
+				return err
 			}
-		}(w)
-	}
-	go func() {
-		for _, c := range cells {
-			queue <- c
-		}
-		close(queue)
-		wg.Wait()
-		close(done)
-	}()
-	var firstErr error
-	for d := range done {
-		if d.err == nil {
-			d.err = fo.Add(d.cell, d.res)
-		}
-		if firstErr == nil {
-			firstErr = d.err
-		}
-	}
-	return fo, firstErr
-}
-
-// runHooked runs one cell under the observers the hook provisions for it.
-func (f Figure) runHooked(c Cell, worker int, hook ObserveHook) (*RunResult, error) {
-	var obs Observe
-	var finish func() error
-	if hook != nil {
-		var err error
-		if obs, finish, err = hook(c, worker); err != nil {
-			return nil, err
-		}
-	}
-	res, err := f.RunCell(c, obs)
-	if finish != nil {
-		if ferr := finish(); err == nil {
-			err = ferr
-		}
-	}
-	return &res, err
+			return fo.Add(c, &r)
+		})
+	return fo, err
 }
 
 // RunArm executes `runs` seeded repetitions of one arm as a one-arm
@@ -420,7 +406,7 @@ func RunAB(s Scenario, runs int) metrics.ABResult {
 	}
 }
 
-// MaxParallel reports the worker count used by the shared run pools: one
+// MaxParallel reports the worker count RunCells pools use by default: one
 // fewer than the CPU count so an interactive shell (or the campaign's
 // journal writer) stays responsive, and never less than one.
 func MaxParallel() int {

@@ -1,10 +1,14 @@
 package experiment
 
 import (
+	"context"
 	"errors"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,23 +32,181 @@ func TestMaxParallelAtLeastOne(t *testing.T) {
 	}
 }
 
-func TestFigureRunFewerCellsThanWorkers(t *testing.T) {
-	// One cell on an N-core pool: the worker cap must shrink to the cell
-	// count and still execute everything exactly once.
-	fig := Figure{ID: "one", Arms: []Arm{{Label: "af", Scenario: tinyScenario()}}}
-	res, err := fig.Run(1, nil)
+// TestRunCells pins the pool's contract: worker indices stay inside
+// [0, min(workers, len(cells))), every cell runs once and reaches the
+// callback, cancellation and callback errors stop dispatch without losing
+// a running cell, and callbacks never overlap.
+func TestRunCells(t *testing.T) {
+	cellsOf := func(n int) []Cell {
+		cells := make([]Cell, n)
+		for i := range cells {
+			cells[i] = Cell{Figure: "f", Arm: "a", Seed: uint64(i)}
+		}
+		return cells
+	}
+	// run records the seeds run and the highest worker index seen.
+	type tally struct {
+		mu     sync.Mutex
+		ran    map[uint64]int
+		maxIdx int
+	}
+	newTally := func() *tally { return &tally{ran: make(map[uint64]int), maxIdx: -1} }
+	runner := func(tl *tally, wait func(Cell)) func(Cell, int) (uint64, error) {
+		return func(c Cell, worker int) (uint64, error) {
+			tl.mu.Lock()
+			tl.ran[c.Seed]++
+			tl.maxIdx = max(tl.maxIdx, worker)
+			tl.mu.Unlock()
+			if worker < 0 {
+				t.Errorf("negative worker index %d", worker)
+			}
+			if wait != nil {
+				wait(c)
+			}
+			return c.Seed, nil
+		}
+	}
+
+	t.Run("no cells", func(t *testing.T) {
+		called := false
+		err := RunCells(context.Background(), nil, 4,
+			func(Cell, int) (int, error) { called = true; return 0, nil },
+			func(Cell, int, error) error { called = true; return nil })
+		if err != nil || called {
+			t.Fatalf("err = %v, called = %v", err, called)
+		}
+		// A figure without arms has no cells: must not deadlock or panic.
+		if _, err := (Figure{ID: "empty"}).Run(3, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("fewer cells than workers", func(t *testing.T) {
+		for _, tc := range []struct{ cells, workers, wantMax int }{
+			{3, 8, 2}, {5, 0, 0}, {1, 1, 0},
+		} {
+			tl := newTally()
+			got := make(map[uint64]bool)
+			err := RunCells(context.Background(), cellsOf(tc.cells), tc.workers, runner(tl, nil),
+				func(c Cell, seed uint64, err error) error {
+					if err != nil || seed != c.Seed || got[seed] {
+						t.Errorf("completion %v, %d, %v", c, seed, err)
+					}
+					got[seed] = true
+					return nil
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != tc.cells || len(tl.ran) != tc.cells || tl.maxIdx > tc.wantMax {
+				t.Fatalf("%d cells on %d workers: %d completions, %d run, highest worker %d",
+					tc.cells, tc.workers, len(got), len(tl.ran), tl.maxIdx)
+			}
+		}
+		// Through Figure.Run: one cell on an N-core pool still runs.
+		fig := Figure{ID: "one", Arms: []Arm{{Label: "af", Scenario: tinyScenario()}}}
+		res, err := fig.Run(1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Packets["af"] == 0 {
+			t.Fatalf("single cell not executed: %+v", res)
+		}
+	})
+
+	t.Run("cancel stops dispatch", func(t *testing.T) {
+		// Two workers each hold a cell until the context is cancelled:
+		// nothing more may start, and both held cells must be reported.
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var started sync.WaitGroup
+		started.Add(2)
+		release := make(chan struct{})
+		go func() {
+			started.Wait()
+			cancel()
+			close(release)
+		}()
+		tl := newTally()
+		var held atomic.Int32
+		var done []uint64
+		err := RunCells(ctx, cellsOf(10), 2, runner(tl, func(Cell) {
+			if held.Add(1) <= 2 {
+				started.Done()
+				<-release
+			}
+		}), func(c Cell, seed uint64, err error) error {
+			done = append(done, seed)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tl.ran) != 2 || len(done) != 2 {
+			t.Fatalf("after cancel: %d cells ran, %d reported, want 2 and 2", len(tl.ran), len(done))
+		}
+	})
+
+	t.Run("callback error stops dispatch", func(t *testing.T) {
+		boom := errors.New("boom")
+		tl := newTally()
+		calls := 0
+		err := RunCells(context.Background(), cellsOf(20), 2, runner(tl, nil),
+			func(Cell, uint64, error) error { calls++; return boom })
+		if !errors.Is(err, boom) {
+			t.Fatalf("err = %v, want boom", err)
+		}
+		// At most the cells already handed out when the first completion
+		// failed can run: one per worker plus one the feeder had ready.
+		if calls != 1 || len(tl.ran) > 3 {
+			t.Fatalf("%d callbacks, %d cells ran after the first error", calls, len(tl.ran))
+		}
+	})
+
+	t.Run("callbacks never overlap", func(t *testing.T) {
+		var inside atomic.Int32
+		count := 0 // unsynchronized on purpose: -race flags any overlap
+		err := RunCells(context.Background(), cellsOf(64), 4, runner(newTally(), nil),
+			func(Cell, uint64, error) error {
+				if inside.Add(1) != 1 {
+					t.Error("callbacks overlap")
+				}
+				count++
+				inside.Add(-1)
+				return nil
+			})
+		if err != nil || count != 64 {
+			t.Fatalf("err = %v, count = %d", err, count)
+		}
+	})
+}
+
+// TestCellObserversWritesKeyedTrace checks the shared per-cell observer
+// setup: nothing to observe is a nil hook, and a trace directory gets one
+// <figure>__<arm>__<seed>.jsonl plus its counter rollup per cell.
+func TestCellObserversWritesKeyedTrace(t *testing.T) {
+	if hook, err := CellObservers("", nil, false); hook != nil || err != nil {
+		t.Fatalf("unobserved: hook %v, err %v", hook != nil, err)
+	}
+	dir := filepath.Join(t.TempDir(), "traces")
+	hook, err := CellObservers(dir, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Packets["af"] == 0 {
-		t.Fatalf("single cell not executed: %+v", res)
-	}
-}
-
-func TestFigureRunNoCells(t *testing.T) {
-	// A figure without arms has no cells: must not deadlock or panic.
-	if _, err := (Figure{ID: "empty"}).Run(3, nil); err != nil {
+	obs, finish, err := hook(Cell{Figure: "fig", Arm: "atk_wN", Seed: 3}, 0)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if obs.Tracer == nil || !obs.Detect || finish == nil {
+		t.Fatalf("observers = %+v, finish %v", obs, finish != nil)
+	}
+	if err := finish(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"fig__atk_wN__3.jsonl", "fig__atk_wN__3.counters.json"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Error(err)
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 package traffic
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/vanetsec/georoute/internal/geo"
@@ -169,8 +171,10 @@ type Network struct {
 
 	spawnGap float64
 
-	nextID     int
-	vehicles   map[int]*Vehicle
+	nextID int
+	// vehicles lists the on-road vehicles in ID order: IDs are handed out
+	// in increasing order, so a spawn appends and an exit deletes in place.
+	vehicles   []*Vehicle
 	gateClosed map[Direction]bool
 	ticker     *sim.Ticker
 	// exitScratch is reused by integrate's compaction pass so steady-state
@@ -236,7 +240,6 @@ func NewNetwork(engine *sim.Engine, cfg NetworkConfig) *Network {
 		road:       cfg.Road,
 		spawnGap:   cfg.SpawnGap,
 		nextID:     cfg.FirstID,
-		vehicles:   make(map[int]*Vehicle),
 		gateClosed: make(map[Direction]bool),
 		OnEnter:    cfg.OnEnter,
 		OnExit:     cfg.OnExit,
@@ -259,9 +262,21 @@ func (n *Network) Road() *Road { return n.road }
 // Count reports the number of vehicles currently on the road.
 func (n *Network) Count() int { return len(n.vehicles) }
 
-// Vehicles returns all on-road vehicles indexed by ID. The map is owned
-// by the network; callers must not mutate it.
-func (n *Network) Vehicles() map[int]*Vehicle { return n.vehicles }
+// Vehicles returns all on-road vehicles in ascending ID order. The slice
+// is owned by the network and changes as vehicles enter and exit;
+// callers must not mutate it.
+func (n *Network) Vehicles() []*Vehicle { return n.vehicles }
+
+// remove deletes v from the ID-ordered vehicle list, reporting whether
+// it was on the road.
+func (n *Network) remove(v *Vehicle) bool {
+	i, ok := slices.BinarySearchFunc(n.vehicles, v.ID, func(o *Vehicle, id int) int { return cmp.Compare(o.ID, id) })
+	if !ok || n.vehicles[i] != v {
+		return false
+	}
+	n.vehicles = slices.Delete(n.vehicles, i, i+1)
+	return true
+}
 
 // CloseGate stops new vehicles from entering in the given direction —
 // drivers warned of the hazard choose not to enter (paper §IV-B).
@@ -289,7 +304,7 @@ func (n *Network) AddVehicle(lane *Lane, s, speed float64) *Vehicle {
 		EnteredAt: n.engine.Now(),
 	}
 	n.nextID++
-	n.vehicles[v.ID] = v
+	n.vehicles = append(n.vehicles, v)
 	// Insert keeping the leader-first ordering. New rear entries (spawns,
 	// back-to-front prepopulation, bulk adds) hit the O(1) tail append;
 	// only genuine mid-lane insertions pay the scan.
@@ -341,10 +356,9 @@ func (n *Network) DespawnBulk(vs []*Vehicle) {
 	lanes := make(map[*Lane]bool)
 	order := make([]*Vehicle, 0, len(vs))
 	for _, v := range vs {
-		if cur, on := n.vehicles[v.ID]; !on || cur != v || gone[v] {
+		if !n.remove(v) {
 			continue
 		}
-		delete(n.vehicles, v.ID)
 		gone[v] = true
 		lanes[v.Lane] = true
 		order = append(order, v)
@@ -489,7 +503,7 @@ func (n *Network) integrate(dt float64) {
 			}
 			lane.vehicles = keep
 			for _, v := range exited {
-				delete(n.vehicles, v.ID)
+				n.remove(v)
 			}
 			if n.OnExit != nil {
 				for _, v := range exited {

@@ -48,7 +48,7 @@ func TestScaleWorldAssembly(t *testing.T) {
 		}
 	}
 	// Segment ID striding.
-	if w.Segments()[1].Vehicles()[SegmentIDStride] == nil {
+	if w.Segments()[1].Vehicles()[0].ID != SegmentIDStride {
 		t.Fatal("segment 1 IDs not strided")
 	}
 }

@@ -5,9 +5,7 @@
 package vanet
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -291,16 +289,19 @@ func (w *World) VehicleCount() int {
 }
 
 // Vehicles returns the on-road vehicles of every segment sorted by ID —
-// the deterministic sampling population for workload generators. Segment
-// ID striding keeps the IDs globally unique.
+// the deterministic sampling population for workload generators. Each
+// network keeps its vehicles in ID order and segment ID striding gives
+// later segments higher IDs, so concatenating the segments in order
+// sorts them; a segment whose IDs ran into the next one's would panic.
 func (w *World) Vehicles() []*traffic.Vehicle {
 	vs := make([]*traffic.Vehicle, 0, w.VehicleCount())
 	for _, n := range w.segments {
-		for _, v := range n.Vehicles() {
-			vs = append(vs, v)
+		seg := n.Vehicles()
+		if len(vs) > 0 && len(seg) > 0 && seg[0].ID <= vs[len(vs)-1].ID {
+			panic(fmt.Sprintf("vanet: segment vehicle ID %d follows ID %d", seg[0].ID, vs[len(vs)-1].ID))
 		}
+		vs = append(vs, seg...)
 	}
-	slices.SortFunc(vs, func(a, b *traffic.Vehicle) int { return cmp.Compare(a.ID, b.ID) })
 	return vs
 }
 

@@ -1,6 +1,8 @@
 package vanet
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"time"
 
@@ -115,6 +117,42 @@ func TestWorldDeterminism(t *testing.T) {
 	if b1 != b2 || c1 != c2 {
 		t.Fatalf("same seed diverged: (%d,%d) vs (%d,%d)", b1, c1, b2, c2)
 	}
+}
+
+// TestVehiclesMatchesSortedLanes pins World.Vehicles, a concatenation of
+// each segment's ID-ordered list, to the sort it replaced: every lane
+// vehicle of every segment, sorted by ID. It checks a spawning road
+// whose vehicles enter and exit, a scale world, and a scale world after
+// a bulk despawn.
+func TestVehiclesMatchesSortedLanes(t *testing.T) {
+	oldSort := func(w *World) []*traffic.Vehicle {
+		var vs []*traffic.Vehicle
+		for _, n := range w.Segments() {
+			for _, l := range n.Road().Lanes {
+				vs = append(vs, l.Vehicles()...)
+			}
+		}
+		slices.SortFunc(vs, func(a, b *traffic.Vehicle) int { return cmp.Compare(a.ID, b.ID) })
+		return vs
+	}
+	check := func(name string, w *World) {
+		t.Helper()
+		if got, want := w.Vehicles(), oldSort(w); !slices.Equal(got, want) {
+			t.Fatalf("%s: Vehicles() has %d vehicles, the sorted lanes %d, or their order differs", name, len(got), len(want))
+		}
+	}
+	road := smallWorld(Config{Seed: 3, Prepopulate: true, Road: traffic.RoadConfig{Length: 600, LanesPerDirection: 2, TwoWay: true}})
+	for step := 0; step < 8; step++ {
+		road.Run(time.Duration(step+1) * 5 * time.Second)
+		check("spawning road", road)
+	}
+	scale := tinyScale()
+	check("scale world", scale)
+	seg := scale.Segments()[1]
+	vs := seg.Vehicles()
+	seg.DespawnBulk([]*traffic.Vehicle{vs[len(vs)/2], vs[0], vs[len(vs)-1]})
+	scale.Run(3 * time.Second)
+	check("scale world after despawn", scale)
 }
 
 func TestVehiclesSortedByID(t *testing.T) {
