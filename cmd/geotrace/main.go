@@ -248,7 +248,7 @@ func runTrace(duration time.Duration, packets int, workload, atkMode string, atk
 
 	// Let beacons settle, then inject packets from mid-road vehicles.
 	w.Engine.ScheduleAt(10*time.Second, "inject", func() {
-		vs := w.Vehicles()
+		vs := w.AppendVehicles(nil)
 		for i := 0; i < packets && i < len(vs); i++ {
 			src := vs[len(vs)/2+i]
 			r := w.RouterOf(src)

@@ -112,7 +112,7 @@ func TestPublicWorldBuilder(t *testing.T) {
 	})
 	w.AddStatic(georoute.EastDestAddr, georoute.Pt(1020, 0), 0)
 	w.Run(8 * time.Second)
-	vs := w.Vehicles()
+	vs := w.AppendVehicles(nil)
 	if len(vs) == 0 {
 		t.Fatal("no vehicles")
 	}

@@ -258,8 +258,10 @@ func (a *Attacker) captureBeacon(p *geonet.Packet, f radio.Frame) {
 	}
 	a.beaconSeen[k] = true
 	a.emit(trace.EvCapture, p)
-	// The frame's payload buffer is recycled after this delivery walk, so
-	// the capture must copy it — into a pooled buffer the replay returns.
+	// The frame's payload buffer is recycled after this delivery walk,
+	// and so is p, which decoded into the transmission's scratch packet:
+	// the capture copies the payload — into a pooled buffer the replay
+	// returns — and keeps only the source address of p.
 	payload := append(a.cfg.Medium.GrabPayload(), f.Payload...)
 	src := p.SourcePV.Addr
 	a.cfg.Engine.Schedule(a.cfg.ProcessingDelay, "attack.replayBeacon", func() {

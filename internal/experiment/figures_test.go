@@ -149,21 +149,22 @@ func TestFigureRunSmall(t *testing.T) {
 func TestScenarioVulnerablePredicate(t *testing.T) {
 	s := Default() // attacker mid-road (2000), wN range 327, vehicles 486
 	// margin = 327-486 = -159: eastbound vulnerable iff src <= 1841.
-	if !s.VulnerableEast(1800) {
+	east, west := s.VulnerableBounds()
+	if !(1800 <= east) {
 		t.Error("src 1800 must be east-vulnerable")
 	}
-	if s.VulnerableEast(1900) {
+	if 1900 <= east {
 		t.Error("src 1900 must not be east-vulnerable")
 	}
-	if !s.VulnerableWest(2200) {
+	if !(2200 >= west) {
 		t.Error("src 2200 must be west-vulnerable")
 	}
-	if s.VulnerableWest(2100) {
+	if 2100 >= west {
 		t.Error("src 2100 must not be west-vulnerable")
 	}
 	// A long-range attacker widens the window symmetrically.
 	s.AttackRange = radio.Range(radio.DSRC, radio.LoSMedian) // 1283, margin +797
-	if !s.VulnerableEast(2700) || !s.VulnerableWest(1300) {
+	if east, west := s.VulnerableBounds(); !(2700 <= east) || !(1300 >= west) {
 		t.Error("mL attacker must widen the vulnerable window")
 	}
 }

@@ -61,7 +61,7 @@ func captureSeedFrames(tb testing.TB) [][]byte {
 	ant.SetRxRange(s.RoadLength) // hear the whole road
 
 	w.Engine.ScheduleAt(time.Second, "fuzz.traffic", func() {
-		vs := w.Vehicles()
+		vs := w.AppendVehicles(nil)
 		if len(vs) == 0 {
 			return
 		}

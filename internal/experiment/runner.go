@@ -239,6 +239,16 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 	// population is identical across A/B arms.
 	wrand := rand.New(rand.NewPCG(seed^0x9e3779b97f4a7c15, seed+0x632be59bd9b4e019))
 	area := geo.NewRect(geo.Pt(s.RoadLength/2, 0), s.RoadLength/2, 30, 90)
+	// The generators reuse their vehicle and pair buffers across packets.
+	type pair struct {
+		v   *traffic.Vehicle
+		dst geonet.Address
+	}
+	var (
+		vs    []*traffic.Vehicle
+		pairs []pair
+	)
+	eastMax, westMin := s.VulnerableBounds()
 
 	generate := func() {
 		if s.Topology == TopoLocalMin {
@@ -255,17 +265,14 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 		}
 		switch s.Workload {
 		case InterArea:
-			type pair struct {
-				v   *traffic.Vehicle
-				dst geonet.Address
-			}
-			var pairs []pair
-			for _, v := range w.Vehicles() {
+			vs = w.AppendVehicles(vs[:0])
+			pairs = pairs[:0]
+			for _, v := range vs {
 				x := v.X()
-				if s.VulnerableEast(x) {
+				if x <= eastMax {
 					pairs = append(pairs, pair{v, vanet.EastDestAddr})
 				}
-				if s.VulnerableWest(x) {
+				if x >= westMin {
 					pairs = append(pairs, pair{v, vanet.WestDestAddr})
 				}
 			}
@@ -283,7 +290,7 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 			}
 			track(r.SendGeoUnicast(p.dst, destPos, nil), &tracked{dest: p.dst})
 		case IntraArea:
-			vs := w.Vehicles()
+			vs = w.AppendVehicles(vs[:0])
 			if len(vs) == 0 {
 				return
 			}
@@ -292,8 +299,8 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 			if r == nil {
 				return
 			}
-			// Vehicles sorts by ID and AddrOf is monotone in it, so the
-			// targets come out sorted.
+			// AppendVehicles sorts by ID and AddrOf is monotone in it, so
+			// the targets come out sorted.
 			targets := make([]geonet.Address, 0, len(vs)-1)
 			for _, v := range vs {
 				if v.ID == src.ID {

@@ -149,19 +149,15 @@ func (s Scenario) AttackerPosition() (x, y float64) {
 	return x, -2.5
 }
 
-// VulnerableEast reports whether a packet originating at srcX heading to
-// the eastern destination is vulnerable to the inter-area attack (§IV-A):
-// some forwarder position on its path can be fed a beacon from a vehicle
-// beyond its real coverage but inside the attacker's.
-func (s Scenario) VulnerableEast(srcX float64) bool {
+// VulnerableBounds reports which inter-area packets are vulnerable to the
+// attack (§IV-A): some forwarder position on the packet's path can be fed
+// a beacon from a vehicle beyond its real coverage but inside the
+// attacker's. A packet from srcX to the eastern destination is vulnerable
+// when srcX <= east, and one to the western destination when srcX >= west.
+func (s Scenario) VulnerableBounds() (east, west float64) {
 	ax, _ := s.AttackerPosition()
-	return srcX <= ax+(s.AttackRange-s.VehicleRange())
-}
-
-// VulnerableWest is the westbound counterpart of VulnerableEast.
-func (s Scenario) VulnerableWest(srcX float64) bool {
-	ax, _ := s.AttackerPosition()
-	return srcX >= ax-(s.AttackRange-s.VehicleRange())
+	margin := s.AttackRange - s.VehicleRange()
+	return ax + margin, ax - margin
 }
 
 // withAttack returns a copy with the attack enabled (mode m), and

@@ -99,10 +99,10 @@ func (g *GPSR) perimeterNext(r *geonet.Router, out *geonet.Packet, target geo.Po
 	// dead end — the same exclusion greedy applies.
 	g.planar = g.planar[:0]
 	for _, v := range g.ents {
-		if v.Addr == out.SourcePV.Addr {
+		if v.PV.Addr == out.SourcePV.Addr {
 			continue
 		}
-		if gabrielKeep(self, v.PV.Pos, v.Addr, g.ents) && r.AcceptNextHop(self, v.PV.Pos, v) {
+		if gabrielKeep(self, v.PV.Pos, v.PV.Addr, g.ents) && r.AcceptNextHop(self, v.PV.Pos, v) {
 			g.planar = append(g.planar, v)
 		}
 	}
@@ -126,7 +126,7 @@ func (g *GPSR) perimeterNext(r *geonet.Router, out *geonet.Packet, target geo.Po
 			// (typically the edge back to prevHop) is the last resort.
 			turn += 2 * math.Pi
 		}
-		if turn < bestTurn || (turn == bestTurn && v.Addr < best.Addr) {
+		if turn < bestTurn || (turn == bestTurn && v.PV.Addr < best.PV.Addr) {
 			best, bestTurn = v, turn
 		}
 	}
@@ -140,14 +140,14 @@ func (g *GPSR) perimeterNext(r *geonet.Router, out *geonet.Packet, target geo.Po
 		}
 	}
 	if out.Ext.E0From == 0 && out.Ext.E0To == 0 {
-		out.Ext.E0From, out.Ext.E0To = r.Addr(), best.Addr
-	} else if !entering && out.Ext.E0From == r.Addr() && out.Ext.E0To == best.Addr {
+		out.Ext.E0From, out.Ext.E0To = r.Addr(), best.PV.Addr
+	} else if !entering && out.Ext.E0From == r.Addr() && out.Ext.E0To == best.PV.Addr {
 		// The walk is about to repeat the face's first edge: the face
 		// closed without reaching a recovery point, so the target is
 		// unreachable through this neighborhood.
 		return 0, false
 	}
-	return best.Addr, true
+	return best.PV.Addr, true
 }
 
 // gabrielKeep reports whether the edge (self, v) survives the Gabriel
@@ -156,7 +156,7 @@ func gabrielKeep(self, v geo.Point, vAddr geonet.Address, ents []*geonet.LocTEnt
 	mx, my := (self.X+v.X)/2, (self.Y+v.Y)/2
 	r2 := sq(self.X-mx) + sq(self.Y-my)
 	for _, w := range ents {
-		if w.Addr == vAddr {
+		if w.PV.Addr == vAddr {
 			continue
 		}
 		wp := w.PV.Pos
@@ -172,7 +172,7 @@ func sq(x float64) float64 { return x * x }
 // lookupEnt scans the (small, sorted) neighbor scratch for addr.
 func lookupEnt(ents []*geonet.LocTEntry, addr geonet.Address) *geonet.LocTEntry {
 	for _, e := range ents {
-		if e.Addr == addr {
+		if e.PV.Addr == addr {
 			return e
 		}
 	}

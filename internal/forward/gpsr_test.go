@@ -11,8 +11,7 @@ import (
 func entsAt(points ...geo.Point) []*geonet.LocTEntry {
 	ents := make([]*geonet.LocTEntry, len(points))
 	for i, p := range points {
-		e := &geonet.LocTEntry{Addr: geonet.Address(i + 1)}
-		e.PV.Pos = p
+		e := &geonet.LocTEntry{PV: geonet.PositionVector{Addr: geonet.Address(i + 1), Pos: p}}
 		ents[i] = e
 	}
 	return ents
@@ -36,7 +35,7 @@ func TestGabrielKeep(t *testing.T) {
 	}
 	for _, tc := range tests {
 		ents := entsAt(tc.v, tc.witness)
-		if got := gabrielKeep(self, tc.v, ents[0].Addr, ents); got != tc.keep {
+		if got := gabrielKeep(self, tc.v, ents[0].PV.Addr, ents); got != tc.keep {
 			t.Errorf("%s: gabrielKeep = %v, want %v", tc.name, got, tc.keep)
 		}
 	}

@@ -19,20 +19,40 @@ import (
 // to every receiver. Receivers may read it freely and must Fork (basic
 // header mutation) or Clone (protected mutation) before writing. The
 // cache itself — including the Protected alias into the frame payload —
-// is only valid during the delivery walk; the decoded Packet owns its
-// payload/signature bytes and may be retained.
+// is only valid during the delivery walk. What may outlive the walk
+// depends on the packet type:
+//
+//   - A beacon decodes into the transmission's scratch packet (the
+//     cache's Scratch slot), which the transmission's next frame
+//     overwrites. A decoded beacon, and every byte slice in it, is valid
+//     only during its delivery walk: receivers copy what they keep (the
+//     LocT copies the PV, the attacker copies the frame payload, trace
+//     records copy fields), and never keep the *Packet or a Fork of it.
+//   - Every other type decodes into storage of its own, which its
+//     Payload, Cert and Signature alias. It may be retained, and so may
+//     its Forks: GF custody buffers, CBF contention and the attacker's
+//     replays keep them.
 
 // DecodeFrame decodes the frame's GeoNetworking PDU, reusing the
 // transmission-wide cached decode when the medium supplied one. Frames
-// built by hand (tests, tools) carry no cache and decode directly.
+// built by hand (tests, tools) carry no cache and decode directly into
+// storage of their own, whatever their type.
 func DecodeFrame(f radio.Frame) (*Packet, error) {
 	c := f.Cache
 	if c == nil {
-		p, _, err := unmarshalWire(f.Payload)
+		p, _, err := unmarshalWire(f.Payload, nil)
 		return p, err
 	}
 	if !c.DecodeDone {
-		p, protEnd, err := unmarshalWire(f.Payload)
+		// A pooled transmission gets its scratch packet on its first
+		// decode, whatever the type, and keeps it: after warm-up a
+		// beacon round decodes without allocating.
+		scratch, _ := c.Scratch.(*ownedPacket)
+		if scratch == nil {
+			scratch = new(ownedPacket)
+			c.Scratch = scratch
+		}
+		p, protEnd, err := unmarshalWire(f.Payload, scratch)
 		c.DecodeDone = true
 		c.DecodeErr = err
 		if err == nil {

@@ -43,7 +43,7 @@ func BenchmarkPerHop(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if i%fanout == 0 {
-					*cache = radio.FrameCache{}
+					*cache = radio.FrameCache{Scratch: cache.Scratch}
 				}
 				q, err := DecodeFrame(f)
 				if err != nil {

@@ -8,31 +8,36 @@ import (
 )
 
 // LocTEntry is one neighbor record: (addr, PV, TTL) as in the paper's
-// description of the standard's location table.
+// description of the standard's location table. The address is PV.Addr.
+// The entry is 64 bytes, one cache line in the allocator's 64-byte size
+// class; TestLocTEntrySizeClass pins it.
 type LocTEntry struct {
-	Addr      Address
 	PV        PositionVector
-	UpdatedAt time.Duration // when the entry was last refreshed
-	ExpiresAt time.Duration // UpdatedAt + TTL
-	// IsNeighbor mirrors the standard's IS_NEIGHBOUR flag: set when the PV
-	// came from a single-hop packet (a beacon). GF only considers entries
-	// with this flag. Crucially it is set from the PACKET TYPE, not from
-	// any check that the link-layer sender is the PV owner — which is why
-	// a replayed beacon makes an out-of-range vehicle look like a
-	// neighbor.
-	IsNeighbor bool
-	// NeighborUntil bounds the neighbor status in time: deployed stacks
-	// let IS_NEIGHBOUR lapse after a missed beacon round or two rather
-	// than keeping a silent station eligible as a next hop for the whole
-	// entry TTL. The attack is unaffected — the attacker re-relays every
-	// fresh beacon, so poisoned entries stay "neighbors" continuously.
+	ExpiresAt time.Duration // last refresh + TTL
+	// NeighborUntil carries the standard's IS_NEIGHBOUR flag and bounds it
+	// in time. The flag is set when the PV came from a single-hop packet
+	// (a beacon), and GF only considers entries that have it. Crucially it
+	// is set from the PACKET TYPE, not from any check that the link-layer
+	// sender is the PV owner — which is why a replayed beacon makes an
+	// out-of-range vehicle look like a neighbor. A negative value means
+	// the flag is clear.
+	//
+	// The time bound follows deployed stacks, which let IS_NEIGHBOUR lapse
+	// after a missed beacon round or two rather than keeping a silent
+	// station eligible as a next hop for the whole entry TTL. The attack
+	// is unaffected — the attacker re-relays every fresh beacon, so
+	// poisoned entries stay "neighbors" continuously.
 	NeighborUntil time.Duration
 }
 
+// notNeighbor is the NeighborUntil of an entry without IS_NEIGHBOUR.
+const notNeighbor time.Duration = -1
+
 // NeighborAt reports whether the entry counts as a direct neighbor for
-// forwarding decisions at time now.
+// forwarding decisions at time now. Simulated time is never negative, so
+// a cleared flag never counts.
 func (e *LocTEntry) NeighborAt(now time.Duration) bool {
-	return e.IsNeighbor && now <= e.NeighborUntil
+	return now <= e.NeighborUntil
 }
 
 // LocT is the location table: the per-router view of its neighborhood,
@@ -109,19 +114,17 @@ func (t *LocT) Update(pv PositionVector, now time.Duration, isNeighbor bool) boo
 			return false
 		}
 		if isNeighbor {
-			changed := !e.IsNeighbor
-			e.IsNeighbor = true
+			// A cleared flag is negative, so setting it always counts
+			// as a change.
 			if until := now + t.neighborTTL; until > e.NeighborUntil {
 				e.NeighborUntil = until
-				changed = true
+				return true
 			}
-			return changed
 		}
 		return false
 	}
-	var neighborUntil time.Duration
-	wasNeighbor := ok && now <= e.ExpiresAt && e.IsNeighbor
-	if wasNeighbor {
+	neighborUntil := notNeighbor
+	if ok && now <= e.ExpiresAt {
 		neighborUntil = e.NeighborUntil
 	}
 	if isNeighbor {
@@ -132,11 +135,8 @@ func (t *LocT) Update(pv PositionVector, now time.Duration, isNeighbor bool) boo
 		t.entries.Put(pv.Addr, e)
 	}
 	*e = LocTEntry{
-		Addr:          pv.Addr,
 		PV:            pv,
-		UpdatedAt:     now,
 		ExpiresAt:     now + t.ttl,
-		IsNeighbor:    isNeighbor || wasNeighbor,
 		NeighborUntil: neighborUntil,
 	}
 	return true
@@ -187,7 +187,7 @@ func (t *LocT) AppendNeighbors(dst []*LocTEntry, now time.Duration) []*LocTEntry
 	for i := 1; i < len(live); i++ {
 		e := live[i]
 		j := i - 1
-		for j >= 0 && live[j].Addr > e.Addr {
+		for j >= 0 && live[j].PV.Addr > e.PV.Addr {
 			live[j+1] = live[j]
 			j--
 		}

@@ -13,14 +13,39 @@ import (
 // refLocT is the reference location table for the differential test: a
 // Go map of entries, as LocT was before its address index, with the
 // copy-on-refresh Update it had before refreshes went in place (every
-// accepted PV stores a freshly allocated entry).
+// accepted PV stores a freshly allocated entry). Its entries keep the
+// fields LocTEntry folded away, so the oracle checks the folded neighbor
+// flag on its own terms.
 type refLocT struct {
 	ttl, neighborTTL time.Duration
-	entries          map[Address]*LocTEntry
+	entries          map[Address]*refEntry
+}
+
+// refEntry is LocTEntry as it was before it was cut to one cache line:
+// its own address, its refresh time and a separate IS_NEIGHBOUR flag.
+type refEntry struct {
+	Addr          Address
+	PV            PositionVector
+	UpdatedAt     time.Duration
+	ExpiresAt     time.Duration
+	IsNeighbor    bool
+	NeighborUntil time.Duration
+}
+
+// matches reports whether e holds what the reference entry r holds, for a
+// table with entry lifetime ttl.
+func (r *refEntry) matches(e *LocTEntry, ttl time.Duration) bool {
+	if e.PV != r.PV || e.PV.Addr != r.Addr || e.ExpiresAt != r.ExpiresAt || e.ExpiresAt-ttl != r.UpdatedAt {
+		return false
+	}
+	if !r.IsNeighbor {
+		return e.NeighborUntil < 0
+	}
+	return e.NeighborUntil == r.NeighborUntil
 }
 
 func newRefLocT(ttl, neighborTTL time.Duration) *refLocT {
-	return &refLocT{ttl: ttl, neighborTTL: neighborTTL, entries: make(map[Address]*LocTEntry)}
+	return &refLocT{ttl: ttl, neighborTTL: neighborTTL, entries: make(map[Address]*refEntry)}
 }
 
 func (t *refLocT) Update(pv PositionVector, now time.Duration, isNeighbor bool) bool {
@@ -48,7 +73,7 @@ func (t *refLocT) Update(pv PositionVector, now time.Duration, isNeighbor bool) 
 	if isNeighbor {
 		neighborUntil = now + t.neighborTTL
 	}
-	t.entries[pv.Addr] = &LocTEntry{
+	t.entries[pv.Addr] = &refEntry{
 		Addr:          pv.Addr,
 		PV:            pv,
 		UpdatedAt:     now,
@@ -59,7 +84,7 @@ func (t *refLocT) Update(pv PositionVector, now time.Duration, isNeighbor bool) 
 	return true
 }
 
-func (t *refLocT) Lookup(addr Address, now time.Duration) *LocTEntry {
+func (t *refLocT) Lookup(addr Address, now time.Duration) *refEntry {
 	e, ok := t.entries[addr]
 	if !ok {
 		return nil
@@ -81,8 +106,8 @@ func (t *refLocT) Purge(now time.Duration) {
 	}
 }
 
-func (t *refLocT) Neighbors(now time.Duration) []*LocTEntry {
-	var live []*LocTEntry
+func (t *refLocT) Neighbors(now time.Duration) []*refEntry {
+	var live []*refEntry
 	for addr, e := range t.entries {
 		if now > e.ExpiresAt {
 			delete(t.entries, addr)
@@ -90,7 +115,7 @@ func (t *refLocT) Neighbors(now time.Duration) []*LocTEntry {
 		}
 		live = append(live, e)
 	}
-	slices.SortFunc(live, func(a, b *LocTEntry) int { return cmp.Compare(a.Addr, b.Addr) })
+	slices.SortFunc(live, func(a, b *refEntry) int { return cmp.Compare(a.Addr, b.Addr) })
 	return live
 }
 
@@ -161,7 +186,7 @@ func TestLocTInPlaceMatchesReference(t *testing.T) {
 					isNeighbor := rng.IntN(100) < 65
 					pv := PositionVector{Addr: addr, Timestamp: ts, Pos: geo.Pt(float64(rng.IntN(1000)), 0)}
 
-					var before LocTEntry
+					var before refEntry
 					e, stored := ref.entries[addr]
 					if stored {
 						before = *e
@@ -203,7 +228,7 @@ func TestLocTInPlaceMatchesReference(t *testing.T) {
 						}
 					}
 					got, want := lt.Lookup(addr, now), ref.Lookup(addr, now)
-					if (got == nil) != (want == nil) || got != nil && *got != *want {
+					if (got == nil) != (want == nil) || got != nil && !want.matches(got, ref.ttl) {
 						fail("Lookup(%d, %v) = %+v, reference %+v", addr, now, got, want)
 					}
 				case op < 90:
@@ -224,7 +249,7 @@ func TestLocTInPlaceMatchesReference(t *testing.T) {
 					fail("%d neighbors, reference %d", len(got), len(want))
 				}
 				for k := range got {
-					if *got[k] != *want[k] {
+					if !want[k].matches(got[k], ref.ttl) {
 						fail("neighbor %d = %+v, reference %+v", k, *got[k], *want[k])
 					}
 				}

@@ -3,6 +3,7 @@ package geonet
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/vanetsec/georoute/internal/geo"
 )
@@ -17,7 +18,7 @@ func TestLocTInsertAndLookup(t *testing.T) {
 		t.Fatal("fresh insert must report change")
 	}
 	e := lt.Lookup(1, time.Second)
-	if e == nil || e.PV.Pos.X != 100 || !e.IsNeighbor {
+	if e == nil || e.PV.Pos.X != 100 || !e.NeighborAt(time.Second) {
 		t.Fatalf("Lookup = %+v", e)
 	}
 	if lt.Lookup(2, time.Second) != nil {
@@ -74,20 +75,20 @@ func TestLocTNeighborFlagUpgradeAndPersistence(t *testing.T) {
 	lt := NewLocT(20*time.Second, 0)
 	// Learned from a forwarded data packet first: not a neighbor.
 	lt.Update(pvAt(1, 100, time.Second), time.Second, false)
-	if lt.Lookup(1, time.Second).IsNeighbor {
-		t.Fatal("data-packet PV must not set IsNeighbor")
+	if lt.Lookup(1, time.Second).NeighborAt(time.Second) {
+		t.Fatal("data-packet PV must not set IS_NEIGHBOUR")
 	}
 	// Same PV heard as a beacon: flag upgrades even though the PV is not newer.
 	if !lt.Update(pvAt(1, 100, time.Second), time.Second+1, true) {
 		t.Fatal("flag upgrade must report change")
 	}
-	if !lt.Lookup(1, 2*time.Second).IsNeighbor {
-		t.Fatal("beacon must set IsNeighbor")
+	if !lt.Lookup(1, 2*time.Second).NeighborAt(2 * time.Second) {
+		t.Fatal("beacon must set IS_NEIGHBOUR")
 	}
 	// A later data-packet PV refreshes the position but keeps the flag.
 	lt.Update(pvAt(1, 200, 3*time.Second), 3*time.Second, false)
 	e := lt.Lookup(1, 3*time.Second)
-	if e.PV.Pos.X != 200 || !e.IsNeighbor {
+	if e.PV.Pos.X != 200 || !e.NeighborAt(3*time.Second) {
 		t.Fatalf("entry after data refresh = %+v", e)
 	}
 }
@@ -98,7 +99,7 @@ func TestLocTNeighborsSortedAndLive(t *testing.T) {
 	lt.Update(pvAt(1, 10, 0), 0, true)
 	lt.Update(pvAt(2, 20, 5*time.Second), 5*time.Second, true)
 	ns := lt.AppendNeighbors(nil, 12*time.Second) // 1 and 3 expired at t=10s
-	if len(ns) != 1 || ns[0].Addr != 2 {
+	if len(ns) != 1 || ns[0].PV.Addr != 2 {
 		t.Fatalf("AppendNeighbors = %+v, want only addr 2", ns)
 	}
 	lt2 := NewLocT(10*time.Second, 0)
@@ -107,7 +108,7 @@ func TestLocTNeighborsSortedAndLive(t *testing.T) {
 	}
 	ns2 := lt2.AppendNeighbors(nil, 0)
 	for i := 1; i < len(ns2); i++ {
-		if ns2[i-1].Addr >= ns2[i].Addr {
+		if ns2[i-1].PV.Addr >= ns2[i].PV.Addr {
 			t.Fatalf("AppendNeighbors not sorted: %+v", ns2)
 		}
 	}
@@ -120,17 +121,26 @@ func TestLocTClosest(t *testing.T) {
 	lt.Update(pvAt(3, 200, 0), 0, true)
 	dst := geo.Pt(400, 0)
 	best := lt.Closest(dst, time.Second, nil)
-	if best == nil || best.Addr != 2 {
+	if best == nil || best.PV.Addr != 2 {
 		t.Fatalf("Closest = %+v, want addr 2", best)
 	}
 	// Filter excludes the winner: next best is picked.
-	best = lt.Closest(dst, time.Second, func(e *LocTEntry, _ geo.Point) bool { return e.Addr != 2 })
-	if best == nil || best.Addr != 3 {
+	best = lt.Closest(dst, time.Second, func(e *LocTEntry, _ geo.Point) bool { return e.PV.Addr != 2 })
+	if best == nil || best.PV.Addr != 3 {
 		t.Fatalf("filtered Closest = %+v, want addr 3", best)
 	}
 	// Filter excludes everything.
 	if lt.Closest(dst, time.Second, func(*LocTEntry, geo.Point) bool { return false }) != nil {
 		t.Fatal("Closest with all-rejecting filter must be nil")
+	}
+}
+
+// TestLocTEntrySizeClass pins LocTEntry to one 64-byte cache line, the
+// allocator's 64-byte size class: every source a receiver learns costs
+// one entry, and one word more moves it to the 80-byte class.
+func TestLocTEntrySizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(LocTEntry{}); got != 64 {
+		t.Fatalf("unsafe.Sizeof(LocTEntry{}) = %d, want 64 (one line, the 64-byte class)", got)
 	}
 }
 

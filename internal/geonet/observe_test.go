@@ -170,9 +170,9 @@ func TestRouterReceiveAllocsFreshBeacon(t *testing.T) {
 	if got != entry {
 		t.Error("LocT entry replaced instead of refreshed in place")
 	}
-	if want := time.Duration(len(ring)) * beaconRingPeriod; got.PV.Timestamp != want || got.UpdatedAt != engine.Now() {
-		t.Errorf("entry PV timestamp %v updated at %v, want both %v: not every delivery refreshed it",
-			got.PV.Timestamp, got.UpdatedAt, want)
+	if want := time.Duration(len(ring)) * beaconRingPeriod; got.PV.Timestamp != want || got.ExpiresAt != engine.Now()+rx.loct.TTL() {
+		t.Errorf("entry PV timestamp %v expires at %v, want %v and %v: not every delivery refreshed it",
+			got.PV.Timestamp, got.ExpiresAt, want, engine.Now()+rx.loct.TTL())
 	}
 	if n := rx.Stats().BeaconsReceived; n != uint64(len(ring)) {
 		t.Errorf("BeaconsReceived = %d, want %d", n, len(ring))

@@ -489,7 +489,8 @@ func (r *Router) SendGeoBroadcast(area geo.Area, payload []byte) Key {
 // Decode and signature verification are shared across the frame's
 // receivers via the transmission's FrameCache, so the returned packet is
 // an immutable shared view — forwarding paths Fork it before mutating
-// the basic header.
+// the basic header. A beacon is valid only during this call (frame.go):
+// the beacon path copies its PV into the LocT and keeps nothing else.
 func (r *Router) Deliver(f radio.Frame) {
 	if r.stopped {
 		return

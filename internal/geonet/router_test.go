@@ -88,8 +88,8 @@ func TestBeaconingPopulatesLocT(t *testing.T) {
 		t.Fatalf("BeaconsSent in 10s = %d, want ~3 (3s interval + jitter)", got)
 	}
 	entry := a.LocT().Lookup(2, w.engine.Now())
-	if !entry.IsNeighbor {
-		t.Fatal("beacon-learned entry must be flagged IsNeighbor")
+	if !entry.NeighborAt(w.engine.Now()) {
+		t.Fatal("beacon-learned entry must be flagged IS_NEIGHBOUR")
 	}
 }
 
@@ -380,8 +380,8 @@ func TestReplayedBeaconPoisonsLocT(t *testing.T) {
 	if e == nil {
 		t.Fatal("replayed beacon rejected — attack primitive broken")
 	}
-	if !e.IsNeighbor {
-		t.Fatal("replayed beacon must set IsNeighbor (type-based flag)")
+	if !e.NeighborAt(w.engine.Now()) {
+		t.Fatal("replayed beacon must set IS_NEIGHBOUR (type-based flag)")
 	}
 	if e.PV.Pos.DistanceTo(geo.Pt(2000, 0)) > 1 {
 		t.Fatalf("poisoned entry position = %v", e.PV.Pos)

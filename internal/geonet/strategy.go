@@ -168,11 +168,11 @@ func (standardGreedy) NextHop(r *Router, out *Packet, target geo.Point, prevHop 
 			// GF only considers entries with live IS_NEIGHBOUR status.
 			return false
 		}
-		if e.Addr == out.SourcePV.Addr {
+		if e.PV.Addr == out.SourcePV.Addr {
 			// Never route a packet back to its source.
 			return false
 		}
-		if e.Addr == prevHop {
+		if e.PV.Addr == prevHop {
 			// Split horizon: not straight back to who handed it to us.
 			return false
 		}
@@ -184,7 +184,7 @@ func (standardGreedy) NextHop(r *Router, out *Packet, target geo.Point, prevHop 
 	if best == nil {
 		return 0, false
 	}
-	return best.Addr, true
+	return best.PV.Addr, true
 }
 
 // standardCBF is the extracted contention policy: the standard's

@@ -457,7 +457,7 @@ func (p *Packet) Marshal() []byte {
 
 // Unmarshal decodes a packet from wire bytes.
 func Unmarshal(b []byte) (*Packet, error) {
-	p, _, err := unmarshalWire(b)
+	p, _, err := unmarshalWire(b, nil)
 	return p, err
 }
 
@@ -467,9 +467,10 @@ func Unmarshal(b []byte) (*Packet, error) {
 const inlineTail = 120
 
 // ownedPacket is a decoded packet together with the storage its byte
-// fields point into, so a beacon decodes with a single allocation.
-// Tails longer than inline (payload-bearing or ECDSA frames) decode
-// into a plain Packet plus one heap copy of the tail instead.
+// fields point into, so a beacon decodes with a single allocation, or
+// none into a reused one. Tails longer than inline (payload-bearing or
+// ECDSA frames) decode into a plain Packet plus one heap copy of the
+// tail instead.
 type ownedPacket struct {
 	Packet
 	inline [inlineTail]byte
@@ -485,7 +486,13 @@ type ownedPacket struct {
 // any extension trailer — is copied once into storage the packet owns,
 // and Payload, Cert and Signature are capacity-limited subslices of
 // that copy.
-func unmarshalWire(b []byte) (p *Packet, protEnd int, err error) {
+//
+// A non-nil scratch receives a beacon whose tail fits inline, in place
+// of a fresh ownedPacket; every other packet type is allocated, because
+// forwarders and the attacker keep forks of it whose byte fields alias
+// its storage. A packet decoded into scratch is valid only until the
+// next decode into it.
+func unmarshalWire(b []byte, scratch *ownedPacket) (p *Packet, protEnd int, err error) {
 	wire := b
 	// The header decodes into a stack value; the heap block is sized
 	// once the tail length is known.
@@ -559,7 +566,11 @@ func unmarshalWire(b []byte) (p *Packet, protEnd int, err error) {
 	b = b[2:]
 	protEnd = len(wire) - len(b) + plen
 	if len(b) <= inlineTail {
-		op := &ownedPacket{Packet: pk}
+		op := scratch
+		if op == nil || pk.Type != TypeBeacon {
+			op = new(ownedPacket)
+		}
+		op.Packet = pk
 		p, b = &op.Packet, op.inline[:copy(op.inline[:], b)]
 	} else {
 		p, b = new(Packet), append([]byte(nil), b...)

@@ -128,11 +128,18 @@ type Frame struct {
 
 // FrameCache carries the decode-once state of a single transmission. The
 // medium owns and pools these: a cache is valid only for the duration of
-// the frame's delivery walk, so receivers must not retain it (retaining
-// the *decoded* packet is fine — it is allocated per frame, not pooled).
-// The fields are typed loosely (any) so the radio layer stays independent
-// of the network layer that interprets the bytes.
+// the frame's delivery walk, so receivers must not retain it. Whether the
+// decoded packet may outlive the walk is the network layer's contract,
+// since it may decode into Scratch (geonet.DecodeFrame decodes beacons
+// there). The fields are typed loosely (any) so the radio layer stays
+// independent of the network layer that interprets the bytes.
 type FrameCache struct {
+	// Scratch is decode storage the network layer keeps with the pooled
+	// transmission. Unlike every other field it survives the reset at the
+	// end of the delivery walk, so the next frame the transmission
+	// carries can decode into it again without allocating.
+	Scratch any
+
 	// DecodeDone/Decoded/DecodeErr memoize the first decode of the frame
 	// payload.
 	DecodeDone bool
@@ -715,7 +722,7 @@ func (t *transmission) fire() {
 		m.releasePayload(t.frame.Payload)
 	}
 	t.frame = Frame{}
-	t.cache = FrameCache{}
+	t.cache = FrameCache{Scratch: t.cache.Scratch}
 	t.targets = nil
 	m.txPool = append(m.txPool, t)
 }

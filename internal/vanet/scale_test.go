@@ -35,7 +35,7 @@ func TestScaleWorldAssembly(t *testing.T) {
 		t.Fatalf("VehicleCount = %d, want %d", got, 3*perSeg)
 	}
 	seen := make(map[int]bool)
-	for _, v := range w.Vehicles() {
+	for _, v := range w.AppendVehicles(nil) {
 		if seen[v.ID] {
 			t.Fatalf("duplicate vehicle ID %d across segments", v.ID)
 		}
@@ -64,8 +64,8 @@ func TestScaleWorldSegmentsAreRFIsolated(t *testing.T) {
 			continue
 		}
 		for _, e := range r.LocT().AppendNeighbors(nil, w.Engine.Now()) {
-			if e.Addr >= VehicleAddrBase+SegmentIDStride {
-				t.Fatalf("segment-0 vehicle %d learned cross-segment address %d", v.ID, e.Addr)
+			if e.PV.Addr >= VehicleAddrBase+SegmentIDStride {
+				t.Fatalf("segment-0 vehicle %d learned cross-segment address %d", v.ID, e.PV.Addr)
 			}
 		}
 		if r.Stats().BeaconsReceived == 0 {

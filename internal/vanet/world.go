@@ -6,6 +6,7 @@ package vanet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -288,26 +289,29 @@ func (w *World) VehicleCount() int {
 	return total
 }
 
-// Vehicles returns the on-road vehicles of every segment sorted by ID —
-// the deterministic sampling population for workload generators. Each
-// network keeps its vehicles in ID order and segment ID striding gives
-// later segments higher IDs, so concatenating the segments in order
-// sorts them; a segment whose IDs ran into the next one's would panic.
-func (w *World) Vehicles() []*traffic.Vehicle {
-	vs := make([]*traffic.Vehicle, 0, w.VehicleCount())
+// AppendVehicles appends the on-road vehicles of every segment, sorted by
+// ID, to dst and returns the extended slice — the deterministic sampling
+// population for workload generators, which pass the same buffer back
+// for every packet. Each network keeps its vehicles in ID order and
+// segment ID striding gives later segments higher IDs, so concatenating
+// the segments in order sorts them; a segment whose IDs ran into the
+// next one's would panic.
+func (w *World) AppendVehicles(dst []*traffic.Vehicle) []*traffic.Vehicle {
+	dst = slices.Grow(dst, w.VehicleCount())
+	start := len(dst)
 	for _, n := range w.segments {
 		seg := n.Vehicles()
-		if len(vs) > 0 && len(seg) > 0 && seg[0].ID <= vs[len(vs)-1].ID {
-			panic(fmt.Sprintf("vanet: segment vehicle ID %d follows ID %d", seg[0].ID, vs[len(vs)-1].ID))
+		if len(dst) > start && len(seg) > 0 && seg[0].ID <= dst[len(dst)-1].ID {
+			panic(fmt.Sprintf("vanet: segment vehicle ID %d follows ID %d", seg[0].ID, dst[len(dst)-1].ID))
 		}
-		vs = append(vs, seg...)
+		dst = append(dst, seg...)
 	}
-	return vs
+	return dst
 }
 
 // VehicleAddrs returns the addresses of all on-road vehicles, sorted.
 func (w *World) VehicleAddrs() []geonet.Address {
-	vs := w.Vehicles()
+	vs := w.AppendVehicles(nil)
 	out := make([]geonet.Address, len(vs))
 	for i, v := range vs {
 		out[i] = AddrOf(v)

@@ -28,7 +28,7 @@ func TestVehiclesGetRouters(t *testing.T) {
 	if w.Traffic.Count() == 0 {
 		t.Fatal("no vehicles")
 	}
-	for _, v := range w.Vehicles() {
+	for _, v := range w.AppendVehicles(nil) {
 		r := w.RouterOf(v)
 		if r == nil {
 			t.Fatalf("vehicle %d has no router", v.ID)
@@ -41,7 +41,7 @@ func TestVehiclesGetRouters(t *testing.T) {
 
 func TestExitingVehicleDetaches(t *testing.T) {
 	w := smallWorld(Config{Seed: 1, Prepopulate: true})
-	first := w.Vehicles()[0]
+	first := w.AppendVehicles(nil)[0]
 	addr := AddrOf(first)
 	w.Run(90 * time.Second) // 2,000 m at ~30 m/s: the leader exits
 	if w.Router(addr) != nil {
@@ -55,7 +55,7 @@ func TestExitingVehicleDetaches(t *testing.T) {
 func TestBeaconsFlowBetweenVehicles(t *testing.T) {
 	w := smallWorld(Config{Seed: 1, Prepopulate: true})
 	w.Run(10 * time.Second)
-	vs := w.Vehicles()
+	vs := w.AppendVehicles(nil)
 	if len(vs) < 3 {
 		t.Fatal("need several vehicles")
 	}
@@ -83,7 +83,8 @@ func TestStaticDestinationReceivesGUC(t *testing.T) {
 	_ = dest
 	w.Run(10 * time.Second)
 
-	src := w.Vehicles()[len(w.Vehicles())/2]
+	vs := w.AppendVehicles(nil)
+	src := vs[len(vs)/2]
 	w.RouterOf(src).SendGeoUnicast(EastDestAddr, geo.Pt(2020, 0), []byte("to the end"))
 	w.Run(30 * time.Second)
 	if delivered[EastDestAddr] != 1 {
@@ -107,7 +108,7 @@ func TestWorldDeterminism(t *testing.T) {
 		w := smallWorld(Config{Seed: 42, Prepopulate: true})
 		w.Run(20 * time.Second)
 		var beacons uint64
-		for _, v := range w.Vehicles() {
+		for _, v := range w.AppendVehicles(nil) {
 			beacons += w.RouterOf(v).Stats().BeaconsReceived
 		}
 		return beacons, w.Traffic.Count()
@@ -119,11 +120,11 @@ func TestWorldDeterminism(t *testing.T) {
 	}
 }
 
-// TestVehiclesMatchesSortedLanes pins World.Vehicles, a concatenation of
-// each segment's ID-ordered list, to the sort it replaced: every lane
-// vehicle of every segment, sorted by ID. It checks a spawning road
-// whose vehicles enter and exit, a scale world, and a scale world after
-// a bulk despawn.
+// TestVehiclesMatchesSortedLanes pins World.AppendVehicles, a
+// concatenation of each segment's ID-ordered list, to the sort it
+// replaced: every lane vehicle of every segment, sorted by ID, appended
+// to nil and to a prefix. It checks a spawning road whose vehicles enter
+// and exit, a scale world, and a scale world after a bulk despawn.
 func TestVehiclesMatchesSortedLanes(t *testing.T) {
 	oldSort := func(w *World) []*traffic.Vehicle {
 		var vs []*traffic.Vehicle
@@ -137,8 +138,15 @@ func TestVehiclesMatchesSortedLanes(t *testing.T) {
 	}
 	check := func(name string, w *World) {
 		t.Helper()
-		if got, want := w.Vehicles(), oldSort(w); !slices.Equal(got, want) {
-			t.Fatalf("%s: Vehicles() has %d vehicles, the sorted lanes %d, or their order differs", name, len(got), len(want))
+		want := oldSort(w)
+		if got := w.AppendVehicles(nil); !slices.Equal(got, want) {
+			t.Fatalf("%s: AppendVehicles has %d vehicles, the sorted lanes %d, or their order differs", name, len(got), len(want))
+		}
+		// A reused buffer keeps its prefix, whose IDs take no part in
+		// the order check: here it holds the highest ID.
+		prefix := []*traffic.Vehicle{want[len(want)-1]}
+		if got := w.AppendVehicles(prefix); !slices.Equal(got, append(prefix, want...)) {
+			t.Fatalf("%s: AppendVehicles after a prefix differs from the prefix and the sorted lanes", name)
 		}
 	}
 	road := smallWorld(Config{Seed: 3, Prepopulate: true, Road: traffic.RoadConfig{Length: 600, LanesPerDirection: 2, TwoWay: true}})
@@ -157,10 +165,10 @@ func TestVehiclesMatchesSortedLanes(t *testing.T) {
 
 func TestVehiclesSortedByID(t *testing.T) {
 	w := smallWorld(Config{Seed: 1, Prepopulate: true})
-	vs := w.Vehicles()
+	vs := w.AppendVehicles(nil)
 	for i := 1; i < len(vs); i++ {
 		if vs[i-1].ID >= vs[i].ID {
-			t.Fatal("Vehicles() not sorted by ID")
+			t.Fatal("AppendVehicles not sorted by ID")
 		}
 	}
 	addrs := w.VehicleAddrs()
@@ -191,7 +199,7 @@ func TestTrafficUnaffectedByAttacker(t *testing.T) {
 		}
 		w.Run(30 * time.Second)
 		var xs []float64
-		for _, v := range w.Vehicles() {
+		for _, v := range w.AppendVehicles(nil) {
 			xs = append(xs, v.X(), v.Speed)
 		}
 		return xs
@@ -223,7 +231,7 @@ func TestBeaconScheduleUnaffectedByAttacker(t *testing.T) {
 		}
 		w.Run(20 * time.Second)
 		var sent uint64
-		for _, v := range w.Vehicles() {
+		for _, v := range w.AppendVehicles(nil) {
 			sent += w.RouterOf(v).Stats().BeaconsSent
 		}
 		return sent
