@@ -1,12 +1,14 @@
 package georoute_test
 
 import (
+	"io/fs"
 	"os"
 	"path"
 	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -26,6 +28,8 @@ var (
 	lineSuffix  = regexp.MustCompile(`:\d+$`)
 	definedFlag = regexp.MustCompile(`flag\.\w+\("([^"]+)"`)
 	flagWord    = regexp.MustCompile(`^--?([a-z][\w-]*)`)
+	testName    = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
+	testFunc    = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 )
 
 // docCode returns the code of a Markdown document: every inline code
@@ -45,13 +49,16 @@ func docCode(md string) []string {
 	return code
 }
 
-// docCitations returns the repository paths a Markdown document cites:
-// every word of an inline code span or a fenced block that starts with
-// one of citedRoots or names a BENCH_*.json record.
+// docCitations returns the repository paths and test names a Markdown
+// document cites: every word of an inline code span or a fenced block
+// that starts with one of citedRoots or names a BENCH_*.json record, and
+// every Test…, Benchmark… or Fuzz… name inside such a word (a -run
+// pattern cites each name in it).
 func docCitations(md string) []string {
 	var cited []string
 	for _, w := range strings.Fields(strings.Join(docCode(md), " ")) {
 		w = strings.Trim(w, `"'(),;`)
+		cited = append(cited, testName.FindAllString(w, -1)...)
 		if benchRecord.MatchString(w) {
 			cited = append(cited, w)
 			continue
@@ -66,10 +73,39 @@ func docCitations(md string) []string {
 	return cited
 }
 
-// citationResolves reports whether a cited path exists in the tree. A
-// line suffix (file.go:42) is ignored, a <placeholder> matches any name,
-// and a pkg.Symbol citation resolves to its package directory.
+// testFuncs lists the Test, Benchmark and Fuzz functions of every
+// _test.go file in the tree, hidden directories left out.
+var testFuncs = sync.OnceValue(func() []string {
+	var names []string
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && p != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case !strings.HasSuffix(p, "_test.go"):
+			return nil
+		}
+		src, err := os.ReadFile(p)
+		for _, m := range testFunc.FindAllSubmatch(src, -1) {
+			names = append(names, string(m[1]))
+		}
+		return err
+	})
+	if err != nil {
+		panic(err)
+	}
+	return names
+})
+
+// citationResolves reports whether a cited path exists in the tree, or a
+// cited test name names or prefixes a test function. A line suffix
+// (file.go:42) is ignored, a <placeholder> matches any name, and a
+// pkg.Symbol citation resolves to its package directory.
 func citationResolves(c string) bool {
+	if testName.FindString(c) == c {
+		return slices.ContainsFunc(testFuncs(), func(f string) bool { return strings.HasPrefix(f, c) })
+	}
 	c = lineSuffix.ReplaceAllString(c, "")
 	c = strings.TrimSuffix(c, "/...")
 	if pattern := placeholder.ReplaceAllString(c, "*"); pattern != c || strings.ContainsAny(c, "*?[") {
@@ -88,9 +124,9 @@ func citationResolves(c string) bool {
 	return err == nil && fi.IsDir()
 }
 
-// TestDocsCiteExistingFiles fails when a document cites a file, package
-// or benchmark record the tree no longer has, so deleting code without
-// its documentation shows up in the test run.
+// TestDocsCiteExistingFiles fails when a document cites a file, package,
+// benchmark record or test the tree no longer has, so deleting code
+// without its documentation shows up in the test run.
 func TestDocsCiteExistingFiles(t *testing.T) {
 	for _, doc := range citingDocs {
 		b, err := os.ReadFile(doc)
@@ -207,6 +243,12 @@ func TestCitationResolves(t *testing.T) {
 		"internal/...":                true,
 		"scripts/nosuchscript.sh":     false,
 		"examples/quickstart/main.go": true,
+		"TestCitationResolves":        true,
+		"TestCitation":                true, // a -run prefix
+		"FuzzPacketWire":              true,
+		"BenchmarkFig7aPair":          true,
+		"TestNoSuchTest":              false,
+		"BenchmarkNoSuchBench":        false,
 	} {
 		if got := citationResolves(c); got != want {
 			t.Errorf("citationResolves(%q) = %v, want %v", c, got, want)

@@ -38,13 +38,13 @@ type ArmArtifact struct {
 }
 
 // armTxPerPacket computes the overhead axis from an arm's aggregated
-// protocol counters: every unicast, contention and topology rebroadcast
-// made on behalf of the workload, normalized by generated packets.
+// protocol counters: every unicast and contention rebroadcast made on
+// behalf of the workload, normalized by generated packets.
 func armTxPerPacket(st geonet.Stats, packets int) float64 {
 	if packets == 0 {
 		return 0
 	}
-	return float64(st.GFForwarded+st.CBFForwarded+st.TSBForwarded) / float64(packets)
+	return float64(st.GFForwarded+st.CBFForwarded) / float64(packets)
 }
 
 // PairArtifact is the measured γ/λ of one attack-free/attacked arm pair.

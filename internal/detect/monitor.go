@@ -33,14 +33,14 @@ func (d *Detector) Record(r trace.Record) {
 	}
 }
 
-// observeClaim runs the claim-facing checks. Single-hop claims (beacons
-// and SHBs) get the inter-arrival, range, recency and churn checks;
+// observeClaim runs the claim-facing checks. Single-hop claims (beacons)
+// get the inter-arrival, range, recency and churn checks;
 // multi-hop data packets legitimately carry their originator's PV from
 // far away and deliver duplicate copies under CBF. The checks that read a
 // position or timestamp skip records without a claim, which is every
 // record decoded from JSONL.
 func (d *Detector) observeClaim(c *trace.Record) {
-	single := c.PType == trace.PTBeacon || c.PType == trace.PTSHB
+	single := c.PType == trace.PTBeacon
 	if !single && !c.HasClaim {
 		return
 	}

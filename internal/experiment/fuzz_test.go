@@ -14,33 +14,33 @@ import (
 )
 
 // frameTap is a promiscuous sniffer that copies every distinct frame it
-// hears. The copy is mandatory: frame payload buffers are pooled and
-// recycled after the delivery walk.
+// hears, up to 64 of each packet type, so the beacons that fill the first
+// second cannot crowd out the data frames. The copy is mandatory: frame
+// payload buffers are pooled and recycled after the delivery walk.
 type frameTap struct {
-	seen map[string]bool
-	out  *[][]byte
+	seen    map[string]bool
+	perType map[byte]int
+	out     *[][]byte
 }
 
 func (t *frameTap) Deliver(f radio.Frame)  { t.add(f) }
 func (t *frameTap) Overhear(f radio.Frame) { t.add(f) }
 
 func (t *frameTap) add(f radio.Frame) {
-	if len(*t.out) >= 64 {
-		return
-	}
 	k := string(f.Payload)
-	if t.seen[k] {
+	if len(k) <= typeByte || t.seen[k] || t.perType[k[typeByte]] >= 64 {
 		return
 	}
 	t.seen[k] = true
+	t.perType[k[typeByte]]++
 	*t.out = append(*t.out, []byte(k))
 }
 
 // captureSeedFrames runs a short Fig. 7a-style world with a wide-open
-// sniffer and returns the distinct wire frames it heard — real beacons,
-// GUC/GBC/TSB/SHB traffic, and LS requests, all signed. These seed the
-// fuzz corpus so mutation starts from every PDU shape the simulator
-// emits rather than from synthetic frames.
+// sniffer and returns the distinct wire frames it heard — real beacons
+// and GUC/GBC traffic, all signed. These seed the fuzz corpus so mutation
+// starts from every PDU shape the simulator emits rather than from
+// synthetic frames.
 func captureSeedFrames(tb testing.TB) [][]byte {
 	tb.Helper()
 	s := fig7aScenario()
@@ -56,7 +56,7 @@ func captureSeedFrames(tb testing.TB) [][]byte {
 	w.AddStatic(vanet.EastDestAddr, geo.Pt(s.RoadLength+20, 0), 0)
 
 	var frames [][]byte
-	tap := &frameTap{seen: make(map[string]bool), out: &frames}
+	tap := &frameTap{seen: make(map[string]bool), perType: make(map[byte]int), out: &frames}
 	ant := w.Medium.Attach(0x5EEDFEED, 0, func() geo.Point { return geo.Pt(s.RoadLength/2, 0) }, tap, true)
 	ant.SetRxRange(s.RoadLength) // hear the whole road
 
@@ -71,10 +71,6 @@ func captureSeedFrames(tb testing.TB) [][]byte {
 		}
 		r.SendGeoUnicast(vanet.EastDestAddr, geo.Pt(s.RoadLength+20, 0), []byte("guc"))
 		r.SendGeoBroadcast(geo.NewRect(geo.Pt(s.RoadLength/2, 0), s.RoadLength/2, 30, 90), []byte("gbc"))
-		r.SendTSB([]byte("tsb"), 3)
-		r.SendSHB([]byte("shb"))
-		// Unknown destination forces a location-service request frame.
-		r.SendGeoUnicastAuto(9999, []byte("ls"))
 	})
 	w.Run(1500 * time.Millisecond)
 	if len(frames) == 0 {
@@ -83,13 +79,35 @@ func captureSeedFrames(tb testing.TB) [][]byte {
 	return frames
 }
 
+// typeByte is the offset of a frame's type byte: the first byte after
+// the 6-byte basic header.
+const typeByte = 6
+
 // FuzzPacketWire fuzzes the GeoNetworking codec: any input that decodes
 // must re-encode canonically — Marshal(Unmarshal(b)) decodes again and
 // is a fixed point of the round trip. This pins the decode-once cache's
 // core assumption that decoded packets and wire bytes are equivalent.
 func FuzzPacketWire(f *testing.F) {
+	var guc []byte
 	for _, seed := range captureSeedFrames(f) {
 		f.Add(seed)
+		if guc == nil && seed[typeByte] == byte(geonet.TypeGeoUnicast) {
+			guc = seed
+		}
+	}
+	if guc == nil {
+		f.Fatal("seed capture heard no GUC frame")
+	}
+	// A GUC with its type byte patched to each retired type (single-hop
+	// broadcast, topologically-scoped broadcast, location-service request
+	// and reply) must fail decode like any unknown type.
+	for typ := byte(4); typ <= 7; typ++ {
+		b := bytes.Clone(guc)
+		b[typeByte] = typ
+		if _, err := geonet.Unmarshal(b); err != geonet.ErrBadType {
+			f.Fatalf("type %d: err = %v, want ErrBadType", typ, err)
+		}
+		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		p, err := geonet.Unmarshal(b)

@@ -240,23 +240,6 @@ type Segment struct {
 	P1, P2 Point
 }
 
-// Intersects reports whether segment s crosses segment t (including
-// touching at a point).
-func (s Segment) Intersects(t Segment) bool {
-	d1 := cross(t.P1, t.P2, s.P1)
-	d2 := cross(t.P1, t.P2, s.P2)
-	d3 := cross(s.P1, s.P2, t.P1)
-	d4 := cross(s.P1, s.P2, t.P2)
-	if ((d1 > 0 && d2 < 0) || (d1 < 0 && d2 > 0)) &&
-		((d3 > 0 && d4 < 0) || (d3 < 0 && d4 > 0)) {
-		return true
-	}
-	return d1 == 0 && onSegment(t.P1, t.P2, s.P1) ||
-		d2 == 0 && onSegment(t.P1, t.P2, s.P2) ||
-		d3 == 0 && onSegment(s.P1, s.P2, t.P1) ||
-		d4 == 0 && onSegment(s.P1, s.P2, t.P2)
-}
-
 // DistanceToPoint reports the shortest distance from p to the segment.
 func (s Segment) DistanceToPoint(p Point) float64 {
 	vx, vy := s.P2.X-s.P1.X, s.P2.Y-s.P1.Y
@@ -272,13 +255,4 @@ func (s Segment) DistanceToPoint(p Point) float64 {
 	t := c1 / c2
 	proj := Point{X: s.P1.X + t*vx, Y: s.P1.Y + t*vy}
 	return p.DistanceTo(proj)
-}
-
-func cross(a, b, c Point) float64 {
-	return (b.X-a.X)*(c.Y-a.Y) - (b.Y-a.Y)*(c.X-a.X)
-}
-
-func onSegment(a, b, p Point) bool {
-	return math.Min(a.X, b.X) <= p.X && p.X <= math.Max(a.X, b.X) &&
-		math.Min(a.Y, b.Y) <= p.Y && p.Y <= math.Max(a.Y, b.Y)
 }

@@ -344,55 +344,6 @@ func TestAreaDistanceZeroInsideProperty(t *testing.T) {
 	}
 }
 
-func TestSegmentIntersects(t *testing.T) {
-	tests := []struct {
-		name string
-		s, u Segment
-		want bool
-	}{
-		{
-			"crossing X",
-			Segment{Pt(0, 0), Pt(10, 10)},
-			Segment{Pt(0, 10), Pt(10, 0)},
-			true,
-		},
-		{
-			"parallel",
-			Segment{Pt(0, 0), Pt(10, 0)},
-			Segment{Pt(0, 1), Pt(10, 1)},
-			false,
-		},
-		{
-			"touching endpoint",
-			Segment{Pt(0, 0), Pt(5, 5)},
-			Segment{Pt(5, 5), Pt(10, 0)},
-			true,
-		},
-		{
-			"disjoint",
-			Segment{Pt(0, 0), Pt(1, 1)},
-			Segment{Pt(5, 5), Pt(6, 6)},
-			false,
-		},
-		{
-			"T junction",
-			Segment{Pt(0, 0), Pt(10, 0)},
-			Segment{Pt(5, -5), Pt(5, 0)},
-			true,
-		},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.s.Intersects(tt.u); got != tt.want {
-				t.Errorf("Intersects = %v, want %v", got, tt.want)
-			}
-			if got := tt.u.Intersects(tt.s); got != tt.want {
-				t.Errorf("Intersects (swapped) = %v, want %v", got, tt.want)
-			}
-		})
-	}
-}
-
 func TestSegmentDistanceToPoint(t *testing.T) {
 	s := Segment{Pt(0, 0), Pt(10, 0)}
 	tests := []struct {

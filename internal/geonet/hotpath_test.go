@@ -89,7 +89,7 @@ func TestProtectedWireRegionMatchesReencoding(t *testing.T) {
 				SourcePV: samplePV(), Area: geo.NewEllipse(geo.Pt(100, 50), 300, 60, 45), Payload: []byte("warning")}
 		},
 		func() *Packet {
-			return &Packet{Basic: BasicHeader{Version: 1, RHL: 5}, Type: TypeLSRequest, SN: 5,
+			return &Packet{Basic: BasicHeader{Version: 1, RHL: 5}, Type: TypeGeoUnicast, SN: 5,
 				SourcePV: samplePV(), DestAddr: 12}
 		},
 	} {

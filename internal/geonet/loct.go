@@ -59,9 +59,8 @@ func (e *LocTEntry) NeighborAt(now time.Duration) bool {
 // AppendNeighbors or Closest is a view that is valid only within the
 // current event — until the next Update of that address. Callers read it
 // and drop it (the greedy and GPSR next-hop walks, the CBF contention
-// timers, the location-service shortcut, next-hop acceptance filters);
-// none may retain it across an Update, and one that needs a snapshot
-// copies the value.
+// timers, next-hop acceptance filters); none may retain it across an
+// Update, and one that needs a snapshot copies the value.
 type LocT struct {
 	ttl         time.Duration
 	neighborTTL time.Duration

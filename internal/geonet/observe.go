@@ -48,9 +48,9 @@ func (r *Router) emit(ev trace.Event, kind trace.Kind, reason trace.Reason, p *P
 }
 
 // drop discards one packet copy: it routes the reason into the Stats
-// counters and emits the trace record. p may be nil when the copy never
-// decoded (ReasonDecodeFail) or never materialized as a packet
-// (ReasonLSExpired); from is the link-layer sender when one exists.
+// counters and emits the trace record. p is nil when the copy never
+// decoded (ReasonDecodeFail); from is the link-layer sender when one
+// exists.
 // ReasonCBFCanceled is the one drop that doubles as a state transition —
 // the overheard duplicate consumes the armed contention — so it travels
 // as EvCBFCancel rather than EvDrop.
@@ -100,7 +100,7 @@ func (r *Router) countDrop(reason trace.Reason) {
 		r.stats.CBFIgnored++
 	case trace.ReasonRHLExpired:
 		r.stats.RHLExpired++
-	case trace.ReasonGFExpired, trace.ReasonLSExpired, trace.ReasonLifetimeExpired:
+	case trace.ReasonGFExpired, trace.ReasonLifetimeExpired:
 		r.stats.GFExpired++
 	case trace.ReasonCBFCanceled:
 		r.stats.CBFCanceled++

@@ -21,15 +21,14 @@ func TestTracePTypeMirrorsWire(t *testing.T) {
 		TypeBeacon:       "beacon",
 		TypeGeoUnicast:   "guc",
 		TypeGeoBroadcast: "gbc",
-		TypeSHB:          "shb",
-		TypeTSB:          "tsb",
-		TypeLSRequest:    "lsreq",
-		TypeLSReply:      "lsrep",
 	}
 	for pt, name := range want {
 		if got := trace.PType(pt).String(); got != name {
 			t.Errorf("trace.PType(%d) = %q, want %q", pt, got, name)
 		}
+	}
+	if got := trace.PType(TypeGeoBroadcast + 1).String(); got != "unknown" {
+		t.Errorf("trace.PType(%d) = %q, want unknown: trace names a type geonet does not have", TypeGeoBroadcast+1, got)
 	}
 }
 
@@ -237,6 +236,45 @@ func TestRouterReceiveEmitsRX(t *testing.T) {
 	if !got.HasClaim || got.ClaimPos != geo.Pt(100, 0) || got.ClaimTS != time.Second ||
 		got.RxPos != geo.Pt(0, 0) || got.RxRange != 486 {
 		t.Errorf("EvRX record claim wrong: %+v", *got)
+	}
+}
+
+// TestRouterRetiredTypeIsDecodeError: a signed GUC frame whose type byte
+// names a retired type (4–7: single-hop broadcast, topologically-scoped
+// broadcast, location-service request and reply) is a malformed frame
+// like any unknown type. It counts one DecodeErrors, emits one
+// decode_fail drop, and leaves a trace that balances.
+func TestRouterRetiredTypeIsDecodeError(t *testing.T) {
+	for _, typ := range []byte{4, 5, 6, 7} {
+		mem := &trace.MemorySink{}
+		rx, _, ca := testReceiver(trace.New(mem))
+		rx.Start()
+		p := &Packet{
+			Basic:    BasicHeader{Version: 1, RHL: 9},
+			Type:     TypeGeoUnicast,
+			SN:       3,
+			SourcePV: PositionVector{Addr: 2, Pos: geo.Pt(100, 0)},
+			DestAddr: 1,
+			Payload:  []byte("x"),
+		}
+		p.Sign(ca.Enroll(2, 0))
+		wire := p.Marshal()
+		wire[basicHeaderLen] = typ
+		rx.Deliver(radio.Frame{From: 2, To: 1, Payload: wire, Cache: &radio.FrameCache{}})
+
+		if got := rx.Stats(); got != (Stats{DecodeErrors: 1}) {
+			t.Errorf("type %d: stats %+v, want exactly one DecodeErrors", typ, got)
+		}
+		if len(mem.Records) != 1 || mem.Records[0].Event != trace.EvDrop || mem.Records[0].Reason != trace.ReasonDecodeFail {
+			t.Errorf("type %d: records %+v, want one decode_fail drop", typ, mem.Records)
+		}
+		a := trace.Analyze(mem.Records)
+		if v := a.Violations(); len(v) > 0 {
+			t.Errorf("type %d: conservation violations: %v", typ, v)
+		}
+		if a.FrameDrops[trace.ReasonDecodeFail] != 1 {
+			t.Errorf("type %d: frame drops %v, want one decode_fail", typ, a.FrameDrops)
+		}
 	}
 }
 

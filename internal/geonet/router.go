@@ -49,16 +49,16 @@ type Stats struct {
 	GFPerimeter  uint64 // next-hop transmissions made in perimeter mode
 	GFBuffered   uint64 // store-carry-forward buffer admissions
 	GFRetries    uint64 // retry attempts from the buffer
-	GFExpired    uint64 // packets dropped at lifetime end (GF buffer, LS queue, stale reception)
+	GFExpired    uint64 // packets dropped at lifetime end (GF buffer, stale reception)
 	GFFiltered   uint64 // candidates rejected by the forward filter
 	GFRecustody  uint64 // re-accepted packets previously forwarded away
 	CBFBuffered  uint64 // contention timers started
 	CBFForwarded uint64 // contention timers that fired and re-broadcast
 	CBFCanceled  uint64 // contentions canceled by duplicates
 	CBFIgnored   uint64 // duplicates that did NOT cancel (mitigation)
-	TSBForwarded uint64 // topological re-broadcasts (TSB and LS requests)
-	LSRequests   uint64 // location-service lookups originated
-	LSReplies    uint64 // location-service answers sent
+	TSBForwarded uint64 // always zero; goes with the next golden re-record
+	LSRequests   uint64 // always zero; goes with the next golden re-record
+	LSReplies    uint64 // always zero; goes with the next golden re-record
 	RHLExpired   uint64 // packets not forwarded because the RHL ran out
 	Duplicates   uint64 // repeated receptions of known packets
 	AuthFailures uint64 // signature/certificate rejections
@@ -149,7 +149,6 @@ type Router struct {
 	// purgeAt is a lower bound on the expiry of every state a purge could
 	// still remove; purgeStates does nothing until the clock passes it.
 	purgeAt     time.Duration
-	lsQueue     map[Address][]lsPending
 	beaconTimer sim.Timer
 	// beaconFn is r.beaconTick bound once at Start, so rescheduling the
 	// beacon each round does not allocate a fresh method value.
@@ -195,9 +194,6 @@ type pktState struct {
 	// custody is true while the packet sits in this node's
 	// store-carry-forward buffer; duplicates are ignored meanwhile.
 	custody bool
-	// tsbDone marks a topologically-flooded packet (TSB/LS request) as
-	// already re-broadcast or intentionally not re-broadcast here.
-	tsbDone bool
 	// cbf contention fields.
 	cbfSeen      bool
 	cbfResolved  bool // forwarded, canceled, or not eligible
@@ -264,7 +260,6 @@ func NewRouter(cfg Config) *Router {
 		contention:  strat.NewContention(),
 		state:       new(addrtab.Table[Address, pktState]),
 		purgeAt:     never,
-		lsQueue:     make(map[Address][]lsPending),
 		retryTimers: make(map[*pending]sim.Timer),
 	}
 }
@@ -396,7 +391,6 @@ func (r *Router) beaconTick() {
 		return
 	}
 	r.SendBeacon()
-	r.purgeLSQueue()
 	r.purgeStates()
 	next := BeaconInterval + time.Duration(r.rng.Int64N(int64(BeaconJitter)))
 	r.beaconTimer = r.cfg.Engine.Schedule(next, "geonet.beacon", r.beaconFn)
@@ -524,7 +518,7 @@ func (r *Router) Deliver(f radio.Frame) {
 	// analysis). The IS_NEIGHBOUR flag is derived from the PACKET TYPE
 	// alone, so a relayed beacon marks its (possibly distant) source as a
 	// direct neighbor.
-	r.loct.Update(p.SourcePV, now, p.Type == TypeBeacon || p.Type == TypeSHB)
+	r.loct.Update(p.SourcePV, now, p.Type == TypeBeacon)
 	r.emit(trace.EvRX, trace.KindNone, trace.ReasonNone, p, f.From)
 
 	switch p.Type {
@@ -534,14 +528,6 @@ func (r *Router) Deliver(f radio.Frame) {
 		r.handleGUC(p, f)
 	case TypeGeoBroadcast:
 		r.handleGBC(p, f)
-	case TypeSHB:
-		r.handleSHB(p)
-	case TypeTSB:
-		r.handleTSB(p)
-	case TypeLSRequest:
-		r.handleLSRequest(p, f)
-	case TypeLSReply:
-		r.handleLSReply(p, f)
 	}
 }
 
@@ -608,7 +594,7 @@ func (r *Router) purgeStates() {
 
 // deliverOnce hands p to the upper layer the first time and reports
 // whether it did; duplicate accounting is the caller's job (the right
-// reason depends on the transport type).
+// reason depends on the packet type).
 func (r *Router) deliverOnce(p *Packet, st *pktState) bool {
 	if st.delivered {
 		return false

@@ -35,22 +35,12 @@ type Address uint64
 // PacketType discriminates GeoNetworking PDU types (Common Header HT).
 type PacketType uint8
 
-// Supported PDU types.
+// Supported PDU types: the three the paper's attacks run on. Any other
+// type byte fails decode with ErrBadType.
 const (
 	TypeBeacon PacketType = iota + 1
 	TypeGeoUnicast
 	TypeGeoBroadcast
-	// TypeSHB is the single-hop broadcast (the transport of CAM-style
-	// awareness messages): a beacon with an upper-layer payload.
-	TypeSHB
-	// TypeTSB is the topologically-scoped broadcast: plain hop-limited
-	// flooding without a geographic destination area.
-	TypeTSB
-	// TypeLSRequest and TypeLSReply implement the location service
-	// (EN 302 636-4-1 §9.2.4): discovering the position of a destination
-	// that is not in the local location table.
-	TypeLSRequest
-	TypeLSReply
 )
 
 // String implements fmt.Stringer.
@@ -62,14 +52,6 @@ func (t PacketType) String() string {
 		return "GUC"
 	case TypeGeoBroadcast:
 		return "GBC"
-	case TypeSHB:
-		return "SHB"
-	case TypeTSB:
-		return "TSB"
-	case TypeLSRequest:
-		return "LS-REQUEST"
-	case TypeLSReply:
-		return "LS-REPLY"
 	default:
 		return fmt.Sprintf("PacketType(%d)", uint8(t))
 	}
@@ -83,18 +65,6 @@ type PositionVector struct {
 	Pos       geo.Point
 	Speed     float64 // m/s
 	Heading   float64 // compass degrees [0, 360)
-}
-
-// PositionAt linearly extrapolates the advertised position to time t
-// using the advertised speed and heading, as the standard's location
-// table position update prescribes (EN 302 636-4-1 §8.2.2). Times before
-// the sample return the sampled position.
-func (pv PositionVector) PositionAt(t time.Duration) geo.Point {
-	dt := (t - pv.Timestamp).Seconds()
-	if dt <= 0 || pv.Speed == 0 {
-		return pv.Pos
-	}
-	return pv.Pos.Add(geo.HeadingVector(pv.Heading).Scale(pv.Speed * dt))
 }
 
 // BasicHeader is the unsigned outer header. Forwarders rewrite RHL (and
@@ -335,13 +305,11 @@ func (p *Packet) appendProtected(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, p.SN)
 	dst = appendPV(dst, p.SourcePV)
 	switch p.Type {
-	case TypeGeoUnicast, TypeLSReply:
+	case TypeGeoUnicast:
 		dst = binary.BigEndian.AppendUint64(dst, uint64(p.DestAddr))
 		dst = appendPoint(dst, p.DestPos)
 	case TypeGeoBroadcast:
 		dst = appendArea(dst, p.Area)
-	case TypeLSRequest:
-		dst = binary.BigEndian.AppendUint64(dst, uint64(p.DestAddr))
 	}
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(p.Payload)))
 	dst = append(dst, p.Payload...)
@@ -524,8 +492,8 @@ func unmarshalWire(b []byte, scratch *ownedPacket) (p *Packet, protEnd int, err 
 	b = b[pvWireLen:]
 
 	switch pk.Type {
-	case TypeBeacon, TypeSHB, TypeTSB:
-	case TypeGeoUnicast, TypeLSReply:
+	case TypeBeacon:
+	case TypeGeoUnicast:
 		if len(b) < 16 {
 			return nil, 0, ErrTruncated
 		}
@@ -543,12 +511,6 @@ func unmarshalWire(b []byte, scratch *ownedPacket) (p *Packet, protEnd int, err 
 		}
 		pk.Area = area
 		b = b[n:]
-	case TypeLSRequest:
-		if len(b) < 8 {
-			return nil, 0, ErrTruncated
-		}
-		pk.DestAddr = Address(binary.BigEndian.Uint64(b))
-		b = b[8:]
 	default:
 		return nil, 0, ErrBadType
 	}

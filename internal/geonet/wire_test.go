@@ -218,14 +218,19 @@ func TestUnmarshalBadVersion(t *testing.T) {
 	}
 }
 
+// TestUnmarshalBadType: a type byte outside the three supported types
+// fails decode, including 4–7, the retired single-hop broadcast,
+// topologically-scoped broadcast and location-service request and reply.
 func TestUnmarshalBadType(t *testing.T) {
 	signer, _ := testSigner(t, 42)
 	p := &Packet{Basic: BasicHeader{Version: 1, RHL: 1}, Type: TypeBeacon, SourcePV: samplePV()}
 	p.Sign(signer)
-	wire := p.Marshal()
-	wire[6] = 200 // type byte after 6-byte basic header
-	if _, err := Unmarshal(wire); err != ErrBadType {
-		t.Fatalf("err = %v, want ErrBadType", err)
+	for _, typ := range []byte{4, 5, 6, 7, 200} {
+		wire := p.Marshal()
+		wire[basicHeaderLen] = typ // the type byte leads the protected region
+		if _, err := Unmarshal(wire); err != ErrBadType {
+			t.Errorf("type %d: err = %v, want ErrBadType", typ, err)
+		}
 	}
 }
 

@@ -192,38 +192,6 @@ func (r ABResult) AccumulatedDrop() []float64 {
 	return out
 }
 
-// Summary holds scalar statistics of a multi-run comparison.
-type Summary struct {
-	FreeRate     float64 // overall attack-free reception rate
-	AttackedRate float64 // overall attacked reception rate
-	Drop         float64 // γ or λ
-	// DropSpread carries the seed-paired per-run drop dispersion when the
-	// result came from a multi-run harness (Runs == 0 otherwise).
-	DropSpread Spread
-}
-
-// Summarize computes the scalar summary.
-func (r ABResult) Summarize() Summary {
-	return Summary{
-		FreeRate:     r.Free.Overall(),
-		AttackedRate: r.Attacked.Overall(),
-		Drop:         r.DropRate(),
-		DropSpread:   r.DropSpread,
-	}
-}
-
-// String implements fmt.Stringer.
-func (s Summary) String() string {
-	if s.DropSpread.Runs > 1 {
-		return fmt.Sprintf("free=%.1f%% attacked=%.1f%% drop=%.1f%% (per-run σ=%.1f, 95%% CI %.1f–%.1f%%, range %.1f–%.1f%%)",
-			100*s.FreeRate, 100*s.AttackedRate, 100*s.Drop,
-			100*s.DropSpread.Stddev, 100*s.DropSpread.CILow, 100*s.DropSpread.CIHigh,
-			100*s.DropSpread.Min, 100*s.DropSpread.Max)
-	}
-	return fmt.Sprintf("free=%.1f%% attacked=%.1f%% drop=%.1f%%",
-		100*s.FreeRate, 100*s.AttackedRate, 100*s.Drop)
-}
-
 // Table renders labeled series as an aligned text table, one row per bin.
 // It is the output backend of cmd/geosim.
 func Table(width time.Duration, series map[string][]float64) string {

@@ -104,13 +104,6 @@ func TestDropRate(t *testing.T) {
 	if got := r.DropRate(); math.Abs(got-0.25) > 1e-9 {
 		t.Fatalf("DropRate = %v, want 0.25", got)
 	}
-	sum := r.Summarize()
-	if sum.Drop != r.DropRate() {
-		t.Fatal("Summary.Drop mismatch")
-	}
-	if !strings.Contains(sum.String(), "drop=") {
-		t.Fatalf("Summary.String = %q", sum.String())
-	}
 }
 
 func boolVal(b bool) float64 {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 )
@@ -216,23 +215,5 @@ func TestBinSeriesClone(t *testing.T) {
 	c.Add(time.Second, 1)
 	if r0, _ := s.Rate(0); r0 != 1 {
 		t.Fatal("mutating the clone changed the original")
-	}
-}
-
-func TestABResultSummaryWithSpread(t *testing.T) {
-	free := NewBinSeries(10*time.Second, 5*time.Second)
-	atk := NewBinSeries(10*time.Second, 5*time.Second)
-	free.Add(time.Second, 1)
-	atk.Add(time.Second, 0.5)
-	var drops Stream
-	drops.Add(0.5)
-	drops.Add(0.52)
-	r := ABResult{Free: free, Attacked: atk, DropSpread: drops.Spread()}
-	sum := r.Summarize()
-	if sum.DropSpread.Runs != 2 {
-		t.Fatalf("DropSpread not carried into summary: %+v", sum)
-	}
-	if s := sum.String(); !strings.Contains(s, "drop=") || !strings.Contains(s, "CI") {
-		t.Fatalf("Summary.String = %q, want spread rendering", s)
 	}
 }

@@ -63,7 +63,7 @@ type Chain struct {
 // accepts the copy (so it has no matching EvRX intake).
 func frameLevel(r Reason) bool {
 	switch r {
-	case ReasonDecodeFail, ReasonVerifyReject, ReasonOwnEcho, ReasonLSExpired, ReasonLifetimeExpired:
+	case ReasonDecodeFail, ReasonVerifyReject, ReasonOwnEcho, ReasonLifetimeExpired:
 		return true
 	}
 	return false
@@ -73,19 +73,7 @@ func frameLevel(r Reason) bool {
 // triggered it (as opposed to resolving a buffer or an armed contention).
 func immediateTX(k Kind) bool {
 	switch k {
-	case KindGF, KindPerimeter, KindSHB, KindTSB, KindFlood, KindCBFSource, KindCBFEntry, KindBeacon:
-		return true
-	}
-	return false
-}
-
-// consumingDeliver reports whether EvDeliver is the copy's terminal
-// disposition for this packet type. GBC and TSB deliveries are
-// informational: the same copy continues into contention / reflooding,
-// which produces the real disposition.
-func consumingDeliver(p PType) bool {
-	switch p {
-	case PTGeoUnicast, PTSHB, PTLSRequest, PTLSReply:
+	case KindGF, KindPerimeter, KindCBFSource, KindCBFEntry, KindBeacon:
 		return true
 	}
 	return false
@@ -96,8 +84,8 @@ type Analysis struct {
 	// Chains holds one entry per (Src, SN), sorted by key.
 	Chains []*Chain
 	// FrameDrops tallies drops that never entered a chain's copy
-	// balance: decode failures and LS-queue expiries (no packet
-	// identity), and per-chain verify/echo rejections (no EvRX intake).
+	// balance: decode failures (no packet identity), and per-chain
+	// verify/echo/lifetime rejections (no EvRX intake).
 	FrameDrops map[Reason]int
 	// Records is the total number of records analyzed.
 	Records int
@@ -159,7 +147,7 @@ func Analyze(recs []Record) *Analysis {
 			continue
 		}
 		if r.Src == 0 {
-			// No packet identity: decode failures and LS-queue expiries.
+			// No packet identity: decode failures.
 			if r.Event == EvDrop {
 				a.FrameDrops[r.Reason]++
 			}
@@ -204,7 +192,10 @@ func Analyze(recs []Record) *Analysis {
 			}
 		case EvDeliver:
 			c.Delivered++
-			if consumingDeliver(r.PType) {
+			// A GUC delivery is the copy's terminal disposition. A GBC
+			// delivery is informational: the same copy continues into
+			// contention, which produces the real disposition.
+			if r.PType == PTGeoUnicast {
 				cb.immediates++
 			}
 			if c.Delivered == 1 {

@@ -271,12 +271,12 @@ func TestAnalyzeSkipsNonChainRecords(t *testing.T) {
 // of record order.
 func TestAnalyzeChainsSorted(t *testing.T) {
 	recs := []Record{
-		{At: ms(0), Node: 9, Src: 9, SN: 2, Event: EvOriginate, PType: PTSHB, RHL: 1},
-		{At: ms(0), Node: 9, Src: 9, SN: 2, Event: EvTX, Kind: KindSHB, PType: PTSHB, RHL: 1},
-		{At: ms(0), Node: 1, Src: 1, SN: 5, Event: EvOriginate, PType: PTSHB, RHL: 1},
-		{At: ms(0), Node: 1, Src: 1, SN: 5, Event: EvTX, Kind: KindSHB, PType: PTSHB, RHL: 1},
-		{At: ms(0), Node: 1, Src: 1, SN: 4, Event: EvOriginate, PType: PTSHB, RHL: 1},
-		{At: ms(0), Node: 1, Src: 1, SN: 4, Event: EvTX, Kind: KindSHB, PType: PTSHB, RHL: 1},
+		{At: ms(0), Node: 9, Src: 9, SN: 2, Event: EvOriginate, PType: PTGeoBroadcast, RHL: 10},
+		{At: ms(0), Node: 9, Src: 9, SN: 2, Event: EvTX, Kind: KindCBFSource, PType: PTGeoBroadcast, RHL: 9},
+		{At: ms(0), Node: 1, Src: 1, SN: 5, Event: EvOriginate, PType: PTGeoBroadcast, RHL: 10},
+		{At: ms(0), Node: 1, Src: 1, SN: 5, Event: EvTX, Kind: KindCBFSource, PType: PTGeoBroadcast, RHL: 9},
+		{At: ms(0), Node: 1, Src: 1, SN: 4, Event: EvOriginate, PType: PTGeoBroadcast, RHL: 10},
+		{At: ms(0), Node: 1, Src: 1, SN: 4, Event: EvTX, Kind: KindCBFSource, PType: PTGeoBroadcast, RHL: 9},
 	}
 	a := Analyze(recs)
 	want := []ChainKey{{1, 4}, {1, 5}, {9, 2}}

@@ -26,6 +26,9 @@ func FuzzTraceRecord(f *testing.F) {
 		seed(Record{At: 1, Node: 2, Src: 3, SN: 4, Event: EvRX, PType: pt, RHL: 5})
 	}
 	f.Add([]byte(`{"t":5,"ev":"rx","node":1,"pt":"beacon"}{"t":5,"ev":"rx","node":2}`))
+	for _, line := range retiredNameLines {
+		f.Add([]byte(line))
+	}
 	f.Fuzz(func(t *testing.T, line []byte) {
 		r, err := DecodeRecord(line)
 		if err != nil {

@@ -83,8 +83,6 @@ const (
 	KindNone Kind = iota
 	// KindBeacon is a single-hop beacon TX.
 	KindBeacon
-	// KindSHB is a single-hop broadcast TX.
-	KindSHB
 	// KindGF is a greedy-forwarding unicast TX decided at receive time.
 	KindGF
 	// KindGFRetry is a greedy TX from the store-carry-forward retry loop.
@@ -96,10 +94,6 @@ const (
 	KindCBFEntry
 	// KindCBFFire is a broadcast from a CBF contention timer firing.
 	KindCBFFire
-	// KindTSB is a topologically-scoped rebroadcast TX.
-	KindTSB
-	// KindFlood is a location-service request flood TX.
-	KindFlood
 	// KindBuffer marks a drop out of the GF store-carry-forward buffer.
 	KindBuffer
 	// KindArm marks a drop (or cancel) of an armed CBF contention.
@@ -114,14 +108,11 @@ const (
 var kindNames = [numKinds]string{
 	KindNone:      "",
 	KindBeacon:    "beacon",
-	KindSHB:       "shb",
 	KindGF:        "gf",
 	KindGFRetry:   "gf_retry",
 	KindCBFSource: "cbf_source",
 	KindCBFEntry:  "cbf_entry",
 	KindCBFFire:   "cbf_fire",
-	KindTSB:       "tsb",
-	KindFlood:     "flood",
 	KindBuffer:    "buffer",
 	KindArm:       "arm",
 	KindPerimeter: "perimeter",
@@ -164,9 +155,6 @@ const (
 	ReasonCBFCanceled
 	// ReasonStopped: the router was stopped with the copy still held.
 	ReasonStopped
-	// ReasonLSExpired: a packet queued behind a location-service lookup
-	// expired before the lookup resolved.
-	ReasonLSExpired
 	// ReasonLifetimeExpired: a received copy was older than its packet
 	// lifetime (dropped before intake).
 	ReasonLifetimeExpired
@@ -186,7 +174,6 @@ var reasonNames = [numReasons]string{
 	ReasonGFExpired:       "gf_expired",
 	ReasonCBFCanceled:     "cbf_canceled",
 	ReasonStopped:         "stopped",
-	ReasonLSExpired:       "ls_expired",
 	ReasonLifetimeExpired: "lifetime_expired",
 }
 
@@ -210,10 +197,6 @@ const (
 	PTBeacon
 	PTGeoUnicast
 	PTGeoBroadcast
-	PTSHB
-	PTTSB
-	PTLSRequest
-	PTLSReply
 
 	numPTypes
 )
@@ -223,10 +206,6 @@ var ptypeNames = [numPTypes]string{
 	PTBeacon:       "beacon",
 	PTGeoUnicast:   "guc",
 	PTGeoBroadcast: "gbc",
-	PTSHB:          "shb",
-	PTTSB:          "tsb",
-	PTLSRequest:    "lsreq",
-	PTLSReply:      "lsrep",
 }
 
 // String returns the wire name of the packet type ("" for PTNone).

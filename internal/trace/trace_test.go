@@ -19,28 +19,28 @@ func allRecords() []Record {
 		{At: 2 * time.Millisecond, Node: 3, Event: EvDrop, Reason: ReasonDecodeFail},
 		{At: 2 * time.Millisecond, Node: 3, Src: 9, SN: 2, Event: EvDrop, Reason: ReasonVerifyReject, PType: PTGeoBroadcast, RHL: 5},
 		{At: 3 * time.Millisecond, Node: 4, Src: 9, SN: 2, Event: EvDrop, Reason: ReasonOwnEcho, PType: PTGeoBroadcast, RHL: 1},
-		{At: 3 * time.Millisecond, Node: 4, Src: 9, SN: 2, Event: EvDrop, Reason: ReasonDuplicate, PType: PTSHB},
+		{At: 3 * time.Millisecond, Node: 4, Src: 9, SN: 2, Event: EvDrop, Reason: ReasonDuplicate, PType: PTGeoUnicast},
 		{At: 3 * time.Millisecond, Node: 4, Src: 9, SN: 2, Event: EvDrop, Reason: ReasonDupCustody, PType: PTGeoUnicast},
 		{At: 3 * time.Millisecond, Node: 4, Src: 9, SN: 2, Event: EvDrop, Reason: ReasonDupIgnored, PType: PTGeoBroadcast},
-		{At: 3 * time.Millisecond, Node: 4, Src: 9, SN: 2, Event: EvDrop, Reason: ReasonRHLExpired, PType: PTTSB},
+		{At: 3 * time.Millisecond, Node: 4, Src: 9, SN: 2, Event: EvDrop, Reason: ReasonRHLExpired, PType: PTGeoBroadcast},
 		{At: 4 * time.Millisecond, Node: 5, Src: 9, SN: 2, Event: EvDrop, Kind: KindBuffer, Reason: ReasonGFExpired, PType: PTGeoUnicast},
 		{At: 4 * time.Millisecond, Node: 5, Src: 9, SN: 2, Event: EvCBFCancel, Kind: KindArm, Reason: ReasonCBFCanceled, PType: PTGeoBroadcast},
 		{At: 4 * time.Millisecond, Node: 5, Src: 9, SN: 2, Event: EvDrop, Kind: KindArm, Reason: ReasonStopped, PType: PTGeoBroadcast},
-		{At: 4 * time.Millisecond, Node: 5, Event: EvDrop, Reason: ReasonLSExpired},
+		{At: 4 * time.Millisecond, Node: 5, Peer: 4, Src: 9, SN: 2, Event: EvDrop, Reason: ReasonLifetimeExpired, PType: PTGeoUnicast, RHL: 4},
 		{At: 5 * time.Millisecond, Node: 6, Src: 6, SN: 3, Event: EvCBFArm, Kind: KindArm, PType: PTGeoBroadcast, RHL: 9},
 		{At: 5 * time.Millisecond, Node: 6, Src: 6, SN: 3, Event: EvGFBuffer, Kind: KindBuffer, PType: PTGeoUnicast, RHL: 9},
 		{At: 6 * time.Millisecond, Node: 7, Peer: 8, Event: EvUnicastLoss},
 		{At: 7 * time.Millisecond, Node: 0xA77AC4E2, Src: 6, SN: 3, Event: EvCapture, PType: PTGeoBroadcast, RHL: 9},
 		{At: 8 * time.Millisecond, Node: 0xA77AC4E2, Src: 6, SN: 3, Event: EvReplay, PType: PTGeoBroadcast, RHL: 1},
 		{At: 9 * time.Millisecond, Node: 8, Src: 8, SN: 4, Event: EvTX, Kind: KindBeacon, PType: PTBeacon, RHL: 1},
-		{At: 9 * time.Millisecond, Node: 8, Src: 8, SN: 4, Event: EvTX, Kind: KindSHB, PType: PTSHB, RHL: 1},
 		{At: 9 * time.Millisecond, Node: 8, Src: 8, SN: 4, Event: EvTX, Kind: KindGFRetry, PType: PTGeoUnicast, RHL: 3},
 		{At: 9 * time.Millisecond, Node: 8, Src: 8, SN: 4, Event: EvTX, Kind: KindCBFSource, PType: PTGeoBroadcast, RHL: 10},
 		{At: 9 * time.Millisecond, Node: 8, Src: 8, SN: 4, Event: EvTX, Kind: KindCBFEntry, PType: PTGeoBroadcast, RHL: 9},
 		{At: 9 * time.Millisecond, Node: 8, Src: 8, SN: 4, Event: EvTX, Kind: KindCBFFire, PType: PTGeoBroadcast, RHL: 8},
-		{At: 9 * time.Millisecond, Node: 8, Src: 8, SN: 4, Event: EvTX, Kind: KindTSB, PType: PTTSB, RHL: 7},
-		{At: 9 * time.Millisecond, Node: 8, Src: 8, SN: 4, Event: EvTX, Kind: KindFlood, PType: PTLSRequest, RHL: 6},
-		{At: 10 * time.Millisecond, Node: 9, Peer: 8, Src: 8, SN: 4, Event: EvDeliver, PType: PTLSReply, RHL: 1},
+		{At: 9 * time.Millisecond, Node: 8, Peer: 9, Src: 8, SN: 4, Event: EvTX, Kind: KindPerimeter, PType: PTGeoUnicast, RHL: 7},
+		{At: 9 * time.Millisecond, Node: 8, Src: 8, SN: 4, Event: EvDrop, Kind: KindBuffer, Reason: ReasonStopped, PType: PTGeoUnicast, RHL: 3},
+		{At: 10 * time.Millisecond, Node: 9, Peer: 8, Src: 8, SN: 4, Event: EvRX, PType: PTGeoBroadcast, RHL: 6},
+		{At: 10 * time.Millisecond, Node: 9, Peer: 8, Src: 8, SN: 4, Event: EvDeliver, PType: PTGeoBroadcast, RHL: 6},
 	}
 }
 
@@ -105,6 +105,25 @@ func TestDecodeRecordStrict(t *testing.T) {
 			t.Errorf("DecodeRecord(%s) accepted invalid input", c)
 		}
 	}
+	for _, c := range retiredNameLines {
+		if _, err := DecodeRecord([]byte(c)); err == nil || !strings.Contains(err.Error(), "unknown") {
+			t.Errorf("DecodeRecord(%s) = %v, want an unknown-name error", c, err)
+		}
+	}
+}
+
+// retiredNameLines name the packet types, kinds and drop reason of the
+// retired single-hop broadcast, topologically-scoped broadcast and
+// location service. They are unknown names like any other.
+var retiredNameLines = []string{
+	`{"t":1,"ev":"tx","node":1,"pt":"shb"}`,
+	`{"t":1,"ev":"tx","node":1,"pt":"tsb"}`,
+	`{"t":1,"ev":"tx","node":1,"pt":"lsreq"}`,
+	`{"t":1,"ev":"tx","node":1,"pt":"lsrep"}`,
+	`{"t":1,"ev":"tx","node":1,"kind":"shb"}`,
+	`{"t":1,"ev":"tx","node":1,"kind":"tsb"}`,
+	`{"t":1,"ev":"tx","node":1,"kind":"flood"}`,
+	`{"t":1,"ev":"drop","node":1,"reason":"ls_expired"}`,
 }
 
 func TestReadJSONLReportsLineNumbers(t *testing.T) {
@@ -164,8 +183,8 @@ func TestCountersRollup(t *testing.T) {
 		c.Record(r)
 	}
 	tot := c.Totals()
-	if got := tot.Events[EvTX]; got != 9 {
-		t.Errorf("TX total = %d, want 9", got)
+	if got := tot.Events[EvTX]; got != 7 {
+		t.Errorf("TX total = %d, want 7", got)
 	}
 	if got := tot.Drops[ReasonDecodeFail]; got != 1 {
 		t.Errorf("decode_fail total = %d, want 1", got)
@@ -182,8 +201,8 @@ func TestCountersRollup(t *testing.T) {
 		}
 	}
 	roll := c.Rollup()
-	if roll.Totals.Events["tx"] != 9 {
-		t.Errorf("rollup tx = %d, want 9", roll.Totals.Events["tx"])
+	if roll.Totals.Events["tx"] != 7 {
+		t.Errorf("rollup tx = %d, want 7", roll.Totals.Events["tx"])
 	}
 	if roll.Totals.Drops["verify_reject"] != 1 {
 		t.Errorf("rollup verify_reject = %d, want 1", roll.Totals.Drops["verify_reject"])

@@ -309,16 +309,6 @@ func (w *World) AppendVehicles(dst []*traffic.Vehicle) []*traffic.Vehicle {
 	return dst
 }
 
-// VehicleAddrs returns the addresses of all on-road vehicles, sorted.
-func (w *World) VehicleAddrs() []geonet.Address {
-	vs := w.AppendVehicles(nil)
-	out := make([]geonet.Address, len(vs))
-	for i, v := range vs {
-		out[i] = AddrOf(v)
-	}
-	return out
-}
-
 // Run advances the world to the given simulated time.
 func (w *World) Run(until time.Duration) { w.Engine.Run(until) }
 
