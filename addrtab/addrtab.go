@@ -90,13 +90,19 @@ func (t *Table[K, E]) Put(k K, e *E) {
 		t.slots[i].e = e
 		return
 	}
-	if (t.n+1)*8 > len(t.slots)*7 {
+	if t.Full() {
 		t.resize(2 * len(t.slots))
 		i = t.find(k)
 	}
 	t.slots[i] = slot[K, E]{key: k, e: e}
 	t.n++
 }
+
+// Full reports whether storing a key not yet in the table would grow
+// the slot array: true while it has no slots, then whenever one more
+// entry would fill more than 7/8 of it. Callers that can remove entries
+// (expired ones, say) do so first and keep the array its size.
+func (t *Table[K, E]) Full() bool { return (t.n+1)*8 > len(t.slots)*7 }
 
 // Delete removes the entry stored under k, if any.
 func (t *Table[K, E]) Delete(k K) {

@@ -58,7 +58,8 @@ func check(t *testing.T, tab *Table[uint64, int], model map[uint64]*int, where s
 // TestTableMatchesMap drives a Table and a Go map through the same
 // seeded random inserts, replacements, finds, removals and sweeps, on
 // spread and on colliding keys, and requires the same contents after
-// every operation. It fails unless some removal shifted entries back
+// every operation, and that Full predicts exactly which inserts grow the
+// slot array. It fails unless some removal shifted entries back
 // from the middle of a cluster and some removal did so in a wrapping
 // cluster.
 func TestTableMatchesMap(t *testing.T) {
@@ -85,8 +86,14 @@ func TestTableMatchesMap(t *testing.T) {
 				case op < 45:
 					e := new(int)
 					*e = step
+					_, stored := model[k]
+					full, slots := tab.Full(), len(tab.slots)
 					tab.Put(k, e)
 					model[k] = e
+					if grew := len(tab.slots) != slots; grew != (full && !stored) {
+						t.Fatalf("%s seed %d step %d: Full() = %v, but a Put of a key stored=%v grew %d → %d slots",
+							ks.name, seed, step, full, stored, slots, len(tab.slots))
+					}
 				case op < 65:
 					if got := tab.Get(k); got != model[k] {
 						t.Fatalf("%s seed %d step %d: Get(%#x) = %p, model %p", ks.name, seed, step, k, got, model[k])
@@ -130,6 +137,9 @@ func TestTableZeroValue(t *testing.T) {
 	var tab Table[uint64, int]
 	if tab.Len() != 0 || tab.Get(0) != nil {
 		t.Fatal("zero Table not empty")
+	}
+	if !tab.Full() {
+		t.Fatal("zero Table not Full: its first key must allocate slots")
 	}
 	tab.Delete(0)
 	tab.Sweep(func(*int) bool { t.Fatal("sweep of an empty table visited an entry"); return true })

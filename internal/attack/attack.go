@@ -23,6 +23,7 @@ package attack
 import (
 	"time"
 
+	"github.com/vanetsec/georoute/addrtab"
 	"github.com/vanetsec/georoute/internal/geo"
 	"github.com/vanetsec/georoute/internal/geonet"
 	"github.com/vanetsec/georoute/internal/radio"
@@ -127,17 +128,39 @@ type Attacker struct {
 	stats   Stats
 	stopped bool
 
-	// beaconSeen dedupes beacon replays by (source, PV timestamp): each
-	// fresh beacon is replayed exactly once.
-	beaconSeen map[beaconKey]bool
+	// beaconSeen holds, by source, the PV timestamp of the last beacon
+	// replayed: a beacon is replayed iff its timestamp is newer, so each
+	// fresh beacon is replayed exactly once. Sources silent for longer
+	// than beaconMemory are dropped before the table would grow, so it
+	// holds the sources in range, however long the run.
+	beaconSeen addrtab.Table[geonet.Address, time.Duration]
+	// replayFree pools the beacon replays that have fired, linked
+	// through replay.next.
+	replayFree *replay
 	// pktSeen dedupes data-packet replays: the attack fires on the first
 	// copy of each packet (hop n) and ignores later rebroadcasts.
 	pktSeen map[geonet.Key]bool
 }
 
-type beaconKey struct {
-	addr geonet.Address
-	ts   time.Duration
+// beaconMemory is how long the attacker remembers a silent source. The
+// medium delivers a transmission once, so a beacon is never captured
+// again after its delivery, and forgetting a source changes no decision:
+// the source's next beacon is newer than any it sent before. The window
+// only has to outlast a delivery; it is the LocT entry lifetime, after
+// which a silent source has also left every receiver's table.
+const beaconMemory = geonet.DefaultLocTTTL
+
+// replay is a captured beacon waiting out the processing delay: a copy
+// of its frame and the callback that sends it, bound once when the
+// record is made. Fired records return to the attacker's pool, as the
+// router pools its contention arms, so a warm capture-and-replay
+// allocates nothing.
+type replay struct {
+	a       *Attacker
+	src     geonet.Address
+	payload []byte
+	fire    func()
+	next    *replay // pool link
 }
 
 var (
@@ -157,9 +180,8 @@ func NewAttacker(cfg Config) *Attacker {
 		cfg.ProcessingDelay = DefaultProcessingDelay
 	}
 	a := &Attacker{
-		cfg:        cfg,
-		beaconSeen: make(map[beaconKey]bool),
-		pktSeen:    make(map[geonet.Key]bool),
+		cfg:     cfg,
+		pktSeen: make(map[geonet.Key]bool),
 	}
 	pos := cfg.Position
 	a.antenna = cfg.Medium.Attach(cfg.Pseudonym, cfg.Range, func() geo.Point { return pos }, a, true)
@@ -252,27 +274,49 @@ func (a *Attacker) emitReplay(src geonet.Address, sn uint16, pt trace.PType, rhl
 // changes (to the attacker's pseudonym), which nothing checks.
 func (a *Attacker) captureBeacon(p *geonet.Packet, f radio.Frame) {
 	a.stats.BeaconsCaptured++
-	k := beaconKey{addr: p.SourcePV.Addr, ts: p.SourcePV.Timestamp}
-	if a.beaconSeen[k] {
+	src, ts := p.SourcePV.Addr, p.SourcePV.Timestamp
+	last := a.beaconSeen.Get(src)
+	if last != nil && ts <= *last {
 		return
 	}
-	a.beaconSeen[k] = true
+	if last == nil {
+		if a.beaconSeen.Full() {
+			now := a.cfg.Engine.Now()
+			a.beaconSeen.Sweep(func(seen *time.Duration) bool { return now-*seen <= beaconMemory })
+		}
+		last = new(time.Duration)
+		a.beaconSeen.Put(src, last)
+	}
+	*last = ts
 	a.emit(trace.EvCapture, p)
 	// The frame's payload buffer is recycled after this delivery walk,
 	// and so is p, which decoded into the transmission's scratch packet:
 	// the capture copies the payload — into a pooled buffer the replay
 	// returns — and keeps only the source address of p.
-	payload := append(a.cfg.Medium.GrabPayload(), f.Payload...)
-	src := p.SourcePV.Addr
-	a.cfg.Engine.Schedule(a.cfg.ProcessingDelay, "attack.replayBeacon", func() {
-		if a.stopped {
-			// The pooled buffer is simply dropped to the GC; stop is rare.
-			return
-		}
+	r := a.replayFree
+	if r != nil {
+		a.replayFree = r.next
+		r.next = nil
+	} else {
+		r = &replay{a: a}
+		r.fire = r.run
+	}
+	r.src = src
+	r.payload = append(a.cfg.Medium.GrabPayload(), f.Payload...)
+	a.cfg.Engine.Schedule(a.cfg.ProcessingDelay, "attack.replayBeacon", r.fire)
+}
+
+// run sends the replay and returns the record to the pool.
+func (r *replay) run() {
+	a := r.a
+	// A stopped attacker drops the pooled buffer to the GC; stop is rare.
+	if !a.stopped {
 		a.stats.BeaconsReplayed++
-		a.cfg.Medium.SendPooled(a.antenna, radio.BroadcastID, payload)
-		a.emitReplay(src, 0, trace.PTBeacon, 1)
-	})
+		a.cfg.Medium.SendPooled(a.antenna, radio.BroadcastID, r.payload)
+		a.emitReplay(r.src, 0, trace.PTBeacon, 1)
+	}
+	*r = replay{a: a, fire: r.fire, next: a.replayFree}
+	a.replayFree = r
 }
 
 // capturePacket replays a captured GeoBroadcast once. In IntraArea mode

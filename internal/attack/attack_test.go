@@ -1,6 +1,8 @@
 package attack
 
 import (
+	"encoding/binary"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 	"time"
@@ -387,5 +389,175 @@ func TestStatsAddCoversEveryField(t *testing.T) {
 	zero.Add(filled)
 	if zero != filled {
 		t.Fatalf("Stats.Add dropped counters: got %+v, want %+v", zero, filled)
+	}
+}
+
+// beaconFeed drives an InterArea attacker's capture path directly with
+// synthetic beacons from a churning population: perRound sources are in
+// range at a time, each beacons once a second with its PV timestamp set
+// to the current time and leaves after stay, when a source with a new
+// address takes its place. Each replay carries the source and timestamp
+// in its payload, so a tap can tell replays apart.
+type beaconFeed struct {
+	f        *fixture
+	atk      *Attacker
+	perRound int
+	stay     time.Duration
+	peak     int // largest beaconSeen.Len() seen after a capture
+}
+
+func newBeaconFeed(perRound int, stay time.Duration) *beaconFeed {
+	f := newFixture()
+	atk := NewAttacker(Config{
+		Engine: f.engine, Medium: f.medium,
+		Position: geo.Pt(0, 0), Range: 486, Mode: InterArea,
+	})
+	return &beaconFeed{f: f, atk: atk, perRound: perRound, stay: stay}
+}
+
+// capture hands the attacker one beacon of src stamped ts.
+func (b *beaconFeed) capture(src geonet.Address, ts time.Duration) {
+	payload := binary.BigEndian.AppendUint64(nil, uint64(src))
+	payload = binary.BigEndian.AppendUint64(payload, uint64(ts))
+	p := &geonet.Packet{Type: geonet.TypeBeacon, SourcePV: geonet.PositionVector{Addr: src, Timestamp: ts}}
+	b.atk.captureBeacon(p, radio.Frame{Payload: payload})
+	b.peak = max(b.peak, b.atk.beaconSeen.Len())
+}
+
+// run feeds one beacon round a second until the clock reaches until;
+// each beacon is handed over by each(src, ts), which defaults to one
+// capture.
+func (b *beaconFeed) run(until time.Duration, each func(src geonet.Address, ts time.Duration)) {
+	if each == nil {
+		each = b.capture
+	}
+	stayRounds := int(b.stay / time.Second)
+	for round := 0; time.Duration(round)*time.Second < until; round++ {
+		now := time.Duration(round) * time.Second
+		b.f.engine.Run(now)
+		for slot := 0; slot < b.perRound; slot++ {
+			// Slot s holds a new source every stayRounds rounds, the
+			// slots staggered so sources leave one by one.
+			gen := (round + slot*stayRounds/b.perRound) / stayRounds
+			each(geonet.Address(1+gen*b.perRound+slot), now)
+		}
+	}
+	b.f.engine.Run(until + time.Second)
+}
+
+// TestBeaconMemoryBounded: the attacker's per-source replay memory
+// follows the population in range, not the length of the run. The same
+// churning population, run for T and for 2T, peaks at the same size,
+// within the sources heard in one memory window (doubled for the
+// index's growth); T alone sees several times that many sources.
+func TestBeaconMemoryBounded(t *testing.T) {
+	const (
+		perRound = 30
+		stay     = 10 * time.Second
+		T        = 240 * time.Second
+	)
+	inWindow := perRound * int(1+beaconMemory/stay)
+	bound := 2 * inWindow
+	var peaks [2]int
+	for i, d := range []time.Duration{T, 2 * T} {
+		b := newBeaconFeed(perRound, stay)
+		b.run(d, nil)
+		peaks[i] = b.peak
+		if b.peak > bound {
+			t.Errorf("run of %v: beaconSeen peaked at %d sources, want at most %d", d, b.peak, bound)
+		}
+	}
+	if peaks[0] != peaks[1] {
+		t.Errorf("beaconSeen peaked at %d sources in %v and %d in %v, want equal", peaks[0], T, peaks[1], 2*T)
+	}
+	if sources := perRound * int(T/stay); sources <= bound {
+		t.Fatalf("the %v run sees only %d sources: it cannot tell a bounded memory from a growing one", T, sources)
+	}
+}
+
+// TestBeaconReplayedOncePerTimestamp: each (source, PV timestamp) is
+// replayed exactly once, however often it is captured and while the
+// memory forgets silent sources. Every beacon is captured one to three
+// times, some copies arriving after later beacons of other sources, and
+// some sources' previous beacon is captured again after a newer one;
+// neither kind of repeat is replayed.
+func TestBeaconReplayedOncePerTimestamp(t *testing.T) {
+	b := newBeaconFeed(30, 10*time.Second)
+	type beacon struct {
+		src geonet.Address
+		ts  time.Duration
+	}
+	replays := make(map[beacon]int)
+	tap := &tapReceiver{onFrame: func(f radio.Frame) {
+		replays[beacon{geonet.Address(binary.BigEndian.Uint64(f.Payload)), time.Duration(binary.BigEndian.Uint64(f.Payload[8:]))}]++
+	}}
+	b.f.medium.Attach(77, 486, func() geo.Point { return geo.Pt(10, 0) }, tap, false)
+	rng := rand.New(rand.NewPCG(5, 9))
+	fresh := make(map[beacon]bool)
+	var late []beacon
+	var pruned bool
+	b.run(240*time.Second, func(src geonet.Address, ts time.Duration) {
+		n := b.atk.beaconSeen.Len()
+		b.capture(src, ts)
+		pruned = pruned || b.atk.beaconSeen.Len() < n
+		fresh[beacon{src, ts}] = true
+		switch rng.IntN(4) {
+		case 0:
+			b.capture(src, ts)
+		case 1:
+			late = append(late, beacon{src, ts})
+		case 2:
+			if ts > 0 {
+				b.capture(src, ts-time.Second) // the previous beacon, again
+			}
+		}
+		if len(late) > 0 && rng.IntN(3) == 0 {
+			for _, l := range late {
+				b.capture(l.src, l.ts)
+			}
+			late = late[:0]
+		}
+	})
+	if !pruned {
+		t.Fatal("the memory never forgot a source: the run does not exercise pruning")
+	}
+	for k, n := range replays {
+		if n != 1 || !fresh[k] {
+			t.Fatalf("beacon %+v replayed %d times (captured fresh: %v), want once", k, n, fresh[k])
+		}
+	}
+	if len(replays) != len(fresh) {
+		t.Fatalf("%d beacons replayed, %d captured", len(replays), len(fresh))
+	}
+	if st := b.atk.Stats(); st.BeaconsReplayed != uint64(len(fresh)) {
+		t.Fatalf("BeaconsReplayed = %d, want %d", st.BeaconsReplayed, len(fresh))
+	}
+}
+
+// TestBeaconReplayAllocs: once warm, a beacon's origination, its capture
+// by the attacker, the replay and both deliveries allocate nothing.
+func TestBeaconReplayAllocs(t *testing.T) {
+	f := newFixture()
+	tx := f.router(1, geo.Pt(0, 0), 486, nil)
+	rx := f.router(2, geo.Pt(100, 0), 486, nil)
+	atk := NewAttacker(Config{
+		Engine: f.engine, Medium: f.medium,
+		Position: geo.Pt(50, 0), Range: 486, Mode: InterArea,
+	})
+	round := func() {
+		tx.SendBeacon()
+		f.engine.Run(f.engine.Now() + 2*radio.Latency + DefaultProcessingDelay + time.Microsecond)
+	}
+	f.engine.Run(3 * time.Second) // both routers beacon; pools warm up
+	round()
+	before := atk.Stats().BeaconsReplayed
+	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+		t.Errorf("a beacon with its capture and replay allocates %.2f/op, want 0", allocs)
+	}
+	if got := atk.Stats().BeaconsReplayed - before; got < 201 {
+		t.Fatalf("%d beacons replayed in 201 rounds, want each", got)
+	}
+	if rx.LocT().Lookup(1, f.engine.Now()) == nil {
+		t.Fatal("receiver did not learn the beaconing router")
 	}
 }

@@ -51,8 +51,10 @@ func (e *LocTEntry) NeighborAt(now time.Duration) bool {
 // separate objects because receivers learn a source in reception order,
 // so the entries of one source sit next to each other in memory and the
 // next frame from that source refreshes them in the same order; entries
-// inlined into the slots would scatter them. Slot order never reaches an
-// output: enumeration sorts by address.
+// inlined into the slots would scatter them. Recycled entries (below)
+// give part of that order up for a third less allocation. Slot order
+// never reaches an output: enumeration sorts by address, and Closest
+// breaks distance ties by address.
 //
 // Entry lifetime: Update overwrites a stored *LocTEntry in place, and the
 // index moves only slots, so a pointer handed out by Lookup,
@@ -61,13 +63,20 @@ func (e *LocTEntry) NeighborAt(now time.Duration) bool {
 // and drop it (the greedy and GPSR next-hop walks, the CBF contention
 // timers, next-hop acceptance filters); none may retain it across an
 // Update, and one that needs a snapshot copies the value.
+//
+// Storage recycles, so an entry outlives its address and even its
+// router. Every removal of an expired entry (Lookup, the sweeps of
+// AppendNeighbors and Closest, and a sweep before the index would grow)
+// puts it on the table's free list, and Update takes from that list
+// before allocating; a table handed on by Router.TakeLocT brings its slot
+// array and entries to another router. Within one event a live entry is
+// never reused: removals take only entries expired at the event's time.
 type LocT struct {
 	ttl         time.Duration
 	neighborTTL time.Duration
 	entries     addrtab.Table[Address, LocTEntry]
-	// scratch is the reused enumeration buffer behind Closest, keeping
-	// per-forwarding-decision neighbor walks allocation-free once warm.
-	scratch []*LocTEntry
+	// free holds the entries removed as expired, for Update to reuse.
+	free []*LocTEntry
 }
 
 // DefaultLocTTTL is the standard's default lifetime of a location table
@@ -78,13 +87,21 @@ const DefaultLocTTTL = 20 * time.Second
 // neighbor-status lifetime. A neighborTTL of zero keeps neighbor status
 // for the whole entry TTL (the literal standard behavior).
 func NewLocT(ttl, neighborTTL time.Duration) *LocT {
+	t := new(LocT)
+	t.setTTL(ttl, neighborTTL)
+	return t
+}
+
+// setTTL sets the entry and neighbor-status lifetimes, as NewLocT
+// documents.
+func (t *LocT) setTTL(ttl, neighborTTL time.Duration) {
 	if ttl == 0 {
 		ttl = DefaultLocTTTL
 	}
 	if neighborTTL == 0 || neighborTTL > ttl {
 		neighborTTL = ttl
 	}
-	return &LocT{ttl: ttl, neighborTTL: neighborTTL}
+	t.ttl, t.neighborTTL = ttl, neighborTTL
 }
 
 // TTL reports the configured entry lifetime.
@@ -101,8 +118,12 @@ func (t *LocT) TTL() time.Duration { return t.ttl }
 // whether the table changed.
 //
 // A stored entry is refreshed in place, so the per-beacon refresh — the
-// simulator's hottest operation — allocates nothing; only an address
-// learned for the first time (or again after a purge) gets a new entry.
+// simulator's hottest operation — allocates nothing. An address learned
+// for the first time (or again after its entry was removed) takes an
+// entry from the free list, and allocates one only when that is empty.
+// Before that insert would grow the index, expired entries are swept
+// onto the free list, so a table keeps the size its live neighborhood
+// needs.
 func (t *LocT) Update(pv PositionVector, now time.Duration, isNeighbor bool) bool {
 	e := t.entries.Get(pv.Addr)
 	ok := e != nil
@@ -130,7 +151,15 @@ func (t *LocT) Update(pv PositionVector, now time.Duration, isNeighbor bool) boo
 		neighborUntil = now + t.neighborTTL
 	}
 	if !ok {
-		e = new(LocTEntry)
+		if t.entries.Full() {
+			t.sweep(now, nil)
+		}
+		if n := len(t.free); n > 0 {
+			e = t.free[n-1]
+			t.free = t.free[:n-1]
+		} else {
+			e = new(LocTEntry)
+		}
 		t.entries.Put(pv.Addr, e)
 	}
 	*e = LocTEntry{
@@ -149,36 +178,47 @@ func (t *LocT) Lookup(addr Address, now time.Duration) *LocTEntry {
 	}
 	if now > e.ExpiresAt {
 		t.entries.Delete(addr)
+		t.free = append(t.free, e)
 		return nil
 	}
 	return e
 }
 
-// Len reports the number of stored entries including not-yet-purged
+// Len reports the number of stored entries including not-yet-removed
 // expired ones.
 func (t *LocT) Len() int { return t.entries.Len() }
 
-// Purge drops expired entries.
-func (t *LocT) Purge(now time.Duration) {
-	t.entries.Sweep(func(e *LocTEntry) bool { return now <= e.ExpiresAt })
+// sweep is the one pass that frees expired entries: it moves every
+// entry expired at now onto the free list and calls live, unless nil,
+// on each other entry, in slot order.
+func (t *LocT) sweep(now time.Duration, live func(e *LocTEntry)) {
+	t.entries.Sweep(func(e *LocTEntry) bool {
+		if now > e.ExpiresAt {
+			t.free = append(t.free, e)
+			return false
+		}
+		if live != nil {
+			live(e)
+		}
+		return true
+	})
 }
 
+// clear moves every entry onto the free list and keeps the index's slot
+// array: the table is empty and ready for another router. Every entry
+// has expired by the end of time.
+func (t *LocT) clear() { t.sweep(never, nil) }
+
 // AppendNeighbors appends the live entries to dst in address order
-// (deterministic iteration for reproducible runs), purging expired ones,
-// and returns the extended slice. Callers reuse a scratch buffer, so
-// forwarding strategies enumerate the neighborhood on every hop without
-// allocating. The entries are shared; callers must not mutate them, and
-// they change under the caller on the next Update (see the
+// (deterministic iteration for reproducible runs), removing expired
+// ones, and returns the extended slice. Callers reuse a scratch buffer,
+// so forwarding strategies enumerate the neighborhood on every hop
+// without allocating. The entries are shared; callers must not mutate
+// them, and they change under the caller on the next Update (see the
 // entry-lifetime note on LocT).
 func (t *LocT) AppendNeighbors(dst []*LocTEntry, now time.Duration) []*LocTEntry {
 	start := len(dst)
-	t.entries.Sweep(func(e *LocTEntry) bool {
-		if now > e.ExpiresAt {
-			return false
-		}
-		dst = append(dst, e)
-		return true
-	})
+	t.sweep(now, func(e *LocTEntry) { dst = append(dst, e) })
 	// Insertion sort instead of sort.Slice: the appended window is small
 	// (a radio neighborhood) and sort.Slice's closure would allocate on
 	// every forwarding decision.
@@ -201,20 +241,25 @@ func (t *LocT) AppendNeighbors(dst []*LocTEntry, now time.Duration) []*LocTEntry
 // area based on position information advertised in the beacons". The
 // filter receives the advertised position for convenience. It returns nil
 // when the table has no acceptable live entries.
+//
+// One sweep takes the minimum of (distance, address), so of equidistant
+// entries the lowest address wins, as in a walk in address order that
+// keeps the first strictly nearer one. The sweep visits entries in slot
+// order, so filter must not depend on the order of its calls; every
+// filter is called on every live entry, as in that walk.
 func (t *LocT) Closest(dst geo.Point, now time.Duration, filter func(e *LocTEntry, pos geo.Point) bool) *LocTEntry {
 	var best *LocTEntry
 	bestDist := 0.0
-	t.scratch = t.AppendNeighbors(t.scratch[:0], now)
-	for _, e := range t.scratch {
+	t.sweep(now, func(e *LocTEntry) {
 		pos := e.PV.Pos
 		if filter != nil && !filter(e, pos) {
-			continue
+			return
 		}
 		d := pos.DistanceTo(dst)
-		if best == nil || d < bestDist {
+		if best == nil || d < bestDist || d == bestDist && e.PV.Addr < best.PV.Addr {
 			best = e
 			bestDist = d
 		}
-	}
+	})
 	return best
 }

@@ -98,14 +98,6 @@ func (t *refLocT) Lookup(addr Address, now time.Duration) *refEntry {
 
 func (t *refLocT) Len() int { return len(t.entries) }
 
-func (t *refLocT) Purge(now time.Duration) {
-	for addr, e := range t.entries {
-		if now > e.ExpiresAt {
-			delete(t.entries, addr)
-		}
-	}
-}
-
 func (t *refLocT) Neighbors(now time.Duration) []*refEntry {
 	var live []*refEntry
 	for addr, e := range t.entries {
@@ -119,22 +111,50 @@ func (t *refLocT) Neighbors(now time.Duration) []*refEntry {
 	return live
 }
 
+// Closest is the walk Closest was before it took a one-sweep minimum: the
+// live entries in address order, keeping the first strictly nearer one.
+func (t *refLocT) Closest(dst geo.Point, now time.Duration, accept func(*refEntry) bool) *refEntry {
+	var best *refEntry
+	bestDist := 0.0
+	for _, e := range t.Neighbors(now) {
+		if !accept(e) {
+			continue
+		}
+		if d := e.PV.Pos.DistanceTo(dst); best == nil || d < bestDist {
+			best, bestDist = e, d
+		}
+	}
+	return best
+}
+
 // TestLocTInPlaceMatchesReference drives the in-place LocT and the
 // map-backed, copy-on-refresh reference through the same seeded random
-// sequences of updates, lookups, purges and clock jumps, and requires
-// identical Update results, lookups, lengths and AppendNeighbors
-// contents. The sequences mix stale PVs, equal-timestamp replays,
-// neighbor-flag upgrades, data-packet (non-neighbor) refreshes and
-// re-learning after expiry, both before and after the expired entry is
-// purged. The "small" arm compares AppendNeighbors at every step. The
-// "top byte" arm uses 200 addresses that differ only in their top byte,
-// whose home slots collide and whose clusters wrap past the index's last
-// slot; it compares AppendNeighbors on about one step in ten, drawn from
-// a separate rng, because that call purges and a sweep at every step
-// keeps the clusters too small to exercise removals inside them. The
-// test fails if any of those cases never occurred, or if no lookup
-// removed an entry from the middle of a cluster or from a cluster that
-// wraps.
+// sequences of updates, lookups, Closest calls and clock jumps, and
+// requires identical Update results, lookups, Closest picks and
+// AppendNeighbors contents. The sequences mix stale PVs, equal-timestamp
+// replays, neighbor-flag upgrades, data-packet (non-neighbor) refreshes
+// and re-learning after expiry, both before and after the expired entry
+// is removed. Closest runs with random filters toward points on the line
+// the entries sit on, so equidistant candidates are common and the
+// address tie-break is exercised.
+//
+// LocT also sweeps expired entries before its index would grow, which
+// the reference does not model, so stored state is compared as readers
+// see it: after every step each live reference entry is stored in LocT
+// with the reference's contents, every LocT entry is stored in the
+// reference, and so live ≤ Len ≤ reference Len; after AppendNeighbors,
+// which removes every expired entry from both, the lengths are equal.
+//
+// The "small" arm compares AppendNeighbors at every step. The "top byte"
+// arm uses 200 addresses that differ only in their top byte, whose home
+// slots collide and whose clusters wrap past the index's last slot; it
+// compares AppendNeighbors on about one step in ten, drawn from a
+// separate rng, because that call removes expired entries and a sweep at
+// every step keeps the clusters too small to exercise removals inside
+// them. The test fails if any of those cases never occurred, if no
+// lookup removed an entry from the middle of a cluster or from a cluster
+// that wraps, if no insert swept before growing, or if no new address
+// reused a removed entry.
 func TestLocTInPlaceMatchesReference(t *testing.T) {
 	const seeds = 20
 	arms := []struct {
@@ -148,7 +168,7 @@ func TestLocTInPlaceMatchesReference(t *testing.T) {
 		{"top byte", 200, 20000, 10, func(i int) Address { return Address(uint64(i) << 56) }},
 	}
 	var stale, replays, upgrades, dataRefresh, relearnExpired, relearnPurged int
-	var midRemovals, wrapRemovals int
+	var midRemovals, wrapRemovals, growSweeps, reused, ties int
 	for _, arm := range arms {
 		for seed := uint64(1); seed <= seeds; seed++ {
 			rng := rand.New(rand.NewPCG(seed, 0x10c7))
@@ -157,6 +177,7 @@ func TestLocTInPlaceMatchesReference(t *testing.T) {
 			ref := newRefLocT(2*time.Second, 300*time.Millisecond)
 			lastTS := make([]time.Duration, arm.addrs)
 			seen := make([]bool, arm.addrs)
+			ever := make(map[*LocTEntry]bool) // every entry LocT ever stored
 			now := time.Duration(0)
 			for step := 0; step < arm.steps; step++ {
 				fail := func(format string, args ...any) {
@@ -191,14 +212,22 @@ func TestLocTInPlaceMatchesReference(t *testing.T) {
 					if stored {
 						before = *e
 					}
-					prev := lt.entries.Get(addr)
+					prev, n := lt.entries.Get(addr), lt.Len()
 					got := lt.Update(pv, now, isNeighbor)
 					want := ref.Update(pv, now, isNeighbor)
 					if got != want {
 						fail("Update(%+v, %v, %v) = %v, reference %v", pv, now, isNeighbor, got, want)
 					}
-					if stored && lt.entries.Get(addr) != prev {
+					if e := lt.entries.Get(addr); prev != nil && e != prev {
 						fail("stored entry for %d reallocated, want refreshed in place", addr)
+					} else if prev == nil {
+						if ever[e] {
+							reused++
+						}
+						ever[e] = true
+					}
+					if lt.Len() < n {
+						growSweeps++
 					}
 					switch {
 					case !stored && seen[i]:
@@ -232,11 +261,57 @@ func TestLocTInPlaceMatchesReference(t *testing.T) {
 						fail("Lookup(%d, %v) = %+v, reference %+v", addr, now, got, want)
 					}
 				case op < 90:
-					lt.Purge(now)
-					ref.Purge(now)
+					dst := geo.Pt(float64(rng.IntN(1000)), 0)
+					mod, neighbors := uint64(rng.IntN(4)), rng.IntN(2) == 0
+					accept := func(addr Address, isNeighbor bool) bool {
+						// Fold the top byte down, so both arms' addresses spread over mod.
+						h := uint64(addr) | uint64(addr)>>56
+						return (mod == 0 || h%mod != 0) && (!neighbors || isNeighbor)
+					}
+					got := lt.Closest(dst, now, func(e *LocTEntry, pos geo.Point) bool {
+						if pos != e.PV.Pos {
+							fail("filter got position %v for an entry at %v", pos, e.PV.Pos)
+						}
+						return accept(e.PV.Addr, e.NeighborAt(now))
+					})
+					var best float64
+					rivals := 0
+					want := ref.Closest(dst, now, func(e *refEntry) bool {
+						ok := accept(e.Addr, e.IsNeighbor && now <= e.NeighborUntil)
+						if ok {
+							if d := e.PV.Pos.DistanceTo(dst); rivals == 0 || d < best {
+								best, rivals = d, 1
+							} else if d == best {
+								rivals++
+							}
+						}
+						return ok
+					})
+					if (got == nil) != (want == nil) || got != nil && !want.matches(got, ref.ttl) {
+						fail("Closest(%v, %v) = %+v, reference %+v", dst, now, got, want)
+					}
+					if rivals > 1 {
+						ties++
+					}
 				}
-				if lt.Len() != ref.Len() {
-					fail("Len = %d, reference %d", lt.Len(), ref.Len())
+				live := 0
+				for addr, e := range ref.entries {
+					if now > e.ExpiresAt {
+						continue
+					}
+					live++
+					if got := lt.entries.Get(addr); got == nil || !e.matches(got, ref.ttl) {
+						fail("live entry %d = %+v, reference %+v", addr, got, *e)
+					}
+				}
+				lt.entries.Sweep(func(e *LocTEntry) bool {
+					if ref.entries[e.PV.Addr] == nil {
+						fail("entry %d stored, not in the reference", e.PV.Addr)
+					}
+					return true
+				})
+				if lt.Len() < live || lt.Len() > ref.Len() {
+					fail("Len = %d, want between %d live entries and the reference's %d", lt.Len(), live, ref.Len())
 				}
 				// AppendNeighbors purges; between sparse calls expired
 				// entries pile up and grow the clusters that lookups and
@@ -268,10 +343,14 @@ func TestLocTInPlaceMatchesReference(t *testing.T) {
 		"re-learn, after purge":           relearnPurged,
 		"removal from a cluster's middle": midRemovals,
 		"removal from a wrapping cluster": wrapRemovals,
+		"sweep before growth":             growSweeps,
+		"reuse of a removed entry":        reused,
+		"Closest tie":                     ties,
 	} {
 		if n == 0 {
 			t.Errorf("no %s case in the random sequences", name)
 		}
 	}
-	t.Logf("%d mid-cluster and %d wrapping-cluster removals", midRemovals, wrapRemovals)
+	t.Logf("%d mid-cluster and %d wrapping-cluster removals, %d sweeps before growth, %d reused entries, %d Closest ties",
+		midRemovals, wrapRemovals, growSweeps, reused, ties)
 }

@@ -100,6 +100,12 @@ type Config struct {
 	NeighborLifetime time.Duration
 	MaxHopLimit      uint8
 	PacketLifetime   time.Duration
+	// LocT, when non-nil, is a location table that a stopped router
+	// handed on with TakeLocT. The router empties it and uses it, with
+	// the lifetimes above, instead of allocating a table: its slot array
+	// and entries carry over, so a World whose vehicles come and go
+	// reuses the tables of departed vehicles.
+	LocT *LocT
 
 	// OnDeliver is invoked once per packet delivered to the upper layer.
 	OnDeliver func(p *Packet)
@@ -252,10 +258,18 @@ func NewRouter(cfg Config) *Router {
 	if !ok {
 		panic(fmt.Sprintf("geonet: unknown forwarder strategy %q (registered: %v)", cfg.Forwarder, StrategyNames()))
 	}
+	loct := cfg.LocT
+	cfg.LocT = nil
+	if loct == nil {
+		loct = new(LocT)
+	} else {
+		loct.clear()
+	}
+	loct.setTTL(cfg.LocTTTL, cfg.NeighborLifetime)
 	return &Router{
 		cfg:         cfg,
 		rng:         rand.New(rand.NewPCG(uint64(cfg.Addr), uint64(cfg.Addr)^0xda3e39cb94b95bdb)),
-		loct:        NewLocT(cfg.LocTTTL, cfg.NeighborLifetime),
+		loct:        loct,
 		nextHop:     strat.NewNextHop(),
 		contention:  strat.NewContention(),
 		state:       new(addrtab.Table[Address, pktState]),
@@ -268,8 +282,20 @@ func NewRouter(cfg Config) *Router {
 func (r *Router) Addr() Address { return r.cfg.Addr }
 
 // LocT exposes the location table (tests, metrics, attacker-free
-// diagnostics).
+// diagnostics). It is nil once TakeLocT has handed the table on.
 func (r *Router) LocT() *LocT { return r.loct }
+
+// TakeLocT hands the location table of a stopped router on for another
+// router to reuse (see Config.LocT). The router keeps no table, so it
+// exposes none of its entries, and a second call returns nil.
+func (r *Router) TakeLocT() *LocT {
+	if !r.stopped {
+		panic("geonet: TakeLocT on a router that was not stopped")
+	}
+	t := r.loct
+	r.loct = nil
+	return t
+}
 
 // Stats returns a copy of the router counters.
 func (r *Router) Stats() Stats { return r.stats }
@@ -309,7 +335,8 @@ func (r *Router) Stop() {
 	r.stopped = true
 	r.beaconTimer.Cancel()
 	// Drain the holding states in key order so traced runs emit the Stop
-	// drops deterministically (both maps iterate in random order).
+	// drops deterministically: the GF buffer is a map, which iterates in
+	// random order, and the state table sweeps in slot order.
 	var held []*pending
 	for pe, timer := range r.retryTimers {
 		timer.Cancel()

@@ -96,6 +96,11 @@ type World struct {
 	// ProtocolStats and the per-segment StatsSummary breakdown cover the
 	// whole run.
 	detached map[int]geonet.Stats
+	// spareLocT holds the emptied location tables of routers stopped when
+	// their vehicle left the road; attachVehicle hands the last one to
+	// the next vehicle's router, so the tables, their slot arrays and
+	// entries recycle instead of each router growing its own from empty.
+	spareLocT []*geonet.LocT
 	// telemetry is the engine-probe sampler, nil when telemetry is off.
 	telemetry *sampler
 }
@@ -198,6 +203,10 @@ func AddrOf(v *traffic.Vehicle) geonet.Address {
 
 func (w *World) attachVehicle(v *traffic.Vehicle) {
 	addr := AddrOf(v)
+	var loct *geonet.LocT
+	if n := len(w.spareLocT); n > 0 {
+		loct, w.spareLocT = w.spareLocT[n-1], w.spareLocT[:n-1]
+	}
 	r := geonet.NewRouter(geonet.Config{
 		Addr:             addr,
 		Engine:           w.Engine,
@@ -211,6 +220,7 @@ func (w *World) attachVehicle(v *traffic.Vehicle) {
 		NeighborLifetime: w.cfg.NeighborLifetime,
 		MaxHopLimit:      w.cfg.MaxHopLimit,
 		PacketLifetime:   w.cfg.PacketLifetime,
+		LocT:             loct,
 		Forwarder:        w.cfg.Forwarder,
 		ForwardFilter:    w.cfg.ForwardFilter,
 		DuplicateRule:    w.cfg.DuplicateRule,
@@ -229,6 +239,7 @@ func (w *World) detachVehicle(v *traffic.Vehicle) {
 	addr := AddrOf(v)
 	if r, ok := w.routers[addr]; ok {
 		r.Stop()
+		w.spareLocT = append(w.spareLocT, r.TakeLocT())
 		seg := SegmentIndexOf(addr)
 		s := w.detached[seg]
 		s.Add(r.Stats())

@@ -52,6 +52,61 @@ func TestExitingVehicleDetaches(t *testing.T) {
 	}
 }
 
+// TestDepartedLocTHandedToNextArrival: when a vehicle leaves, its
+// stopped router hands its location table on, emptied, and the next
+// vehicle to arrive gets that table object. The stopped router exposes
+// none of the old entries, and the new router starts with none of them.
+func TestDepartedLocTHandedToNextArrival(t *testing.T) {
+	w := smallWorld(Config{Seed: 1, Prepopulate: true})
+	w.Run(5 * time.Second)
+	vs := w.AppendVehicles(nil)
+	leaving, arriving := vs[len(vs)/2], vs[len(vs)/2+1]
+	old := w.RouterOf(leaving)
+	lt := old.LocT()
+	learned := lt.AppendNeighbors(nil, w.Engine.Now())
+	if len(learned) == 0 {
+		t.Fatal("mid-road vehicle learned no neighbors in 5 s")
+	}
+	addrs := make([]geonet.Address, len(learned))
+	for i, e := range learned {
+		addrs[i] = e.PV.Addr
+	}
+
+	spares := len(w.spareLocT) // tables of vehicles that already left
+	w.detachVehicle(leaving)
+	if old.LocT() != nil {
+		t.Fatal("stopped router still exposes its location table")
+	}
+	// Re-attach a vehicle as if it had just entered the road.
+	w.detachVehicle(arriving)
+	spare := w.spareLocT[len(w.spareLocT)-1]
+	w.attachVehicle(arriving)
+	r := w.RouterOf(arriving)
+	if r.LocT() != spare {
+		t.Fatal("arriving router did not take the last departed table")
+	}
+	w.attachVehicle(leaving)
+	if w.RouterOf(leaving).LocT() != lt || len(w.spareLocT) != spares {
+		t.Fatalf("second arrival did not take the first departed table; %d spare, want %d", len(w.spareLocT), spares)
+	}
+	now := w.Engine.Now()
+	if lt.Len() != 0 {
+		t.Fatalf("reused table holds %d entries, want 0", lt.Len())
+	}
+	for _, a := range addrs {
+		if lt.Lookup(a, now) != nil {
+			t.Fatalf("reused table still holds address %d", a)
+		}
+	}
+	w.Run(now + 5*time.Second)
+	if lt.Len() == 0 || r.LocT().Len() == 0 {
+		t.Fatalf("reused tables hold %d and %d entries after 5 s, want some", lt.Len(), r.LocT().Len())
+	}
+	if old.LocT() != nil {
+		t.Fatal("stopped router exposes a table after the new router learned")
+	}
+}
+
 func TestBeaconsFlowBetweenVehicles(t *testing.T) {
 	w := smallWorld(Config{Seed: 1, Prepopulate: true})
 	w.Run(10 * time.Second)
