@@ -68,7 +68,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -170,36 +169,50 @@ func runFigures(expID string, runs int, format string, showcaseSeeds int, traceD
 
 // startFigureHeartbeat prints a stderr heartbeat every two seconds while
 // figure runs execute: elapsed wall clock, total simulation events, and
-// the recent event rate (read from the telemetry registry, which the
-// per-worker samplers publish into). The returned func stops it.
+// the recent event rate, which the per-worker samplers publish. The
+// returned func stops it.
 func startFigureHeartbeat(reg *georoute.TelemetryRegistry, label string) func() {
-	stop := make(chan struct{})
 	start := time.Now()
+	lastEv, lastT := 0.0, start
+	stop := startHeartbeat(reg, func(gauge map[string]float64, now time.Time) {
+		ev := gauge["georoute_engine_events_total"]
+		rate := (ev - lastEv) / now.Sub(lastT).Seconds()
+		fmt.Fprintf(os.Stderr, "\r%s: %v elapsed, %.0f events (%.2fM ev/s)      ",
+			label, time.Since(start).Round(time.Second), ev, rate/1e6)
+		lastEv, lastT = ev, now
+	})
+	return func() {
+		stop()
+		fmt.Fprintln(os.Stderr)
+	}
+}
+
+// startHeartbeat calls beat every two seconds with the telemetry
+// registry's current values by series name (the last series of a name
+// wins) until the returned func is called; that func returns once no
+// beat runs.
+func startHeartbeat(reg *georoute.TelemetryRegistry, beat func(gauge map[string]float64, now time.Time)) func() {
+	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(done)
 		t := time.NewTicker(2 * time.Second)
 		defer t.Stop()
-		lastEv, lastT := 0.0, start
 		for {
 			select {
 			case <-stop:
 				return
 			case now := <-t.C:
-				var ev float64
+				gauge := make(map[string]float64)
 				for _, s := range reg.Snapshot() {
-					if s.Name == "georoute_engine_events_total" {
-						ev = s.Value
-					}
+					gauge[s.Name] = s.Value
 				}
-				rate := (ev - lastEv) / now.Sub(lastT).Seconds()
-				fmt.Fprintf(os.Stderr, "\r%s: %v elapsed, %.0f events (%.2fM ev/s)      ",
-					label, time.Since(start).Round(time.Second), ev, rate/1e6)
-				lastEv, lastT = ev, now
+				beat(gauge, now)
 			}
 		}
 	}()
 	return func() {
 		close(stop)
-		fmt.Fprintln(os.Stderr)
+		<-done
 	}
 }
 
@@ -333,33 +346,25 @@ func runCampaign(specPath string, opts georoute.CampaignOptions, listen string, 
 	}()
 
 	start := time.Now()
-	var doneCells, totalCells, replayedCells atomic.Int64
+	stopHB := func() {}
 	if progress {
-		hb := time.NewTicker(2 * time.Second)
-		defer hb.Stop()
-		go func() {
-			for range hb.C {
-				done, total := doneCells.Load(), totalCells.Load()
-				executed := done - replayedCells.Load()
-				elapsed := time.Since(start).Seconds()
-				if total == 0 || elapsed <= 0 {
-					continue
-				}
-				rate := float64(executed) / elapsed
-				eta := "n/a"
-				if rate > 0 {
-					eta = (time.Duration(float64(total-done)/rate) * time.Second).Round(time.Second).String()
-				}
-				fmt.Fprintf(os.Stderr, "\rcampaign %s: %d/%d cells  %.2f cells/s  ETA %-12s", sp.Name, done, total, rate, eta)
+		// The campaign publishes its progress gauges into reg.
+		stopHB = startHeartbeat(reg, func(gauge map[string]float64, _ time.Time) {
+			done, total := gauge["georoute_campaign_cells_done"], gauge["georoute_campaign_cells_total"]
+			if total == 0 {
+				return
 			}
-		}()
+			rate := gauge["georoute_campaign_cells_per_second"]
+			eta := "n/a"
+			if rate > 0 {
+				eta = (time.Duration(gauge["georoute_campaign_eta_seconds"]) * time.Second).Round(time.Second).String()
+			}
+			fmt.Fprintf(os.Stderr, "\rcampaign %s: %.0f/%.0f cells  %.2f cells/s  ETA %-12s", sp.Name, done, total, rate, eta)
+		})
 	}
 	last := ""
 	opts.Telemetry = reg
 	opts.Progress = func(done, total, replayed int, key string) {
-		doneCells.Store(int64(done))
-		totalCells.Store(int64(total))
-		replayedCells.Store(int64(replayed))
 		if key == "" {
 			if replayed > 0 {
 				logStderr("campaign %s: replayed %d/%d cells from journal", sp.Name, replayed, total)
@@ -370,6 +375,7 @@ func runCampaign(specPath string, opts georoute.CampaignOptions, listen string, 
 		fmt.Fprintf(os.Stderr, "\rcampaign %s: %d/%d cells  %-40s", sp.Name, done, total, key)
 	}
 	info, err := georoute.RunCampaign(ctx, sp, opts)
+	stopHB()
 	if last != "" {
 		fmt.Fprintln(os.Stderr)
 	}

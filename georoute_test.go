@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/vanetsec/georoute"
+	"github.com/vanetsec/georoute/internal/experiment"
 )
 
 // These tests exercise the public facade end to end at reduced scale. The
@@ -20,8 +21,14 @@ func quick() georoute.Scenario {
 
 func TestPublicDefaultsMatchPaper(t *testing.T) {
 	s := georoute.DefaultScenario()
-	if s.RoadLength != 4000 || s.Spacing != 30 || s.LanesPerDirection != 2 {
-		t.Fatalf("road defaults off: %+v", s)
+	if experiment.RoadLength != 4000 || experiment.LanesPerDirection != 2 || s.Spacing != 30 {
+		t.Fatalf("road off: %v m, %d lanes each way, %+v", experiment.RoadLength, experiment.LanesPerDirection, s)
+	}
+	if experiment.VehicleRangeClass != georoute.NLoSMedian {
+		t.Fatalf("vehicle range class = %v, want the NLoS median", experiment.VehicleRangeClass)
+	}
+	if x, y := s.AttackerPosition(); x != 2000 || y != -2.5 {
+		t.Fatalf("attacker at (%v, %v), want the road midpoint's shoulder", x, y)
 	}
 	if s.LocTTTL != 20*time.Second || s.Duration != 200*time.Second {
 		t.Fatalf("protocol defaults off: %+v", s)

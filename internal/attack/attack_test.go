@@ -22,7 +22,7 @@ type fixture struct {
 }
 
 func newFixture() *fixture {
-	e := sim.NewEngine(3)
+	e := sim.NewEngine()
 	return &fixture{
 		engine: e,
 		medium: radio.NewMedium(e, radio.Config{}),
@@ -334,14 +334,11 @@ func TestForgedBeaconRejectedByAuthentication(t *testing.T) {
 	})
 	f.engine.Run(8 * time.Second)
 
-	if forger.Sent() == 0 {
-		t.Fatal("forger idle")
-	}
 	if v1.LocT().Lookup(geonet.Address(0xF0A6EDB7), f.engine.Now()) != nil {
 		t.Fatal("forged beacon entered the victim's LocT despite authentication")
 	}
 	if v1.Stats().AuthFailures == 0 {
-		t.Fatal("victim recorded no authentication failures")
+		t.Fatal("victim recorded no authentication failures: the forger is idle or its beacons verify")
 	}
 	v1.SendGeoUnicast(9, geo.Pt(800, 0), []byte("x"))
 	f.engine.Run(10 * time.Second)

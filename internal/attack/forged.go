@@ -27,7 +27,6 @@ type ForgedBeaconAttacker struct {
 	addr    geonet.Address
 	claim   geo.Point
 	ticker  *sim.Ticker
-	sent    uint64
 }
 
 // ForgedBeaconConfig parameterizes NewForgedBeaconAttacker.
@@ -86,12 +85,8 @@ func (a *ForgedBeaconAttacker) beacon() {
 		},
 	}
 	p.Sign(a.signer)
-	a.sent++
 	a.medium.Send(a.antenna, radio.BroadcastID, p.Marshal())
 }
-
-// Sent reports how many forged beacons went out.
-func (a *ForgedBeaconAttacker) Sent() uint64 { return a.sent }
 
 // Stop silences the forger.
 func (a *ForgedBeaconAttacker) Stop() {

@@ -183,12 +183,15 @@ func BuildRankingArtifact(tour experiment.FigureResult, localMin *experiment.Fig
 				armTxPerPacket(tour.Protocol[afIntra], tour.Packets[afIntra])) / 2,
 			LatencyMeanSeconds: (tour.LatencyMean[afInter] + tour.LatencyMean[afIntra]) / 2,
 		}
-		s.Resilience = 1 - (clamp01(s.HijackDrop)+clamp01(s.EchoDrop))/2
+		// The float64 conversions round each product (halving compiles to
+		// one) before the sum, so arm64 does not fuse them and the ranking
+		// matches amd64 bit for bit.
+		s.Resilience = 1 - float64((clamp01(s.HijackDrop)+clamp01(s.EchoDrop))/2)
 		if localMin != nil {
 			s.LocalMin = localMin.Overall["lm_"+name]
-			s.Score = 0.4*s.Delivery + 0.4*s.Resilience + 0.2*s.LocalMin
+			s.Score = float64(0.4*s.Delivery) + float64(0.4*s.Resilience) + float64(0.2*s.LocalMin)
 		} else {
-			s.Score = 0.5*s.Delivery + 0.5*s.Resilience
+			s.Score = float64(0.5*s.Delivery) + float64(0.5*s.Resilience)
 		}
 		art.Strategies = append(art.Strategies, s)
 	}

@@ -112,7 +112,9 @@ func (d *Detector) observeClaim(c *trace.Record) {
 	if st.havePV && c.ClaimTS > st.lastTS {
 		dt := (c.ClaimTS - st.lastTS).Seconds()
 		dist := c.ClaimPos.DistanceTo(st.lastPos)
-		if excess := dist - MaxSpeed*dt; excess > PosError {
+		// Rounding the product keeps arm64 from fusing it, so a verdict
+		// is the same on every architecture.
+		if excess := dist - float64(MaxSpeed*dt); excess > PosError {
 			d.flag(c.At, c.Node, c.Peer, CheckPosition, func() string {
 				return fmt.Sprintf("claims for %d moved %.0fm in %.2fs, %.0fm beyond the %.0f m/s envelope", c.Src, dist, dt, excess, MaxSpeed)
 			})

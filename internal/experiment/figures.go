@@ -379,11 +379,11 @@ func Figures() map[string]Figure {
 		// boundary reception instead of the hard unit disk.
 		f := &Figure{ID: "ablation-soft-edge", Title: "Ablation: probabilistic soft-edge reception"}
 		gf := Default()
-		gf.RadioEdgeFactor = 1.15
+		gf.RadioEdgeFactor = radio.SoftEdgeFactor
 		gf.AttackMode = attack.InterArea
 		f.addAB("gf_soft", gf, -1)
 		cbf := intraMN()
-		cbf.RadioEdgeFactor = 1.15
+		cbf.RadioEdgeFactor = radio.SoftEdgeFactor
 		f.addAB("cbf_soft", cbf, -1)
 		add(f)
 	}

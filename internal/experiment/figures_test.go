@@ -44,7 +44,7 @@ func TestFigureArmsAndPairsConsistent(t *testing.T) {
 				t.Errorf("%s: duplicate arm label %q", id, a.Label)
 			}
 			labels[a.Label] = true
-			if a.Scenario.Duration == 0 || a.Scenario.RoadLength == 0 {
+			if a.Scenario.Duration == 0 || a.Scenario.Spacing == 0 {
 				t.Errorf("%s/%s: scenario not initialized from Default()", id, a.Label)
 			}
 			if a.Scenario.AttackMode != attack.None && a.Scenario.AttackRange == 0 {
@@ -174,10 +174,6 @@ func TestScenarioAttackerPosition(t *testing.T) {
 	x, y := s.AttackerPosition()
 	if x != 2000 || y != -2.5 {
 		t.Fatalf("default attacker position = (%v, %v), want road midpoint shoulder", x, y)
-	}
-	s.AttackerX = 1000
-	if x, _ := s.AttackerPosition(); x != 1000 {
-		t.Fatalf("AttackerX override ignored")
 	}
 }
 

@@ -47,18 +47,17 @@ func captureSeedFrames(tb testing.TB) [][]byte {
 	w := vanet.New(vanet.Config{
 		Seed:        42,
 		Tech:        s.Tech,
-		RangeClass:  s.VehicleRangeClass,
-		Road:        traffic.RoadConfig{Length: s.RoadLength, LanesPerDirection: s.LanesPerDirection, TwoWay: s.TwoWay},
+		Road:        traffic.RoadConfig{Length: RoadLength, LanesPerDirection: LanesPerDirection, TwoWay: s.TwoWay},
 		SpawnGap:    s.Spacing,
 		Prepopulate: true,
 	})
 	w.AddStatic(vanet.WestDestAddr, geo.Pt(-20, 0), 0)
-	w.AddStatic(vanet.EastDestAddr, geo.Pt(s.RoadLength+20, 0), 0)
+	w.AddStatic(vanet.EastDestAddr, geo.Pt(RoadLength+20, 0), 0)
 
 	var frames [][]byte
 	tap := &frameTap{seen: make(map[string]bool), perType: make(map[byte]int), out: &frames}
-	ant := w.Medium.Attach(0x5EEDFEED, 0, func() geo.Point { return geo.Pt(s.RoadLength/2, 0) }, tap, true)
-	ant.SetRxRange(s.RoadLength) // hear the whole road
+	ant := w.Medium.Attach(0x5EEDFEED, 0, func() geo.Point { return geo.Pt(RoadLength/2, 0) }, tap, true)
+	ant.SetRxRange(RoadLength) // hear the whole road
 
 	w.Engine.ScheduleAt(time.Second, "fuzz.traffic", func() {
 		vs := w.AppendVehicles(nil)
@@ -69,8 +68,8 @@ func captureSeedFrames(tb testing.TB) [][]byte {
 		if r == nil {
 			return
 		}
-		r.SendGeoUnicast(vanet.EastDestAddr, geo.Pt(s.RoadLength+20, 0), []byte("guc"))
-		r.SendGeoBroadcast(geo.NewRect(geo.Pt(s.RoadLength/2, 0), s.RoadLength/2, 30, 90), []byte("gbc"))
+		r.SendGeoUnicast(vanet.EastDestAddr, geo.Pt(RoadLength+20, 0), []byte("guc"))
+		r.SendGeoBroadcast(geo.NewRect(geo.Pt(RoadLength/2, 0), RoadLength/2, 30, 90), []byte("gbc"))
 	})
 	w.Run(1500 * time.Millisecond)
 	if len(frames) == 0 {

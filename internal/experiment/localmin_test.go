@@ -70,7 +70,6 @@ func TestLocalMinimumBufferGrows(t *testing.T) {
 	w := vanet.New(vanet.Config{
 		Seed:          1,
 		Tech:          radio.DSRC,
-		RangeClass:    radio.NLoSMedian,
 		Road:          traffic.RoadConfig{Length: 4000, LanesPerDirection: 1},
 		SpawnDisabled: true,
 		LocTTTL:       20 * time.Second,

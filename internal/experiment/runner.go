@@ -172,10 +172,9 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 	w = vanet.New(vanet.Config{
 		Seed:             seed,
 		Tech:             s.Tech,
-		RangeClass:       s.VehicleRangeClass,
-		Road:             traffic.RoadConfig{Length: s.RoadLength, LanesPerDirection: s.LanesPerDirection, TwoWay: s.TwoWay},
+		Road:             traffic.RoadConfig{Length: RoadLength, LanesPerDirection: LanesPerDirection, TwoWay: s.TwoWay},
 		SpawnGap:         s.Spacing,
-		Prepopulate:      s.Prepopulate && s.Topology == TopoRoad,
+		Prepopulate:      s.Topology == TopoRoad,
 		SpawnDisabled:    s.Topology == TopoLocalMin,
 		LocTTTL:          s.LocTTTL,
 		NeighborLifetime: s.NeighborLifetime,
@@ -218,7 +217,7 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 		w.AddStatic(vanet.EastDestAddr, dest, 0)
 	case s.Workload == InterArea:
 		w.AddStatic(vanet.WestDestAddr, geo.Pt(-20, 0), 0)
-		w.AddStatic(vanet.EastDestAddr, geo.Pt(s.RoadLength+20, 0), 0)
+		w.AddStatic(vanet.EastDestAddr, geo.Pt(RoadLength+20, 0), 0)
 	}
 
 	var atk *attack.Attacker
@@ -238,7 +237,7 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 	// The workload generator has its own RNG stream so the packet
 	// population is identical across A/B arms.
 	wrand := rand.New(rand.NewPCG(seed^0x9e3779b97f4a7c15, seed+0x632be59bd9b4e019))
-	area := geo.NewRect(geo.Pt(s.RoadLength/2, 0), s.RoadLength/2, 30, 90)
+	area := geo.NewRect(geo.Pt(RoadLength/2, 0), RoadLength/2, 30, 90)
 	// The generators reuse their vehicle and pair buffers across packets.
 	type pair struct {
 		v   *traffic.Vehicle
@@ -286,7 +285,7 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 			}
 			destPos := geo.Pt(-20, 0)
 			if p.dst == vanet.EastDestAddr {
-				destPos = geo.Pt(s.RoadLength+20, 0)
+				destPos = geo.Pt(RoadLength+20, 0)
 			}
 			track(r.SendGeoUnicast(p.dst, destPos, nil), &tracked{dest: p.dst})
 		case IntraArea:

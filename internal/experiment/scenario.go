@@ -54,20 +54,26 @@ const (
 	TopoLocalMin
 )
 
+// The paper's road and radio (§IV-A), the same in every scenario: a
+// RoadLength m segment with LanesPerDirection lanes each way, filled with
+// traffic at t=0, its vehicles ranging at the VehicleRangeClass
+// percentile of the scenario's technology, and the attacker on the
+// shoulder at the road's midpoint.
+const (
+	RoadLength        = 4000.0
+	LanesPerDirection = 2
+	VehicleRangeClass = radio.NLoSMedian
+)
+
 // Scenario is one fully parameterized experiment arm. The zero value is
 // not usable; start from Default.
 type Scenario struct {
-	// Tech and VehicleRangeClass set the V2V communication range; the
-	// paper uses the NLoS median for vehicles throughout.
-	Tech              radio.Technology
-	VehicleRangeClass radio.RangeClass
+	// Tech sets the V2V communication range with VehicleRangeClass.
+	Tech radio.Technology
 
 	// Road geometry and traffic.
-	RoadLength        float64
-	LanesPerDirection int
-	TwoWay            bool
-	Spacing           float64 // inter-vehicle space (spawn gap), m
-	Prepopulate       bool
+	TwoWay  bool
+	Spacing float64 // inter-vehicle space (spawn gap), m
 	// Topology selects the world geometry (default TopoRoad).
 	Topology Topology
 
@@ -94,12 +100,11 @@ type Scenario struct {
 	Drain          time.Duration // extra settling time after generation
 	BinWidth       time.Duration
 
-	// Attack. AttackRange and AttackerX stay meaningful even when Mode is
-	// None: the vulnerable-packet predicate uses them so both A/B arms
-	// sample the same packet population.
+	// Attack. AttackRange stays meaningful even when Mode is None: the
+	// vulnerable-packet predicate uses it so both A/B arms sample the
+	// same packet population.
 	AttackMode    attack.Type
 	AttackRange   float64
-	AttackerX     float64       // 0 = road midpoint
 	AttackerDelay time.Duration // capture-to-replay latency
 
 	// Mitigations (§V). Zero values disable them.
@@ -114,39 +119,31 @@ type Scenario struct {
 // ranges, 20 s LocT TTL, one packet per second, 200 s runs, 5 s bins.
 func Default() Scenario {
 	return Scenario{
-		Tech:              radio.DSRC,
-		VehicleRangeClass: radio.NLoSMedian,
-		RoadLength:        4000,
-		LanesPerDirection: 2,
-		TwoWay:            false,
-		Spacing:           30,
-		Prepopulate:       true,
-		LocTTTL:           20 * time.Second,
-		Workload:          InterArea,
-		PacketInterval:    time.Second,
-		Duration:          200 * time.Second,
-		Drain:             30 * time.Second,
-		BinWidth:          5 * time.Second,
-		AttackMode:        attack.None,
-		AttackRange:       radio.Range(radio.DSRC, radio.NLoSWorst),
-		AttackerDelay:     attack.DefaultProcessingDelay,
-		Seed:              1,
+		Tech:           radio.DSRC,
+		TwoWay:         false,
+		Spacing:        30,
+		LocTTTL:        20 * time.Second,
+		Workload:       InterArea,
+		PacketInterval: time.Second,
+		Duration:       200 * time.Second,
+		Drain:          30 * time.Second,
+		BinWidth:       5 * time.Second,
+		AttackMode:     attack.None,
+		AttackRange:    radio.Range(radio.DSRC, radio.NLoSWorst),
+		AttackerDelay:  attack.DefaultProcessingDelay,
+		Seed:           1,
 	}
 }
 
 // VehicleRange reports the V2V communication range of the scenario.
 func (s Scenario) VehicleRange() float64 {
-	return radio.Range(s.Tech, s.VehicleRangeClass)
+	return radio.Range(s.Tech, VehicleRangeClass)
 }
 
-// AttackerPosition reports the sniffer location: road midpoint unless
-// AttackerX overrides it, on the shoulder.
+// AttackerPosition reports the sniffer location: the road midpoint, on
+// the shoulder.
 func (s Scenario) AttackerPosition() (x, y float64) {
-	x = s.AttackerX
-	if x == 0 {
-		x = s.RoadLength / 2
-	}
-	return x, -2.5
+	return RoadLength / 2, -2.5
 }
 
 // VulnerableBounds reports which inter-area packets are vulnerable to the

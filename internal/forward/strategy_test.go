@@ -27,7 +27,7 @@ type arena struct {
 }
 
 func newArena(seed uint64) *arena {
-	e := sim.NewEngine(seed)
+	e := sim.NewEngine()
 	return &arena{
 		engine:  e,
 		medium:  radio.NewMedium(e, radio.Config{}),

@@ -62,13 +62,6 @@ func (v Vector) Heading() float64 {
 	return deg
 }
 
-// HeadingVector returns a unit vector pointing at the given compass
-// heading in degrees (inverse of Vector.Heading).
-func HeadingVector(deg float64) Vector {
-	rad := deg * math.Pi / 180
-	return Vector{DX: math.Sin(rad), DY: math.Cos(rad)}
-}
-
 // Area is a GeoNetworking destination area. The Inside test follows the
 // ETSI EN 302 931 geometric function f(x, y): f > 0 strictly inside,
 // f = 0 on the border, f < 0 outside; Contains treats the border as inside

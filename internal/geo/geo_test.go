@@ -143,11 +143,18 @@ func TestHeading(t *testing.T) {
 	}
 }
 
+// headingVector returns a unit vector pointing at the given compass
+// heading in degrees (inverse of Vector.Heading).
+func headingVector(deg float64) Vector {
+	rad := deg * math.Pi / 180
+	return Vector{DX: math.Sin(rad), DY: math.Cos(rad)}
+}
+
 func TestHeadingVectorRoundTrip(t *testing.T) {
 	for deg := 0.0; deg < 360; deg += 15 {
-		v := HeadingVector(deg)
+		v := headingVector(deg)
 		if !almostEqual(v.Length(), 1, 1e-9) {
-			t.Fatalf("HeadingVector(%v) not unit: %v", deg, v.Length())
+			t.Fatalf("headingVector(%v) not unit: %v", deg, v.Length())
 		}
 		if got := v.Heading(); !almostEqual(got, deg, 1e-9) {
 			t.Errorf("round trip %v -> %v", deg, got)
@@ -233,11 +240,11 @@ func TestRectRotated(t *testing.T) {
 		t.Fatal("center must be inside")
 	}
 	// Along the rotated axis (heading 45), the half-length is 10.
-	onAxis := Pt(0, 0).Add(HeadingVector(45).Scale(9.9))
+	onAxis := Pt(0, 0).Add(headingVector(45).Scale(9.9))
 	if !r.Contains(onAxis) {
 		t.Errorf("point on rotated axis at 9.9 should be inside")
 	}
-	offAxis := Pt(0, 0).Add(HeadingVector(45).Scale(10.1))
+	offAxis := Pt(0, 0).Add(headingVector(45).Scale(10.1))
 	if r.Contains(offAxis) {
 		t.Errorf("point on rotated axis at 10.1 should be outside")
 	}

@@ -59,7 +59,7 @@ func BenchmarkPacketVerify(b *testing.B) {
 }
 
 func BenchmarkLocTUpdate(b *testing.B) {
-	lt := NewLocT(20*time.Second, 0)
+	lt := newLocT(20*time.Second, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		lt.Update(PositionVector{
@@ -86,7 +86,7 @@ func BenchmarkLocTFrameOrder(b *testing.B) {
 	)
 	tables := make([]*LocT, vehicles)
 	for i := range tables {
-		tables[i] = NewLocT(0, 0)
+		tables[i] = newLocT(0, 0)
 	}
 	order := rand.New(rand.NewPCG(1, 2)).Perm(vehicles)
 	now := time.Duration(0)
@@ -111,7 +111,7 @@ func BenchmarkLocTFrameOrder(b *testing.B) {
 
 func BenchmarkLocTClosest64Neighbors(b *testing.B) {
 	// A realistic mid-road LocT: ~64 neighbors within range.
-	lt := NewLocT(20*time.Second, 0)
+	lt := newLocT(20*time.Second, 0)
 	for i := 0; i < 64; i++ {
 		lt.Update(PositionVector{
 			Addr:      Address(i + 1),
@@ -136,7 +136,7 @@ func BenchmarkRouterBeaconReceive(b *testing.B) {
 	// entry instead of replaying as stale.
 	const n = 256
 	rx, engine, ring := freshBeaconFixture(b, n, false)
-	lapSpan := n*beaconRingPeriod + rx.loct.TTL()
+	lapSpan := n*beaconRingPeriod + rx.loct.ttl
 	var lap time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -171,7 +171,7 @@ func BenchmarkRouterPacketState(b *testing.B) {
 		held     = 300
 		addrBase = 1000
 	)
-	engine := sim.NewEngine(1)
+	engine := sim.NewEngine()
 	engine.Run(30 * time.Second)
 	ca := security.NewSimCA(1)
 	medium := radio.NewMedium(engine, radio.Config{})

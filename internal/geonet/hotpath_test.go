@@ -471,7 +471,7 @@ func (r *forkRecorder) Deliver(f radio.Frame) {
 // Both data packets carry tails that fit the inline storage, so decoding
 // them into the scratch packet too would fail here.
 func TestBeaconScratchNeverAliasesDataPackets(t *testing.T) {
-	engine := sim.NewEngine(7)
+	engine := sim.NewEngine()
 	m := radio.NewMedium(engine, radio.Config{})
 	rec := &forkRecorder{t: t}
 	tx := m.Attach(1, 500, func() geo.Point { return geo.Pt(0, 0) }, &forkRecorder{t: t}, false)

@@ -83,17 +83,9 @@ type LocT struct {
 // entry.
 const DefaultLocTTTL = 20 * time.Second
 
-// NewLocT constructs a location table with the given entry TTL and
+// setTTL sets the entry lifetime (0 = DefaultLocTTTL) and the
 // neighbor-status lifetime. A neighborTTL of zero keeps neighbor status
 // for the whole entry TTL (the literal standard behavior).
-func NewLocT(ttl, neighborTTL time.Duration) *LocT {
-	t := new(LocT)
-	t.setTTL(ttl, neighborTTL)
-	return t
-}
-
-// setTTL sets the entry and neighbor-status lifetimes, as NewLocT
-// documents.
 func (t *LocT) setTTL(ttl, neighborTTL time.Duration) {
 	if ttl == 0 {
 		ttl = DefaultLocTTTL
@@ -103,9 +95,6 @@ func (t *LocT) setTTL(ttl, neighborTTL time.Duration) {
 	}
 	t.ttl, t.neighborTTL = ttl, neighborTTL
 }
-
-// TTL reports the configured entry lifetime.
-func (t *LocT) TTL() time.Duration { return t.ttl }
 
 // Update inserts or refreshes the entry for pv.Addr. A PV older than the
 // stored one is ignored (beacon timestamps provide freshness; note that

@@ -173,7 +173,7 @@ func TestLocTInPlaceMatchesReference(t *testing.T) {
 		for seed := uint64(1); seed <= seeds; seed++ {
 			rng := rand.New(rand.NewPCG(seed, 0x10c7))
 			gate := rand.New(rand.NewPCG(seed, 0x5ee9))
-			lt := NewLocT(2*time.Second, 300*time.Millisecond)
+			lt := newLocT(2*time.Second, 300*time.Millisecond)
 			ref := newRefLocT(2*time.Second, 300*time.Millisecond)
 			lastTS := make([]time.Duration, arm.addrs)
 			seen := make([]bool, arm.addrs)

@@ -8,12 +8,20 @@ import (
 	"github.com/vanetsec/georoute/internal/geo"
 )
 
+// newLocT builds a location table outside a router, with the given entry
+// TTL and neighbor-status lifetime.
+func newLocT(ttl, neighborTTL time.Duration) *LocT {
+	t := new(LocT)
+	t.setTTL(ttl, neighborTTL)
+	return t
+}
+
 func pvAt(addr Address, x float64, ts time.Duration) PositionVector {
 	return PositionVector{Addr: addr, Timestamp: ts, Pos: geo.Pt(x, 0)}
 }
 
 func TestLocTInsertAndLookup(t *testing.T) {
-	lt := NewLocT(20*time.Second, 0)
+	lt := newLocT(20*time.Second, 0)
 	if !lt.Update(pvAt(1, 100, 0), 0, true) {
 		t.Fatal("fresh insert must report change")
 	}
@@ -27,7 +35,7 @@ func TestLocTInsertAndLookup(t *testing.T) {
 }
 
 func TestLocTTTLExpiry(t *testing.T) {
-	lt := NewLocT(5*time.Second, 0)
+	lt := newLocT(5*time.Second, 0)
 	lt.Update(pvAt(1, 100, 0), 0, true)
 	if lt.Lookup(1, 5*time.Second) == nil {
 		t.Fatal("entry must live through its TTL")
@@ -38,14 +46,14 @@ func TestLocTTTLExpiry(t *testing.T) {
 }
 
 func TestLocTDefaultTTL(t *testing.T) {
-	lt := NewLocT(0, 0)
-	if lt.TTL() != 20*time.Second {
-		t.Fatalf("default TTL = %v, want 20s (standard default)", lt.TTL())
+	lt := newLocT(0, 0)
+	if lt.ttl != 20*time.Second {
+		t.Fatalf("default TTL = %v, want 20s (standard default)", lt.ttl)
 	}
 }
 
 func TestLocTFreshnessRejectsOlderPV(t *testing.T) {
-	lt := NewLocT(20*time.Second, 0)
+	lt := newLocT(20*time.Second, 0)
 	lt.Update(pvAt(1, 100, 10*time.Second), 10*time.Second, true)
 	// A replayed STALE beacon (older timestamp) must not regress the entry.
 	if lt.Update(pvAt(1, 50, 5*time.Second), 11*time.Second, true) {
@@ -64,7 +72,7 @@ func TestLocTFreshnessRejectsOlderPV(t *testing.T) {
 func TestLocTExpiredEntryAcceptsOldTimestamp(t *testing.T) {
 	// After expiry the freshness guard resets: a node that went silent and
 	// returns is re-learned even if clocks look odd.
-	lt := NewLocT(5*time.Second, 0)
+	lt := newLocT(5*time.Second, 0)
 	lt.Update(pvAt(1, 100, 4*time.Second), 4*time.Second, true)
 	if !lt.Update(pvAt(1, 50, 2*time.Second), 30*time.Second, true) {
 		t.Fatal("update after expiry rejected")
@@ -72,7 +80,7 @@ func TestLocTExpiredEntryAcceptsOldTimestamp(t *testing.T) {
 }
 
 func TestLocTNeighborFlagUpgradeAndPersistence(t *testing.T) {
-	lt := NewLocT(20*time.Second, 0)
+	lt := newLocT(20*time.Second, 0)
 	// Learned from a forwarded data packet first: not a neighbor.
 	lt.Update(pvAt(1, 100, time.Second), time.Second, false)
 	if lt.Lookup(1, time.Second).NeighborAt(time.Second) {
@@ -94,7 +102,7 @@ func TestLocTNeighborFlagUpgradeAndPersistence(t *testing.T) {
 }
 
 func TestLocTNeighborsSortedAndLive(t *testing.T) {
-	lt := NewLocT(10*time.Second, 0)
+	lt := newLocT(10*time.Second, 0)
 	lt.Update(pvAt(3, 30, 0), 0, true)
 	lt.Update(pvAt(1, 10, 0), 0, true)
 	lt.Update(pvAt(2, 20, 5*time.Second), 5*time.Second, true)
@@ -102,7 +110,7 @@ func TestLocTNeighborsSortedAndLive(t *testing.T) {
 	if len(ns) != 1 || ns[0].PV.Addr != 2 {
 		t.Fatalf("AppendNeighbors = %+v, want only addr 2", ns)
 	}
-	lt2 := NewLocT(10*time.Second, 0)
+	lt2 := newLocT(10*time.Second, 0)
 	for _, a := range []Address{5, 2, 9, 1} {
 		lt2.Update(pvAt(a, float64(a), 0), 0, true)
 	}
@@ -115,7 +123,7 @@ func TestLocTNeighborsSortedAndLive(t *testing.T) {
 }
 
 func TestLocTClosest(t *testing.T) {
-	lt := NewLocT(20*time.Second, 0)
+	lt := newLocT(20*time.Second, 0)
 	lt.Update(pvAt(1, 100, 0), 0, true)
 	lt.Update(pvAt(2, 300, 0), 0, true)
 	lt.Update(pvAt(3, 200, 0), 0, true)
@@ -149,7 +157,7 @@ func TestLocTEntrySizeClass(t *testing.T) {
 // entries in place and allocates nothing on a warm table.
 func TestLocTRefreshAllocs(t *testing.T) {
 	const addrs = 64
-	lt := NewLocT(20*time.Second, 0)
+	lt := newLocT(20*time.Second, 0)
 	for a := Address(1); a <= addrs; a++ {
 		lt.Update(pvAt(a, float64(a), 0), 0, true)
 	}
@@ -172,7 +180,7 @@ func TestLocTRefreshAllocs(t *testing.T) {
 // there, so the index keeps its size. While the entries live, the same
 // insert grows the index and keeps them all.
 func TestLocTSweepBeforeGrow(t *testing.T) {
-	lt := NewLocT(time.Second, 0)
+	lt := newLocT(time.Second, 0)
 	var a Address
 	learn := func(now time.Duration) *LocTEntry {
 		a++
@@ -231,7 +239,7 @@ func TestLocTClosestTieBreak(t *testing.T) {
 	addrs := []Address{5 << 56, 1<<56 | 7, 3 << 56, 9, 2<<56 | 1, 6 << 56}
 	dst := geo.Pt(500, 0)
 	for rot := range addrs {
-		lt := NewLocT(20*time.Second, 0)
+		lt := newLocT(20*time.Second, 0)
 		for i := range addrs {
 			a := addrs[(rot+i)%len(addrs)]
 			// Every other candidate on each side of dst, all 100 m from it.
@@ -260,7 +268,7 @@ func TestLocTClosestTieBreak(t *testing.T) {
 // new address takes it from there.
 func TestLocTWarmAllocs(t *testing.T) {
 	const addrs = 64
-	lt := NewLocT(time.Second, 0)
+	lt := newLocT(time.Second, 0)
 	buf := make([]*LocTEntry, 0, addrs)
 	now := time.Duration(0)
 	first := Address(1)
@@ -353,8 +361,8 @@ func TestTakeLocTRecyclesTable(t *testing.T) {
 		c.LocT = lt
 		c.LocTTTL = 7 * time.Second
 	})
-	if r.LocT() != lt || lt.TTL() != 7*time.Second {
-		t.Fatalf("new router's table %p (TTL %v), want the handed-on %p with TTL 7s", r.LocT(), lt.TTL(), lt)
+	if r.LocT() != lt || lt.ttl != 7*time.Second {
+		t.Fatalf("new router's table %p (TTL %v), want the handed-on %p with TTL 7s", r.LocT(), lt.ttl, lt)
 	}
 	if lt.Len() != 0 || len(lt.free) != len(learned) {
 		t.Fatalf("handed-on table: Len %d, %d free entries; want 0 and %d", lt.Len(), len(lt.free), len(learned))

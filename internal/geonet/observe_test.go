@@ -60,7 +60,7 @@ func TestStatsAddCoversAllFields(t *testing.T) {
 // testReceiver builds router 1 at the origin and the CA that enrolls its
 // peers.
 func testReceiver(tr *trace.Tracer) (*Router, *sim.Engine, *security.SimCA) {
-	engine := sim.NewEngine(1)
+	engine := sim.NewEngine()
 	ca := security.NewSimCA(1)
 	rx := NewRouter(Config{
 		Addr:     1,
@@ -169,9 +169,9 @@ func TestRouterReceiveAllocsFreshBeacon(t *testing.T) {
 	if got != entry {
 		t.Error("LocT entry replaced instead of refreshed in place")
 	}
-	if want := time.Duration(len(ring)) * beaconRingPeriod; got.PV.Timestamp != want || got.ExpiresAt != engine.Now()+rx.loct.TTL() {
+	if want := time.Duration(len(ring)) * beaconRingPeriod; got.PV.Timestamp != want || got.ExpiresAt != engine.Now()+rx.loct.ttl {
 		t.Errorf("entry PV timestamp %v expires at %v, want %v and %v: not every delivery refreshed it",
-			got.PV.Timestamp, got.ExpiresAt, want, engine.Now()+rx.loct.TTL())
+			got.PV.Timestamp, got.ExpiresAt, want, engine.Now()+rx.loct.ttl)
 	}
 	if n := rx.Stats().BeaconsReceived; n != uint64(len(ring)) {
 		t.Errorf("BeaconsReceived = %d, want %d", n, len(ring))

@@ -23,7 +23,7 @@ type world struct {
 
 func newWorld(t *testing.T) *world {
 	t.Helper()
-	e := sim.NewEngine(7)
+	e := sim.NewEngine()
 	return &world{
 		t:         t,
 		engine:    e,

@@ -33,32 +33,6 @@ func (s *Stream) Add(x float64) {
 	s.M2 += d * (x - s.Mean)
 }
 
-// Merge folds another stream into s using the pairwise (Chan et al.)
-// combination of Welford moments. N, Min, and Max merge exactly in any
-// order; Mean and M2 are order-independent up to floating-point rounding,
-// so code that needs bit-identical aggregates (the campaign aggregator)
-// must still feed or merge in a canonical order.
-func (s *Stream) Merge(o Stream) {
-	if o.N == 0 {
-		return
-	}
-	if s.N == 0 {
-		*s = o
-		return
-	}
-	n := s.N + o.N
-	d := o.Mean - s.Mean
-	s.M2 += o.M2 + d*d*float64(s.N)*float64(o.N)/float64(n)
-	s.Mean += d * float64(o.N) / float64(n)
-	s.N = n
-	if o.Min < s.Min {
-		s.Min = o.Min
-	}
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-}
-
 // Variance returns the sample variance (0 for fewer than two samples).
 func (s *Stream) Variance() float64 {
 	if s.N < 2 {

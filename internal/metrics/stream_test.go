@@ -52,81 +52,6 @@ func TestStreamMinMax(t *testing.T) {
 	}
 }
 
-func TestStreamMergeMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewPCG(13, 5))
-	for trial := 0; trial < 50; trial++ {
-		xs := make([]float64, 2+rng.IntN(300))
-		for i := range xs {
-			xs[i] = rng.Float64()*200 - 100
-		}
-		var whole Stream
-		for _, x := range xs {
-			whole.Add(x)
-		}
-		cut := 1 + rng.IntN(len(xs)-1)
-		var a, b Stream
-		for _, x := range xs[:cut] {
-			a.Add(x)
-		}
-		for _, x := range xs[cut:] {
-			b.Add(x)
-		}
-		a.Merge(b)
-		if a.N != whole.N || a.Min != whole.Min || a.Max != whole.Max {
-			t.Fatalf("merged N/Min/Max = %d/%v/%v, want %d/%v/%v",
-				a.N, a.Min, a.Max, whole.N, whole.Min, whole.Max)
-		}
-		if math.Abs(a.Mean-whole.Mean) > 1e-9 || math.Abs(a.Stddev()-whole.Stddev()) > 1e-9 {
-			t.Fatalf("merged mean/stddev %v/%v, sequential %v/%v",
-				a.Mean, a.Stddev(), whole.Mean, whole.Stddev())
-		}
-	}
-}
-
-func TestStreamMergeOrderIndependent(t *testing.T) {
-	rng := rand.New(rand.NewPCG(21, 8))
-	parts := make([]Stream, 6)
-	for i := range parts {
-		for j := 0; j < 1+rng.IntN(40); j++ {
-			parts[i].Add(rng.Float64()*50 - 10)
-		}
-	}
-	var fwd, rev Stream
-	for i := 0; i < len(parts); i++ {
-		fwd.Merge(parts[i])
-	}
-	for i := len(parts) - 1; i >= 0; i-- {
-		rev.Merge(parts[i])
-	}
-	// N, Min, and Max merge exactly in any order.
-	if fwd.N != rev.N || fwd.Min != rev.Min || fwd.Max != rev.Max {
-		t.Fatalf("order changed exact fields: %+v vs %+v", fwd, rev)
-	}
-	// Moments agree up to floating-point rounding.
-	if math.Abs(fwd.Mean-rev.Mean) > 1e-9 || math.Abs(fwd.Stddev()-rev.Stddev()) > 1e-9 {
-		t.Fatalf("order changed moments: %+v vs %+v", fwd, rev)
-	}
-}
-
-func TestStreamMergeEmpty(t *testing.T) {
-	var a, b Stream
-	a.Merge(b)
-	if a.N != 0 {
-		t.Fatalf("empty merge produced samples: %+v", a)
-	}
-	b.Add(4)
-	b.Add(6)
-	a.Merge(b)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("merge into empty = %+v, want copy of %+v", a, b)
-	}
-	saved := b
-	b.Merge(Stream{})
-	if !reflect.DeepEqual(b, saved) {
-		t.Fatalf("merging an empty stream changed the receiver: %+v vs %+v", b, saved)
-	}
-}
-
 func TestStreamCI95(t *testing.T) {
 	var st Stream
 	if lo, hi := st.CI95(); lo != 0 || hi != 0 {

@@ -35,7 +35,7 @@ const (
 // stays in range.
 func benchMedium(b *testing.B, n int, promiscuousEvery int) (*sim.Engine, *Medium, *Antenna) {
 	b.Helper()
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	m := NewMedium(e, Config{})
 	rng := rand.New(rand.NewPCG(uint64(n), 0xbe7c4))
 	pos := make([]geo.Point, n)
@@ -103,7 +103,7 @@ func BenchmarkMediumPromiscuous(b *testing.B) {
 func BenchmarkMediumChurn(b *testing.B) {
 	// Attach/detach cost under the index: one join and one leave per
 	// frame, as the spawner and road exits do at steady state.
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	m := NewMedium(e, Config{})
 	const n = 500
 	for i := 0; i < n; i++ {

@@ -10,12 +10,12 @@ import (
 
 func softMedium(t *testing.T, seed uint64) (*sim.Engine, *Medium) {
 	t.Helper()
-	e := sim.NewEngine(seed)
+	e := sim.NewEngine()
 	return e, NewMedium(e, Config{EdgeFactor: SoftEdgeFactor, Seed: seed})
 }
 
 func TestHardDiskIsDefault(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	m := NewMedium(e, Config{})
 	var rx collector
 	tx := m.Attach(1, 100, staticPos(geo.Pt(0, 0)), &collector{}, false)
@@ -120,5 +120,5 @@ func TestEdgeFactorBelowOnePanics(t *testing.T) {
 			t.Fatal("expected panic for edge factor < 1")
 		}
 	}()
-	NewMedium(sim.NewEngine(1), Config{EdgeFactor: 0.5})
+	NewMedium(sim.NewEngine(), Config{EdgeFactor: 0.5})
 }

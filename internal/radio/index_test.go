@@ -82,8 +82,9 @@ func TestChurnDuringInFlightFrame(t *testing.T) {
 // scriptedRun drives one deterministic churn scenario and returns a
 // delivery log. Used to assert same-seed reproducibility.
 func scriptedRun(seed uint64) string {
-	e := sim.NewEngine(seed)
+	e := sim.NewEngine()
 	m := NewMedium(e, Config{EdgeFactor: SoftEdgeFactor, Seed: seed})
+	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
 	log := ""
 	type logRecv struct {
 		id  NodeID
@@ -104,11 +105,11 @@ func scriptedRun(seed uint64) string {
 		antennas = append(antennas, attach(NodeID(i+1), float64(i)*25))
 	}
 	// Beacon-ish workload with churn: every 10 ms a node transmits; nodes
-	// leave and join on a fixed schedule drawn from the engine RNG.
+	// leave and join on a fixed schedule drawn from rng.
 	for k := 0; k < 50; k++ {
 		k := k
 		e.Schedule(time.Duration(k*10)*time.Millisecond, "tx", func() {
-			a := antennas[e.Rand().IntN(len(antennas))]
+			a := antennas[rng.IntN(len(antennas))]
 			if !a.removed {
 				m.Send(a, BroadcastID, []byte{byte(k)})
 			}
@@ -451,7 +452,7 @@ func runLinearScanOracle(t *testing.T, seed uint64, edgeFactor float64) oracleCo
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, 0x0ac1e))
 	hill := CircleObstruction{Center: geo.Pt(700, 20), Radius: 12}
-	e := sim.NewEngine(seed)
+	e := sim.NewEngine()
 	m := NewMedium(e, Config{EdgeFactor: edgeFactor, Seed: seed, Obstructions: []Obstruction{hill}})
 	log := make(map[uint64][]oracleEvent)
 	var (

@@ -122,7 +122,7 @@ func TestSendPooledNoTargetsReleasesImmediately(t *testing.T) {
 // the delivery event — at zero allocations: the merge scratch, the
 // receiver slices, transmissions and engine events are all reused.
 func TestWarmBroadcastAllocs(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	m := NewMedium(e, Config{})
 	rng := rand.New(rand.NewPCG(3, 4))
 	var tx *Antenna

@@ -380,7 +380,7 @@ type Config struct {
 
 // DefaultEdgeFactor is the reception model used when Config.EdgeFactor is
 // zero: the hard unit disk, matching the paper's simulator. SoftEdgeFactor
-// is the recommended setting for the probabilistic-edge ablation.
+// is the setting of the probabilistic-edge ablation.
 const (
 	DefaultEdgeFactor = 1.0
 	SoftEdgeFactor    = 1.15
@@ -628,9 +628,6 @@ func (m *Medium) Attached(id NodeID) bool {
 	_, ok := m.nodes[id]
 	return ok
 }
-
-// NodeCount reports the number of attached nodes.
-func (m *Medium) NodeCount() int { return len(m.order) }
 
 // Send transmits a frame from the given antenna. The receiver set is
 // computed at send time from current positions (propagation is effectively
@@ -917,17 +914,4 @@ func (m *Medium) blocked(a, b geo.Point) bool {
 		}
 	}
 	return false
-}
-
-// InRange reports whether two attached nodes are currently within the
-// transmitter's range and unobstructed. Used by tests and metrics.
-func (m *Medium) InRange(from, to NodeID) bool {
-	a, okA := m.nodes[from]
-	b, okB := m.nodes[to]
-	if !okA || !okB {
-		return false
-	}
-	pa, pb := a.Position(), b.Position()
-	d := pa.DistanceTo(pb)
-	return (d <= a.rangeM || d <= b.rxRange) && !m.blocked(pa, pb)
 }

@@ -21,7 +21,7 @@ func staticPos(p geo.Point) func() geo.Point { return func() geo.Point { return 
 
 func newTestMedium(t *testing.T) (*sim.Engine, *Medium) {
 	t.Helper()
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	return e, NewMedium(e, Config{})
 }
 
@@ -192,7 +192,7 @@ func TestAsymmetricRanges(t *testing.T) {
 }
 
 func TestDeliveryLatency(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	m := NewMedium(e, Config{})
 	var rx collector
 	tx := m.Attach(1, 100, staticPos(geo.Pt(0, 0)), &collector{}, false)
@@ -255,8 +255,8 @@ func TestDetachDropsInFlight(t *testing.T) {
 	if m.Attached(2) {
 		t.Fatal("node still attached after Detach")
 	}
-	if m.NodeCount() != 1 {
-		t.Fatalf("NodeCount = %d, want 1", m.NodeCount())
+	if len(m.order) != 1 {
+		t.Fatalf("%d nodes attached, want 1", len(m.order))
 	}
 }
 
@@ -277,7 +277,7 @@ func TestDuplicateAttachPanics(t *testing.T) {
 }
 
 func TestObstructionBlocksLink(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	hill := CircleObstruction{Center: geo.Pt(50, 0), Radius: 10}
 	m := NewMedium(e, Config{Obstructions: []Obstruction{hill}})
 	var behind, aside collector
@@ -314,21 +314,6 @@ func TestCircleObstructionBlocks(t *testing.T) {
 				t.Errorf("Blocks = %v, want %v", got, tt.want)
 			}
 		})
-	}
-}
-
-func TestInRange(t *testing.T) {
-	_, m := newTestMedium(t)
-	m.Attach(1, 100, staticPos(geo.Pt(0, 0)), &collector{}, false)
-	m.Attach(2, 50, staticPos(geo.Pt(80, 0)), &collector{}, false)
-	if !m.InRange(1, 2) {
-		t.Fatal("1->2 should be in range (80 <= 100)")
-	}
-	if m.InRange(2, 1) {
-		t.Fatal("2->1 should be out of range (80 > 50): ranges are directional")
-	}
-	if m.InRange(1, 99) {
-		t.Fatal("unknown node can never be in range")
 	}
 }
 

@@ -13,22 +13,16 @@
 //     (the Basic Header carrying the remaining hop limit) does not
 //     invalidate the signature. This is the RHL vulnerability.
 //
-// Two Signer implementations are provided. SimSigner uses a keyed SHA-256
-// MAC with keys derivable only through the CA object, which preserves both
-// properties inside a simulation at ~100 ns per operation. ECDSASigner
-// uses real P-256 signatures for fidelity tests. Experiments default to
-// SimSigner; the two are interchangeable behind the same interfaces.
+// SimCA signs with a keyed SHA-256 MAC whose keys only the CA object can
+// derive, which preserves both properties inside a simulation at ~100 ns
+// per operation.
 package security
 
 import (
-	"crypto/ecdsa"
-	"crypto/elliptic"
 	"crypto/hmac"
-	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash"
 	"sync"
 	"time"
@@ -237,98 +231,3 @@ func (s *simSigner) AppendSign(dst, protected []byte) []byte {
 }
 
 func (s *simSigner) Certificate() Certificate { return s.rec.cert }
-
-// --- Real ECDSA CA -------------------------------------------------------
-
-// ECDSACA is a production-grade trust anchor using ECDSA P-256, matching
-// the signature suite of IEEE 1609.2. It is slower than SimCA and used in
-// fidelity tests and anywhere cryptographic strength matters.
-type ECDSACA struct {
-	key      *ecdsa.PrivateKey
-	enrolled map[StationID]*ecdsa.PublicKey
-}
-
-var _ Verifier = (*ECDSACA)(nil)
-
-// NewECDSACA generates a fresh CA key pair.
-func NewECDSACA() (*ECDSACA, error) {
-	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
-	if err != nil {
-		return nil, fmt.Errorf("security: generating CA key: %w", err)
-	}
-	return &ECDSACA{key: key, enrolled: make(map[StationID]*ecdsa.PublicKey)}, nil
-}
-
-// Enroll issues an ECDSA certificate and signer for a station.
-func (ca *ECDSACA) Enroll(id StationID, notAfter time.Duration) (Signer, error) {
-	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
-	if err != nil {
-		return nil, fmt.Errorf("security: generating station key: %w", err)
-	}
-	pub := elliptic.MarshalCompressed(elliptic.P256(), key.PublicKey.X, key.PublicKey.Y)
-	cert := Certificate{Station: id, NotAfter: notAfter, PublicKey: pub}
-	digest := certDigest(cert)
-	sig, err := ecdsa.SignASN1(rand.Reader, ca.key, digest[:])
-	if err != nil {
-		return nil, fmt.Errorf("security: endorsing certificate: %w", err)
-	}
-	cert.issuerSig = sig
-	ca.enrolled[id] = &key.PublicKey
-	return &ecdsaSigner{key: key, cert: cert}, nil
-}
-
-// Verify implements Verifier.
-func (ca *ECDSACA) Verify(msg SignedMessage, now time.Duration) error {
-	if _, ok := ca.enrolled[msg.Cert.Station]; !ok {
-		return ErrNotEnrolled
-	}
-	digest := certDigest(msg.Cert)
-	if !ecdsa.VerifyASN1(&ca.key.PublicKey, digest[:], msg.Cert.issuerSig) {
-		return ErrUnknownCertificate
-	}
-	if msg.Cert.NotAfter != 0 && now > msg.Cert.NotAfter {
-		return ErrExpiredCertificate
-	}
-	x, y := elliptic.UnmarshalCompressed(elliptic.P256(), msg.Cert.PublicKey)
-	if x == nil {
-		return ErrUnknownCertificate
-	}
-	pub := &ecdsa.PublicKey{Curve: elliptic.P256(), X: x, Y: y}
-	h := sha256.Sum256(msg.Protected)
-	if !ecdsa.VerifyASN1(pub, h[:], msg.Signature) {
-		return ErrBadSignature
-	}
-	return nil
-}
-
-func certDigest(c Certificate) [32]byte {
-	h := sha256.New()
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(c.Station))
-	h.Write(buf[:])
-	binary.BigEndian.PutUint64(buf[:], uint64(c.NotAfter))
-	h.Write(buf[:])
-	h.Write(c.PublicKey)
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
-}
-
-type ecdsaSigner struct {
-	key  *ecdsa.PrivateKey
-	cert Certificate
-}
-
-var _ Signer = (*ecdsaSigner)(nil)
-
-func (s *ecdsaSigner) AppendSign(dst, protected []byte) []byte {
-	h := sha256.Sum256(protected)
-	sig, err := ecdsa.SignASN1(rand.Reader, s.key, h[:])
-	if err != nil {
-		// rand.Reader failing is unrecoverable; surface loudly.
-		panic(fmt.Sprintf("security: ECDSA sign: %v", err))
-	}
-	return append(dst, sig...)
-}
-
-func (s *ecdsaSigner) Certificate() Certificate { return s.cert }

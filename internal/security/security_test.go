@@ -143,48 +143,6 @@ func TestSimSignerProperty(t *testing.T) {
 	}
 }
 
-func TestECDSASignVerify(t *testing.T) {
-	ca, err := NewECDSACA()
-	if err != nil {
-		t.Fatal(err)
-	}
-	signer, err := ca.Enroll(42, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg := []byte("real crypto beacon")
-	sm := SignedMessage{Cert: signer.Certificate(), Protected: msg, Signature: signer.AppendSign(nil, msg)}
-	if err := ca.Verify(sm, 0); err != nil {
-		t.Fatalf("ECDSA verify failed: %v", err)
-	}
-	// Replay still verifies.
-	if err := ca.Verify(sm, time.Minute); err != nil {
-		t.Fatalf("ECDSA replay failed: %v", err)
-	}
-	// Tampering fails.
-	sm.Protected = []byte("real crypto beacoX")
-	if err := ca.Verify(sm, 0); err != ErrBadSignature {
-		t.Fatalf("tampered ECDSA message: err = %v", err)
-	}
-}
-
-func TestECDSAForgedCertFails(t *testing.T) {
-	ca, err := NewECDSACA()
-	if err != nil {
-		t.Fatal(err)
-	}
-	signer, err := ca.Enroll(42, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg := []byte("m")
-	sm := SignedMessage{Cert: signer.Certificate(), Protected: msg, Signature: signer.AppendSign(nil, msg)}
-	sm.Cert.NotAfter = time.Hour // mutate endorsed field
-	if err := ca.Verify(sm, 0); err != ErrUnknownCertificate {
-		t.Fatalf("mutated certificate: err = %v, want ErrUnknownCertificate", err)
-	}
-}
-
 func TestCertificateWireRoundTrip(t *testing.T) {
 	ca := NewSimCA(1)
 	signer := ca.Enroll(1234, 42*time.Second)
@@ -275,25 +233,6 @@ func BenchmarkSimVerify(b *testing.B) {
 	msg := bytes.Repeat([]byte{0x42}, 200)
 	sm := SignedMessage{Cert: signer.Certificate(), Protected: msg, Signature: signer.AppendSign(nil, msg)}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ca.Verify(sm, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkECDSAVerify(b *testing.B) {
-	ca, err := NewECDSACA()
-	if err != nil {
-		b.Fatal(err)
-	}
-	signer, err := ca.Enroll(1, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	msg := bytes.Repeat([]byte{0x42}, 200)
-	sm := SignedMessage{Cert: signer.Certificate(), Protected: msg, Signature: signer.AppendSign(nil, msg)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := ca.Verify(sm, 0); err != nil {

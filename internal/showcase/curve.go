@@ -106,7 +106,7 @@ type CurveResult struct {
 
 // RunCurve executes the blind-curve scenario of Figure 13.
 func RunCurve(cfg CurveConfig) CurveResult {
-	engine := sim.NewEngine(cfg.Seed)
+	engine := sim.NewEngine()
 	hill := radio.CircleObstruction{Center: geo.Pt(0, curveR), Radius: hillR}
 	medium := radio.NewMedium(engine, radio.Config{Obstructions: []radio.Obstruction{hill}})
 	ca := security.NewSimCA(cfg.Seed)

@@ -21,8 +21,8 @@ type handleBox struct {
 // implementations see identical randomness: callbacks draw from the shared
 // rng in execution order, so as long as the traces match, the draws match.
 // Any ordering divergence makes the traces differ and fails the test.
-func driveWorkload(seed int64, newEngine func(uint64) *Engine) (trace []string, executed uint64, pendLive int) {
-	eng := newEngine(7)
+func driveWorkload(seed int64, newEngine func() *Engine) (trace []string, executed uint64, pendLive int) {
+	eng := newEngine()
 	rng := rand.New(rand.NewSource(seed))
 	var boxes []*handleBox
 	nextID := 0

@@ -1,7 +1,7 @@
 // Package sim implements a deterministic discrete-event simulation engine.
 //
 // The engine executes timestamped events in (time, insertion) order, so two
-// runs with the same seed and the same scenario produce identical traces.
+// runs of the same scenario produce identical traces.
 // Simulated time is a time.Duration measured from the start of the run,
 // giving nanosecond resolution — far finer than the millisecond-scale CBF
 // contention timers the GeoNetworking experiments depend on.
@@ -16,7 +16,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand/v2"
 	"time"
 )
 
@@ -105,7 +104,6 @@ func (t Timer) Cancel() {
 type Engine struct {
 	now     time.Duration
 	seq     uint64
-	rng     *rand.Rand
 	stopped bool
 	// Executed counts events that have run, for introspection and tests.
 	executed uint64
@@ -129,24 +127,15 @@ type Engine struct {
 	heap  *eventHeap
 }
 
-// NewEngine constructs an engine with a deterministic RNG derived from
-// seed, backed by the timing-wheel scheduler. Engines are not safe for
-// concurrent use; run one engine per goroutine and aggregate results
-// afterwards.
-func NewEngine(seed uint64) *Engine {
-	return &Engine{
-		rng:   rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
-		wheel: newWheel(),
-	}
+// NewEngine constructs an engine backed by the timing-wheel scheduler.
+// Engines are not safe for concurrent use; run one engine per goroutine
+// and aggregate results afterwards.
+func NewEngine() *Engine {
+	return &Engine{wheel: newWheel()}
 }
 
 // Now reports the current simulated time.
 func (e *Engine) Now() time.Duration { return e.now }
-
-// Rand exposes the engine's deterministic random source. All stochastic
-// choices in a scenario (beacon jitter, packet source selection, ...) must
-// draw from this source to keep runs reproducible.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Executed reports how many events have run so far.
 func (e *Engine) Executed() uint64 { return e.executed }
@@ -192,11 +181,10 @@ func (e *Engine) QueueStats() QueueStats {
 // SetProbe installs an observation hook invoked from the Run loop after
 // every `every` executed events. The hook runs at an event boundary on
 // the engine goroutine, so it may read engine and scenario state freely —
-// but it must not schedule events, cancel events, or draw from Rand:
-// probes are pure observers, and determinism depends on the event stream
-// being identical with or without one. Telemetry samplers publish
-// snapshots into atomic cells here. every == 0 or fn == nil removes the
-// probe.
+// but it must not schedule or cancel events: probes are pure observers,
+// and determinism depends on the event stream being identical with or
+// without one. Telemetry samplers publish snapshots into atomic cells
+// here. every == 0 or fn == nil removes the probe.
 func (e *Engine) SetProbe(every uint64, fn func()) {
 	if every == 0 || fn == nil {
 		e.probeEvery, e.probeLeft, e.probeFn = 0, 0, nil
@@ -359,6 +347,3 @@ func (e *Engine) Run(until time.Duration) uint64 {
 // Stop halts Run after the current event completes. Subsequent Run calls
 // are no-ops until the engine is discarded; engines are single-use.
 func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop was called.
-func (e *Engine) Stopped() bool { return e.stopped }

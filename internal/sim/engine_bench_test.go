@@ -45,8 +45,8 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	}
 }
 
-func benchCycle(b *testing.B, newEngine func(uint64) *Engine, inflight int) {
-	e := newEngine(1)
+func benchCycle(b *testing.B, newEngine func() *Engine, inflight int) {
+	e := newEngine()
 	left := b.N
 	i := 0
 	var fn func()
@@ -81,7 +81,7 @@ func benchCycle(b *testing.B, newEngine func(uint64) *Engine, inflight int) {
 func BenchmarkEngineCancel(b *testing.B) {
 	for name, newEngine := range queueKinds {
 		b.Run(name, func(b *testing.B) {
-			e := newEngine(1)
+			e := newEngine()
 			tick := e.Every(time.Millisecond, time.Millisecond, "drain", func() {})
 			defer tick.Stop()
 			b.ReportAllocs()

@@ -7,13 +7,13 @@ import (
 
 // queueKinds names both scheduler implementations so edge-case tests run
 // against each.
-var queueKinds = map[string]func(seed uint64) *Engine{"wheel": NewEngine, "heap": newHeapEngine}
+var queueKinds = map[string]func() *Engine{"wheel": NewEngine, "heap": newHeapEngine}
 
 // newHeapEngine builds an engine backed by the binary heap instead of the
 // timing wheel: the trivially-correct reference the differential tests
 // hold the wheel against.
-func newHeapEngine(seed uint64) *Engine {
-	e := NewEngine(seed)
+func newHeapEngine() *Engine {
+	e := NewEngine()
 	e.wheel, e.heap = nil, &eventHeap{}
 	return e
 }
@@ -21,7 +21,7 @@ func newHeapEngine(seed uint64) *Engine {
 func TestRunBoundaryInclusive(t *testing.T) {
 	for name, newEngine := range queueKinds {
 		t.Run(name, func(t *testing.T) {
-			e := newEngine(1)
+			e := newEngine()
 			fired := 0
 			e.Schedule(time.Second, "at-until", func() { fired++ })
 			e.Schedule(time.Second+1, "past-until", func() { t.Error("past-until fired") })
@@ -39,7 +39,7 @@ func TestRunBoundaryInclusive(t *testing.T) {
 func TestScheduleAtNowDuringRun(t *testing.T) {
 	for name, newEngine := range queueKinds {
 		t.Run(name, func(t *testing.T) {
-			e := newEngine(1)
+			e := newEngine()
 			var order []string
 			e.Schedule(time.Second, "a", func() {
 				order = append(order, "a")
@@ -59,7 +59,7 @@ func TestScheduleAtNowDuringRun(t *testing.T) {
 func TestTickerStopFromOwnTick(t *testing.T) {
 	for name, newEngine := range queueKinds {
 		t.Run(name, func(t *testing.T) {
-			e := newEngine(1)
+			e := newEngine()
 			var tk *Ticker
 			ticks := 0
 			tk = e.Every(time.Millisecond, time.Millisecond, "t", func() {
@@ -87,7 +87,7 @@ func TestFarFutureOverflowPromotion(t *testing.T) {
 	// Beyond the level-2 horizon (2^50 ns ≈ 13 days) events spill into the
 	// overflow heap and must be promoted back into the wheel — in exact
 	// order — as the clock approaches.
-	e := NewEngine(1)
+	e := NewEngine()
 	var order []string
 	far := 40 * 24 * time.Hour
 	e.Schedule(far+time.Millisecond, "f2", func() { order = append(order, "f2") })
@@ -109,7 +109,7 @@ func TestWheelWrapAroundAfterQuietGap(t *testing.T) {
 	// Long quiet gaps force the wheel clock to fast-forward many full
 	// level-0 rotations; scheduling afterwards must still place and fire
 	// events exactly.
-	e := NewEngine(1)
+	e := NewEngine()
 	var fires []time.Duration
 	var chain func(round int)
 	chain = func(round int) {
@@ -138,7 +138,7 @@ func TestWheelWrapAroundAfterQuietGap(t *testing.T) {
 }
 
 func TestCancelUnlinksWheelSlot(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	fired := 0
 	e.Schedule(time.Millisecond, "keep1", func() { fired++ })
 	mid := e.Schedule(time.Millisecond, "victim", func() { t.Error("canceled event fired") })
@@ -159,7 +159,7 @@ func TestCancelUnlinksWheelSlot(t *testing.T) {
 }
 
 func TestCancelOverflowLazyReclaim(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	far := 40 * 24 * time.Hour
 	ev := e.Schedule(far, "far", func() { t.Error("canceled overflow event fired") })
 	ev.Cancel()
@@ -177,7 +177,7 @@ func TestCancelOverflowLazyReclaim(t *testing.T) {
 }
 
 func TestQueueStatsMaxSlotDepth(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	for i := 0; i < 7; i++ {
 		e.Schedule(time.Microsecond, "burst", func() {})
 	}

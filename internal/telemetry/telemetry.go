@@ -225,7 +225,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 }
 
 // Counter is a handle to a monotonically increasing metric. A nil handle
-// is the disabled state: Add and Inc return immediately.
+// is the disabled state: Add returns immediately.
 type Counter struct {
 	m *metric
 }
@@ -238,9 +238,6 @@ func (c *Counter) Add(n uint64) {
 	}
 	c.m.bits.Add(n)
 }
-
-// Inc increments the counter by one. Safe on nil.
-func (c *Counter) Inc() { c.Add(1) }
 
 // Value reads the current count (0 on nil).
 func (c *Counter) Value() uint64 {

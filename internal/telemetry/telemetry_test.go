@@ -21,7 +21,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 	if c != nil || g != nil {
 		t.Fatalf("nil registry must hand out nil handles")
 	}
-	c.Inc()
+	c.Add(1)
 	c.Add(5)
 	g.Set(3.5)
 	r.OnCollect(func() { t.Fatal("hook must not run") })
@@ -41,7 +41,7 @@ func TestNilHandleAllocs(t *testing.T) {
 	var c *Counter
 	var g *Gauge
 	n := testing.AllocsPerRun(1000, func() {
-		c.Inc()
+		c.Add(1)
 		c.Add(3)
 		g.Set(1.5)
 	})
@@ -55,7 +55,7 @@ func TestLiveHandleAllocs(t *testing.T) {
 	c := r.Counter("x_total")
 	g := r.Gauge("y")
 	n := testing.AllocsPerRun(1000, func() {
-		c.Inc()
+		c.Add(1)
 		g.Set(2.5)
 	})
 	if n != 0 {
@@ -66,7 +66,7 @@ func TestLiveHandleAllocs(t *testing.T) {
 func TestCounterGaugeValues(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("hits_total")
-	c.Inc()
+	c.Add(1)
 	c.Add(9)
 	if got := c.Value(); got != 10 {
 		t.Fatalf("counter = %d, want 10", got)
@@ -120,7 +120,7 @@ func TestConcurrentPublishAndScrape(t *testing.T) {
 			default:
 			}
 			g.Set(float64(i))
-			c.Inc()
+			c.Add(1)
 		}
 	}()
 	for i := 0; i < 50; i++ {

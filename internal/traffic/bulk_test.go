@@ -28,7 +28,7 @@ func TestOriginXGeometry(t *testing.T) {
 }
 
 func TestFirstIDStridesIDSpace(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := sim.NewEngine()
 	n := NewNetwork(eng, NetworkConfig{Road: NewRoad(RoadConfig{Length: 100}), FirstID: 500, SpawnDisabled: true})
 	v := n.AddVehicle(n.Road().Lanes[0], 50, 10)
 	if v.ID != 500 {
@@ -40,7 +40,7 @@ func TestFirstIDStridesIDSpace(t *testing.T) {
 }
 
 func TestBulkAddKeepsLeaderFirstOrder(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := sim.NewEngine()
 	var entered []int
 	n := NewNetwork(eng, NetworkConfig{
 		Road:          NewRoad(RoadConfig{Length: 1000}),
@@ -70,7 +70,7 @@ func TestBulkAddKeepsLeaderFirstOrder(t *testing.T) {
 }
 
 func TestDespawnBulk(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := sim.NewEngine()
 	var exited []int
 	n := NewNetwork(eng, NetworkConfig{
 		Road:          NewRoad(RoadConfig{Length: 1000}),
@@ -105,7 +105,7 @@ func TestPrepopulateLinearInsertions(t *testing.T) {
 	// The tail fast path must keep prepopulation O(n): with 4 lanes of
 	// 2000 vehicles each the old per-vehicle scan would do ~4M compares
 	// and time out long before this test's deadline.
-	eng := sim.NewEngine(1)
+	eng := sim.NewEngine()
 	n := NewNetwork(eng, NetworkConfig{
 		Road:        NewRoad(RoadConfig{Length: 20000, LanesPerDirection: 2, TwoWay: true}),
 		SpawnGap:    10,
@@ -125,7 +125,7 @@ func TestPrepopulateLinearInsertions(t *testing.T) {
 }
 
 func TestIntegrateCompactsExits(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := sim.NewEngine()
 	var exited []int
 	n := NewNetwork(eng, NetworkConfig{
 		Road:          NewRoad(RoadConfig{Length: 100}),

@@ -282,9 +282,6 @@ func (n *Network) remove(v *Vehicle) bool {
 // drivers warned of the hazard choose not to enter (paper §IV-B).
 func (n *Network) CloseGate(d Direction) { n.gateClosed[d] = true }
 
-// GateClosed reports whether the entrance for d is closed.
-func (n *Network) GateClosed(d Direction) bool { return n.gateClosed[d] }
-
 // PlaceHazard blocks every lane of direction d at plane coordinate x from
 // now on. Vehicles approach and stop behind it.
 func (n *Network) PlaceHazard(d Direction, x float64) {

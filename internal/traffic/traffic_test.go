@@ -107,7 +107,7 @@ func TestLaneCoordinateMapping(t *testing.T) {
 }
 
 func TestSpawnerGapGating(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	n := NewNetwork(e, NetworkConfig{
 		Road:     NewRoad(RoadConfig{Length: 1000, LanesPerDirection: 1}),
 		SpawnGap: 30,
@@ -130,7 +130,7 @@ func TestSpawnerGapGating(t *testing.T) {
 }
 
 func TestPrepopulateFillsRoad(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	n := NewNetwork(e, NetworkConfig{
 		Road:        NewRoad(RoadConfig{Length: 900, LanesPerDirection: 1}),
 		SpawnGap:    100,
@@ -150,7 +150,7 @@ func TestPrepopulateFillsRoad(t *testing.T) {
 }
 
 func TestVehiclesExitAndCallbacks(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	entered, exited := 0, 0
 	road := NewRoad(RoadConfig{Length: 200, LanesPerDirection: 1})
 	n := NewNetwork(e, NetworkConfig{Road: road, SpawnGap: 50})
@@ -172,7 +172,7 @@ func TestVehiclesExitAndCallbacks(t *testing.T) {
 }
 
 func TestCloseGateStopsSpawning(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	n := NewNetwork(e, NetworkConfig{
 		Road:     NewRoad(RoadConfig{Length: 10000, LanesPerDirection: 1, TwoWay: true}),
 		SpawnGap: 30,
@@ -187,13 +187,13 @@ func TestCloseGateStopsSpawning(t *testing.T) {
 	if got := len(n.Road().LanesOf(West)[0].Vehicles()); got <= countAt5 {
 		t.Fatalf("westbound should keep spawning, got %d", got)
 	}
-	if !n.GateClosed(East) || n.GateClosed(West) {
+	if !n.gateClosed[East] || n.gateClosed[West] {
 		t.Fatal("gate state wrong")
 	}
 }
 
 func TestHazardStopsTraffic(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	road := NewRoad(RoadConfig{Length: 2000, LanesPerDirection: 2})
 	n := NewNetwork(e, NetworkConfig{Road: road, SpawnGap: 30})
 	e.Run(20 * time.Second)
@@ -225,7 +225,7 @@ func TestHazardStopsTraffic(t *testing.T) {
 func TestHazardCausesJamGrowth(t *testing.T) {
 	// With the entrance open and the road blocked, the on-road count keeps
 	// growing — the paper's traffic-jam signature (Fig 12).
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	road := NewRoad(RoadConfig{Length: 4000, LanesPerDirection: 2})
 	n := NewNetwork(e, NetworkConfig{Road: road, SpawnGap: 30})
 	n.PlaceHazard(East, 3600)
@@ -241,7 +241,7 @@ func TestHazardCausesJamGrowth(t *testing.T) {
 func TestNoCollisionsUnderIDM(t *testing.T) {
 	// Safety property: IDM with the paper's parameters never lets a
 	// follower overlap its leader, even with a hazard-induced shockwave.
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	road := NewRoad(RoadConfig{Length: 3000, LanesPerDirection: 1})
 	n := NewNetwork(e, NetworkConfig{Road: road, SpawnGap: 30})
 	n.PlaceHazard(East, 2500)
@@ -261,7 +261,7 @@ func TestNoCollisionsUnderIDM(t *testing.T) {
 }
 
 func TestHaltedVehicleFrozen(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	road := NewRoad(RoadConfig{Length: 1000, LanesPerDirection: 1})
 	n := NewNetwork(e, NetworkConfig{Road: road, SpawnDisabled: true})
 	v := n.AddVehicle(road.LanesOf(East)[0], 500, 20)
@@ -273,7 +273,7 @@ func TestHaltedVehicleFrozen(t *testing.T) {
 }
 
 func TestSpawnDisabled(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	n := NewNetwork(e, NetworkConfig{
 		Road:          NewRoad(RoadConfig{Length: 1000, LanesPerDirection: 1}),
 		SpawnDisabled: true,
@@ -285,7 +285,7 @@ func TestSpawnDisabled(t *testing.T) {
 }
 
 func TestVehicleVelocityAndPosition(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	road := NewRoad(RoadConfig{Length: 1000, LanesPerDirection: 1, TwoWay: true})
 	n := NewNetwork(e, NetworkConfig{Road: road, SpawnDisabled: true})
 	ve := n.AddVehicle(road.LanesOf(East)[0], 100, 25)
@@ -308,7 +308,7 @@ func TestSteadyStateFlowMatchesPaperDensity(t *testing.T) {
 	// Default scenario sanity: a prepopulated one-way 4,000 m road with
 	// 30 m spacing and 2 lanes holds ~266 vehicles; with IDM settling, the
 	// count must stay in that ballpark over a 60 s window.
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	n := NewNetwork(e, NetworkConfig{
 		Road:        NewRoad(RoadConfig{Length: 4000, LanesPerDirection: 2}),
 		SpawnGap:    30,

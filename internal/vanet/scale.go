@@ -72,16 +72,3 @@ func NewScaleWorld(cfg ScaleConfig) *World {
 	}
 	return w
 }
-
-// SpawnColumn bulk-adds a column of vehicles to a lane — count vehicles
-// gap metres apart, the first at travel coordinate sFront, extending
-// backwards — and attaches their router stacks through the network's
-// enter hook. The batch insert takes the traffic layer's O(count) path.
-// Returns the vehicles leader-first.
-func SpawnColumn(n *traffic.Network, lane *traffic.Lane, sFront, gap float64, count int, speed float64) []*traffic.Vehicle {
-	ss := make([]float64, count)
-	for i := range ss {
-		ss[i] = sFront - float64(i)*gap
-	}
-	return n.BulkAdd(lane, ss, speed)
-}

@@ -84,8 +84,8 @@ func TestScaleWorldBulkChurn(t *testing.T) {
 	seg := w.Segments()[1]
 	lane := seg.Road().Lanes[0]
 	vs := lane.Vehicles()
-	rear := vs[len(vs)-1].S
-	col := SpawnColumn(seg, lane, rear-50, 25, 4, 30)
+	front := vs[len(vs)-1].S - 50
+	col := seg.BulkAdd(lane, []float64{front, front - 25, front - 50, front - 75}, 30)
 	if w.VehicleCount() != before+4 {
 		t.Fatalf("count after spawn = %d, want %d", w.VehicleCount(), before+4)
 	}
@@ -165,7 +165,8 @@ func TestScaleWorldStatsSummary(t *testing.T) {
 		seg := w.Segments()[1]
 		lane := seg.Road().Lanes[0]
 		vs := lane.Vehicles()
-		col := SpawnColumn(seg, lane, vs[len(vs)-1].S-50, 25, 4, 30)
+		front := vs[len(vs)-1].S - 50
+		col := seg.BulkAdd(lane, []float64{front, front - 25, front - 50, front - 75}, 30)
 		// Past one full beacon interval, so every spawned router has
 		// counters of its own to hand over.
 		w.Run(2*time.Second + geonet.BeaconInterval + time.Second)

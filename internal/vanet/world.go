@@ -35,10 +35,9 @@ const (
 type Config struct {
 	Seed uint64
 
-	// Tech and RangeClass select the vehicle communication range
-	// (Table II); the paper's default is the NLoS median.
-	Tech       radio.Technology
-	RangeClass radio.RangeClass
+	// Tech selects the vehicle communication range: its Table II NLoS
+	// median, the paper's vehicle range throughout.
+	Tech radio.Technology
 
 	Road          traffic.RoadConfig
 	SpawnGap      float64
@@ -111,10 +110,7 @@ func New(cfg Config) *World {
 	if cfg.Tech == 0 {
 		cfg.Tech = radio.DSRC
 	}
-	if cfg.RangeClass == 0 {
-		cfg.RangeClass = radio.NLoSMedian
-	}
-	engine := sim.NewEngine(cfg.Seed)
+	engine := sim.NewEngine()
 	w := &World{
 		Engine:   engine,
 		Medium:   radio.NewMedium(engine, radio.Config{EdgeFactor: cfg.EdgeFactor, Seed: cfg.Seed, Tracer: cfg.Tracer}),
@@ -190,7 +186,7 @@ func (w *World) Segments() []*traffic.Network { return w.segments }
 
 // VehicleRange reports the configured vehicle communication range.
 func (w *World) VehicleRange() float64 {
-	return radio.Range(w.cfg.Tech, w.cfg.RangeClass)
+	return radio.Range(w.cfg.Tech, radio.NLoSMedian)
 }
 
 // Tech reports the configured access technology.
@@ -202,20 +198,26 @@ func AddrOf(v *traffic.Vehicle) geonet.Address {
 }
 
 func (w *World) attachVehicle(v *traffic.Vehicle) {
-	addr := AddrOf(v)
 	var loct *geonet.LocT
 	if n := len(w.spareLocT); n > 0 {
 		loct, w.spareLocT = w.spareLocT[n-1], w.spareLocT[:n-1]
 	}
+	w.startRouter(AddrOf(v), v.Position, v.Velocity, w.VehicleRange(), loct)
+}
+
+// startRouter enrols addr with the world's CA, then builds, starts and
+// registers its router. A static node passes a nil velocity; a nil loct
+// gives the router a table of its own.
+func (w *World) startRouter(addr geonet.Address, pos func() geo.Point, vel func() geo.Vector, rangeM float64, loct *geonet.LocT) *geonet.Router {
 	r := geonet.NewRouter(geonet.Config{
 		Addr:             addr,
 		Engine:           w.Engine,
 		Medium:           w.Medium,
 		Signer:           w.CA.Enroll(security.StationID(addr), 0),
 		Verifier:         w.CA,
-		Position:         v.Position,
-		Velocity:         v.Velocity,
-		Range:            w.VehicleRange(),
+		Position:         pos,
+		Velocity:         vel,
+		Range:            rangeM,
 		LocTTTL:          w.cfg.LocTTTL,
 		NeighborLifetime: w.cfg.NeighborLifetime,
 		MaxHopLimit:      w.cfg.MaxHopLimit,
@@ -233,6 +235,7 @@ func (w *World) attachVehicle(v *traffic.Vehicle) {
 	})
 	r.Start()
 	w.routers[addr] = r
+	return r
 }
 
 func (w *World) detachVehicle(v *traffic.Vehicle) {
@@ -257,31 +260,7 @@ func (w *World) AddStatic(addr geonet.Address, pos geo.Point, rangeM float64) *g
 	if rangeM == 0 {
 		rangeM = w.VehicleRange()
 	}
-	r := geonet.NewRouter(geonet.Config{
-		Addr:             addr,
-		Engine:           w.Engine,
-		Medium:           w.Medium,
-		Signer:           w.CA.Enroll(security.StationID(addr), 0),
-		Verifier:         w.CA,
-		Position:         func() geo.Point { return pos },
-		Range:            rangeM,
-		LocTTTL:          w.cfg.LocTTTL,
-		NeighborLifetime: w.cfg.NeighborLifetime,
-		MaxHopLimit:      w.cfg.MaxHopLimit,
-		PacketLifetime:   w.cfg.PacketLifetime,
-		Forwarder:        w.cfg.Forwarder,
-		ForwardFilter:    w.cfg.ForwardFilter,
-		DuplicateRule:    w.cfg.DuplicateRule,
-		Tracer:           w.cfg.Tracer,
-		OnDeliver: func(p *geonet.Packet) {
-			if w.cfg.OnDeliver != nil {
-				w.cfg.OnDeliver(addr, p)
-			}
-		},
-	})
-	r.Start()
-	w.routers[addr] = r
-	return r
+	return w.startRouter(addr, func() geo.Point { return pos }, nil, rangeM, nil)
 }
 
 // Router returns the live router for addr, or nil (e.g. the vehicle
