@@ -34,7 +34,6 @@ import (
 	"sort"
 	"time"
 
-	"github.com/vanetsec/georoute"
 	"github.com/vanetsec/georoute/internal/attack"
 	"github.com/vanetsec/georoute/internal/detect"
 	"github.com/vanetsec/georoute/internal/geo"
@@ -254,7 +253,7 @@ func runTrace(duration time.Duration, packets int, workload, atkMode string, atk
 			r := w.RouterOf(src)
 			switch workload {
 			case "intra-area":
-				area := georoute.NewRect(georoute.Pt(2000, 0), 2000, 30, 90)
+				area := geo.NewRect(geo.Pt(2000, 0), 2000, 30, 90)
 				r.SendGeoBroadcast(area, nil)
 			default:
 				r.SendGeoUnicast(vanet.EastDestAddr, geo.Pt(4020, 0), nil)

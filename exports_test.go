@@ -2,82 +2,241 @@ package georoute_test
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
 
-// unreferencedAllowed lists the exported functions and methods under
-// internal/ and addrtab/ that may have no reference in non-test code,
-// each with the reason it stays.
-var unreferencedAllowed = map[string]string{
-	"MarshalJSON":   "encoding/json calls it",
-	"UnmarshalJSON": "encoding/json calls it",
+const modulePath = "github.com/vanetsec/georoute"
 
-	"Cluster":                 "test hook: LocT and addrtab tests show their removals take the backward shift",
-	"Attached":                "test hook: radio and vanet tests check that a departed node left the medium",
-	"DespawnBulk":             "test hook: the churn tests remove vehicles in batches to exercise the world's detach path",
-	"NewForgedBeaconAttacker": "the forged-beacon negative control of EXPERIMENTS.md, which its attack tests run",
+// unreachedAllowed lists, by qualified name, the functions and methods
+// under internal/ and addrtab/ that no non-test code reaches, each with
+// the test that needs it and why no non-test path serves that test.
+var unreachedAllowed = map[string]string{
+	"addrtab.Table.Cluster":          "LocT and addrtab tests show a removal takes the backward shift; lookups hide where an entry sits",
+	"attack.NewForgedBeaconAttacker": "attack tests run EXPERIMENTS.md's forged-beacon negative control, which no figure runs",
+	"geonet.Unmarshal":               "wire, router, attack, forward and fuzz tests decode bare bytes; runs decode only through DecodeFrame, which needs a radio frame",
+	"geonet.Packet.Clone":            "wire and router tests tamper with a captured packet's signed bytes; no run does, and Fork shares those bytes",
+	"radio.Medium.Attached":          "radio and vanet tests check that a departed node left the medium; runs never ask",
+	"telemetry.Counter.Value":        "telemetry and experiment tests read one handle, nil ones too; runs read every series through Registry.Snapshot",
+	"telemetry.Gauge.Value":          "telemetry and experiment tests read one handle, nil ones too; runs read every series through Registry.Snapshot",
+	"traffic.Lane.Vehicles":          "vanet's TestVehiclesMatchesSortedLanes rebuilds World.AppendVehicles from lane storage; runs read lanes only inside traffic",
+	"traffic.Network.Road":           "vanet's TestVehiclesMatchesSortedLanes walks each segment's lanes; vanet builds each road and keeps no reference to it",
 }
 
-// TestExportedFunctionsHaveCallers fails when an exported function or
-// method declared under internal/ or addrtab/ is named nowhere in the
-// tree's non-test Go files (bench/, cmd/ and examples/ count), so code
-// only tests execute does not grow back. The match is by name, not by
-// type: a method counts as referenced when any selector or identifier
-// anywhere carries its name.
+// dynamicInterfaces are the interfaces the standard library finds by a
+// type assertion on a value handed to it as an any (fmt's %v, json's
+// Marshal), so a method implementing one is reached without a call.
+var dynamicInterfaces = [][2]string{
+	{"fmt", "Stringer"},
+	{"encoding/json", "Marshaler"},
+	{"encoding/json", "Unmarshaler"},
+}
+
+// TestExportedFunctionsHaveCallers fails when a function or method
+// declared under internal/ or addrtab/, exported or not, is reached by
+// no non-test Go code of the module or of bench/, so code only tests
+// execute does not grow back. Every package is type-checked, so a use
+// resolves to its object, not to its name. A function is reached when a
+// non-test file uses it outside its own body; a method also when it
+// implements an interface method that is used (dispatch, as
+// radio.Receiver's Deliver reaches geonet.Router.Deliver) or one of
+// dynamicInterfaces.
 func TestExportedFunctionsHaveCallers(t *testing.T) {
-	type decl struct {
-		name string
-		pos  token.Position
+	l := &moduleLoader{
+		fset: token.NewFileSet(),
+		pkgs: make(map[string]*types.Package),
+		info: &types.Info{
+			Defs: make(map[*ast.Ident]types.Object),
+			Uses: make(map[*ast.Ident]types.Object),
+		},
 	}
-	var decls []decl
-	refs := make(map[string]bool)
-	fset := token.NewFileSet()
+	// The source importer reads build.Default. Without cgo it type-checks
+	// the standard library's pure-Go files, which declare the same API,
+	// and needs no C compiler.
+	build.Default.CgoEnabled = false
+	l.std = importer.ForCompiler(l.fset, "source", nil).(types.ImporterFrom)
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
+		if err != nil || !d.IsDir() {
 			return err
 		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
+		if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		checked := strings.HasPrefix(path, "internal/") || strings.HasPrefix(path, "addrtab/")
-		declared := make(map[*ast.Ident]bool) // a declaring name is no reference
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				declared[fd.Name] = true
-				if checked && fd.Name.IsExported() {
-					decls = append(decls, decl{fd.Name.Name, fset.Position(fd.Pos())})
-				}
+		if _, err := l.load(path); err != nil {
+			if _, none := err.(*build.NoGoError); !none {
+				return err
 			}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				refs[id.Name] = true
-			}
-			return true
-		})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range decls {
-		if !refs[d.name] && unreferencedAllowed[d.name] == "" {
-			t.Errorf("%s: %s has no reference outside tests; delete it or call it", d.pos, d.name)
+
+	decls := make(map[*types.Func]*ast.FuncDecl)
+	for _, f := range l.files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name != "init" {
+				decls[l.info.Defs[fd.Name].(*types.Func)] = fd
+			}
 		}
 	}
+
+	reached := make(map[*types.Func]bool)
+	ifaceMethods := make(map[*types.Func]bool)
+	for id, obj := range l.info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
+		fn = fn.Origin()
+		if fd := decls[fn]; fd != nil && fd.Pos() <= id.Pos() && id.Pos() < fd.End() {
+			continue // recursion is no caller
+		}
+		reached[fn] = true
+		if isInterfaceMethod(fn) {
+			ifaceMethods[fn] = true
+		}
+	}
+	for _, di := range dynamicInterfaces {
+		pkg, err := l.std.ImportFrom(di[0], ".", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		iface := pkg.Scope().Lookup(di[1]).Type().Underlying().(*types.Interface)
+		for i := 0; i < iface.NumMethods(); i++ {
+			ifaceMethods[iface.Method(i)] = true
+		}
+	}
+	for fn := range decls {
+		if reached[fn] || isInterfaceMethod(fn) {
+			continue
+		}
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil {
+			continue
+		}
+		named := receiverNamed(recv.Type())
+		if named.TypeParams().Len() > 0 {
+			continue
+		}
+		for m := range ifaceMethods {
+			iface := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+			if m.Name() == fn.Name() && (types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface)) {
+				reached[fn] = true
+				break
+			}
+		}
+	}
+
+	var unreached []string
+	inScope := make(map[string]bool)
+	for fn, fd := range decls {
+		pos := l.fset.Position(fd.Pos())
+		if !strings.HasPrefix(pos.Filename, "internal/") && !strings.HasPrefix(pos.Filename, "addrtab/") {
+			continue
+		}
+		name := qualifiedName(fn)
+		inScope[name] = true
+		if !reached[fn] && unreachedAllowed[name] == "" {
+			unreached = append(unreached, pos.String()+": "+name)
+		}
+		if reached[fn] && unreachedAllowed[name] != "" {
+			t.Errorf("%s: %s is reached by non-test code; drop its allowlist entry", pos, name)
+		}
+	}
+	sort.Strings(unreached)
+	for _, u := range unreached {
+		t.Errorf("%s is reached by no non-test code; delete it or call it", u)
+	}
+	for name := range unreachedAllowed {
+		if !inScope[name] {
+			t.Errorf("allowlist entry %s names no function under internal/ or addrtab/", name)
+		}
+	}
+}
+
+// moduleLoader type-checks the non-test files of each package of the
+// module, bench/ included, into one types.Info, so every object has one
+// identity however many packages import it. The standard library comes
+// from source.
+type moduleLoader struct {
+	fset  *token.FileSet
+	std   types.ImporterFrom
+	pkgs  map[string]*types.Package // by directory
+	files []*ast.File
+	info  *types.Info
+}
+
+func (l *moduleLoader) Import(path string) (*types.Package, error) {
+	return l.ImportFrom(path, ".", 0)
+}
+
+func (l *moduleLoader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if rel, ok := strings.CutPrefix(path, modulePath); ok && (rel == "" || rel[0] == '/') {
+		return l.load("." + rel)
+	}
+	return l.std.ImportFrom(path, dir, mode)
+}
+
+func (l *moduleLoader) load(dir string) (*types.Package, error) {
+	dir = filepath.Clean(dir)
+	if pkg, ok := l.pkgs[dir]; ok {
+		return pkg, nil
+	}
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	path := modulePath
+	if dir != "." {
+		path += "/" + filepath.ToSlash(dir)
+	}
+	conf := types.Config{Importer: l}
+	pkg, err := conf.Check(path, l.fset, files, l.info)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[dir] = pkg
+	l.files = append(l.files, files...)
+	return pkg, nil
+}
+
+func isInterfaceMethod(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && types.IsInterface(recv.Type())
+}
+
+// receiverNamed returns the named type of a method's receiver, T for
+// both T and *T.
+func receiverNamed(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return t.(*types.Named)
+}
+
+// qualifiedName names a function as package.Func or package.Type.Method.
+func qualifiedName(fn *types.Func) string {
+	name := fn.Pkg().Name() + "."
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		name += receiverNamed(recv.Type()).Obj().Name() + "."
+	}
+	return name + fn.Name()
 }

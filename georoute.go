@@ -34,8 +34,8 @@
 //   - RunHazard and RunCurve reproduce the traffic-efficiency and
 //     road-safety showcases (Figs 12 and 13).
 //   - BuildWorld and BuildScaleWorld expose the underlying simulation
-//     world for custom scenarios and scale benchmarks (see the examples
-//     directory).
+//     world for custom scenarios and scale benchmarks (see
+//     georoute_test.go and world_bench_test.go).
 package georoute
 
 import (

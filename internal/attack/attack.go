@@ -121,12 +121,11 @@ type Config struct {
 }
 
 // Attacker is the roadside adversary. Construct with NewAttacker; it
-// attaches to the medium immediately and runs until Stop.
+// attaches to the medium immediately and runs for the rest of the world.
 type Attacker struct {
 	cfg     Config
 	antenna *radio.Antenna
 	stats   Stats
-	stopped bool
 
 	// beaconSeen holds, by source, the PV timestamp of the last beacon
 	// replayed: a beacon is replayed iff its timestamp is newer, so each
@@ -194,21 +193,6 @@ func NewAttacker(cfg Config) *Attacker {
 // Stats returns a copy of the attacker counters.
 func (a *Attacker) Stats() Stats { return a.stats }
 
-// Position reports the sniffer location.
-func (a *Attacker) Position() geo.Point { return a.cfg.Position }
-
-// Range reports the attack transmit range.
-func (a *Attacker) Range() float64 { return a.cfg.Range }
-
-// Stop detaches the attacker from the medium.
-func (a *Attacker) Stop() {
-	if a.stopped {
-		return
-	}
-	a.stopped = true
-	a.cfg.Medium.Detach(a.cfg.Pseudonym)
-}
-
 // Deliver implements radio.Receiver (broadcast frames).
 func (a *Attacker) Deliver(f radio.Frame) { a.sniff(f) }
 
@@ -220,7 +204,7 @@ func (a *Attacker) Overhear(f radio.Frame) { a.sniff(f) }
 // sniffer sees a broadcast, some router in range has usually decoded it
 // already, so capture costs a cache lookup.
 func (a *Attacker) sniff(f radio.Frame) {
-	if a.stopped || a.cfg.Mode == None {
+	if a.cfg.Mode == None {
 		return
 	}
 	p, err := geonet.DecodeFrame(f)
@@ -309,12 +293,9 @@ func (a *Attacker) captureBeacon(p *geonet.Packet, f radio.Frame) {
 // run sends the replay and returns the record to the pool.
 func (r *replay) run() {
 	a := r.a
-	// A stopped attacker drops the pooled buffer to the GC; stop is rare.
-	if !a.stopped {
-		a.stats.BeaconsReplayed++
-		a.cfg.Medium.SendPooled(a.antenna, radio.BroadcastID, r.payload)
-		a.emitReplay(r.src, 0, trace.PTBeacon, 1)
-	}
+	a.stats.BeaconsReplayed++
+	a.cfg.Medium.SendPooled(a.antenna, radio.BroadcastID, r.payload)
+	a.emitReplay(r.src, 0, trace.PTBeacon, 1)
 	*r = replay{a: a, fire: r.fire, next: a.replayFree}
 	a.replayFree = r
 }
@@ -338,9 +319,6 @@ func (a *Attacker) capturePacket(p *geonet.Packet) {
 		out.Basic.RHL = 1
 	}
 	a.cfg.Engine.Schedule(a.cfg.ProcessingDelay, "attack.replayPacket", func() {
-		if a.stopped {
-			return
-		}
 		a.stats.PacketsReplayed++
 		a.emitReplay(out.SourcePV.Addr, out.SN, trace.PType(out.Type), out.Basic.RHL)
 		payload := out.AppendMarshal(a.cfg.Medium.GrabPayload())

@@ -278,23 +278,6 @@ func TestAttackerIgnoresOwnTraffic(t *testing.T) {
 	}
 }
 
-func TestAttackerStop(t *testing.T) {
-	f := newFixture()
-	f.router(1, geo.Pt(0, 0), 486, nil)
-	atk := NewAttacker(Config{
-		Engine: f.engine, Medium: f.medium,
-		Position: geo.Pt(100, 0), Range: 486, Mode: InterArea,
-	})
-	f.engine.Run(5 * time.Second)
-	replayed := atk.Stats().BeaconsReplayed
-	atk.Stop()
-	f.engine.Run(30 * time.Second)
-	if got := atk.Stats().BeaconsReplayed; got != replayed {
-		t.Fatalf("stopped attacker kept replaying: %d -> %d", replayed, got)
-	}
-	atk.Stop() // idempotent
-}
-
 func TestAttackerNoneModeInert(t *testing.T) {
 	f := newFixture()
 	f.router(1, geo.Pt(0, 0), 486, nil)
@@ -325,7 +308,7 @@ func TestForgedBeaconRejectedByAuthentication(t *testing.T) {
 	v1 := f.router(1, geo.Pt(0, 0), 486, nil)
 	f.router(2, geo.Pt(400, 0), 486, nil)
 	f.router(9, geo.Pt(800, 0), 486, func(p *geonet.Packet) { delivered = true })
-	forger := NewForgedBeaconAttacker(ForgedBeaconConfig{
+	NewForgedBeaconAttacker(ForgedBeaconConfig{
 		Engine:   f.engine,
 		Medium:   f.medium,
 		Position: geo.Pt(100, 0),
@@ -345,7 +328,6 @@ func TestForgedBeaconRejectedByAuthentication(t *testing.T) {
 	if !delivered {
 		t.Fatal("forwarding broken by a forger that should be inert")
 	}
-	forger.Stop()
 }
 
 func TestForgedBeaconWithStolenEnrollmentWorks(t *testing.T) {

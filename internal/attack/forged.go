@@ -26,7 +26,6 @@ type ForgedBeaconAttacker struct {
 	signer  security.Signer
 	addr    geonet.Address
 	claim   geo.Point
-	ticker  *sim.Ticker
 }
 
 // ForgedBeaconConfig parameterizes NewForgedBeaconAttacker.
@@ -49,7 +48,7 @@ type ForgedBeaconConfig struct {
 }
 
 // NewForgedBeaconAttacker deploys the forger; it beacons every
-// geonet.BeaconInterval until Stop.
+// geonet.BeaconInterval for the rest of the run.
 func NewForgedBeaconAttacker(cfg ForgedBeaconConfig) *ForgedBeaconAttacker {
 	if cfg.Engine == nil || cfg.Medium == nil {
 		panic("attack: Engine and Medium are required")
@@ -70,7 +69,7 @@ func NewForgedBeaconAttacker(cfg ForgedBeaconConfig) *ForgedBeaconAttacker {
 	}
 	pos := cfg.Position
 	a.antenna = cfg.Medium.Attach(cfg.Pseudonym, cfg.Range, func() geo.Point { return pos }, noopReceiver{}, false)
-	a.ticker = cfg.Engine.Every(0, geonet.BeaconInterval, "attack.forgedBeacon", a.beacon)
+	cfg.Engine.Every(0, geonet.BeaconInterval, "attack.forgedBeacon", a.beacon)
 	return a
 }
 
@@ -86,12 +85,6 @@ func (a *ForgedBeaconAttacker) beacon() {
 	}
 	p.Sign(a.signer)
 	a.medium.Send(a.antenna, radio.BroadcastID, p.Marshal())
-}
-
-// Stop silences the forger.
-func (a *ForgedBeaconAttacker) Stop() {
-	a.ticker.Stop()
-	a.medium.Detach(a.antenna.ID())
 }
 
 // noopReceiver discards incoming frames; the forger only transmits.

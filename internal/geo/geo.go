@@ -26,12 +26,6 @@ func (p Point) DistanceTo(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
 }
 
-// Add returns p displaced by v.
-func (p Point) Add(v Vector) Point { return Point{X: p.X + v.DX, Y: p.Y + v.DY} }
-
-// Sub returns the vector from q to p.
-func (p Point) Sub(q Point) Vector { return Vector{DX: p.X - q.X, DY: p.Y - q.Y} }
-
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.1f, %.1f)", p.X, p.Y) }
 
@@ -71,11 +65,6 @@ type Area interface {
 	Contains(p Point) bool
 	// Center returns the area's center point.
 	Center() Point
-	// DistanceTo reports the distance from p to the area: zero when p is
-	// inside, otherwise the distance to the nearest border point
-	// (approximated as distance-to-center minus the center-to-border
-	// distance along that direction).
-	DistanceTo(p Point) float64
 	// F evaluates the ETSI geometric function at p.
 	F(p Point) float64
 }
@@ -128,19 +117,10 @@ func (a Circle) Contains(p Point) bool { return a.F(p) >= -containsTol }
 // Center implements Area.
 func (a Circle) Center() Point { return a.C }
 
-// DistanceTo implements Area.
-func (a Circle) DistanceTo(p Point) float64 {
-	d := a.C.DistanceTo(p) - a.R
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
 // Rect is a rectangular destination area with half-lengths A (along the
 // azimuth axis) and B (normal to it). Build it with NewRect, which also
-// sets the unexported unit axis that F, Contains and DistanceTo read; a
-// Rect literal has no axis.
+// sets the unexported unit axis that F and Contains read; a Rect literal
+// has no axis.
 type Rect struct {
 	C          Point
 	A, B       float64 // half side lengths in meters
@@ -171,18 +151,10 @@ func (a Rect) Contains(p Point) bool { return a.F(p) >= -containsTol }
 // Center implements Area.
 func (a Rect) Center() Point { return a.C }
 
-// DistanceTo implements Area.
-func (a Rect) DistanceTo(p Point) float64 {
-	x, y := local(p, a.C, a.ax, a.ay)
-	dx := math.Max(math.Abs(x)-a.A, 0)
-	dy := math.Max(math.Abs(y)-a.B, 0)
-	return math.Hypot(dx, dy)
-}
-
 // Ellipse is an elliptical destination area with semi-axes A (along the
 // azimuth axis) and B (normal to it). Build it with NewEllipse, which also
-// sets the unexported unit axis that F, Contains and DistanceTo read; an
-// Ellipse literal has no axis.
+// sets the unexported unit axis that F and Contains read; an Ellipse
+// literal has no axis.
 type Ellipse struct {
 	C          Point
 	A, B       float64 // semi-axis lengths in meters
@@ -209,24 +181,6 @@ func (a Ellipse) Contains(p Point) bool { return a.F(p) >= -containsTol }
 
 // Center implements Area.
 func (a Ellipse) Center() Point { return a.C }
-
-// DistanceTo implements Area. For points outside, the distance to the
-// border is approximated along the center-to-point ray, which is exact
-// for circles and a tight approximation for the low-eccentricity areas
-// used in the experiments.
-func (a Ellipse) DistanceTo(p Point) float64 {
-	if a.Contains(p) {
-		return 0
-	}
-	x, y := local(p, a.C, a.ax, a.ay)
-	d := math.Hypot(x, y)
-	if d == 0 {
-		return 0
-	}
-	// Border point along the ray: scale factor s solves (sx/a)^2+(sy/b)^2=1.
-	s := 1 / math.Sqrt((x/a.A)*(x/a.A)+(y/a.B)*(y/a.B))
-	return d * (1 - s)
-}
 
 // Segment is a straight line segment between two points.
 type Segment struct {

@@ -557,9 +557,9 @@ func unmarshalWire(b []byte, scratch *ownedPacket) (p *Packet, protEnd int, err 
 }
 
 // Clone returns a deep copy suitable for independent mutation of any
-// field, including protected bytes (the attacker's modify-and-replay
-// primitive). Forwarding paths that only rewrite the basic header should
-// use Fork instead.
+// field, including protected bytes (a tampered replay; the attacker
+// rewrites only the basic header and uses Fork). Forwarding paths that
+// only rewrite the basic header should use Fork instead.
 func (p *Packet) Clone() *Packet {
 	q := *p
 	q.Payload = append([]byte(nil), p.Payload...)

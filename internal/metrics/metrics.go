@@ -7,7 +7,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"time"
@@ -260,29 +259,4 @@ func CSV(width time.Duration, series map[string][]float64) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Stddev returns the sample standard deviation of xs.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		ss += (x - m) * (x - m)
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
 }

@@ -196,16 +196,24 @@ func TestTableAndCSV(t *testing.T) {
 }
 
 func TestMeanStddev(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil) != 0")
+	stream := func(xs ...float64) *Stream {
+		var st Stream
+		for _, x := range xs {
+			st.Add(x)
+		}
+		return &st
 	}
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
+	if stream().Mean != 0 {
+		t.Fatal("mean of no samples != 0")
+	}
+	if got := stream(1, 2, 3).Mean; got != 2 {
 		t.Fatalf("Mean = %v", got)
 	}
-	if Stddev([]float64{5}) != 0 {
+	stddev := func(xs ...float64) float64 { return stream(xs...).Stddev() }
+	if stddev(5) != 0 {
 		t.Fatal("Stddev of singleton != 0")
 	}
-	if got := Stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9}); math.Abs(got-2.138) > 0.01 {
+	if got := stddev(2, 4, 4, 4, 5, 5, 7, 9); math.Abs(got-2.138) > 0.01 {
 		t.Fatalf("Stddev = %v, want ~2.138", got)
 	}
 }

@@ -30,7 +30,9 @@ func (s *Stream) Add(x float64) {
 	s.N++
 	d := x - s.Mean
 	s.Mean += d / float64(s.N)
-	s.M2 += d * (x - s.Mean)
+	// Rounding the product keeps arm64 from fusing it, so the moments
+	// are the same on every architecture.
+	s.M2 += float64(d * (x - s.Mean))
 }
 
 // Variance returns the sample variance (0 for fewer than two samples).

@@ -22,13 +22,35 @@ func TestStreamMatchesBatchStatistics(t *testing.T) {
 		if st.N != n {
 			t.Fatalf("N = %d, want %d", st.N, n)
 		}
-		if m := Mean(xs); math.Abs(st.Mean-m) > 1e-9 {
+		if m := batchMean(xs); math.Abs(st.Mean-m) > 1e-9 {
 			t.Fatalf("stream mean %v, batch mean %v", st.Mean, m)
 		}
-		if sd := Stddev(xs); math.Abs(st.Stddev()-sd) > 1e-9 {
+		if sd := batchStddev(xs); math.Abs(st.Stddev()-sd) > 1e-9 {
 			t.Fatalf("stream stddev %v, batch stddev %v", st.Stddev(), sd)
 		}
 	}
+}
+
+// batchMean and batchStddev are the two-pass sample statistics the
+// stream is checked against.
+func batchMean(xs []float64) float64 {
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
+}
+
+func batchStddev(xs []float64) float64 {
+	if len(xs) < 2 {
+		return 0
+	}
+	m := batchMean(xs)
+	var ss float64
+	for _, x := range xs {
+		ss += (x - m) * (x - m)
+	}
+	return math.Sqrt(ss / float64(len(xs)-1))
 }
 
 func TestStreamMinMax(t *testing.T) {

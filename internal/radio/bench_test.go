@@ -84,7 +84,7 @@ func BenchmarkMediumUnicast(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			e, m, tx := benchMedium(b, n, 0)
 			// The next node up the road, always in range.
-			drive(b, e, m, tx, tx.ID()+1)
+			drive(b, e, m, tx, tx.id+1)
 		})
 	}
 }
@@ -95,7 +95,7 @@ func BenchmarkMediumPromiscuous(b *testing.B) {
 	for _, n := range []int{100, 500, 2000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			e, m, tx := benchMedium(b, n, 10)
-			drive(b, e, m, tx, tx.ID()+1)
+			drive(b, e, m, tx, tx.id+1)
 		})
 	}
 }

@@ -267,9 +267,6 @@ type Antenna struct {
 	orderIdx int
 }
 
-// ID reports the antenna's node ID.
-func (a *Antenna) ID() NodeID { return a.id }
-
 // Range reports the transmit/receive range in meters.
 func (a *Antenna) Range() float64 { return a.rangeM }
 

@@ -70,10 +70,6 @@ type Timer struct {
 // live reports whether the handle still names its event object.
 func (t Timer) live() bool { return t.ev != nil && t.ev.gen == t.gen }
 
-// Canceled reports whether the handle's event was canceled. A stale
-// handle reports false: its object now belongs to a later event.
-func (t Timer) Canceled() bool { return t.live() && t.ev.state == stateCanceled }
-
 // Cancel prevents a pending event from running. Canceling an event that
 // already ran or was already canceled, or through a stale handle, is a
 // no-op. Events sitting in a wheel slot are unlinked and recycled
@@ -102,9 +98,8 @@ func (t Timer) Cancel() {
 // Engine is a single-threaded discrete-event scheduler. The zero value is
 // not usable; construct with NewEngine.
 type Engine struct {
-	now     time.Duration
-	seq     uint64
-	stopped bool
+	now time.Duration
+	seq uint64
 	// Executed counts events that have run, for introspection and tests.
 	executed uint64
 	// live counts scheduled events that are neither fired nor canceled;
@@ -267,14 +262,14 @@ func (t *Ticker) tick() {
 		return
 	}
 	t.fn()
-	if !t.stopped && !t.engine.stopped {
+	if !t.stopped {
 		t.ev = t.engine.Schedule(t.period, t.name, t.tick)
 	}
 }
 
-// Stop cancels future ticks. Safe to call multiple times, from inside the
-// ticker's own callback (where Cancel through the firing handle is a
-// no-op), or after the engine stopped.
+// Stop cancels future ticks. Safe to call multiple times, or from inside
+// the ticker's own callback (where Cancel through the firing handle is a
+// no-op).
 func (t *Ticker) Stop() {
 	t.stopped = true
 	t.ev.Cancel()
@@ -314,7 +309,7 @@ func (e *Engine) reclaimCanceled(ev *event) {
 // events executed by this call.
 func (e *Engine) Run(until time.Duration) uint64 {
 	start := e.executed
-	for !e.stopped {
+	for {
 		ev := e.popNext(until)
 		if ev == nil {
 			break
@@ -343,7 +338,3 @@ func (e *Engine) Run(until time.Duration) uint64 {
 	}
 	return e.executed - start
 }
-
-// Stop halts Run after the current event completes. Subsequent Run calls
-// are no-ops until the engine is discarded; engines are single-use.
-func (e *Engine) Stop() { e.stopped = true }

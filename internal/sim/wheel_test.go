@@ -149,8 +149,8 @@ func TestCancelUnlinksWheelSlot(t *testing.T) {
 		t.Fatalf("Pending=%d PendingLive=%d after slot cancel, want 2/2", e.Pending(), e.PendingLive())
 	}
 	mid.Cancel() // idempotent
-	if !mid.Canceled() {
-		t.Fatal("Canceled() = false")
+	if e.Pending() != 2 || e.PendingLive() != 2 {
+		t.Fatalf("Pending=%d PendingLive=%d after a second Cancel, want 2/2", e.Pending(), e.PendingLive())
 	}
 	e.Run(time.Second)
 	if fired != 2 {

@@ -34,14 +34,14 @@ func Handler(reg *Registry) http.Handler {
 type Server struct {
 	Addr string // actual listen address (resolves ":0")
 	srv  *http.Server
-	// ln is closed by Close and Shutdown too: Serve closes it only from
-	// its own goroutine, which may not have started when they return.
+	// ln is closed by Shutdown too: Serve closes it only from its own
+	// goroutine, which may not have started when Shutdown returns.
 	ln net.Listener
 }
 
 // ListenAndServe binds addr and serves Handler(reg) in a background
 // goroutine. The returned server reports the resolved address (useful
-// with ":0") and is shut down with Close.
+// with ":0") and is shut down with Shutdown.
 func ListenAndServe(reg *Registry, addr string) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -54,17 +54,6 @@ func ListenAndServe(reg *Registry, addr string) (*Server, error) {
 	}
 	go s.srv.Serve(ln)
 	return s, nil
-}
-
-// Close stops the listener immediately. In-flight scrapes are cut off;
-// prefer Shutdown on a clean exit so a scrape that raced the end of the
-// run still gets its response.
-func (s *Server) Close() error {
-	if s == nil {
-		return nil
-	}
-	defer s.ln.Close()
-	return s.srv.Close()
 }
 
 // Shutdown stops accepting new scrapes and waits — up to the context

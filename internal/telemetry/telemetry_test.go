@@ -208,7 +208,7 @@ func TestServerEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer srv.Shutdown(context.Background())
 
 	get := func(path string, status int) []byte {
 		resp, err := http.Get("http://" + srv.Addr + path)

@@ -35,9 +35,6 @@ func (c *Counters) Record(r Record) {
 	}
 }
 
-// Node returns the counters for one node (nil if it never appeared).
-func (c *Counters) Node(id uint64) *NodeCounters { return c.nodes[id] }
-
 // Nodes returns the node ids present, ascending.
 func (c *Counters) Nodes() []uint64 {
 	ids := make([]uint64, 0, len(c.nodes))

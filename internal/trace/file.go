@@ -47,9 +47,6 @@ func (ft *FileTracer) Tracer() *Tracer {
 	return ft.tracer
 }
 
-// Counters returns the live counter registry.
-func (ft *FileTracer) Counters() *Counters { return ft.counters }
-
 // CountersPath reports where Close writes the rollup.
 func (ft *FileTracer) CountersPath() string {
 	return strings.TrimSuffix(ft.path, ".jsonl") + ".counters.json"

@@ -69,38 +69,6 @@ func TestBulkAddKeepsLeaderFirstOrder(t *testing.T) {
 	}
 }
 
-func TestDespawnBulk(t *testing.T) {
-	eng := sim.NewEngine()
-	var exited []int
-	n := NewNetwork(eng, NetworkConfig{
-		Road:          NewRoad(RoadConfig{Length: 1000}),
-		SpawnDisabled: true,
-		OnExit:        func(v *Vehicle) { exited = append(exited, v.ID) },
-	})
-	lane := n.Road().Lanes[0]
-	vs := n.BulkAdd(lane, []float64{900, 700, 500, 300, 100}, 10)
-
-	n.DespawnBulk([]*Vehicle{vs[1], vs[3]})
-	if n.Count() != 3 {
-		t.Fatalf("Count = %d after despawn, want 3", n.Count())
-	}
-	got := lane.Vehicles()
-	want := []float64{900, 500, 100}
-	for i, v := range got {
-		if v.S != want[i] {
-			t.Fatalf("lane[%d].S = %v, want %v", i, v.S, want[i])
-		}
-	}
-	if len(exited) != 2 || exited[0] != vs[1].ID || exited[1] != vs[3].ID {
-		t.Fatalf("OnExit order = %v, want [%d %d]", exited, vs[1].ID, vs[3].ID)
-	}
-	// Despawning an already-removed vehicle is a no-op.
-	n.DespawnBulk([]*Vehicle{vs[1]})
-	if n.Count() != 3 || len(exited) != 2 {
-		t.Fatalf("repeat despawn mutated state: count=%d exits=%d", n.Count(), len(exited))
-	}
-}
-
 func TestPrepopulateLinearInsertions(t *testing.T) {
 	// The tail fast path must keep prepopulation O(n): with 4 lanes of
 	// 2000 vehicles each the old per-vehicle scan would do ~4M compares

@@ -32,14 +32,6 @@ func (d Direction) String() string {
 	}
 }
 
-// Heading reports the compass heading of the direction in degrees.
-func (d Direction) Heading() float64 {
-	if d == East {
-		return 90
-	}
-	return 270
-}
-
 // Vehicle is one simulated car. Position S is measured along the travel
 // direction from the vehicle's entrance (so S grows for both directions);
 // use Position for plane coordinates.
@@ -50,8 +42,6 @@ type Vehicle struct {
 	Speed     float64 // m/s, >= 0
 	Accel     float64 // last computed acceleration, m/s^2
 	EnteredAt time.Duration
-	// Halted freezes the vehicle regardless of IDM (crash/scripted stops).
-	Halted bool
 }
 
 // Position maps the vehicle's lane coordinates to the plane.
@@ -103,19 +93,20 @@ func (l *Lane) SOf(x float64) float64 {
 // owned by the lane; callers must not mutate it.
 func (l *Lane) Vehicles() []*Vehicle { return l.vehicles }
 
+// LaneWidth is the lateral spacing of lane centers, m.
+const LaneWidth = 5.0
+
 // Road is a straight multi-lane segment.
 type Road struct {
-	Length    float64
-	LaneWidth float64
-	OriginX   float64
-	Lanes     []*Lane
+	Length  float64
+	OriginX float64
+	Lanes   []*Lane
 }
 
 // RoadConfig parameterizes NewRoad.
 type RoadConfig struct {
 	Length            float64 // default 4000 m
 	LanesPerDirection int     // default 2
-	LaneWidth         float64 // default 5 m
 	TwoWay            bool    // add westbound lanes
 	// OriginX shifts the whole segment along the plane X axis, so several
 	// segments can share one radio medium without overlapping (multi-
@@ -124,7 +115,7 @@ type RoadConfig struct {
 }
 
 // NewRoad builds the road geometry. Eastbound lanes sit at positive Y
-// (y = w/2, 3w/2, ...), westbound lanes at negative Y.
+// (y = w/2, 3w/2, ... for w = LaneWidth), westbound lanes at negative Y.
 func NewRoad(cfg RoadConfig) *Road {
 	if cfg.Length == 0 {
 		cfg.Length = 4000
@@ -132,19 +123,16 @@ func NewRoad(cfg RoadConfig) *Road {
 	if cfg.LanesPerDirection == 0 {
 		cfg.LanesPerDirection = 2
 	}
-	if cfg.LaneWidth == 0 {
-		cfg.LaneWidth = 5
-	}
-	r := &Road{Length: cfg.Length, LaneWidth: cfg.LaneWidth, OriginX: cfg.OriginX}
+	r := &Road{Length: cfg.Length, OriginX: cfg.OriginX}
 	idx := 0
 	for i := 0; i < cfg.LanesPerDirection; i++ {
-		y := cfg.LaneWidth * (float64(i) + 0.5)
+		y := LaneWidth * (float64(i) + 0.5)
 		r.Lanes = append(r.Lanes, &Lane{Index: idx, Dir: East, Y: y, road: r, hazardS: -1})
 		idx++
 	}
 	if cfg.TwoWay {
 		for i := 0; i < cfg.LanesPerDirection; i++ {
-			y := -cfg.LaneWidth * (float64(i) + 0.5)
+			y := -LaneWidth * (float64(i) + 0.5)
 			r.Lanes = append(r.Lanes, &Lane{Index: idx, Dir: West, Y: y, road: r, hazardS: -1})
 			idx++
 		}
@@ -176,7 +164,6 @@ type Network struct {
 	// in increasing order, so a spawn appends and an exit deletes in place.
 	vehicles   []*Vehicle
 	gateClosed map[Direction]bool
-	ticker     *sim.Ticker
 	// exitScratch is reused by integrate's compaction pass so steady-state
 	// ticks stay allocation-free.
 	exitScratch []*Vehicle
@@ -252,7 +239,7 @@ func NewNetwork(engine *sim.Engine, cfg NetworkConfig) *Network {
 	if cfg.SpawnDisabled {
 		step = func() { n.integrate(Tick.Seconds()) }
 	}
-	n.ticker = engine.Every(Tick, Tick, "traffic.step", step)
+	engine.Every(Tick, Tick, "traffic.step", step)
 	return n
 }
 
@@ -344,47 +331,6 @@ func (n *Network) BulkAdd(lane *Lane, ss []float64, speed float64) []*Vehicle {
 	return out
 }
 
-// DespawnBulk removes a batch of vehicles from the road at once. Each
-// affected lane is compacted in a single pass — O(lane length) total
-// rather than per vehicle — and exit hooks fire in batch order after all
-// lanes are consistent. Vehicles not on the road are ignored.
-func (n *Network) DespawnBulk(vs []*Vehicle) {
-	gone := make(map[*Vehicle]bool, len(vs))
-	lanes := make(map[*Lane]bool)
-	order := make([]*Vehicle, 0, len(vs))
-	for _, v := range vs {
-		if !n.remove(v) {
-			continue
-		}
-		gone[v] = true
-		lanes[v.Lane] = true
-		order = append(order, v)
-	}
-	for lane := range lanes {
-		compactLane(lane, gone)
-	}
-	if n.OnExit != nil {
-		for _, v := range order {
-			n.OnExit(v)
-		}
-	}
-}
-
-// compactLane drops every vehicle in gone from the lane in one pass,
-// preserving the leader-first order of the survivors.
-func compactLane(lane *Lane, gone map[*Vehicle]bool) {
-	out := lane.vehicles[:0]
-	for _, o := range lane.vehicles {
-		if !gone[o] {
-			out = append(out, o)
-		}
-	}
-	for i := len(out); i < len(lane.vehicles); i++ {
-		lane.vehicles[i] = nil
-	}
-	lane.vehicles = out
-}
-
 // laneStagger offsets lane i's vehicle pattern so parallel lanes are not
 // position-synchronized. Perfectly co-located cross-lane twins would make
 // every CBF re-broadcast happen twice from the same spot, and the second
@@ -437,10 +383,6 @@ func (n *Network) integrate(dt float64) {
 	// integrate, so update order within a tick cannot leak.
 	for _, lane := range n.road.Lanes {
 		for i, v := range lane.vehicles {
-			if v.Halted {
-				v.Accel = 0
-				continue
-			}
 			gap := math.Inf(1)
 			leadSpeed := 0.0
 			if i > 0 {
@@ -461,9 +403,6 @@ func (n *Network) integrate(dt float64) {
 	for _, lane := range n.road.Lanes {
 		exited := n.exitScratch[:0]
 		for _, v := range lane.vehicles {
-			if v.Halted {
-				continue
-			}
 			newSpeed := v.Speed + v.Accel*dt
 			if newSpeed < 0 {
 				// Ballistic update: stop exactly when speed hits zero.
@@ -514,6 +453,3 @@ func (n *Network) integrate(dt float64) {
 		n.OnStep()
 	}
 }
-
-// Stop halts the update ticker (end of scenario).
-func (n *Network) Stop() { n.ticker.Stop() }

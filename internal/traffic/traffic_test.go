@@ -65,7 +65,7 @@ func TestIDMMonotoneInGapProperty(t *testing.T) {
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
 func TestNewRoadGeometry(t *testing.T) {
-	r := NewRoad(RoadConfig{Length: 4000, LanesPerDirection: 2, LaneWidth: 5, TwoWay: true})
+	r := NewRoad(RoadConfig{Length: 4000, LanesPerDirection: 2, TwoWay: true})
 	if len(r.Lanes) != 4 {
 		t.Fatalf("lanes = %d, want 4", len(r.Lanes))
 	}
@@ -257,18 +257,6 @@ func TestNoCollisionsUnderIDM(t *testing.T) {
 					step+1, gap, vs[i-1].ID, vs[i].ID)
 			}
 		}
-	}
-}
-
-func TestHaltedVehicleFrozen(t *testing.T) {
-	e := sim.NewEngine()
-	road := NewRoad(RoadConfig{Length: 1000, LanesPerDirection: 1})
-	n := NewNetwork(e, NetworkConfig{Road: road, SpawnDisabled: true})
-	v := n.AddVehicle(road.LanesOf(East)[0], 500, 20)
-	v.Halted = true
-	e.Run(10 * time.Second)
-	if v.S != 500 || v.Speed != 20 {
-		t.Fatalf("halted vehicle moved: s=%v speed=%v", v.S, v.Speed)
 	}
 }
 

@@ -1,9 +1,6 @@
 package vanet
 
-import (
-	"github.com/vanetsec/georoute/internal/telemetry"
-	"github.com/vanetsec/georoute/internal/traffic"
-)
+import "github.com/vanetsec/georoute/internal/traffic"
 
 // SegmentIDStride separates the vehicle-ID spaces of consecutive road
 // segments in a scale world: segment i > 0 hands out IDs starting at
@@ -34,8 +31,6 @@ type ScaleConfig struct {
 	// SpawnGap is the prepopulation spacing (default 100 m, a sparse
 	// highway: ~20 vehicles per kilometre of lane).
 	SpawnGap float64
-
-	Telemetry *telemetry.RunGauges
 }
 
 // NewScaleWorld assembles the multi-segment world, fully prepopulated with
@@ -65,7 +60,6 @@ func NewScaleWorld(cfg ScaleConfig) *World {
 		SpawnGap:      cfg.SpawnGap,
 		Prepopulate:   true,
 		SpawnDisabled: true,
-		Telemetry:     cfg.Telemetry,
 	})
 	for g := 1; g < cfg.Segments; g++ {
 		w.addSegment(segmentRoad(g), cfg.SpawnGap, g*SegmentIDStride)

@@ -1,13 +1,14 @@
 package vanet
 
 import (
+	"cmp"
 	"encoding/json"
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/vanetsec/georoute/internal/geonet"
 	"github.com/vanetsec/georoute/internal/radio"
-	"github.com/vanetsec/georoute/internal/telemetry"
 	"github.com/vanetsec/georoute/internal/traffic"
 )
 
@@ -24,8 +25,8 @@ func tinyScale() *World { return NewScaleWorld(tinyScaleConfig()) }
 
 func TestScaleWorldAssembly(t *testing.T) {
 	w := tinyScale()
-	if len(w.Segments()) != 3 {
-		t.Fatalf("segments = %d, want 3", len(w.Segments()))
+	if len(w.segments) != 3 {
+		t.Fatalf("segments = %d, want 3", len(w.segments))
 	}
 	perSeg := w.Traffic.Count()
 	if perSeg == 0 {
@@ -48,7 +49,7 @@ func TestScaleWorldAssembly(t *testing.T) {
 		}
 	}
 	// Segment ID striding.
-	if w.Segments()[1].Vehicles()[0].ID != SegmentIDStride {
+	if w.segments[1].Vehicles()[0].ID != SegmentIDStride {
 		t.Fatal("segment 1 IDs not strided")
 	}
 }
@@ -74,18 +75,23 @@ func TestScaleWorldSegmentsAreRFIsolated(t *testing.T) {
 	}
 }
 
+// spawnColumn bulk-adds four vehicles behind the rear of segment 1's
+// lane, 25 m apart, so they leave the world by the segment end.
+func spawnColumn(w *World) []*traffic.Vehicle {
+	seg := w.segments[1]
+	rear := slices.MinFunc(seg.Vehicles(), func(a, b *traffic.Vehicle) int { return cmp.Compare(a.S, b.S) })
+	front := rear.S - 50
+	return seg.BulkAdd(rear.Lane, []float64{front, front - 25, front - 50, front - 75}, 30)
+}
+
 func TestScaleWorldBulkChurn(t *testing.T) {
 	w := tinyScale()
 	w.Run(2 * time.Second)
 	before := w.VehicleCount()
 
-	// Bulk-spawn a fresh column behind the rear of segment 1's lane, then
-	// bulk-despawn it; the router population must track exactly.
-	seg := w.Segments()[1]
-	lane := seg.Road().Lanes[0]
-	vs := lane.Vehicles()
-	front := vs[len(vs)-1].S - 50
-	col := seg.BulkAdd(lane, []float64{front, front - 25, front - 50, front - 75}, 30)
+	// Bulk-spawn a fresh column, then run until every vehicle has left by
+	// its segment end; the router population must track exactly.
+	col := spawnColumn(w)
 	if w.VehicleCount() != before+4 {
 		t.Fatalf("count after spawn = %d, want %d", w.VehicleCount(), before+4)
 	}
@@ -94,25 +100,21 @@ func TestScaleWorldBulkChurn(t *testing.T) {
 			t.Fatalf("spawned vehicle %d has no router", v.ID)
 		}
 	}
-	w.Run(4 * time.Second)
-
-	// Lane leaders may exit naturally during the run; compare against the
-	// population right before the bulk despawn.
-	mid := w.VehicleCount()
-	seg.DespawnBulk(col)
-	if w.VehicleCount() != mid-4 {
-		t.Fatalf("count after despawn = %d, want %d", w.VehicleCount(), mid-4)
+	w.Run(90 * time.Second) // 1,000 m at up to 30 m/s
+	if n := w.VehicleCount(); n != 0 {
+		t.Fatalf("%d vehicles still on the road", n)
 	}
 	for _, v := range col {
 		if w.RouterOf(v) != nil {
-			t.Fatalf("despawned vehicle %d still has a router", v.ID)
+			t.Fatalf("departed vehicle %d still has a router", v.ID)
 		}
 		if w.Medium.Attached(radio.NodeID(AddrOf(v))) {
-			t.Fatalf("despawned vehicle %d still on the medium", v.ID)
+			t.Fatalf("departed vehicle %d still on the medium", v.ID)
 		}
 	}
-	// The world keeps running cleanly after the churn.
-	w.Run(8 * time.Second)
+	if len(w.routers) != 0 {
+		t.Fatalf("%d routers left after every vehicle departed", len(w.routers))
+	}
 }
 
 // summaryJSON is the StatsSummary encoding the benchmark's world_scale
@@ -127,9 +129,9 @@ func summaryJSON(t *testing.T, w *World) string {
 }
 
 // TestScaleWorldStatsSummary pins the StatsSummary artifact of a
-// sequential scale world: it does not depend on how Run is sliced or on
-// telemetry sampling, and its per-segment breakdown keeps the counters
-// of routers that left the world.
+// sequential scale world: it does not depend on how Run is sliced, and
+// its per-segment breakdown keeps the counters of routers that left the
+// world.
 func TestScaleWorldStatsSummary(t *testing.T) {
 	whole := tinyScale()
 	whole.Run(6 * time.Second)
@@ -145,28 +147,10 @@ func TestScaleWorldStatsSummary(t *testing.T) {
 		}
 	})
 
-	t.Run("telemetry inert", func(t *testing.T) {
-		cfg := tinyScaleConfig()
-		cfg.Telemetry = telemetry.NewRunGauges(telemetry.NewRegistry(), 0)
-		w := NewScaleWorld(cfg)
-		w.Run(6 * time.Second)
-		w.SampleTelemetry()
-		if cfg.Telemetry.EventsTotal.Value() != w.Engine.Executed() {
-			t.Fatalf("sampler published %d events, engine ran %d", cfg.Telemetry.EventsTotal.Value(), w.Engine.Executed())
-		}
-		if got := summaryJSON(t, w); got != want {
-			t.Fatalf("telemetry changed the summary:\n got %s\nwant %s", got, want)
-		}
-	})
-
 	t.Run("churn keeps segment counters", func(t *testing.T) {
 		w := tinyScale()
 		w.Run(2 * time.Second)
-		seg := w.Segments()[1]
-		lane := seg.Road().Lanes[0]
-		vs := lane.Vehicles()
-		front := vs[len(vs)-1].S - 50
-		col := seg.BulkAdd(lane, []float64{front, front - 25, front - 50, front - 75}, 30)
+		col := spawnColumn(w)
 		// Past one full beacon interval, so every spawned router has
 		// counters of its own to hand over.
 		w.Run(2*time.Second + geonet.BeaconInterval + time.Second)
@@ -176,22 +160,33 @@ func TestScaleWorldStatsSummary(t *testing.T) {
 			}
 		}
 
-		before := w.StatsSummary()
-		seg.DespawnBulk(col)
-		after := w.StatsSummary()
-		if len(after.Segments) != 3 {
-			t.Fatalf("summary has %d segments, want 3", len(after.Segments))
-		}
-		for i := range after.Segments {
-			if after.Segments[i] != before.Segments[i] {
-				t.Fatalf("segment %d counters moved on despawn:\n got %+v\nwant %+v", i, after.Segments[i], before.Segments[i])
+		// Every vehicle leaves by its segment end. A detach moves the
+		// departing router's counters into its segment's tally, so the
+		// summary reads the same just before and just after it.
+		exits := 0
+		for _, seg := range w.segments {
+			detach := seg.OnExit
+			seg.OnExit = func(v *traffic.Vehicle) {
+				before := w.StatsSummary()
+				detach(v)
+				after := w.StatsSummary()
+				exits++
+				if len(after.Segments) != 3 {
+					t.Fatalf("summary has %d segments, want 3", len(after.Segments))
+				}
+				for i := range after.Segments {
+					if after.Segments[i] != before.Segments[i] {
+						t.Fatalf("segment %d counters moved when vehicle %d left:\n got %+v\nwant %+v", i, v.ID, after.Segments[i], before.Segments[i])
+					}
+				}
 			}
 		}
-		if after.Vehicles != before.Vehicles-len(col) {
-			t.Fatalf("vehicles = %d after despawn, want %d", after.Vehicles, before.Vehicles-len(col))
+		vehicles := w.VehicleCount()
+		w.Run(90 * time.Second)
+		if w.VehicleCount() != 0 || exits != vehicles {
+			t.Fatalf("%d vehicles left by the segment ends and %d remain, want %d and 0", exits, w.VehicleCount(), vehicles)
 		}
 
-		w.Run(10 * time.Second)
 		s := w.StatsSummary()
 		var sum geonet.Stats
 		for _, seg := range s.Segments {

@@ -180,17 +180,10 @@ func (w *World) addSegment(road traffic.RoadConfig, spawnGap float64, firstID in
 	w.syncTicker = w.Engine.Every(traffic.Tick, traffic.Tick, "world.sync", w.Medium.SyncPositions)
 }
 
-// Segments returns every traffic network in the world, the primary one
-// first. The slice is owned by the world; callers must not mutate it.
-func (w *World) Segments() []*traffic.Network { return w.segments }
-
 // VehicleRange reports the configured vehicle communication range.
 func (w *World) VehicleRange() float64 {
 	return radio.Range(w.cfg.Tech, radio.NLoSMedian)
 }
-
-// Tech reports the configured access technology.
-func (w *World) Tech() radio.Technology { return w.cfg.Tech }
 
 // AddrOf maps a traffic vehicle to its GeoNetworking address.
 func AddrOf(v *traffic.Vehicle) geonet.Address {
