@@ -1,8 +1,9 @@
 // Package addrtab is the address-keyed index behind the per-node tables
 // of the receive path: each router's location table and packet state
-// (keyed by source), and the detector's per-source monitor memory. All
-// three probe it on every received frame, millions of times per run, so
-// it trades the generality of a Go map for a shorter probe.
+// (keyed by source), the detector's per-source monitor memory, and the
+// attacker's memory of the last beacon it replayed from each source.
+// All four probe it on every received frame, millions of times per run,
+// so it trades the generality of a Go map for a shorter probe.
 //
 // It is a container, not a simulator layer, so it sits outside internal/:
 // the benchmark's per-layer ledger (bench/ledger.go) charges a profile

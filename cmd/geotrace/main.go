@@ -1,14 +1,16 @@
 // Command geotrace inspects packet lifecycles. It has three modes:
 //
-// Run mode executes a single seeded simulation with the lifecycle tracer
-// (internal/trace) threaded through the radio medium, every router stack,
-// and the attacker, then prints each event, the reconstructed per-packet
-// hop chains, and the conservation check — every traced packet copy must
-// balance as delivered + dropped + buffered + armed:
+// Run mode traces one cell of a paper figure, <figure>/<arm>/<seed>,
+// through the same entry every geosim cell runs (experiment.Figure.RunCell)
+// with the lifecycle tracer (internal/trace) threaded through the radio
+// medium, every router stack and the attacker, then prints each event, the
+// reconstructed per-packet hop chains, and the conservation check — every
+// traced packet copy must balance as delivered + dropped + buffered +
+// armed. With -jsonl it writes the same JSONL and counter rollup that
+// `geosim -trace` writes for that cell:
 //
-//	geotrace -duration 30s -packets 3
-//	geotrace -attack inter-area -range 486 -duration 60s
-//	geotrace -workload intra-area -attack intra-area -jsonl run.jsonl
+//	geotrace -cell fig7a/atk_wN/1 -quiet
+//	geotrace -cell fig9a/atk_mN/11 -jsonl run.jsonl
 //
 // Validate mode strict-decodes an existing JSONL trace (for example one
 // written by `geosim -trace`), re-runs the analyzer, and fails on schema
@@ -32,25 +34,19 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"github.com/vanetsec/georoute/internal/attack"
 	"github.com/vanetsec/georoute/internal/detect"
-	"github.com/vanetsec/georoute/internal/geo"
-	"github.com/vanetsec/georoute/internal/geonet"
+	"github.com/vanetsec/georoute/internal/experiment"
 	"github.com/vanetsec/georoute/internal/trace"
-	"github.com/vanetsec/georoute/internal/traffic"
-	"github.com/vanetsec/georoute/internal/vanet"
 )
 
 func main() {
 	var (
-		duration = flag.Duration("duration", 30*time.Second, "simulated duration")
-		packets  = flag.Int("packets", 3, "data packets to inject")
-		workload = flag.String("workload", "inter-area", "inter-area (GUC) or intra-area (GBC)")
-		atkMode  = flag.String("attack", "none", "none, inter-area, or intra-area")
-		atkRange = flag.Float64("range", 486, "attack range in meters")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
+		cellKey  = flag.String("cell", "fig7a/atk_wN/1", "figure cell to trace, <figure>/<arm>/<seed>")
 		beacons  = flag.Bool("beacons", false, "include beacon events in the printed trace")
 		jsonl    = flag.String("jsonl", "", "also write the raw trace to this JSONL file (plus a .counters.json rollup)")
 		quiet    = flag.Bool("quiet", false, "suppress the per-event lines, print only the analysis")
@@ -62,7 +58,8 @@ func main() {
 
 	set := make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := checkFlags(*duration, *packets, *workload, *atkMode, set); err != nil {
+	fig, cell, err := checkFlags(*cellKey, set)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "geotrace: %v\n", err)
 		os.Exit(2)
 	}
@@ -72,16 +69,26 @@ func main() {
 	if *detPath != "" {
 		os.Exit(runDetect(*detPath, *attacker, *quiet))
 	}
-	os.Exit(runTrace(*duration, *packets, *workload, *atkMode, *atkRange, *seed, *beacons, *jsonl, *quiet))
+	os.Exit(runTrace(fig, cell, *beacons, *jsonl, *quiet))
 }
 
 // runOnly are the flags only run mode reads.
-var runOnly = []string{"duration", "packets", "workload", "attack", "range", "seed", "beacons", "jsonl"}
+var runOnly = []string{"cell", "beacons", "jsonl"}
 
 // checkFlags rejects flags the chosen mode does not read (set holds the
-// flags given on the command line) and out-of-range run-mode flag values
-// before any work starts; main exits 2 on its error.
-func checkFlags(duration time.Duration, packets int, workload, atkMode string, set map[string]bool) error {
+// flags given on the command line) and, in run mode, resolves the -cell
+// key against the figure registry before any work starts; main exits 2
+// on its error.
+func checkFlags(cellKey string, set map[string]bool) (experiment.Figure, experiment.Cell, error) {
+	if err := checkModes(set); err != nil || set["validate"] || set["detect"] {
+		return experiment.Figure{}, experiment.Cell{}, err
+	}
+	return parseCell(cellKey)
+}
+
+// checkModes rejects two modes at once and a flag the chosen mode does
+// not read.
+func checkModes(set map[string]bool) error {
 	mode := ""
 	for _, m := range []string{"validate", "detect"} {
 		if !set[m] {
@@ -104,16 +111,33 @@ func checkFlags(duration time.Duration, packets int, workload, atkMode string, s
 		return fmt.Errorf("-quiet is not used with -%s", mode)
 	case set["attacker"] && mode != "detect":
 		return fmt.Errorf("-attacker is not used without -detect")
-	case duration <= 0:
-		return fmt.Errorf("-duration %v: want a positive duration", duration)
-	case packets < 0:
-		return fmt.Errorf("-packets %d: want 0 or more", packets)
-	case workload != "inter-area" && workload != "intra-area":
-		return fmt.Errorf("-workload %q: want inter-area or intra-area", workload)
-	case atkMode != "none" && atkMode != "inter-area" && atkMode != "intra-area":
-		return fmt.Errorf("-attack %q: want none, inter-area or intra-area", atkMode)
 	}
 	return nil
+}
+
+// parseCell resolves a <figure>/<arm>/<seed> key to its registry figure
+// and cell.
+func parseCell(key string) (experiment.Figure, experiment.Cell, error) {
+	parts := strings.Split(key, "/")
+	if len(parts) != 3 {
+		return experiment.Figure{}, experiment.Cell{}, fmt.Errorf("-cell %q: want <figure>/<arm>/<seed>", key)
+	}
+	fig, ok := experiment.Figures()[parts[0]]
+	if !ok {
+		return experiment.Figure{}, experiment.Cell{}, fmt.Errorf("-cell %q: unknown figure %q (geosim -list names them)", key, parts[0])
+	}
+	if _, ok := fig.Arm(parts[1]); !ok {
+		labels := make([]string, len(fig.Arms))
+		for i, a := range fig.Arms {
+			labels[i] = a.Label
+		}
+		return experiment.Figure{}, experiment.Cell{}, fmt.Errorf("-cell %q: %s has no arm %q; its arms are %s", key, fig.ID, parts[1], strings.Join(labels, ", "))
+	}
+	seed, err := strconv.ParseUint(parts[2], 10, 64)
+	if err != nil {
+		return experiment.Figure{}, experiment.Cell{}, fmt.Errorf("-cell %q: seed %q is not a number", key, parts[2])
+	}
+	return fig, experiment.Cell{Figure: fig.ID, Arm: parts[1], Seed: seed}, nil
 }
 
 // runValidate strict-decodes a JSONL trace and re-runs the conservation
@@ -194,7 +218,10 @@ func runDetect(path string, attacker uint64, quiet bool) int {
 	return 0
 }
 
-func runTrace(duration time.Duration, packets int, workload, atkMode string, atkRange float64, seed uint64, beacons bool, jsonlPath string, quiet bool) int {
+// runTrace runs one figure cell under a tracer that keeps every record
+// for the analysis and, as asked, prints them and writes them as JSONL.
+// Exit 1 on a conservation or RHL violation.
+func runTrace(fig experiment.Figure, cell experiment.Cell, beacons bool, jsonlPath string, quiet bool) int {
 	mem := &trace.MemorySink{}
 	sinks := []trace.Sink{mem}
 	if !quiet {
@@ -210,59 +237,12 @@ func runTrace(duration time.Duration, packets int, workload, atkMode string, atk
 		}
 		sinks = append(sinks, ft.Tracer())
 	}
-	tr := trace.New(sinks...)
 
-	var w *vanet.World
-	w = vanet.New(vanet.Config{
-		Seed:        seed,
-		Road:        traffic.RoadConfig{Length: 4000, LanesPerDirection: 2},
-		SpawnGap:    30,
-		Prepopulate: true,
-		Tracer:      tr,
-		OnDeliver: func(addr geonet.Address, p *geonet.Packet) {
-			if quiet {
-				return
-			}
-			fmt.Printf("%-12s UPPER      node %d got %v/%d\n",
-				w.Engine.Now().Round(time.Microsecond), addr, p.SourcePV.Addr, p.SN)
-		},
-	})
-	w.AddStatic(vanet.WestDestAddr, geo.Pt(-20, 0), 0)
-	w.AddStatic(vanet.EastDestAddr, geo.Pt(4020, 0), 0)
-
-	if atkMode != "none" {
-		mode := attack.InterArea
-		if atkMode == "intra-area" {
-			mode = attack.IntraArea
-		}
-		attack.NewAttacker(attack.Config{
-			Engine:   w.Engine,
-			Medium:   w.Medium,
-			Position: geo.Pt(2000, -2.5),
-			Range:    atkRange,
-			Mode:     mode,
-			Tracer:   tr,
-		})
+	res, err := fig.RunCell(cell, experiment.Observe{Tracer: trace.New(sinks...)})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "geotrace: %v\n", err)
+		return 1
 	}
-
-	// Let beacons settle, then inject packets from mid-road vehicles.
-	w.Engine.ScheduleAt(10*time.Second, "inject", func() {
-		vs := w.AppendVehicles(nil)
-		for i := 0; i < packets && i < len(vs); i++ {
-			src := vs[len(vs)/2+i]
-			r := w.RouterOf(src)
-			switch workload {
-			case "intra-area":
-				area := geo.NewRect(geo.Pt(2000, 0), 2000, 30, 90)
-				r.SendGeoBroadcast(area, nil)
-			default:
-				r.SendGeoUnicast(vanet.EastDestAddr, geo.Pt(4020, 0), nil)
-			}
-		}
-	})
-
-	w.Run(duration)
-
 	if ft != nil {
 		if err := ft.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "geotrace: %v\n", err)
@@ -273,8 +253,7 @@ func runTrace(duration time.Duration, packets int, workload, atkMode string, atk
 	an := trace.Analyze(mem.Records)
 	fmt.Println()
 	fmt.Print(an.Summary())
-	fmt.Printf("\nmedium stats: %+v\n", w.Medium.Stats())
-	fmt.Printf("protocol stats: %+v\n", w.ProtocolStats())
+	fmt.Printf("\nprotocol stats: %+v\n", res.Protocol)
 	if len(an.Violations()) > 0 {
 		return 1
 	}

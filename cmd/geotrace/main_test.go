@@ -3,74 +3,78 @@ package main
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestCheckFlagsRejects covers every value checkFlags turns into exit 2.
-// Each row changes one flag from its default; the error must name it.
+// Each row sets one -cell key or one combination of flags; the error must
+// name the flag (and, for an unknown arm, list the figure's arms).
 func TestCheckFlagsRejects(t *testing.T) {
-	type flags struct {
-		duration          time.Duration
-		packets           int
-		workload, atkMode string
-		set               []string // flags given on the command line
-	}
-	defaults := flags{duration: 30 * time.Second, packets: 3, workload: "inter-area", atkMode: "none"}
-	check := func(f flags) error {
-		set := make(map[string]bool)
-		for _, name := range f.set {
-			set[name] = true
+	const defaultCell = "fig7a/atk_wN/1"
+	check := func(cell string, set ...string) error {
+		given := make(map[string]bool)
+		for _, name := range set {
+			given[name] = true
 		}
-		return checkFlags(f.duration, f.packets, f.workload, f.atkMode, set)
+		_, _, err := checkFlags(cell, given)
+		return err
 	}
-	if err := check(defaults); err != nil {
-		t.Fatalf("defaults rejected: %v", err)
+	if err := check(defaultCell); err != nil {
+		t.Fatalf("default cell rejected: %v", err)
 	}
 	for _, tc := range []struct {
 		name string
-		edit func(*flags)
-		want string
+		cell string
+		set  []string // flags given on the command line
+		want []string
 	}{
-		{"duration zero", func(f *flags) { f.duration = 0 }, "-duration"},
-		{"duration negative", func(f *flags) { f.duration = -time.Second }, "-duration"},
-		{"packets negative", func(f *flags) { f.packets = -1 }, "-packets"},
-		{"workload unknown", func(f *flags) { f.workload = "foo" }, "-workload"},
-		{"workload empty", func(f *flags) { f.workload = "" }, "-workload"},
-		{"attack unknown", func(f *flags) { f.atkMode = "blackhole" }, "-attack"},
-		{"attack empty", func(f *flags) { f.atkMode = "" }, "-attack"},
+		{"cell two parts", "fig7a/atk_wN", []string{"cell"}, []string{"-cell"}},
+		{"cell four parts", "fig7a/atk_wN/1/2", []string{"cell"}, []string{"-cell"}},
+		{"cell empty", "", []string{"cell"}, []string{"-cell"}},
+		{"cell unknown figure", "fig99/atk_wN/1", []string{"cell"}, []string{"-cell", "fig99"}},
+		{"cell unknown arm", "fig7a/atk_xx/1", []string{"cell"},
+			[]string{"-cell", "atk_xx", "af_wN", "atk_wN", "af_mN", "atk_mN", "af_mL", "atk_mL"}},
+		{"cell seed not a number", "fig7a/atk_wN/one", []string{"cell"}, []string{"-cell", "one"}},
+		{"cell seed negative", "fig7a/atk_wN/-1", []string{"cell"}, []string{"-cell"}},
 		// A flag the chosen mode would ignore is an error, not a no-op.
-		{"validate with duration", func(f *flags) { f.set = []string{"validate", "duration"} }, "-duration"},
-		{"validate with quiet", func(f *flags) { f.set = []string{"validate", "quiet"} }, "-quiet"},
-		{"detect with attack", func(f *flags) { f.set = []string{"detect", "attack"} }, "-attack"},
-		{"detect with jsonl", func(f *flags) { f.set = []string{"jsonl", "detect"} }, "-jsonl"},
-		{"detect with seed", func(f *flags) { f.set = []string{"detect", "seed"} }, "-seed"},
-		{"validate with detect", func(f *flags) { f.set = []string{"validate", "detect"} }, "separate modes"},
-		{"attacker without detect", func(f *flags) { f.set = []string{"attacker"} }, "-attacker"},
-		{"attacker with validate", func(f *flags) { f.set = []string{"validate", "attacker"} }, "-attacker"},
+		{"validate with cell", defaultCell, []string{"validate", "cell"}, []string{"-cell"}},
+		{"detect with cell", defaultCell, []string{"detect", "cell"}, []string{"-cell"}},
+		{"validate with quiet", defaultCell, []string{"validate", "quiet"}, []string{"-quiet"}},
+		{"detect with jsonl", defaultCell, []string{"jsonl", "detect"}, []string{"-jsonl"}},
+		{"detect with beacons", defaultCell, []string{"detect", "beacons"}, []string{"-beacons"}},
+		{"validate with detect", defaultCell, []string{"validate", "detect"}, []string{"separate modes"}},
+		{"attacker without detect", defaultCell, []string{"attacker"}, []string{"-attacker"}},
+		{"attacker with validate", defaultCell, []string{"validate", "attacker"}, []string{"-attacker"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			f := defaults
-			tc.edit(&f)
-			err := check(f)
+			err := check(tc.cell, tc.set...)
 			if err == nil {
-				t.Fatalf("%+v accepted", f)
+				t.Fatalf("-cell %q with %v accepted", tc.cell, tc.set)
 			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not name %s", err, tc.want)
+			for _, w := range tc.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Fatalf("error %q does not name %s", err, w)
+				}
 			}
 		})
 	}
-	// Zero packets is a beacon-only run; both workloads and attacks pass.
-	// -quiet serves run and detect mode, -attacker detect mode.
-	for _, f := range []flags{
-		{duration: time.Second, packets: 0, workload: "intra-area", atkMode: "intra-area",
-			set: []string{"duration", "packets", "workload", "attack", "range", "seed", "beacons", "jsonl", "quiet"}},
-		{duration: time.Second, packets: 5, workload: "inter-area", atkMode: "inter-area"},
-		{duration: 30 * time.Second, packets: 3, workload: "inter-area", atkMode: "none", set: []string{"detect", "attacker", "quiet"}},
-		{duration: 30 * time.Second, packets: 3, workload: "inter-area", atkMode: "none", set: []string{"validate"}},
+	// Run mode resolves any registry cell; -quiet serves run and detect
+	// mode, -attacker detect mode. The modes that read a file never parse
+	// the default cell.
+	for _, tc := range []struct {
+		cell string
+		set  []string
+	}{
+		{"fig9a/atk_mN/11", []string{"cell", "beacons", "jsonl", "quiet"}},
+		{"fig7a/af_wN/18446744073709551615", []string{"cell"}},
+		{defaultCell, []string{"detect", "attacker", "quiet"}},
+		{defaultCell, []string{"validate"}},
 	} {
-		if err := check(f); err != nil {
-			t.Fatalf("%+v rejected: %v", f, err)
+		if err := check(tc.cell, tc.set...); err != nil {
+			t.Fatalf("-cell %q with %v rejected: %v", tc.cell, tc.set, err)
 		}
+	}
+	fig, cell, err := checkFlags("fig9a/atk_mN/11", map[string]bool{"cell": true})
+	if err != nil || fig.ID != "fig9a" || cell.Key() != "fig9a/atk_mN/11" {
+		t.Fatalf("fig9a/atk_mN/11 resolved to %s, %s, %v", fig.ID, cell.Key(), err)
 	}
 }

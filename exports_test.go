@@ -41,14 +41,18 @@ var dynamicInterfaces = [][2]string{
 }
 
 // TestExportedFunctionsHaveCallers fails when a function or method
-// declared under internal/ or addrtab/, exported or not, is reached by
-// no non-test Go code of the module or of bench/, so code only tests
-// execute does not grow back. Every package is type-checked, so a use
-// resolves to its object, not to its name. A function is reached when a
-// non-test file uses it outside its own body; a method also when it
-// implements an interface method that is used (dispatch, as
-// radio.Receiver's Deliver reaches geonet.Router.Deliver) or one of
-// dynamicInterfaces.
+// declared under internal/ or addrtab/, exported or not, is not reached
+// from the module's roots, so code only tests execute does not grow
+// back. The roots are every main and init, each function of the public
+// root package, every function of bench/ and the allowlisted hooks, plus
+// the package-level variable initializers. Every package is type-checked,
+// so a use resolves to its object, not to its name. A function is
+// reached when the body of a reached function, or a root initializer,
+// uses it; a method also when it implements an interface method used
+// there (dispatch, as radio.Receiver's Deliver reaches
+// geonet.Router.Deliver) or one of dynamicInterfaces. A whole dead
+// cascade therefore fails in one run, and a use in a function's own body
+// does not reach it.
 func TestExportedFunctionsHaveCallers(t *testing.T) {
 	l := &moduleLoader{
 		fset: token.NewFileSet(),
@@ -81,29 +85,81 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// uses lists the functions each declared function's body uses; the
+	// nil key holds those the package-level initializers use.
 	decls := make(map[*types.Func]*ast.FuncDecl)
+	uses := make(map[*types.Func][]*types.Func)
+	var roots []*types.Func
+	collect := func(fn *types.Func, n ast.Node) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if used, ok := l.info.Uses[id].(*types.Func); ok {
+					uses[fn] = append(uses[fn], used.Origin())
+				}
+			}
+			return true
+		})
+	}
 	for _, f := range l.files {
+		file := l.fset.Position(f.Pos()).Filename
 		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name != "init" {
-				decls[l.info.Defs[fd.Name].(*types.Func)] = fd
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				collect(nil, d)
+				continue
+			}
+			fn := l.info.Defs[fd.Name].(*types.Func)
+			decls[fn] = fd
+			collect(fn, fd)
+			entry := fd.Recv == nil && (fd.Name.Name == "init" || fd.Name.Name == "main" && fn.Pkg().Name() == "main")
+			if entry || !strings.Contains(file, "/") || strings.HasPrefix(file, "bench/") {
+				roots = append(roots, fn)
 			}
 		}
 	}
 
 	reached := make(map[*types.Func]bool)
 	ifaceMethods := make(map[*types.Func]bool)
-	for id, obj := range l.info.Uses {
-		fn, ok := obj.(*types.Func)
-		if !ok {
-			continue
+	var queue []*types.Func
+	var mark func(fn *types.Func)
+	// dispatch marks the methods that implement interface method m.
+	dispatch := func(m *types.Func) {
+		iface := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+		for fn := range decls {
+			recv := fn.Type().(*types.Signature).Recv()
+			if reached[fn] || recv == nil || fn.Name() != m.Name() || isInterfaceMethod(fn) {
+				continue
+			}
+			named := receiverNamed(recv.Type())
+			if named.TypeParams().Len() == 0 && (types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface)) {
+				mark(fn)
+			}
 		}
-		fn = fn.Origin()
-		if fd := decls[fn]; fd != nil && fd.Pos() <= id.Pos() && id.Pos() < fd.End() {
-			continue // recursion is no caller
+	}
+	// mark reaches fn and queues its body, or dispatches an interface
+	// method the first time a reached body uses it.
+	mark = func(fn *types.Func) {
+		switch {
+		case isInterfaceMethod(fn):
+			if !ifaceMethods[fn] {
+				ifaceMethods[fn] = true
+				dispatch(fn)
+			}
+		case !reached[fn]:
+			reached[fn] = true
+			queue = append(queue, fn)
 		}
-		reached[fn] = true
-		if isInterfaceMethod(fn) {
-			ifaceMethods[fn] = true
+	}
+	walk := func(seed []*types.Func) {
+		for _, fn := range seed {
+			mark(fn)
+		}
+		for len(queue) > 0 {
+			fn := queue[0]
+			queue = queue[1:]
+			for _, used := range uses[fn] {
+				mark(used)
+			}
 		}
 	}
 	for _, di := range dynamicInterfaces {
@@ -113,54 +169,45 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 		}
 		iface := pkg.Scope().Lookup(di[1]).Type().Underlying().(*types.Interface)
 		for i := 0; i < iface.NumMethods(); i++ {
-			ifaceMethods[iface.Method(i)] = true
+			mark(iface.Method(i))
 		}
 	}
-	for fn := range decls {
-		if reached[fn] || isInterfaceMethod(fn) {
-			continue
-		}
-		recv := fn.Type().(*types.Signature).Recv()
-		if recv == nil {
-			continue
-		}
-		named := receiverNamed(recv.Type())
-		if named.TypeParams().Len() > 0 {
-			continue
-		}
-		for m := range ifaceMethods {
-			iface := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
-			if m.Name() == fn.Name() && (types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface)) {
-				reached[fn] = true
-				break
-			}
-		}
-	}
+	walk(append(roots, uses[nil]...))
 
-	var unreached []string
-	inScope := make(map[string]bool)
+	// An allowlisted hook must be unreached from the other roots; then it
+	// joins them, and what only it calls is reached too.
+	var inScope []*types.Func
+	byName := make(map[string]*types.Func)
 	for fn, fd := range decls {
 		pos := l.fset.Position(fd.Pos())
-		if !strings.HasPrefix(pos.Filename, "internal/") && !strings.HasPrefix(pos.Filename, "addrtab/") {
-			continue
+		if strings.HasPrefix(pos.Filename, "internal/") || strings.HasPrefix(pos.Filename, "addrtab/") {
+			inScope = append(inScope, fn)
+			byName[qualifiedName(fn)] = fn
 		}
-		name := qualifiedName(fn)
-		inScope[name] = true
-		if !reached[fn] && unreachedAllowed[name] == "" {
-			unreached = append(unreached, pos.String()+": "+name)
+	}
+	var hooks []*types.Func
+	for name := range unreachedAllowed {
+		fn := byName[name]
+		switch {
+		case fn == nil:
+			t.Errorf("allowlist entry %s names no function under internal/ or addrtab/", name)
+		case reached[fn]:
+			t.Errorf("%s: %s is reached by non-test code; drop its allowlist entry", l.fset.Position(decls[fn].Pos()), name)
+		default:
+			hooks = append(hooks, fn)
 		}
-		if reached[fn] && unreachedAllowed[name] != "" {
-			t.Errorf("%s: %s is reached by non-test code; drop its allowlist entry", pos, name)
+	}
+	walk(hooks)
+
+	var unreached []string
+	for _, fn := range inScope {
+		if !reached[fn] {
+			unreached = append(unreached, l.fset.Position(decls[fn].Pos()).String()+": "+qualifiedName(fn))
 		}
 	}
 	sort.Strings(unreached)
 	for _, u := range unreached {
 		t.Errorf("%s is reached by no non-test code; delete it or call it", u)
-	}
-	for name := range unreachedAllowed {
-		if !inScope[name] {
-			t.Errorf("allowlist entry %s names no function under internal/ or addrtab/", name)
-		}
 	}
 }
 

@@ -33,9 +33,10 @@
 //     its figure artifacts match Figure.Run's byte for byte.
 //   - RunHazard and RunCurve reproduce the traffic-efficiency and
 //     road-safety showcases (Figs 12 and 13).
-//   - BuildWorld and BuildScaleWorld expose the underlying simulation
-//     world for custom scenarios and scale benchmarks (see
-//     georoute_test.go and world_bench_test.go).
+//
+// Every world these entry points run is a paper scenario: a figure cell
+// or a showcase. Tests and benchmarks that need a bare world build it
+// from internal/vanet directly (world_bench_test.go).
 package georoute
 
 import (
@@ -45,7 +46,6 @@ import (
 	"github.com/vanetsec/georoute/internal/attack"
 	"github.com/vanetsec/georoute/internal/campaign"
 	"github.com/vanetsec/georoute/internal/experiment"
-	"github.com/vanetsec/georoute/internal/geo"
 	"github.com/vanetsec/georoute/internal/geonet"
 	"github.com/vanetsec/georoute/internal/metrics"
 	"github.com/vanetsec/georoute/internal/mitigation"
@@ -53,24 +53,7 @@ import (
 	"github.com/vanetsec/georoute/internal/showcase"
 	"github.com/vanetsec/georoute/internal/telemetry"
 	"github.com/vanetsec/georoute/internal/trace"
-	"github.com/vanetsec/georoute/internal/traffic"
-	"github.com/vanetsec/georoute/internal/vanet"
 )
-
-// Geometry -----------------------------------------------------------------
-
-// Point is a position on the local plane, in meters.
-type Point = geo.Point
-
-// Area is a GeoNetworking destination area (circle, rectangle or ellipse).
-type Area = geo.Area
-
-// Pt constructs a Point.
-func Pt(x, y float64) Point { return geo.Pt(x, y) }
-
-// NewRect constructs a rectangular destination area with half side
-// lengths a (along the azimuth) and b.
-func NewRect(c Point, a, b, azimuthDeg float64) Area { return geo.NewRect(c, a, b, azimuthDeg) }
 
 // Radio --------------------------------------------------------------------
 
@@ -93,14 +76,6 @@ const (
 // Range returns the Table II communication range in meters.
 func Range(t Technology, c RangeClass) float64 { return radio.Range(t, c) }
 
-// Protocol -----------------------------------------------------------------
-
-// Address is a GeoNetworking address.
-type Address = geonet.Address
-
-// Packet is a decoded GeoNetworking PDU.
-type Packet = geonet.Packet
-
 // Attacks ------------------------------------------------------------------
 
 // Attack modes.
@@ -114,34 +89,6 @@ const (
 
 // DefaultRHLMaxDrop is the paper's RHL-drop threshold of 3.
 const DefaultRHLMaxDrop = mitigation.DefaultRHLMaxDrop
-
-// World --------------------------------------------------------------------
-
-// World is an assembled simulation: engine, radio, PKI, traffic, routers.
-type World = vanet.World
-
-// WorldConfig parameterizes BuildWorld.
-type WorldConfig = vanet.Config
-
-// RoadConfig describes road geometry.
-type RoadConfig = traffic.RoadConfig
-
-// BuildWorld assembles a simulation world.
-func BuildWorld(cfg WorldConfig) *World { return vanet.New(cfg) }
-
-// ScaleWorldConfig parameterizes BuildScaleWorld.
-type ScaleWorldConfig = vanet.ScaleConfig
-
-// BuildScaleWorld assembles a multi-segment world for engine-scale
-// benchmarks: several RF-isolated copies of one road segment sharing a
-// single engine and medium (see internal/vanet.NewScaleWorld).
-func BuildScaleWorld(cfg ScaleWorldConfig) *World { return vanet.NewScaleWorld(cfg) }
-
-// Well-known static addresses used by the experiments.
-const (
-	WestDestAddr = vanet.WestDestAddr
-	EastDestAddr = vanet.EastDestAddr
-)
 
 // Experiments ----------------------------------------------------------------
 
@@ -241,17 +188,8 @@ type TelemetryRegistry = telemetry.Registry
 // over a registry.
 type TelemetryServer = telemetry.Server
 
-// RunTelemetry bundles the per-run gauge handles sampled by a world.
-type RunTelemetry = telemetry.RunGauges
-
 // NewTelemetryRegistry builds an empty registry.
 func NewTelemetryRegistry() *TelemetryRegistry { return telemetry.NewRegistry() }
-
-// NewRunTelemetry registers one worker slot's run gauges (nil registry →
-// nil, which every sample site tolerates).
-func NewRunTelemetry(r *TelemetryRegistry, worker int) *RunTelemetry {
-	return telemetry.NewRunGauges(r, worker)
-}
 
 // RegisterRuntimeMetrics adds Go-runtime memory/GC/goroutine gauges,
 // refreshed only when a snapshot is taken.

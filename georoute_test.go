@@ -100,32 +100,3 @@ func TestPublicShowcases(t *testing.T) {
 		t.Fatal("hazard showcase: entrance never warned attack-free")
 	}
 }
-
-func TestPublicWorldBuilder(t *testing.T) {
-	// Build a custom world through the facade: a 1 km road, one static
-	// destination, one message.
-	delivered := false
-	var w *georoute.World
-	w = georoute.BuildWorld(georoute.WorldConfig{
-		Seed:        5,
-		Road:        georoute.RoadConfig{Length: 1000, LanesPerDirection: 1},
-		SpawnGap:    50,
-		Prepopulate: true,
-		OnDeliver: func(addr georoute.Address, p *georoute.Packet) {
-			if addr == georoute.EastDestAddr {
-				delivered = true
-			}
-		},
-	})
-	w.AddStatic(georoute.EastDestAddr, georoute.Pt(1020, 0), 0)
-	w.Run(8 * time.Second)
-	vs := w.AppendVehicles(nil)
-	if len(vs) == 0 {
-		t.Fatal("no vehicles")
-	}
-	w.RouterOf(vs[len(vs)/2]).SendGeoUnicast(georoute.EastDestAddr, georoute.Pt(1020, 0), []byte("hi"))
-	w.Run(20 * time.Second)
-	if !delivered {
-		t.Fatal("custom-world GUC not delivered")
-	}
-}

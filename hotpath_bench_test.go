@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/vanetsec/georoute"
+	"github.com/vanetsec/georoute/internal/telemetry"
 )
 
 // BenchmarkFig7aPair is the headline end-to-end pair: one attack-free +
@@ -57,7 +58,7 @@ func BenchmarkFig7aPairTelemetry(b *testing.B) {
 	af := atk
 	af.AttackMode = georoute.AttackNone
 	reg := georoute.NewTelemetryRegistry()
-	obs := georoute.Observe{Gauges: georoute.NewRunTelemetry(reg, 0)}
+	obs := georoute.Observe{Gauges: telemetry.NewRunGauges(reg, 0)}
 	var rate float64
 	for i := 0; i < b.N; i++ {
 		seed := uint64(i + 1)

@@ -84,7 +84,7 @@ func (a *ForgedBeaconAttacker) beacon() {
 		},
 	}
 	p.Sign(a.signer)
-	a.medium.Send(a.antenna, radio.BroadcastID, p.Marshal())
+	a.medium.SendPooled(a.antenna, radio.BroadcastID, p.Marshal())
 }
 
 // noopReceiver discards incoming frames; the forger only transmits.

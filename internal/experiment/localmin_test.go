@@ -72,7 +72,7 @@ func TestLocalMinimumBufferGrows(t *testing.T) {
 		Tech:          radio.DSRC,
 		Road:          traffic.RoadConfig{Length: 4000, LanesPerDirection: 1},
 		SpawnDisabled: true,
-		LocTTTL:       20 * time.Second,
+		Router:        geonet.Config{LocTTTL: 20 * time.Second},
 	})
 	src, relays, dest := LocalMinLayout(w.VehicleRange())
 	w.AddStatic(LocalMinSourceAddr, src, 0)

@@ -170,21 +170,23 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 	var latSum float64
 	var latCount uint64
 	w = vanet.New(vanet.Config{
-		Seed:             seed,
-		Tech:             s.Tech,
-		Road:             traffic.RoadConfig{Length: RoadLength, LanesPerDirection: LanesPerDirection, TwoWay: s.TwoWay},
-		SpawnGap:         s.Spacing,
-		Prepopulate:      s.Topology == TopoRoad,
-		SpawnDisabled:    s.Topology == TopoLocalMin,
-		LocTTTL:          s.LocTTTL,
-		NeighborLifetime: s.NeighborLifetime,
-		MaxHopLimit:      s.MaxHopLimit,
-		EdgeFactor:       s.RadioEdgeFactor,
-		Forwarder:        s.Forwarder,
-		ForwardFilter:    cfgFilter,
-		DuplicateRule:    cfgRule,
-		Tracer:           tr,
-		Telemetry:        obs.Gauges,
+		Seed:          seed,
+		Tech:          s.Tech,
+		Road:          traffic.RoadConfig{Length: RoadLength, LanesPerDirection: LanesPerDirection, TwoWay: s.TwoWay},
+		SpawnGap:      s.Spacing,
+		Prepopulate:   s.Topology == TopoRoad,
+		SpawnDisabled: s.Topology == TopoLocalMin,
+		EdgeFactor:    s.RadioEdgeFactor,
+		Router: geonet.Config{
+			LocTTTL:          s.LocTTTL,
+			NeighborLifetime: s.NeighborLifetime,
+			MaxHopLimit:      s.MaxHopLimit,
+			Forwarder:        s.Forwarder,
+			ForwardFilter:    cfgFilter,
+			DuplicateRule:    cfgRule,
+			Tracer:           tr,
+		},
+		Telemetry: obs.Gauges,
 		OnDeliver: func(addr geonet.Address, p *geonet.Packet) {
 			t, ok := reg[p.Key()]
 			if !ok {

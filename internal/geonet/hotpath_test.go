@@ -478,7 +478,7 @@ func TestBeaconScratchNeverAliasesDataPackets(t *testing.T) {
 	m.Attach(2, 500, func() geo.Point { return geo.Pt(100, 0) }, rec, false)
 	ca := security.NewSimCA(1)
 	send := func(p *Packet) {
-		m.Send(tx, radio.BroadcastID, p.Marshal())
+		m.SendPooled(tx, radio.BroadcastID, p.Marshal())
 		engine.Run(engine.Now() + radio.Latency)
 	}
 

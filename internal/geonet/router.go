@@ -390,9 +390,9 @@ func sortKeys(ks []Key) {
 	})
 }
 
-// send marshals p into a pooled medium buffer and transmits it: the
-// zero-allocation counterpart of Send(..., p.Marshal()). The buffer is
-// reclaimed by the medium after the frame's delivery event.
+// send marshals p into a pooled medium buffer and transmits it without
+// allocating. The buffer is reclaimed by the medium after the frame's
+// delivery event.
 func (r *Router) send(to radio.NodeID, p *Packet) {
 	buf := r.cfg.Medium.GrabPayload()
 	r.cfg.Medium.SendPooled(r.antenna, to, p.AppendMarshal(buf))

@@ -436,9 +436,9 @@ const inlineTail = 120
 
 // ownedPacket is a decoded packet together with the storage its byte
 // fields point into, so a beacon decodes with a single allocation, or
-// none into a reused one. Tails longer than inline (payload-bearing or
-// ECDSA frames) decode into a plain Packet plus one heap copy of the
-// tail instead.
+// none into a reused one. Tails longer than inline (payload-bearing
+// frames) decode into a plain Packet plus one heap copy of the tail
+// instead.
 type ownedPacket struct {
 	Packet
 	inline [inlineTail]byte

@@ -65,7 +65,7 @@ func drive(b *testing.B, e *sim.Engine, m *Medium, tx *Antenna, to NodeID) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Send(tx, to, payload)
+		m.SendPooled(tx, to, append(m.GrabPayload(), payload...))
 		e.Run(e.Now() + 2*Latency)
 	}
 }
@@ -118,7 +118,7 @@ func BenchmarkMediumChurn(b *testing.B) {
 		id := NodeID(n + i + 1)
 		p := geo.Pt(float64(i%n)*benchSpacing, 5)
 		m.Attach(id, benchRange, func() geo.Point { return p }, nopReceiver{}, false)
-		m.Send(tx, BroadcastID, payload)
+		m.SendPooled(tx, BroadcastID, append(m.GrabPayload(), payload...))
 		m.Detach(id)
 		e.Run(e.Now() + 2*Latency)
 	}

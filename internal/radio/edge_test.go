@@ -21,7 +21,7 @@ func TestHardDiskIsDefault(t *testing.T) {
 	tx := m.Attach(1, 100, staticPos(geo.Pt(0, 0)), &collector{}, false)
 	m.Attach(2, 100, staticPos(geo.Pt(100.01, 0)), &rx, false)
 	for i := 0; i < 50; i++ {
-		m.Send(tx, BroadcastID, []byte{byte(i)})
+		m.SendPooled(tx, BroadcastID, []byte{byte(i)})
 	}
 	e.Run(time.Second)
 	if len(rx.delivered) != 0 {
@@ -35,7 +35,7 @@ func TestSoftEdgeWithinRangeAlwaysDelivers(t *testing.T) {
 	tx := m.Attach(1, 100, staticPos(geo.Pt(0, 0)), &collector{}, false)
 	m.Attach(2, 100, staticPos(geo.Pt(99, 0)), &rx, false)
 	for i := 0; i < 20; i++ {
-		m.Send(tx, BroadcastID, []byte{byte(i)})
+		m.SendPooled(tx, BroadcastID, []byte{byte(i)})
 	}
 	e.Run(time.Second)
 	if len(rx.delivered) != 20 {
@@ -49,7 +49,7 @@ func TestSoftEdgeBeyondEdgeNeverDelivers(t *testing.T) {
 	tx := m.Attach(1, 100, staticPos(geo.Pt(0, 0)), &collector{}, false)
 	m.Attach(2, 100, staticPos(geo.Pt(116, 0)), &rx, false) // beyond 1.15*100
 	for i := 0; i < 50; i++ {
-		m.Send(tx, BroadcastID, []byte{byte(i)})
+		m.SendPooled(tx, BroadcastID, []byte{byte(i)})
 	}
 	e.Run(time.Second)
 	if len(rx.delivered) != 0 {
@@ -68,7 +68,7 @@ func TestSoftEdgeZoneIsProbabilistic(t *testing.T) {
 		rxs[i] = &collector{}
 		m.Attach(NodeID(i+2), 100, staticPos(geo.Pt(107.5, float64(i)/1e6)), rxs[i], false)
 	}
-	m.Send(tx, BroadcastID, []byte("probe"))
+	m.SendPooled(tx, BroadcastID, []byte("probe"))
 	e.Run(time.Second)
 	got := 0
 	for _, rx := range rxs {
@@ -87,7 +87,7 @@ func TestSoftEdgeLinkCoherence(t *testing.T) {
 	tx := m.Attach(1, 100, staticPos(geo.Pt(0, 0)), &collector{}, false)
 	m.Attach(2, 100, staticPos(geo.Pt(107, 0)), &rx, false)
 	for i := 0; i < 30; i++ {
-		m.Send(tx, BroadcastID, []byte{byte(i)})
+		m.SendPooled(tx, BroadcastID, []byte{byte(i)})
 	}
 	e.Run(time.Second) // all within the first 4 s bucket
 	if got := len(rx.delivered); got != 0 && got != 30 {
@@ -104,7 +104,7 @@ func TestSoftEdgeDeterministicAcrossMedia(t *testing.T) {
 		tx := m.Attach(1, 100, staticPos(geo.Pt(0, 0)), &collector{}, false)
 		m.Attach(2, 100, staticPos(geo.Pt(108, 0)), &rx, false)
 		for i := 0; i < 10; i++ {
-			m.Send(tx, BroadcastID, []byte{1, 2, 3})
+			m.SendPooled(tx, BroadcastID, []byte{1, 2, 3})
 		}
 		e.Run(time.Second)
 		return len(rx.delivered)

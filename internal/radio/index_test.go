@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -25,7 +26,7 @@ func TestUnicastTargetDetachedInFlightCountsLost(t *testing.T) {
 	tx := m.Attach(1, 100, staticPos(geo.Pt(0, 0)), &collector{}, false)
 	m.Attach(2, 100, staticPos(geo.Pt(50, 0)), &target, false)
 
-	m.Send(tx, 2, []byte("pkt"))
+	m.SendPooled(tx, 2, []byte("pkt"))
 	m.Detach(2) // the target leaves while the frame is in flight
 	e.Run(time.Second)
 
@@ -42,7 +43,7 @@ func TestUnicastTargetDetachedInFlightCountsLost(t *testing.T) {
 }
 
 func TestChurnDuringInFlightFrame(t *testing.T) {
-	// Attach, detach and move nodes between Send and delivery: the
+	// Attach, detach and move nodes between a send and its delivery: the
 	// receiver set stays fixed at send time, minus nodes detached before
 	// the latency elapses.
 	e, m := newTestMedium(t)
@@ -53,7 +54,7 @@ func TestChurnDuringInFlightFrame(t *testing.T) {
 	moverPos := geo.Pt(30, 0)
 	m.Attach(4, 100, func() geo.Point { return moverPos }, &mover, false)
 
-	m.Send(tx, BroadcastID, []byte("frame"))
+	m.SendPooled(tx, BroadcastID, []byte("frame"))
 	// Churn inside the latency window:
 	m.Detach(3)
 	m.Attach(5, 100, staticPos(geo.Pt(15, 0)), &late, false) // joined after send
@@ -111,7 +112,7 @@ func scriptedRun(seed uint64) string {
 		e.Schedule(time.Duration(k*10)*time.Millisecond, "tx", func() {
 			a := antennas[rng.IntN(len(antennas))]
 			if !a.removed {
-				m.Send(a, BroadcastID, []byte{byte(k)})
+				m.SendPooled(a, BroadcastID, []byte{byte(k)})
 			}
 			if k%7 == 3 {
 				m.Detach(NodeID(k))
@@ -150,10 +151,10 @@ func TestMovedNodeReceivesAfterSync(t *testing.T) {
 	pos := geo.Pt(5000, 0) // far out of range at attach time
 	m.Attach(2, 100, func() geo.Point { return pos }, &rx, false)
 
-	m.Send(tx, BroadcastID, nil)
+	m.SendPooled(tx, BroadcastID, nil)
 	pos = geo.Pt(50, 0) // drives into range
 	m.SyncPositions()
-	m.Send(tx, BroadcastID, nil)
+	m.SendPooled(tx, BroadcastID, nil)
 	e.Run(time.Second)
 
 	if len(rx.delivered) != 1 {
@@ -171,7 +172,7 @@ func TestGuardCellToleratesUnsyncedDrift(t *testing.T) {
 	m.Attach(2, 100, func() geo.Point { return pos }, &rx, false)
 
 	pos = geo.Pt(90, 0) // drifts into range (cell 0) with no sync
-	m.Send(tx, BroadcastID, nil)
+	m.SendPooled(tx, BroadcastID, nil)
 	e.Run(time.Second)
 
 	if len(rx.delivered) != 1 {
@@ -187,11 +188,11 @@ func TestSetRxRangeReclassifies(t *testing.T) {
 	tx := m.Attach(1, 100, staticPos(geo.Pt(0, 0)), &collector{}, false)
 	sniffer := m.Attach(2, 100, staticPos(geo.Pt(900, 0)), &rx, false)
 
-	m.Send(tx, BroadcastID, nil) // out of range both ways
+	m.SendPooled(tx, BroadcastID, nil) // out of range both ways
 	sniffer.SetRxRange(1000)
-	m.Send(tx, BroadcastID, nil) // heard via extended sensitivity
+	m.SendPooled(tx, BroadcastID, nil) // heard via extended sensitivity
 	sniffer.SetRxRange(0)
-	m.Send(tx, BroadcastID, nil) // deaf again
+	m.SendPooled(tx, BroadcastID, nil) // deaf again
 	e.Run(time.Second)
 
 	if len(rx.delivered) != 1 {
@@ -208,7 +209,7 @@ func TestCellSizeGrowthRebuckets(t *testing.T) {
 	m.Attach(2, 50, staticPos(geo.Pt(1200, 0)), &far, false)
 	big := m.Attach(3, 1283, staticPos(geo.Pt(600, 0)), &collector{}, false)
 
-	m.Send(big, BroadcastID, nil)
+	m.SendPooled(big, BroadcastID, nil)
 	e.Run(time.Second)
 
 	if len(near.delivered) != 1 || len(far.delivered) != 1 {
@@ -226,7 +227,7 @@ func TestSetRangeGrowsQueryReach(t *testing.T) {
 	m.Attach(2, 100, staticPos(geo.Pt(2500, 0)), &far, false)
 
 	tx.SetRange(3000)
-	m.Send(tx, BroadcastID, nil)
+	m.SendPooled(tx, BroadcastID, nil)
 	e.Run(time.Second)
 
 	if len(far.delivered) != 1 {
@@ -285,7 +286,7 @@ func TestExtendedReceiversMergeInAttachOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m.Send(tx, BroadcastID, nil)
+	m.SendPooled(tx, BroadcastID, nil)
 	e.Run(time.Second)
 	if want := (orderLog{2, 3, 4, 5, 6, 7, 8}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("delivery order %v, want attach order %v", got, want)
@@ -310,7 +311,7 @@ func TestRegridAfterChurnKeepsAttachOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m.Send(tx, BroadcastID, nil)
+	m.SendPooled(tx, BroadcastID, nil)
 	e.Run(time.Second)
 	if want := (orderLog{3, 4, 6, 7, 8, 10, 11, 12}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("delivery order %v, want attach order %v", got, want)
@@ -327,7 +328,7 @@ func TestDeliverySliceReuseAcrossFrames(t *testing.T) {
 	m.Attach(3, 100, staticPos(geo.Pt(20, 0)), &b, false)
 
 	for i := 0; i < 100; i++ {
-		m.Send(tx, BroadcastID, []byte{byte(i)})
+		m.SendPooled(tx, BroadcastID, []byte{byte(i)})
 		e.Run(e.Now() + 2*Latency)
 	}
 	if len(a.delivered) != 100 || len(b.delivered) != 100 {
@@ -556,12 +557,17 @@ func runLinearScanOracle(t *testing.T, seed uint64, edgeFactor float64) oracleCo
 		if m.InFlight() > 0 {
 			cov.overlapping++
 		}
-		pooled := rng.IntN(2) == 0
+		// Half the frames carry a recycled marshal buffer, half a fresh
+		// copy; either way the medium owns it once sent.
+		buf := slices.Clone(payload[:])
+		if rng.IntN(2) == 0 {
+			buf = append(m.GrabPayload(), payload[:]...)
+		}
 		if !from.attached {
 			// A detached antenna's send is a silent no-op.
-			if pooled {
-				m.SendPooled(from.ant, to, append(m.GrabPayload(), payload[:]...))
-			} else if f := m.Send(from.ant, to, payload[:]); f.Payload != nil {
+			before, inflight := m.Stats(), m.InFlight()
+			m.SendPooled(from.ant, to, buf)
+			if m.Stats() != before || m.InFlight() != inflight {
 				t.Fatalf("seed %d: detached antenna transmitted", seed)
 			}
 			return
@@ -620,11 +626,7 @@ func runLinearScanOracle(t *testing.T, seed uint64, edgeFactor float64) oracleCo
 			want.UnicastLost++
 			cov.unicastLost++
 		}
-		if pooled {
-			m.SendPooled(from.ant, to, append(m.GrabPayload(), payload[:]...))
-		} else {
-			m.Send(from.ant, to, payload[:])
-		}
+		m.SendPooled(from.ant, to, buf)
 		e.Schedule(Latency, "oracle.check", func() {
 			check(id, to, cands, addressed, targetReached)
 		})

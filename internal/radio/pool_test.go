@@ -40,9 +40,9 @@ func TestFrameCacheSharedAcrossReceivers(t *testing.T) {
 	m.Attach(2, 100, staticPos(geo.Pt(30, 0)), &a, false)
 	m.Attach(3, 100, staticPos(geo.Pt(60, 0)), &b, false)
 
-	m.Send(tx, BroadcastID, []byte("one"))
+	m.SendPooled(tx, BroadcastID, []byte("one"))
 	e.Run(time.Second)
-	m.Send(tx, BroadcastID, []byte("two"))
+	m.SendPooled(tx, BroadcastID, []byte("two"))
 	e.Run(2 * time.Second)
 
 	if len(a.caches) != 2 || len(b.caches) != 2 {
@@ -61,20 +61,6 @@ func TestFrameCacheSharedAcrossReceivers(t *testing.T) {
 			t.Fatalf("transmission %d delivered an unscrubbed cache", i)
 		}
 	}
-}
-
-// TestSendReturnedFrameCarriesNoCache pins that the frame returned to
-// the sender does not alias the pooled cache: it outlives the delivery
-// walk (geotrace retains it), while the cache does not.
-func TestSendReturnedFrameCarriesNoCache(t *testing.T) {
-	e, m := newTestMedium(t)
-	tx := m.Attach(1, 100, staticPos(geo.Pt(0, 0)), &collector{}, false)
-	m.Attach(2, 100, staticPos(geo.Pt(30, 0)), &collector{}, false)
-	f := m.Send(tx, BroadcastID, []byte("x"))
-	if f.Cache != nil {
-		t.Fatal("sender's returned frame must not reference the pooled cache")
-	}
-	e.Run(time.Second)
 }
 
 // TestSendPooledRecyclesPayload checks the payload free list: a buffer
@@ -117,7 +103,7 @@ func TestSendPooledNoTargetsReleasesImmediately(t *testing.T) {
 	}
 }
 
-// TestWarmBroadcastAllocs pins a warm broadcast — Send, the merge of the
+// TestWarmBroadcastAllocs pins a warm broadcast — SendPooled, the merge of the
 // grid buckets and the extended sniffer into the receiver slice, and
 // the delivery event — at zero allocations: the merge scratch, the
 // receiver slices, transmissions and engine events are all reused.
@@ -137,9 +123,8 @@ func TestWarmBroadcastAllocs(t *testing.T) {
 			tx = a
 		}
 	}
-	payload := []byte("warm-frame")
 	round := func() {
-		m.Send(tx, BroadcastID, payload)
+		m.SendPooled(tx, BroadcastID, append(m.GrabPayload(), "warm-frame"...))
 		e.Run(e.Now() + 2*Latency)
 	}
 	for i := 0; i < 10; i++ {

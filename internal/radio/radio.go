@@ -108,8 +108,8 @@ const BroadcastID NodeID = 0xFFFFFFFFFFFFFFFF
 
 // Frame is a link-layer frame in flight. Payload bytes are shared between
 // all receivers; receivers must not mutate them, and must not retain them
-// past the delivery callback — frames sent through the pooled marshal
-// path (SendPooled) reuse their payload buffers for later frames.
+// past the delivery callback — the medium reuses a payload buffer for
+// later frames once its delivery event has run (SendPooled).
 type Frame struct {
 	From    NodeID
 	To      NodeID // BroadcastID for broadcast
@@ -301,7 +301,7 @@ func (a *Antenna) Position() geo.Point { return a.pos() }
 // attached transmit range, so a query touches O(1) cells. Antennas with
 // an extended receive range (the attacker's high-gain sniffer) can hear
 // frames from arbitrarily far outside the transmitter's disk, so they
-// bypass the grid and sit on the small `extended` list that every Send
+// bypass the grid and sit on the small `extended` list that every send
 // checks. The grid is maintained incrementally on Attach/Detach and by
 // SyncPositions, which movers (the traffic integrator, scripted
 // scenario actors) call after updating positions.
@@ -333,7 +333,7 @@ type Medium struct {
 
 	// pool recycles receiver slices between frames. The engine is
 	// single-threaded, so no synchronization is needed; a slice is grabbed
-	// at Send and returned when its delivery event has run.
+	// at SendPooled and returned when its delivery event has run.
 	pool [][]delivery
 	// txPool recycles per-transmission delivery records (each embedding
 	// its frame's FrameCache) the same way.
@@ -626,31 +626,20 @@ func (m *Medium) Attached(id NodeID) bool {
 	return ok
 }
 
-// Send transmits a frame from the given antenna. The receiver set is
-// computed at send time from current positions (propagation is effectively
-// instantaneous relative to vehicle motion); delivery callbacks run after
-// the medium latency, batched into a single engine event that walks the
-// receivers in attach order — exactly the order the historical
-// one-event-per-receiver implementation produced.
-func (m *Medium) Send(from *Antenna, to NodeID, payload []byte) Frame {
-	return m.send(from, to, payload, false)
-}
-
-// SendPooled transmits like Send but takes ownership of payload, which
-// must no longer be touched by the caller: once the frame's delivery
-// event has run, the buffer is reclaimed into the medium's marshal-buffer
-// free list and will back a future frame. Pair with GrabPayload for an
-// allocation-free marshal+transmit path.
+// SendPooled transmits a frame from the given antenna and takes
+// ownership of payload, which the caller must no longer touch: once the
+// frame's delivery event has run, the buffer is reclaimed into the
+// medium's marshal-buffer free list and will back a future frame. Pair
+// with GrabPayload for an allocation-free marshal+transmit path. The
+// receiver set is computed at send time from current positions
+// (propagation is effectively instantaneous relative to vehicle motion);
+// delivery callbacks run after the medium latency, batched into a single
+// engine event that walks the receivers in attach order — exactly the
+// order the historical one-event-per-receiver implementation produced.
 func (m *Medium) SendPooled(from *Antenna, to NodeID, payload []byte) {
-	m.send(from, to, payload, true)
-}
-
-func (m *Medium) send(from *Antenna, to NodeID, payload []byte, pooled bool) Frame {
 	if from.removed {
-		if pooled {
-			m.releasePayload(payload)
-		}
-		return Frame{}
+		m.releasePayload(payload)
+		return
 	}
 	txPos := from.Position()
 	f := Frame{
@@ -672,23 +661,16 @@ func (m *Medium) send(from *Antenna, to NodeID, payload []byte, pooled bool) Fra
 	}
 	if len(targets) == 0 {
 		m.releaseDelivery(targets)
-		if pooled {
-			m.releasePayload(payload)
-		}
-		return f
+		m.releasePayload(payload)
+		return
 	}
-	// The delivered copy of the frame carries the pooled decode cache;
-	// the copy returned to the sender does not — the cache dies with the
-	// delivery event, and the returned frame must stay inert.
 	t := m.grabTransmission()
 	t.frame = f
 	t.frame.Cache = &t.cache
 	t.targets = targets
 	t.targetReached = targetReached
-	t.pooled = pooled
 	m.inflight++
 	m.engine.Schedule(Latency, "radio.deliver", t.run)
-	return f
 }
 
 // transmission is one frame's pending delivery event: the frame, its
@@ -701,7 +683,6 @@ type transmission struct {
 	cache         FrameCache
 	targets       []delivery
 	targetReached bool
-	pooled        bool // frame.Payload came from GrabPayload
 	run           func()
 }
 
@@ -712,9 +693,7 @@ func (t *transmission) fire() {
 	m := t.m
 	m.inflight--
 	m.deliver(t.frame, t.targets, t.targetReached)
-	if t.pooled {
-		m.releasePayload(t.frame.Payload)
-	}
+	m.releasePayload(t.frame.Payload)
 	t.frame = Frame{}
 	t.cache = FrameCache{Scratch: t.cache.Scratch}
 	t.targets = nil
@@ -816,7 +795,7 @@ func mergeRun(dst, run []delivery) []delivery {
 }
 
 // deliver is the batched delivery event for one frame. Per-receiver
-// removed checks run here, at delivery time, so churn between Send and
+// removed checks run here, at delivery time, so churn between send and
 // delivery behaves exactly as the per-receiver events did.
 func (m *Medium) deliver(f Frame, targets []delivery, targetReached bool) {
 	unicastDelivered := false
@@ -870,8 +849,8 @@ func (m *Medium) releaseDelivery(s []delivery) {
 
 // grabTransmission takes a transmission (and with it the frame cache
 // it embeds) from the free list. Like the delivery pool it is
-// sync-free: transmissions are grabbed at Send and returned by their own
-// delivery event, all on the engine goroutine.
+// sync-free: transmissions are grabbed at SendPooled and returned by
+// their own delivery event, all on the engine goroutine.
 func (m *Medium) grabTransmission() *transmission {
 	if n := len(m.txPool); n > 0 {
 		t := m.txPool[n-1]

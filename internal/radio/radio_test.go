@@ -61,7 +61,7 @@ func TestBroadcastWithinRange(t *testing.T) {
 	m.Attach(2, 100, staticPos(geo.Pt(50, 0)), &near, false)
 	m.Attach(3, 100, staticPos(geo.Pt(150, 0)), &far, false)
 
-	m.Send(tx, BroadcastID, []byte("hello"))
+	m.SendPooled(tx, BroadcastID, []byte("hello"))
 	e.Run(time.Second)
 
 	if len(near.delivered) != 1 {
@@ -80,7 +80,7 @@ func TestBroadcastExactRangeBoundary(t *testing.T) {
 	var edge collector
 	tx := m.Attach(1, 100, staticPos(geo.Pt(0, 0)), &collector{}, false)
 	m.Attach(2, 100, staticPos(geo.Pt(100, 0)), &edge, false)
-	m.Send(tx, BroadcastID, nil)
+	m.SendPooled(tx, BroadcastID, nil)
 	e.Run(time.Second)
 	if len(edge.delivered) != 1 {
 		t.Fatalf("node at exact range got %d frames, want 1 (boundary inclusive)", len(edge.delivered))
@@ -91,7 +91,7 @@ func TestNoSelfDelivery(t *testing.T) {
 	e, m := newTestMedium(t)
 	var self collector
 	tx := m.Attach(1, 100, staticPos(geo.Pt(0, 0)), &self, false)
-	m.Send(tx, BroadcastID, nil)
+	m.SendPooled(tx, BroadcastID, nil)
 	e.Run(time.Second)
 	if len(self.delivered) != 0 {
 		t.Fatal("transmitter must not receive its own frame")
@@ -105,7 +105,7 @@ func TestUnicastAddressing(t *testing.T) {
 	m.Attach(2, 200, staticPos(geo.Pt(50, 0)), &target, false)
 	m.Attach(3, 200, staticPos(geo.Pt(60, 0)), &bystander, false)
 
-	m.Send(tx, 2, []byte("pkt"))
+	m.SendPooled(tx, 2, []byte("pkt"))
 	e.Run(time.Second)
 
 	if len(target.delivered) != 1 {
@@ -125,7 +125,7 @@ func TestUnicastOutOfRangeIsLost(t *testing.T) {
 	tx := m.Attach(1, 100, staticPos(geo.Pt(0, 0)), &collector{}, false)
 	m.Attach(2, 100, staticPos(geo.Pt(500, 0)), &target, false)
 
-	m.Send(tx, 2, []byte("pkt"))
+	m.SendPooled(tx, 2, []byte("pkt"))
 	e.Run(time.Second)
 
 	if len(target.delivered) != 0 {
@@ -143,7 +143,7 @@ func TestPromiscuousOverhearsUnicast(t *testing.T) {
 	m.Attach(2, 200, staticPos(geo.Pt(50, 0)), &target, false)
 	m.Attach(99, 200, staticPos(geo.Pt(-50, 0)), &sniffer, true)
 
-	m.Send(tx, 2, []byte("secret-routing"))
+	m.SendPooled(tx, 2, []byte("secret-routing"))
 	e.Run(time.Second)
 
 	if len(sniffer.overheard) != 1 {
@@ -160,7 +160,7 @@ func TestPromiscuousGetsDeliverForBroadcast(t *testing.T) {
 	tx := m.Attach(1, 200, staticPos(geo.Pt(0, 0)), &collector{}, false)
 	m.Attach(99, 200, staticPos(geo.Pt(50, 0)), &sniffer, true)
 
-	m.Send(tx, BroadcastID, []byte("beacon"))
+	m.SendPooled(tx, BroadcastID, []byte("beacon"))
 	e.Run(time.Second)
 
 	if len(sniffer.delivered) != 1 {
@@ -179,8 +179,8 @@ func TestAsymmetricRanges(t *testing.T) {
 	atk := m.Attach(1, 1283, staticPos(geo.Pt(0, 0)), &attacker, true)
 	veh := m.Attach(2, 486, staticPos(geo.Pt(1000, 0)), &vehicle, false)
 
-	m.Send(atk, BroadcastID, []byte("replayed"))
-	m.Send(veh, BroadcastID, []byte("beacon"))
+	m.SendPooled(atk, BroadcastID, []byte("replayed"))
+	m.SendPooled(veh, BroadcastID, []byte("beacon"))
 	e.Run(time.Second)
 
 	if len(vehicle.delivered) != 1 {
@@ -201,7 +201,7 @@ func TestDeliveryLatency(t *testing.T) {
 	var early int
 	var deliveredAt time.Duration
 	e.Schedule(time.Millisecond, "send", func() {
-		m.Send(tx, BroadcastID, nil)
+		m.SendPooled(tx, BroadcastID, nil)
 	})
 	e.Schedule(time.Millisecond+Latency/2, "early", func() {
 		early = len(rx.delivered)
@@ -232,7 +232,7 @@ func TestMovingReceiverSampledAtSendTime(t *testing.T) {
 	tx := m.Attach(1, 100, staticPos(geo.Pt(0, 0)), &collector{}, false)
 	m.Attach(2, 100, func() geo.Point { return pos }, &rx, false)
 
-	m.Send(tx, BroadcastID, nil)
+	m.SendPooled(tx, BroadcastID, nil)
 	pos = geo.Pt(5000, 0) // teleports away before the latency elapses
 	e.Run(time.Second)
 	if len(rx.delivered) != 1 {
@@ -246,7 +246,7 @@ func TestDetachDropsInFlight(t *testing.T) {
 	tx := m.Attach(1, 100, staticPos(geo.Pt(0, 0)), &collector{}, false)
 	m.Attach(2, 100, staticPos(geo.Pt(10, 0)), &rx, false)
 
-	m.Send(tx, BroadcastID, nil)
+	m.SendPooled(tx, BroadcastID, nil)
 	m.Detach(2) // leaves before delivery latency elapses
 	e.Run(time.Second)
 	if len(rx.delivered) != 0 {
@@ -285,7 +285,7 @@ func TestObstructionBlocksLink(t *testing.T) {
 	m.Attach(2, 200, staticPos(geo.Pt(100, 0)), &behind, false) // through the hill
 	m.Attach(3, 200, staticPos(geo.Pt(0, 100)), &aside, false)  // clear path
 
-	m.Send(tx, BroadcastID, nil)
+	m.SendPooled(tx, BroadcastID, nil)
 	e.Run(time.Second)
 
 	if len(behind.delivered) != 0 {
@@ -325,8 +325,8 @@ func TestStatsCounters(t *testing.T) {
 	m.Attach(3, 100, staticPos(geo.Pt(20, 0)), &b, false)
 	m.Attach(4, 100, staticPos(geo.Pt(30, 0)), &s, true)
 
-	m.Send(tx, BroadcastID, nil) // delivered to 3
-	m.Send(tx, 2, nil)           // delivered to 1, overheard by sniffer
+	m.SendPooled(tx, BroadcastID, nil) // delivered to 3
+	m.SendPooled(tx, 2, nil)           // delivered to 1, overheard by sniffer
 	e.Run(time.Second)
 
 	st := m.Stats()
@@ -347,9 +347,9 @@ func TestSetRange(t *testing.T) {
 	tx := m.Attach(1, 100, staticPos(geo.Pt(0, 0)), &collector{}, false)
 	m.Attach(2, 100, staticPos(geo.Pt(500, 0)), &far, false)
 
-	m.Send(tx, BroadcastID, nil)
+	m.SendPooled(tx, BroadcastID, nil)
 	tx.SetRange(1000)
-	m.Send(tx, BroadcastID, nil)
+	m.SendPooled(tx, BroadcastID, nil)
 	e.Run(time.Second)
 
 	if len(far.delivered) != 1 {

@@ -101,7 +101,7 @@ func RunHazard(cfg HazardConfig) HazardResult {
 		// The GF warning rides a store-carry-forward path across the
 		// still-sparse road (~100 s at 30 m/s), so it needs more than the
 		// 60 s default lifetime; ETSI permits up to 600 s.
-		PacketLifetime: 180 * time.Second,
+		Router: geonet.Config{PacketLifetime: 180 * time.Second},
 		OnDeliver: func(addr geonet.Address, p *geonet.Packet) {
 			if addr == EntranceAddr && res.GateClosedAt == 0 {
 				res.GateClosedAt = w.Engine.Now()

@@ -34,7 +34,9 @@ func (d Direction) String() string {
 
 // Vehicle is one simulated car. Position S is measured along the travel
 // direction from the vehicle's entrance (so S grows for both directions);
-// use Position for plane coordinates.
+// use Position for plane coordinates. The pad keeps a vehicle in the
+// allocator's 64-byte size class, one cache line each; in the 48-byte
+// class half the vehicles would straddle two lines.
 type Vehicle struct {
 	ID        int
 	Lane      *Lane
@@ -42,6 +44,7 @@ type Vehicle struct {
 	Speed     float64 // m/s, >= 0
 	Accel     float64 // last computed acceleration, m/s^2
 	EnteredAt time.Duration
+	_         [16]byte
 }
 
 // Position maps the vehicle's lane coordinates to the plane.

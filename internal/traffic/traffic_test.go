@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"github.com/vanetsec/georoute/internal/sim"
 )
@@ -310,5 +311,15 @@ func TestSteadyStateFlowMatchesPaperDensity(t *testing.T) {
 	c := n.Count()
 	if c < 150 || c > 300 {
 		t.Fatalf("steady-state count = %d, want within [150, 300]", c)
+	}
+}
+
+// TestVehicleSizeClass pins Vehicle to one 64-byte cache line, the
+// allocator's 64-byte size class: a 48-byte vehicle would share lines,
+// half of them straddling two, and the integrator and the workload
+// generators read every vehicle each step.
+func TestVehicleSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Vehicle{}); got != 64 {
+		t.Fatalf("unsafe.Sizeof(Vehicle{}) = %d, want 64 (one line, the 64-byte class)", got)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"github.com/vanetsec/georoute/internal/security"
 	"github.com/vanetsec/georoute/internal/sim"
 	"github.com/vanetsec/georoute/internal/telemetry"
-	"github.com/vanetsec/georoute/internal/trace"
 	"github.com/vanetsec/georoute/internal/traffic"
 )
 
@@ -44,17 +43,6 @@ type Config struct {
 	Prepopulate   bool
 	SpawnDisabled bool
 
-	// Router knobs propagated to every vehicle stack.
-	LocTTTL          time.Duration
-	NeighborLifetime time.Duration
-	MaxHopLimit      uint8
-	PacketLifetime   time.Duration
-	// Forwarder selects the forwarding strategy by registry name for
-	// every router in the world ("" = the standard GF+CBF pair).
-	Forwarder     string
-	ForwardFilter geonet.ForwardFilter
-	DuplicateRule geonet.DuplicateRule
-
 	// EdgeFactor overrides the medium's soft reception edge (0 = default,
 	// 1.0 = hard unit disk).
 	EdgeFactor float64
@@ -63,9 +51,13 @@ type Config struct {
 	// identified by the receiving node's address.
 	OnDeliver func(addr geonet.Address, p *geonet.Packet)
 
-	// Tracer, when non-nil, is threaded into the radio medium and every
-	// router stack, recording each packet's lifecycle (see internal/trace).
-	Tracer *trace.Tracer
+	// Router is the template every node's router starts from: its
+	// lifetimes, hop limit, forwarder, mitigation hooks and tracer apply
+	// to every stack in the world, and its Tracer is also threaded into
+	// the radio medium. The per-node fields (Addr, Engine, Medium, Signer,
+	// Verifier, Position, Velocity, Range, LocT, OnDeliver) are set by the
+	// world and ignored here.
+	Router geonet.Config
 
 	// Telemetry, when non-nil, receives runtime-health samples (queue
 	// depth, events/sec, CBF occupancy, ...) published from an engine
@@ -113,7 +105,7 @@ func New(cfg Config) *World {
 	engine := sim.NewEngine()
 	w := &World{
 		Engine:   engine,
-		Medium:   radio.NewMedium(engine, radio.Config{EdgeFactor: cfg.EdgeFactor, Seed: cfg.Seed, Tracer: cfg.Tracer}),
+		Medium:   radio.NewMedium(engine, radio.Config{EdgeFactor: cfg.EdgeFactor, Seed: cfg.Seed, Tracer: cfg.Router.Tracer}),
 		CA:       security.NewSimCA(cfg.Seed),
 		cfg:      cfg,
 		routers:  make(map[geonet.Address]*geonet.Router),
@@ -202,30 +194,22 @@ func (w *World) attachVehicle(v *traffic.Vehicle) {
 // registers its router. A static node passes a nil velocity; a nil loct
 // gives the router a table of its own.
 func (w *World) startRouter(addr geonet.Address, pos func() geo.Point, vel func() geo.Vector, rangeM float64, loct *geonet.LocT) *geonet.Router {
-	r := geonet.NewRouter(geonet.Config{
-		Addr:             addr,
-		Engine:           w.Engine,
-		Medium:           w.Medium,
-		Signer:           w.CA.Enroll(security.StationID(addr), 0),
-		Verifier:         w.CA,
-		Position:         pos,
-		Velocity:         vel,
-		Range:            rangeM,
-		LocTTTL:          w.cfg.LocTTTL,
-		NeighborLifetime: w.cfg.NeighborLifetime,
-		MaxHopLimit:      w.cfg.MaxHopLimit,
-		PacketLifetime:   w.cfg.PacketLifetime,
-		LocT:             loct,
-		Forwarder:        w.cfg.Forwarder,
-		ForwardFilter:    w.cfg.ForwardFilter,
-		DuplicateRule:    w.cfg.DuplicateRule,
-		Tracer:           w.cfg.Tracer,
-		OnDeliver: func(p *geonet.Packet) {
-			if w.cfg.OnDeliver != nil {
-				w.cfg.OnDeliver(addr, p)
-			}
-		},
-	})
+	rc := w.cfg.Router
+	rc.Addr = addr
+	rc.Engine = w.Engine
+	rc.Medium = w.Medium
+	rc.Signer = w.CA.Enroll(security.StationID(addr), 0)
+	rc.Verifier = w.CA
+	rc.Position = pos
+	rc.Velocity = vel
+	rc.Range = rangeM
+	rc.LocT = loct
+	rc.OnDeliver = func(p *geonet.Packet) {
+		if w.cfg.OnDeliver != nil {
+			w.cfg.OnDeliver(addr, p)
+		}
+	}
+	r := geonet.NewRouter(rc)
 	r.Start()
 	w.routers[addr] = r
 	return r

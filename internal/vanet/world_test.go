@@ -10,6 +10,7 @@ import (
 	"github.com/vanetsec/georoute/internal/geo"
 	"github.com/vanetsec/georoute/internal/geonet"
 	"github.com/vanetsec/georoute/internal/radio"
+	"github.com/vanetsec/georoute/internal/trace"
 	"github.com/vanetsec/georoute/internal/traffic"
 )
 
@@ -144,6 +145,51 @@ func TestStaticDestinationReceivesGUC(t *testing.T) {
 	w.Run(30 * time.Second)
 	if delivered[EastDestAddr] != 1 {
 		t.Fatalf("destination deliveries = %d, want 1", delivered[EastDestAddr])
+	}
+}
+
+// TestRouterTemplateAppliesToEveryNode: Config.Router's settings reach
+// every router the world starts, while the world sets the per-node
+// fields over whatever the template holds. A two-hop limit keeps the
+// GUC TestStaticDestinationReceivesGUC delivers from crossing the road.
+func TestRouterTemplateAppliesToEveryNode(t *testing.T) {
+	mem := &trace.MemorySink{}
+	delivered := 0
+	w := smallWorld(Config{
+		Seed:        1,
+		Prepopulate: true,
+		Router:      geonet.Config{Addr: 7, Range: 1, MaxHopLimit: 2, Tracer: trace.New(mem)},
+		OnDeliver: func(addr geonet.Address, p *geonet.Packet) {
+			if addr == EastDestAddr {
+				delivered++
+			}
+		},
+	})
+	dest := w.AddStatic(EastDestAddr, geo.Pt(2020, 0), 0)
+	if dest.Addr() != EastDestAddr || dest.Range() != w.VehicleRange() {
+		t.Fatalf("static router has address %d, range %v; want %d, %v", dest.Addr(), dest.Range(), EastDestAddr, w.VehicleRange())
+	}
+	w.Run(10 * time.Second)
+	vs := w.AppendVehicles(nil)
+	for _, v := range vs {
+		if r := w.RouterOf(v); r.Addr() != AddrOf(v) || r.Range() != w.VehicleRange() {
+			t.Fatalf("vehicle %d's router has address %d, range %v", v.ID, r.Addr(), r.Range())
+		}
+	}
+	src := AddrOf(vs[len(vs)/2])
+	key := w.Router(src).SendGeoUnicast(EastDestAddr, geo.Pt(2020, 0), []byte("to the end"))
+	w.Run(30 * time.Second)
+	if delivered != 0 {
+		t.Fatalf("a 2-hop GUC crossed a 1 km gap: %d deliveries", delivered)
+	}
+	originated := false
+	for _, r := range mem.Records {
+		if r.Event == trace.EvOriginate && r.Src == uint64(key.Src) && r.SN == key.SN {
+			originated = r.RHL == 2
+		}
+	}
+	if !originated {
+		t.Fatal("the traced origination does not carry the template's hop limit")
 	}
 }
 

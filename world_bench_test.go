@@ -10,7 +10,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/vanetsec/georoute"
+	"github.com/vanetsec/georoute/internal/traffic"
+	"github.com/vanetsec/georoute/internal/vanet"
 )
 
 // benchScaleWorld builds a multi-segment world of ~total vehicles (500 per
@@ -34,10 +35,10 @@ func benchScaleWorld(b *testing.B, total int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		w := georoute.BuildScaleWorld(georoute.ScaleWorldConfig{
+		w := vanet.NewScaleWorld(vanet.ScaleConfig{
 			Seed:        uint64(i + 1),
 			Segments:    segments,
-			SegmentRoad: georoute.RoadConfig{Length: segLen, LanesPerDirection: 2},
+			SegmentRoad: traffic.RoadConfig{Length: segLen, LanesPerDirection: 2},
 			SpawnGap:    spawnGap,
 		})
 		vehicles = w.VehicleCount()
