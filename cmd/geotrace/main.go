@@ -218,12 +218,19 @@ func runDetect(path string, attacker uint64, quiet bool) int {
 	return 0
 }
 
-// runTrace runs one figure cell under a tracer that keeps every record
-// for the analysis and, as asked, prints them and writes them as JSONL.
+// runTrace runs one figure cell under a tracer that counts every record,
+// keeps the ones the analysis reads (not the beacons, nearly all of a
+// run's records) and, as asked, prints them and writes them as JSONL.
 // Exit 1 on a conservation or RHL violation.
 func runTrace(fig experiment.Figure, cell experiment.Cell, beacons bool, jsonlPath string, quiet bool) int {
 	mem := &trace.MemorySink{}
-	sinks := []trace.Sink{mem}
+	records := 0
+	sinks := []trace.Sink{trace.FuncSink(func(r trace.Record) {
+		records++
+		if trace.Analyzed(r) {
+			mem.Record(r)
+		}
+	})}
 	if !quiet {
 		sinks = append(sinks, printSink(beacons))
 	}
@@ -251,6 +258,7 @@ func runTrace(fig experiment.Figure, cell experiment.Cell, beacons bool, jsonlPa
 	}
 
 	an := trace.Analyze(mem.Records)
+	an.Records = records
 	fmt.Println()
 	fmt.Print(an.Summary())
 	fmt.Printf("\nprotocol stats: %+v\n", res.Protocol)

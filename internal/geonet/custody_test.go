@@ -235,6 +235,7 @@ func TestMovingNextHopStaleLoss(t *testing.T) {
 	w.engine.Run(5 * time.Second) // src learns node 2 at x=450
 
 	mover.pos = geo.Pt(800, 0) // drives out of range; beacons not yet refreshed
+	w.medium.SyncPositions()
 	src.SendGeoUnicast(9, geo.Pt(4000, 0), nil)
 	w.engine.Run(5*time.Second + 100*time.Millisecond)
 

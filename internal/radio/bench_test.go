@@ -79,6 +79,34 @@ func BenchmarkMediumBroadcast(b *testing.B) {
 	}
 }
 
+// BenchmarkMediumBroadcastWideCells reproduces the geometry of the Fig. 7a
+// atk_mL arm: 486 m vehicles 30 m apart on each lane of a 4 km road with
+// two lanes per direction, and a 1,283 m attacker whose attach grows the
+// grid cells to its range. A vehicle's query then spans about 3.8 km of
+// road, so most candidates are rejected on distance.
+func BenchmarkMediumBroadcastWideCells(b *testing.B) {
+	e := sim.NewEngine()
+	m := NewMedium(e, Config{})
+	const length, lanes = 4000.0, 4
+	id := NodeID(1)
+	var tx *Antenna
+	for lane := 0; lane < lanes; lane++ {
+		y := 2.5 + 5*float64(lane-lanes/2)
+		for x := benchSpacing * float64(lane) / lanes; x <= length; x += benchSpacing {
+			a := m.Attach(id, benchRange, staticPos(geo.Pt(x, y)), nopReceiver{}, false)
+			if tx == nil && x >= 1700 {
+				tx = a
+			}
+			id++
+		}
+	}
+	m.Attach(id, 1283, staticPos(geo.Pt(length/2, 0)), nopReceiver{}, true)
+	// One frame grows the pooled receiver slices before timing.
+	m.SendPooled(tx, BroadcastID, m.GrabPayload())
+	e.Run(e.Now() + 2*Latency)
+	drive(b, e, m, tx, BroadcastID)
+}
+
 func BenchmarkMediumUnicast(b *testing.B) {
 	for _, n := range []int{100, 500, 2000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

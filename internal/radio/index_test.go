@@ -162,21 +162,56 @@ func TestMovedNodeReceivesAfterSync(t *testing.T) {
 	}
 }
 
-func TestGuardCellToleratesUnsyncedDrift(t *testing.T) {
-	// Sub-cell drift without a SyncPositions call must not lose
-	// receivers: the query pads one guard cell per side.
+func TestMediumSeesSyncedPosition(t *testing.T) {
+	// The medium sees each antenna where the last Attach or SyncPositions
+	// saw it: a node moved without a sync is heard, and sends, from its
+	// synced position, and from its new one once SyncPositions runs. A move
+	// along Y alone is synced too, and so is an extended receiver, which
+	// sits beside the gridded one with the same reach.
 	e, m := newTestMedium(t)
-	var rx collector
-	tx := m.Attach(1, 100, staticPos(geo.Pt(0, 0)), &collector{}, false)
-	pos := geo.Pt(150, 0) // out of range, cell 1
-	m.Attach(2, 100, func() geo.Point { return pos }, &rx, false)
+	var rx, ext, other collector
+	txPos := geo.Pt(0, 0)
+	tx := m.Attach(1, 100, func() geo.Point { return txPos }, &collector{}, false)
+	rxPos := geo.Pt(90, 0) // in range
+	m.Attach(2, 100, func() geo.Point { return rxPos }, &rx, false)
+	m.Attach(4, 100, func() geo.Point { return geo.Pt(rxPos.X, rxPos.Y+0.5) }, &ext, false).SetRxRange(100)
+	m.Attach(3, 100, staticPos(geo.Pt(-50, 0)), &other, false)
 
-	pos = geo.Pt(90, 0) // drifts into range (cell 0) with no sync
-	m.SendPooled(tx, BroadcastID, nil)
-	e.Run(time.Second)
+	send := func(tag byte, wantHeard bool) {
+		t.Helper()
+		n, nExt := len(rx.delivered), len(ext.delivered)
+		m.SendPooled(tx, BroadcastID, []byte{tag})
+		e.Run(e.Now() + 2*Latency)
+		if heard := len(rx.delivered) > n; heard != wantHeard {
+			t.Fatalf("frame %q: heard = %v, want %v", tag, heard, wantHeard)
+		}
+		if heard := len(ext.delivered) > nExt; heard != wantHeard {
+			t.Fatalf("frame %q: extended receiver heard = %v, want %v", tag, heard, wantHeard)
+		}
+	}
+	rxPos = geo.Pt(150, 0) // drives out of range, no sync
+	send('a', true)
+	m.SyncPositions()
+	send('b', false)
+	rxPos = geo.Pt(60, 0) // back into range, no sync
+	send('c', false)
+	m.SyncPositions()
+	send('d', true)
+	rxPos = geo.Pt(60, 95) // out of range along Y alone, no sync
+	send('e', true)
+	m.SyncPositions()
+	send('f', false)
 
-	if len(rx.delivered) != 1 {
-		t.Fatal("drift within one cell must not hide a receiver from the index")
+	// The transmitter, too, sends from its synced position.
+	txPos = geo.Pt(-300, 0)
+	send('g', false)
+	if got := other.delivered[len(other.delivered)-1]; got.TxPos != geo.Pt(0, 0) {
+		t.Fatalf("unsynced transmitter sent from %v, want its synced (0, 0)", got.TxPos)
+	}
+	m.SyncPositions()
+	send('h', false)
+	if n := len(other.delivered); n != 7 {
+		t.Fatalf("node 3 got %d frames, want 7: the moved transmitter is out of its range only after the sync", n)
 	}
 }
 
@@ -354,9 +389,10 @@ type oracleNode struct {
 	overhears bool // receiver implements Overhearer
 	attached  bool
 	extended  bool // static, off-grid (the sniffer)
-	// gridX mirrors Antenna.gridX: the X the medium last indexed, which
-	// decides whether a frame's grid query enumerates the node.
-	gridX float64
+	// synced mirrors Antenna.loc: the position at the last Attach or
+	// SyncPositions, where the medium places, hears and transmits from
+	// the node.
+	synced geo.Point
 }
 
 // oracleRx is the receiver every oracle node attaches with; it logs
@@ -419,7 +455,8 @@ func (c *oracleCoverage) add(o oracleCoverage) {
 }
 
 // TestIndexMatchesLinearScanOracle drives the medium through seeded
-// random sequences — motion with and without SyncPositions, attach and
+// random sequences — motion with and without SyncPositions (the oracle
+// decides reception from each node's synced position), attach and
 // detach churn while frames are in flight, an extended-range sniffer,
 // the soft edge, an obstruction, unicast, and frames overlapping in
 // flight so pooled transmissions are recycled while others are pending
@@ -465,7 +502,7 @@ func runLinearScanOracle(t *testing.T, seed uint64, edgeFactor float64) oracleCo
 		// Known defect, modelled so that any other divergence still
 		// fails: an Attach that grows the grid rebuckets m.order after
 		// appending the new antenna but before indexing it, so the
-		// antenna also lands in cell 0 (its zero gridX). That stale entry
+		// antenna also lands in cell 0 (its zero loc). That stale entry
 		// lasts until the next regrid, and any frame whose query covers
 		// cell 0 considers the antenna twice — a duplicate delivery.
 		// Fixing it changes the Fig. 7a atk_mL artifacts, so the fix
@@ -485,7 +522,7 @@ func runLinearScanOracle(t *testing.T, seed uint64, edgeFactor float64) oracleCo
 	}
 	attach := func(id NodeID, pos geo.Point, rangeM, rxRange float64, promisc, overhears bool) {
 		n := &oracleNode{id: id, pos: pos, rangeM: rangeM, rxRange: rxRange, promisc: promisc,
-			overhears: overhears, attached: true, extended: rxRange > 0, gridX: pos.X}
+			overhears: overhears, attached: true, extended: rxRange > 0, synced: pos}
 		var recv Receiver = &oracleRx{t: t, node: n, log: log}
 		if overhears {
 			recv = &oracleSniffer{oracleRx{t: t, node: n, log: log}}
@@ -578,16 +615,16 @@ func runLinearScanOracle(t *testing.T, seed uint64, edgeFactor float64) oracleCo
 		targetReached := false
 		now := e.Now()
 		reach := from.rangeM * edgeFactor
-		lo := math.Floor((from.pos.X-reach)/cellSize) - 1
-		hi := math.Floor((from.pos.X+reach)/cellSize) + 1
+		lo := math.Floor((from.synced.X-reach)/cellSize) - 1
+		hi := math.Floor((from.synced.X+reach)/cellSize) + 1
 		for _, n := range nodes {
 			if !n.attached || n.id == from.id {
 				continue
 			}
-			d := from.pos.DistanceTo(n.pos)
+			d := from.synced.DistanceTo(n.synced)
 			limit := math.Max(from.rangeM, n.rxRange)
-			if c := math.Floor(n.gridX / cellSize); n.extended || (c >= lo && c <= hi) {
-				dx := math.Abs(from.pos.X - n.pos.X)
+			if c := math.Floor(n.synced.X / cellSize); n.extended || (c >= lo && c <= hi) {
+				dx := math.Abs(from.synced.X - n.synced.X)
 				if dx > limit && dx >= limit*edgeFactor {
 					cov.preRejected++
 				}
@@ -601,7 +638,7 @@ func runLinearScanOracle(t *testing.T, seed uint64, edgeFactor float64) oracleCo
 			if d > limit {
 				cov.softEdge++
 			}
-			if hill.Blocks(from.pos, n.pos) {
+			if hill.Blocks(from.synced, n.synced) {
 				cov.blocked++
 				continue
 			}
@@ -609,7 +646,7 @@ func runLinearScanOracle(t *testing.T, seed uint64, edgeFactor float64) oracleCo
 				cov.extended++
 			}
 			copies := 1
-			if n == ghost && math.Floor((from.pos.X-reach)/cellSize)-1 <= 0 && math.Floor((from.pos.X+reach)/cellSize)+1 >= 0 {
+			if n == ghost && lo <= 0 && hi >= 0 {
 				copies = 2
 				cov.ghost++
 			}
@@ -689,8 +726,7 @@ func runLinearScanOracle(t *testing.T, seed uint64, edgeFactor float64) oracleCo
 					randomVehicle()
 				}
 			default:
-				// Motion. Unsynced drift stays under one cell (the guard
-				// cell's tolerance, the medium's documented contract).
+				// Motion, synced at once or up to two steps later.
 				for _, n := range live {
 					if !n.extended {
 						n.pos.X += rng.Float64()*40 - 20
@@ -700,7 +736,7 @@ func runLinearScanOracle(t *testing.T, seed uint64, edgeFactor float64) oracleCo
 				if unsynced == 3 || rng.IntN(2) == 0 {
 					m.SyncPositions()
 					for _, n := range live {
-						n.gridX = n.pos.X
+						n.synced = n.pos
 					}
 					unsynced = 0
 				}

@@ -114,7 +114,7 @@ type Frame struct {
 	From    NodeID
 	To      NodeID // BroadcastID for broadcast
 	Payload []byte
-	TxPos   geo.Point     // where the transmitter was when it sent
+	TxPos   geo.Point     // the transmitter's synced position when it sent
 	TxTime  time.Duration // when it was sent
 
 	// Cache is the per-transmission decode/verify scratchpad shared by
@@ -247,19 +247,22 @@ type Antenna struct {
 	recv    Receiver
 	medium  *Medium
 	// promiscuous nodes get Overhear callbacks for foreign frames.
+	// extended antennas (rxRange > 0) live outside the grid on
+	// Medium.extended and are considered for every frame. The three flags
+	// share one word, which keeps an Antenna in the 112-byte size class.
 	promiscuous bool
 	removed     bool
+	extended    bool
 
 	// Spatial-index state. seq is the attach sequence number: every grid
 	// bucket is kept sorted by it, and collect merges the buckets on it, so
-	// delivery order matches the historical attach-order scan exactly.
-	// gridX/cell track the bucket the antenna currently occupies; extended
-	// antennas (rxRange > 0) live outside the grid on Medium.extended and
-	// are considered for every frame.
-	seq      uint64
-	gridX    float64
-	cell     int64
-	extended bool
+	// delivery order matches the historical attach-order scan exactly. loc
+	// is the position pos returned at the last Attach or SyncPositions: the
+	// medium places, transmits from and hears the antenna there. cell is
+	// the bucket loc.X falls in (unused while extended).
+	seq  uint64
+	loc  geo.Point
+	cell int64
 	// orderIdx is the antenna's slot in Medium.order, kept current by
 	// swap-removal so Detach is O(1) even in 100k-node worlds. Nothing
 	// order-sensitive iterates Medium.order (delivery order comes from
@@ -287,9 +290,6 @@ func (a *Antenna) SetRxRange(m float64) {
 	}
 }
 
-// Position reports the antenna's current position.
-func (a *Antenna) Position() geo.Point { return a.pos() }
-
 // Medium is the shared broadcast channel, one per simulation run. It is
 // owned by exactly one engine and carries single-goroutine mutable state
 // (grid, free pools, stats).
@@ -304,7 +304,8 @@ func (a *Antenna) Position() geo.Point { return a.pos() }
 // bypass the grid and sit on the small `extended` list that every send
 // checks. The grid is maintained incrementally on Attach/Detach and by
 // SyncPositions, which movers (the traffic integrator, scripted
-// scenario actors) call after updating positions.
+// scenario actors) call after updating positions. The medium sees each
+// antenna where the last Attach or SyncPositions saw it.
 type Medium struct {
 	engine       *sim.Engine
 	nodes        map[NodeID]*Antenna
@@ -422,7 +423,7 @@ func (m *Medium) receives(d, limit float64, from, to NodeID, at time.Duration) b
 	if d <= limit {
 		return true
 	}
-	edge := limit * m.edgeFactor
+	edge := float64(limit * m.edgeFactor)
 	if d >= edge {
 		return false
 	}
@@ -458,10 +459,11 @@ func (m *Medium) PoolStats() PoolStats { return m.poolStats }
 // delivered.
 func (m *Medium) InFlight() int { return m.inflight }
 
-// Attach registers a node. The receiver set of a frame is computed from
-// current positions at send time; movers must call SyncPositions after
-// updating positions so the spatial index stays exact. promiscuous nodes
-// receive Overhear callbacks for frames not addressed to them.
+// Attach registers a node and samples its position. The medium sees the
+// node at that position, for sending and receiving, until SyncPositions
+// samples it again, so movers must call SyncPositions after updating
+// positions. promiscuous nodes receive Overhear callbacks for frames not
+// addressed to them.
 func (m *Medium) Attach(id NodeID, rangeM float64, pos func() geo.Point, recv Receiver, promiscuous bool) *Antenna {
 	if _, dup := m.nodes[id]; dup {
 		panic(fmt.Sprintf("radio: duplicate node id %d", id))
@@ -519,7 +521,7 @@ func (m *Medium) ensureCellSize(r float64) {
 		if a.extended {
 			continue
 		}
-		a.cell = m.cellOf(a.gridX)
+		a.cell = m.cellOf(a.loc.X)
 		m.cells[a.cell] = append(m.cells[a.cell], a)
 	}
 	for _, bucket := range m.cells {
@@ -531,17 +533,17 @@ func (m *Medium) cellOf(x float64) int64 {
 	return int64(math.Floor(x / m.cellSize))
 }
 
-// insertIndex places a newly attached antenna into the grid (or the
-// extended list when it has a widened receive range).
+// insertIndex samples an antenna's position and places it into the grid
+// (or the extended list when it has a widened receive range).
 func (m *Medium) insertIndex(a *Antenna) {
+	a.loc = a.pos()
 	if a.rxRange > 0 {
 		a.extended = true
 		m.extended = append(m.extended, a)
 		return
 	}
 	a.extended = false
-	a.gridX = a.pos().X
-	a.cell = m.cellOf(a.gridX)
+	a.cell = m.cellOf(a.loc.X)
 	m.addToCell(a)
 }
 
@@ -596,23 +598,21 @@ func (m *Medium) reclassify(a *Antenna, wasExtended bool) {
 	m.insertIndex(a)
 }
 
-// SyncPositions re-buckets every antenna whose position changed since it
-// was last indexed. Movers (the traffic integrator, scripted actors)
-// call this after each position update; the cost is one position sample
-// per antenna, far cheaper than the per-frame scans it replaces. Static
-// nodes and join/leave churn need no syncing — Attach and Detach keep
-// the index exact on their own.
+// SyncPositions samples every antenna's position, the one the medium
+// sends from and hears at until the next sync, and re-buckets each
+// antenna whose X changed. Movers (the traffic integrator, scripted
+// actors) call this after each position update; the cost is one position
+// sample per antenna, far cheaper than the per-frame scans it replaces.
+// Static nodes and join/leave churn need no syncing — Attach and Detach
+// keep the index exact on their own.
 func (m *Medium) SyncPositions() {
 	for _, a := range m.order {
-		if a.extended {
+		x := a.loc.X
+		a.loc = a.pos()
+		if a.extended || a.loc.X == x {
 			continue
 		}
-		x := a.pos().X
-		if x == a.gridX {
-			continue
-		}
-		a.gridX = x
-		if c := m.cellOf(x); c != a.cell {
+		if c := m.cellOf(a.loc.X); c != a.cell {
 			m.removeFromCell(a)
 			a.cell = c
 			m.addToCell(a)
@@ -631,7 +631,7 @@ func (m *Medium) Attached(id NodeID) bool {
 // frame's delivery event has run, the buffer is reclaimed into the
 // medium's marshal-buffer free list and will back a future frame. Pair
 // with GrabPayload for an allocation-free marshal+transmit path. The
-// receiver set is computed at send time from current positions
+// receiver set is computed at send time from the synced positions
 // (propagation is effectively instantaneous relative to vehicle motion);
 // delivery callbacks run after the medium latency, batched into a single
 // engine event that walks the receivers in attach order — exactly the
@@ -641,17 +641,16 @@ func (m *Medium) SendPooled(from *Antenna, to NodeID, payload []byte) {
 		m.releasePayload(payload)
 		return
 	}
-	txPos := from.Position()
 	f := Frame{
 		From:    from.id,
 		To:      to,
 		Payload: payload,
-		TxPos:   txPos,
+		TxPos:   from.loc,
 		TxTime:  m.engine.Now(),
 	}
 	m.stats.Transmitted++
 
-	targets, targetReached := m.collect(from, to, txPos, f.TxTime)
+	targets, targetReached := m.collect(from, to, f.TxTime)
 	if to != BroadcastID && !targetReached {
 		// The unicast target was out of range or obstructed: the frame is
 		// silently lost. This is the loss the inter-area interception
@@ -700,20 +699,20 @@ func (t *transmission) fire() {
 	m.txPool = append(m.txPool, t)
 }
 
-// collect gathers the frame's receiver set: grid cells within the
-// transmitter's reach (plus one guard cell per side, tolerating
-// sub-cell position drift between syncs) and every extended-range
-// antenna. Candidates pass exactly the distance/edge/obstruction checks
-// the linear scan applied. Each bucket is seq-sorted, so a bucket's
-// accepted receivers form one seq-sorted run; merging every run (and
-// each accepted extended antenna) into the sorted prefix yields the
-// attach order in time linear in the receiver count.
-func (m *Medium) collect(from *Antenna, to NodeID, txPos geo.Point, at time.Duration) ([]delivery, bool) {
+// collect gathers the frame's receiver set from the synced positions:
+// the grid cells within the transmitter's reach, plus one cell per side
+// (see DESIGN.md), and every extended-range antenna. Candidates pass
+// exactly the distance/edge/obstruction checks the linear scan applied.
+// Each bucket is seq-sorted, so a bucket's accepted receivers form one
+// seq-sorted run; merging every run (and each accepted extended antenna)
+// into the sorted prefix yields the attach order in time linear in the
+// receiver count.
+func (m *Medium) collect(from *Antenna, to NodeID, at time.Duration) ([]delivery, bool) {
 	targets := m.grabDelivery()
 	targetReached := false
 	run := m.run
 	accept := func(rx *Antenna) {
-		if !m.hears(from, rx, txPos, at) {
+		if !m.hears(from, rx, at) {
 			return
 		}
 		run = append(run, delivery{rx: rx, seq: rx.seq, addressed: to == BroadcastID || to == rx.id})
@@ -728,9 +727,9 @@ func (m *Medium) collect(from *Antenna, to NodeID, txPos geo.Point, at time.Dura
 	}
 
 	if m.cellSize > 0 {
-		reach := from.rangeM * m.edgeFactor
-		lo := m.cellOf(txPos.X-reach) - 1
-		hi := m.cellOf(txPos.X+reach) + 1
+		reach := float64(from.rangeM * m.edgeFactor)
+		lo := m.cellOf(from.loc.X-reach) - 1
+		hi := m.cellOf(from.loc.X+reach) + 1
 		for c := lo; c <= hi; c++ {
 			for _, rx := range m.cells[c] {
 				accept(rx)
@@ -746,28 +745,37 @@ func (m *Medium) collect(from *Antenna, to NodeID, txPos geo.Point, at time.Dura
 	return targets, targetReached
 }
 
-// hears reports whether rx receives a frame that from sends at txPos:
-// the distance, soft-edge and obstruction checks of the linear scan.
-func (m *Medium) hears(from, rx *Antenna, txPos geo.Point, at time.Duration) bool {
+// hears reports whether rx receives a frame that from sends now, both at
+// their synced positions: the distance, soft-edge and obstruction checks
+// of the linear scan.
+func (m *Medium) hears(from, rx *Antenna, at time.Duration) bool {
 	if rx.id == from.id {
 		return false
 	}
-	rxPos := rx.Position()
 	limit := max(from.rangeM, rx.rxRange) // builtin: math.Max semantics, no call
 	// Reject on the road-axis gap alone, before the Hypot, when it already
 	// puts rx past both the disk and the soft edge. The decision is the
 	// one receives would make: Hypot returns max·sqrt(1+(min/max)²), never
 	// below |dx|. The gap must exceed limit strictly, because a receiver
 	// at exactly the range on the same Y is received on the hard disk.
-	// The live position is used, not gridX, since unsynced drift is
-	// allowed.
-	if dx := math.Abs(txPos.X - rxPos.X); dx > limit && dx >= limit*m.edgeFactor {
+	dx := math.Abs(from.loc.X - rx.loc.X)
+	if dx > limit && dx >= limit*m.edgeFactor {
 		return false
 	}
-	if !m.receives(txPos.DistanceTo(rxPos), limit, from.id, rx.id, at) {
+	if !inDisk(dx, math.Abs(from.loc.Y-rx.loc.Y), limit) &&
+		!m.receives(from.loc.DistanceTo(rx.loc), limit, from.id, rx.id, at) {
 		return false
 	}
-	return !m.blocked(txPos, rxPos)
+	return !m.blocked(from.loc, rx.loc)
+}
+
+// inDisk accepts, without the Hypot, a receiver whose axis gaps dx, dy
+// (both non-negative) put it inside the disk of radius limit, where
+// receives accepts without drawing the edge hash. The distance never
+// exceeds dx + dy, and the 1e-12 margin covers the rounding of that sum
+// and of Hypot, so whenever this accepts, Hypot(dx, dy) <= limit holds.
+func inDisk(dx, dy, limit float64) bool {
+	return dx+dy <= limit*(1-1e-12)
 }
 
 // mergeRun merges the seq-sorted run into the seq-sorted dst and returns

@@ -3,6 +3,7 @@ package radio
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/vanetsec/georoute/internal/geo"
 	"github.com/vanetsec/georoute/internal/sim"
@@ -354,5 +355,15 @@ func TestSetRange(t *testing.T) {
 
 	if len(far.delivered) != 1 {
 		t.Fatalf("far node got %d frames, want exactly the post-SetRange one", len(far.delivered))
+	}
+}
+
+// TestAntennaSizeClass pins Antenna (104 bytes) in the allocator's
+// 112-byte size class, which every attach allocates: every node holds
+// one, and collect reads each candidate's position, ranges and seq from
+// it for every frame. Two more words would move it to the 128-byte class.
+func TestAntennaSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Antenna{}); got > 112 {
+		t.Fatalf("unsafe.Sizeof(Antenna{}) = %d, past the 112-byte size class", got)
 	}
 }

@@ -111,11 +111,22 @@ type chainBuild struct {
 	accepted map[uint64]uint8
 }
 
+// Analyzed reports whether Analyze reads r. It skips beacon records
+// (beacons have no sequence identity) and the informational attacker
+// capture/replay and medium unicast-loss records, so a caller that keeps
+// only the records this accepts gets the same chains.
+func Analyzed(r Record) bool {
+	switch r.Event {
+	case EvCapture, EvReplay, EvUnicastLoss:
+		return false
+	}
+	return r.PType != PTBeacon
+}
+
 // Analyze reconstructs per-packet chains from a record stream and runs
 // the conservation checks, plus the RHL check: a relay never sends a copy
 // whose RHL is not below the highest RHL it accepted for the packet.
-// Beacon records are skipped (beacons have no sequence identity);
-// attacker capture/replay records are informational.
+// Records that Analyzed rejects are counted but not read.
 func Analyze(recs []Record) *Analysis {
 	a := &Analysis{FrameDrops: make(map[Reason]int), Records: len(recs)}
 	chains := make(map[ChainKey]*chainBuild)
@@ -139,11 +150,7 @@ func Analyze(recs []Record) *Analysis {
 	}
 
 	for _, r := range recs {
-		switch r.Event {
-		case EvCapture, EvReplay, EvUnicastLoss:
-			continue // informational / frame-level medium events
-		}
-		if r.PType == PTBeacon {
+		if !Analyzed(r) {
 			continue
 		}
 		if r.Src == 0 {

@@ -246,7 +246,8 @@ func TestAnalyzeFrameLevelDrops(t *testing.T) {
 }
 
 // TestAnalyzeSkipsNonChainRecords: beacons and attacker capture/replay
-// records never form chains.
+// records never form chains, and Analyzed, which geotrace keeps records
+// by, rejects each of them.
 func TestAnalyzeSkipsNonChainRecords(t *testing.T) {
 	recs := []Record{
 		{At: ms(0), Node: 1, Src: 1, SN: 1, Event: EvTX, Kind: KindBeacon, PType: PTBeacon, RHL: 1},
@@ -264,6 +265,14 @@ func TestAnalyzeSkipsNonChainRecords(t *testing.T) {
 	}
 	if a.Records != len(recs) {
 		t.Errorf("Records = %d, want %d", a.Records, len(recs))
+	}
+	for _, r := range recs {
+		if Analyzed(r) {
+			t.Errorf("Analyzed(%+v) = true for a record Analyze skips", r)
+		}
+	}
+	if r := (Record{Node: 1, Src: 1, SN: 1, Event: EvOriginate, PType: PTGeoUnicast}); !Analyzed(r) {
+		t.Errorf("Analyzed(%+v) = false for a chain record", r)
 	}
 }
 

@@ -406,14 +406,14 @@ func (n *Network) integrate(dt float64) {
 	for _, lane := range n.road.Lanes {
 		exited := n.exitScratch[:0]
 		for _, v := range lane.vehicles {
-			newSpeed := v.Speed + v.Accel*dt
+			newSpeed := v.Speed + float64(v.Accel*dt)
 			if newSpeed < 0 {
 				// Ballistic update: stop exactly when speed hits zero.
 				stopDt := -v.Speed / v.Accel
-				v.S += v.Speed*stopDt + 0.5*v.Accel*stopDt*stopDt
+				v.S += float64(v.Speed*stopDt) + float64(0.5*v.Accel*stopDt*stopDt)
 				v.Speed = 0
 			} else {
-				v.S += v.Speed*dt + 0.5*v.Accel*dt*dt
+				v.S += float64(v.Speed*dt) + float64(0.5*v.Accel*dt*dt)
 				v.Speed = newSpeed
 			}
 			if v.S > n.road.Length {

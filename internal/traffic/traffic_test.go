@@ -63,6 +63,37 @@ func TestIDMMonotoneInGapProperty(t *testing.T) {
 	}
 }
 
+// TestIDMAccelMatchesPow pins Accel's two squarings to the math.Pow form
+// of (v/v0)^4 bit for bit, on free road where Accel is a·(1 - (v/v0)^4):
+// over a dense sweep of speeds in [0, 2·v0], and around the speeds where
+// (v/v0)^4 leaves the normal range and where it falls below 2^-53 and the
+// free-road term becomes exactly 1.
+func TestIDMAccelMatchesPow(t *testing.T) {
+	p := DefaultIDM()
+	inf := math.Inf(1)
+	check := func(speed float64) {
+		t.Helper()
+		got, want := p.Accel(speed, inf, 0), p.MaxAccel*(1-math.Pow(speed/p.DesiredSpeed, 4))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Accel(%v) on free road = %v, want math.Pow's %v", speed, got, want)
+		}
+	}
+	const n = 1 << 18
+	for i := 0; i <= n; i++ {
+		check(2 * p.DesiredSpeed * float64(i) / n)
+	}
+	// (v/v0)^4 crosses 2^-1022, the smallest normal, near v/v0 = 2^-255.5,
+	// and 2^-53 near v/v0 = 2^-13.25.
+	for _, e := range []int{-256, -255, -14, -13} {
+		for i := 0; i < 4096; i++ {
+			check(p.DesiredSpeed * math.Ldexp(1+float64(i)/4096, e))
+		}
+	}
+	for _, v := range []float64{5e-324, 1e-300, 1e-200, 1e-80} {
+		check(v)
+	}
+}
+
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
 func TestNewRoadGeometry(t *testing.T) {
