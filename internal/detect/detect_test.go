@@ -1,8 +1,10 @@
 package detect
 
 import (
+	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/vanetsec/georoute/internal/geo"
 	"github.com/vanetsec/georoute/internal/trace"
@@ -150,6 +152,39 @@ func TestMonitorChurnThreshold(t *testing.T) {
 	}
 	if got := checkCount(d2, CheckChurn); got != 0 {
 		t.Fatalf("benign 2.25s beacon cadence flagged churn %d times", got)
+	}
+}
+
+// TestMonitorChurnBurstPastInlineWindow: a burst of six claims inside
+// the window outgrows the state's four inline arrival slots, and every
+// claim past ChurnMax still flags with the whole window counted.
+func TestMonitorChurnBurstPastInlineWindow(t *testing.T) {
+	var evidence []string
+	d := New(Config{Sink: func(v Verdict) {
+		if v.Check == CheckChurn {
+			evidence = append(evidence, v.Evidence)
+		}
+	}})
+	for i := 0; i < 6; i++ {
+		d.Record(claim(time.Duration(i)*500*time.Millisecond, attacker))
+	}
+	if len(evidence) != 4 {
+		t.Fatalf("six claims in the window flagged churn %d times, want 4", len(evidence))
+	}
+	for i, ev := range evidence {
+		want := fmt.Sprintf("%d neighbor claims for 7 inside %v (max %d)", i+3, ChurnWindow, ChurnMax)
+		if ev != want {
+			t.Fatalf("churn verdict %d: evidence %q, want %q", i, ev, want)
+		}
+	}
+}
+
+// TestSrcStateSizeClass pins a source's monitor state to the
+// allocator's 96-byte class: it holds four inline arrival slots, and
+// one more word would move every state into the 112-byte class.
+func TestSrcStateSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(srcState{}); got != 96 {
+		t.Fatalf("unsafe.Sizeof(srcState{}) = %d, want 96 (the 96-byte class)", got)
 	}
 }
 

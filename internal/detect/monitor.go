@@ -10,14 +10,19 @@ import (
 )
 
 // srcState is a node's monitor memory of one claim source. The monitors
-// keep it themselves and never read the router's LocT.
+// keep it themselves and never read the router's LocT. The bools come
+// last, after the word-sized fields, so the state is 90 bytes and fits
+// the allocator's 96-byte class (TestSrcStateSizeClass).
 type srcState struct {
-	haveBeacon bool
-	lastBeacon time.Duration // arrival time of the last single-hop claim
-	havePV     bool
+	lastBeacon time.Duration   // arrival time of the last single-hop claim
 	lastTS     time.Duration   // newest claimed PV timestamp
 	lastPos    geo.Point       // position claimed at lastTS
 	arrivals   []time.Duration // single-hop claim arrivals inside the churn window
+	// buf backs arrivals while the window holds at most four, twice
+	// ChurnMax, so the window only reaches the heap under a burst.
+	buf        [4]time.Duration
+	haveBeacon bool
+	havePV     bool
 }
 
 // Record implements trace.Sink. An rx record is a claim by its packet's
@@ -52,6 +57,7 @@ func (d *Detector) observeClaim(c *trace.Record) {
 	st := srcs.Get(c.Src)
 	if st == nil {
 		st = new(srcState)
+		st.arrivals = st.buf[:0]
 		srcs.Put(c.Src, st)
 	}
 

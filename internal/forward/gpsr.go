@@ -153,7 +153,9 @@ func (g *GPSR) perimeterNext(r *geonet.Router, out *geonet.Packet, target geo.Po
 // gabrielKeep reports whether the edge (self, v) survives the Gabriel
 // test: no witness strictly inside the circle with diameter (self, v).
 func gabrielKeep(self, v geo.Point, vAddr geonet.Address, ents []*geonet.LocTEntry) bool {
-	mx, my := (self.X+v.X)/2, (self.Y+v.Y)/2
+	// The compiler turns /2 into *0.5; rounding the midpoint keeps arm64
+	// from fusing that product into the differences below.
+	mx, my := float64((self.X+v.X)/2), float64((self.Y+v.Y)/2)
 	r2 := sq(self.X-mx) + sq(self.Y-my)
 	for _, w := range ents {
 		if w.PV.Addr == vAddr {
@@ -167,7 +169,9 @@ func gabrielKeep(self, v geo.Point, vAddr geonet.Address, ents []*geonet.LocTEnt
 	return true
 }
 
-func sq(x float64) float64 { return x * x }
+// sq rounds the square, so arm64 never fuses it into a sum of squares
+// and the Gabriel test decides the same on every architecture.
+func sq(x float64) float64 { return float64(x * x) }
 
 // lookupEnt scans the (small, sorted) neighbor scratch for addr.
 func lookupEnt(ents []*geonet.LocTEntry, addr geonet.Address) *geonet.LocTEntry {
@@ -186,14 +190,16 @@ func lookupEnt(ents []*geonet.LocTEntry, addr geonet.Address) *geonet.LocTEntry 
 func segIntersect(a1, a2, b1, b2 geo.Point) (geo.Point, bool) {
 	d1x, d1y := a2.X-a1.X, a2.Y-a1.Y
 	d2x, d2y := b2.X-b1.X, b2.Y-b1.Y
-	denom := d1x*d2y - d1y*d2x
+	// Rounding every product keeps arm64 from fusing it into a sum, so
+	// the crossing is the same on every architecture.
+	denom := float64(d1x*d2y) - float64(d1y*d2x)
 	if math.Abs(denom) < 1e-12 {
 		return geo.Point{}, false
 	}
-	t := ((b1.X-a1.X)*d2y - (b1.Y-a1.Y)*d2x) / denom
-	u := ((b1.X-a1.X)*d1y - (b1.Y-a1.Y)*d1x) / denom
+	t := (float64((b1.X-a1.X)*d2y) - float64((b1.Y-a1.Y)*d2x)) / denom
+	u := (float64((b1.X-a1.X)*d1y) - float64((b1.Y-a1.Y)*d1x)) / denom
 	if t < 0 || t > 1 || u < 0 || u > 1 {
 		return geo.Point{}, false
 	}
-	return geo.Pt(a1.X+t*d1x, a1.Y+t*d1y), true
+	return geo.Pt(a1.X+float64(t*d1x), a1.Y+float64(t*d1y)), true
 }

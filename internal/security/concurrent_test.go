@@ -9,15 +9,15 @@ import (
 	"time"
 )
 
-// TestSimCAVerifyConcurrent hammers the cached-MAC sign and verify
-// paths from as many goroutines as the parallel experiment runner would
-// use, with the goroutines deliberately overlapping on station IDs so
-// they contend on the same cached HMAC states — each station's signer
-// and the CA's verifier share one. Run under -race this pins the mutex
-// guarding simEnrollment's shared state; functionally it checks that
-// concurrent signs and verifies neither corrupt digests (wrong
-// signatures, false rejects) nor let tampered messages through (false
-// accepts).
+// TestSimCAVerifyConcurrent hammers the sign and verify paths from as
+// many goroutines as the parallel experiment runner would use, with the
+// goroutines deliberately overlapping on station IDs. Every MAC of a CA,
+// whichever station's, restores its key into the scratch digest the CA
+// owns, so all the goroutines contend on that one digest. Run under
+// -race this pins the CA mutex guarding the scratch; functionally it
+// checks that concurrent signs and verifies neither corrupt digests
+// (wrong signatures, false rejects) nor let tampered messages through
+// (false accepts).
 func TestSimCAVerifyConcurrent(t *testing.T) {
 	const stations = 8
 	ca := NewSimCA(7)
@@ -81,8 +81,9 @@ func TestSimCAVerifyConcurrent(t *testing.T) {
 }
 
 // TestSimCAVerifyAllocs asserts the verify hot path is allocation-free:
-// the per-enrollment MAC state is warmed at Enroll, so Verify is a map
-// lookup plus Reset/Write/Sum into a cached scratch buffer.
+// Verify is a map lookup plus one MAC that restores the station's
+// pre-keyed states into the CA's scratch digest and sums into its
+// scratch buffer.
 func TestSimCAVerifyAllocs(t *testing.T) {
 	ca := NewSimCA(7)
 	signer := ca.Enroll(1, 0)
@@ -106,8 +107,9 @@ func TestSimCAVerifyAllocs(t *testing.T) {
 }
 
 // TestSimSignerSignAllocs pins the sign path to zero allocations when
-// the caller supplies room for the signature: the MAC state is warmed at
-// Enroll and Sum appends into dst.
+// the caller supplies room for the signature: the station's pre-keyed
+// states are restored into the CA's scratch digest and Sum appends into
+// dst.
 func TestSimSignerSignAllocs(t *testing.T) {
 	ca := NewSimCA(7)
 	signer := ca.Enroll(1, 0)

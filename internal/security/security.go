@@ -21,6 +21,7 @@ package security
 import (
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"errors"
 	"hash"
@@ -87,113 +88,135 @@ type Verifier interface {
 // stations, via Enroll) can compute them. The attacker in our threat model
 // never receives a Signer, mirroring "cannot acquire a certificate".
 type SimCA struct {
-	root [32]byte
+	root macKey
 	// enrolled caches issued certificates and signing keys so that Verify
 	// is a map lookup plus one MAC (the hot path of the simulator).
 	enrolled map[StationID]*simEnrollment
-}
 
-// simEnrollment is one station's issued certificate and MAC state. The
-// station's signer and the CA's verifier share it: both compute the same
-// keyed MAC, so one warmed state serves both sides.
-type simEnrollment struct {
-	cert Certificate
-
-	// mu guards the cached MAC state below. Signing and verification run
-	// on the engine goroutine of whichever run owns this CA, but the
-	// parallel experiment runner and the concurrency tests may sign and
-	// verify from many goroutines, so the hot path takes an (uncontended)
-	// mutex instead of assuming single-threaded use.
+	// mu guards the scratch below, which every MAC the CA computes runs
+	// through: key derivation, endorsement, and each station's signing
+	// and verification. Signing and verification run on the engine
+	// goroutine of whichever run owns this CA, but the concurrency tests
+	// sign and verify from many goroutines, so the hot path takes an
+	// (uncontended) mutex instead of assuming single-threaded use.
 	mu sync.Mutex
-	// mac is the station's HMAC state, created once at enrolment and
-	// reset between messages: sign and verify are Reset+Write+Sum with
-	// zero allocations instead of a fresh hmac.New per message.
-	mac hash.Hash
-	// sum is the scratch digest buffer verify's Sum appends into.
+	// h is the scratch SHA-256 digest a MAC restores its states into.
+	h stateHash
+	// sum holds a MAC's inner digest, and verify's outer one.
 	sum [sha256.Size]byte
+	// buf stages the messages and key blocks that Enroll hashes.
+	buf [sha256.BlockSize]byte
 }
 
-// appendSign appends the station MAC over protected to dst. Write
-// consumes protected before Sum appends, so protected may alias dst.
-func (rec *simEnrollment) appendSign(dst, protected []byte) []byte {
-	rec.mu.Lock()
-	rec.mac.Reset()
-	rec.mac.Write(protected)
-	dst = rec.mac.Sum(dst)
-	rec.mu.Unlock()
-	return dst
+// stateHash is a SHA-256 digest whose state can be saved and restored.
+type stateHash interface {
+	hash.Hash
+	encoding.BinaryMarshaler
+	encoding.BinaryUnmarshaler
 }
 
-// verify recomputes the station MAC over protected into the cached state
-// and reports whether it matches signature.
-func (rec *simEnrollment) verify(protected, signature []byte) bool {
-	rec.mu.Lock()
-	rec.mac.Reset()
-	rec.mac.Write(protected)
-	digest := rec.mac.Sum(rec.sum[:0])
-	ok := hmac.Equal(digest, signature)
-	rec.mu.Unlock()
-	return ok
+// macKey is an HMAC-SHA-256 key in pre-keyed form: the marshalled
+// SHA-256 states after the key's ipad block and after its opad block.
+// Restoring them skips the two key blocks every MAC would otherwise hash.
+type macKey [2][]byte
+
+// simEnrollment is one station's issued certificate and MAC key. It is
+// the station's signer, and the CA's verifier checks the station's
+// messages against the same key.
+type simEnrollment struct {
+	ca   *SimCA
+	cert Certificate
+	key  macKey
+	// pub and sig back cert.PublicKey and cert.issuerSig.
+	pub, sig [sha256.Size]byte
 }
 
-// warmMAC builds a station HMAC state and runs one full
-// Reset/Write/Sum cycle so the one-time internal state marshalling
-// happens at enrolment, leaving the per-message path allocation-free.
-func warmMAC(key []byte) hash.Hash {
-	mac := hmac.New(sha256.New, key)
-	var scratch [sha256.Size]byte
-	mac.Reset()
-	mac.Write(scratch[:])
-	mac.Sum(scratch[:0])
-	mac.Reset()
-	return mac
-}
-
-var _ Verifier = (*SimCA)(nil)
+var (
+	_ Verifier = (*SimCA)(nil)
+	_ Signer   = (*simEnrollment)(nil)
+)
 
 // NewSimCA constructs a CA with the given root secret seed.
 func NewSimCA(seed uint64) *SimCA {
-	ca := &SimCA{enrolled: make(map[StationID]*simEnrollment)}
+	ca := &SimCA{
+		enrolled: make(map[StationID]*simEnrollment),
+		h:        sha256.New().(stateHash),
+	}
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], seed)
-	ca.root = sha256.Sum256(buf[:])
+	root := sha256.Sum256(buf[:])
+	ca.root = ca.preKey(root[:])
 	return ca
 }
 
-// stationKey derives the per-station MAC key.
-func (ca *SimCA) stationKey(id StationID) []byte {
-	mac := hmac.New(sha256.New, ca.root[:])
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(id))
-	mac.Write(buf[:])
-	return mac.Sum(nil)
+// preKey returns key (at most one block long) in pre-keyed form. The
+// caller holds ca.mu, or is NewSimCA.
+func (ca *SimCA) preKey(key []byte) macKey {
+	var k macKey
+	for i, pad := range [2]byte{0x36, 0x5c} {
+		for j := range ca.buf {
+			ca.buf[j] = pad
+		}
+		for j, b := range key {
+			ca.buf[j] ^= b
+		}
+		ca.h.Reset()
+		ca.h.Write(ca.buf[:])
+		// Marshalling a SHA-256 state never fails.
+		k[i], _ = ca.h.MarshalBinary()
+	}
+	return k
 }
 
-func (ca *SimCA) endorse(c *Certificate) {
-	mac := hmac.New(sha256.New, ca.root[:])
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(c.Station))
-	mac.Write(buf[:])
-	binary.BigEndian.PutUint64(buf[:], uint64(c.NotAfter))
-	mac.Write(buf[:])
-	mac.Write(c.PublicKey)
-	c.issuerSig = mac.Sum(nil)
+// appendMAC appends HMAC-SHA-256 of msg under key to dst. It reads msg
+// in full before it appends, so msg may alias dst, and dst may be
+// ca.sum[:0]. The caller holds ca.mu.
+func (ca *SimCA) appendMAC(dst []byte, key *macKey, msg []byte) []byte {
+	// Both states were marshalled from a digest of this type, so they
+	// always restore.
+	_ = ca.h.UnmarshalBinary(key[0])
+	ca.h.Write(msg)
+	inner := ca.h.Sum(ca.sum[:0])
+	_ = ca.h.UnmarshalBinary(key[1])
+	ca.h.Write(inner)
+	return ca.h.Sum(dst)
+}
+
+// stationKey derives the per-station MAC key. The caller holds ca.mu.
+func (ca *SimCA) stationKey(id StationID) [sha256.Size]byte {
+	binary.BigEndian.PutUint64(ca.buf[:8], uint64(id))
+	return [sha256.Size]byte(ca.appendMAC(ca.sum[:0], &ca.root, ca.buf[:8]))
+}
+
+// endorse signs (Station, NotAfter, PublicKey) of rec's certificate with
+// the root key into rec.sig. The caller holds ca.mu.
+func (ca *SimCA) endorse(rec *simEnrollment) {
+	c := &rec.cert
+	binary.BigEndian.PutUint64(ca.buf[:8], uint64(c.Station))
+	binary.BigEndian.PutUint64(ca.buf[8:16], uint64(c.NotAfter))
+	n := 16 + copy(ca.buf[16:], c.PublicKey)
+	ca.appendMAC(rec.sig[:0], &ca.root, ca.buf[:n])
+	c.issuerSig = rec.sig[:]
 }
 
 // Enroll issues a certificate and signer for a station. notAfter of zero
-// means the certificate never expires within the run.
+// means the certificate never expires within the run. Enroll is not safe
+// for concurrent use: it writes the CA's enrolment map, so it runs on
+// the goroutine that owns the CA, never alongside Verify.
 func (ca *SimCA) Enroll(id StationID, notAfter time.Duration) Signer {
+	rec := &simEnrollment{ca: ca, cert: Certificate{Station: id, NotAfter: notAfter}}
+	ca.mu.Lock()
 	key := ca.stationKey(id)
-	cert := Certificate{Station: id, NotAfter: notAfter}
+	rec.key = ca.preKey(key[:])
 	// The "public key" of the MAC scheme is a commitment to the key; the
 	// verifier recomputes the MAC from the CA side, so this is only used
 	// to bind the cert bytes.
-	h := sha256.Sum256(key)
-	cert.PublicKey = h[:]
-	ca.endorse(&cert)
-	rec := &simEnrollment{cert: cert, mac: warmMAC(key)}
+	rec.pub = sha256.Sum256(key[:])
+	rec.cert.PublicKey = rec.pub[:]
+	ca.endorse(rec)
+	ca.mu.Unlock()
 	ca.enrolled[id] = rec
-	return &simSigner{rec: rec}
+	return rec
 }
 
 // Verify implements Verifier.
@@ -212,22 +235,22 @@ func (ca *SimCA) Verify(msg SignedMessage, now time.Duration) error {
 	if msg.Cert.NotAfter != 0 && now > msg.Cert.NotAfter {
 		return ErrExpiredCertificate
 	}
-	if !rec.verify(msg.Protected, msg.Signature) {
+	ca.mu.Lock()
+	ok = hmac.Equal(ca.appendMAC(ca.sum[:0], &rec.key, msg.Protected), msg.Signature)
+	ca.mu.Unlock()
+	if !ok {
 		return ErrBadSignature
 	}
 	return nil
 }
 
-// simSigner signs under its station's enrolment record, sharing the
-// warmed MAC state (and its mutex) with the CA's verifier.
-type simSigner struct {
-	rec *simEnrollment
+// AppendSign implements Signer.
+func (rec *simEnrollment) AppendSign(dst, protected []byte) []byte {
+	rec.ca.mu.Lock()
+	dst = rec.ca.appendMAC(dst, &rec.key, protected)
+	rec.ca.mu.Unlock()
+	return dst
 }
 
-var _ Signer = (*simSigner)(nil)
-
-func (s *simSigner) AppendSign(dst, protected []byte) []byte {
-	return s.rec.appendSign(dst, protected)
-}
-
-func (s *simSigner) Certificate() Certificate { return s.rec.cert }
+// Certificate implements Signer.
+func (rec *simEnrollment) Certificate() Certificate { return rec.cert }

@@ -240,3 +240,14 @@ func BenchmarkSimVerify(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSimEnroll enrolls a new station per iteration, so the map's
+// growth is part of the cost, as it is when a world is built.
+func BenchmarkSimEnroll(b *testing.B) {
+	ca := NewSimCA(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ca.Enroll(StationID(i), 0)
+	}
+}

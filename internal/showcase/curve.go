@@ -50,7 +50,10 @@ type curveActor struct {
 
 func (c *curveActor) pos() geo.Point {
 	theta := c.s / curveR
-	return geo.Pt(c.lane*math.Sin(theta), curveR-c.lane*math.Cos(theta))
+	// The float64 conversions here and below round each product, which
+	// keeps arm64 from fusing it into the sum: positions, and with them
+	// Figs. 12 and 13, are then the same on every architecture.
+	return geo.Pt(c.lane*math.Sin(theta), curveR-float64(c.lane*math.Cos(theta)))
 }
 
 func (c *curveActor) vel() geo.Vector {
@@ -64,14 +67,14 @@ func (c *curveActor) step(dt float64) {
 	if c.stopd {
 		return
 	}
-	c.v += c.a * dt
+	c.v += float64(c.a * dt)
 	if c.v < c.vMin {
 		c.v = c.vMin
 	}
 	if c.v < 0 {
 		c.v = 0
 	}
-	c.s += c.dir * c.v * dt
+	c.s += float64(c.dir * c.v * dt)
 }
 
 // curveDuration is the length of a Figure 13 run: both vehicles have
@@ -135,7 +138,7 @@ func RunCurve(cfg CurveConfig) CurveResult {
 	}
 
 	warned := false
-	r1Pos := geo.Pt(rsuRadius*math.Sin(0), curveR-rsuRadius*math.Cos(0))
+	r1Pos := geo.Pt(rsuRadius*math.Sin(0), curveR-float64(rsuRadius*math.Cos(0)))
 	v1Router := newRouter(vV1, v1.pos, v1.vel, nil)
 	newRouter(vV2, v2.pos, v2.vel, func(p *geonet.Packet) {
 		if warned {
@@ -156,7 +159,7 @@ func RunCurve(cfg CurveConfig) CurveResult {
 		attack.NewAttacker(attack.Config{
 			Engine:      engine,
 			Medium:      medium,
-			Position:    geo.Pt(math.Sin(0.005)*(rsuRadius+1), curveR-math.Cos(0.005)*(rsuRadius+1)),
+			Position:    geo.Pt(math.Sin(0.005)*(rsuRadius+1), curveR-float64(math.Cos(0.005)*(rsuRadius+1))),
 			Range:       vehRange,
 			ReplayRange: 6,
 			Mode:        attack.IntraAreaVariant,

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"sort"
+
+	"github.com/vanetsec/georoute/addrtab"
 )
 
 // NodeCounters tallies events and drop reasons for one node. Fixed-size
@@ -14,20 +16,27 @@ type NodeCounters struct {
 // Counters is a per-node counter-registry sink: every record bumps the
 // event tally of its node, and drops additionally bump the reason tally.
 type Counters struct {
-	nodes map[uint64]*NodeCounters
+	nodes addrtab.Table[uint64, nodeCounters]
+}
+
+// nodeCounters is one node's tallies, stored with the node's id because
+// the table's enumeration visits entries, not keys.
+type nodeCounters struct {
+	id uint64
+	NodeCounters
 }
 
 // NewCounters builds an empty registry.
 func NewCounters() *Counters {
-	return &Counters{nodes: make(map[uint64]*NodeCounters)}
+	return &Counters{}
 }
 
 // Record tallies one record.
 func (c *Counters) Record(r Record) {
-	nc := c.nodes[r.Node]
+	nc := c.nodes.Get(r.Node)
 	if nc == nil {
-		nc = &NodeCounters{}
-		c.nodes[r.Node] = nc
+		nc = &nodeCounters{id: r.Node}
+		c.nodes.Put(r.Node, nc)
 	}
 	nc.Events[r.Event]++
 	if r.Reason != ReasonNone {
@@ -37,10 +46,11 @@ func (c *Counters) Record(r Record) {
 
 // Nodes returns the node ids present, ascending.
 func (c *Counters) Nodes() []uint64 {
-	ids := make([]uint64, 0, len(c.nodes))
-	for id := range c.nodes {
-		ids = append(ids, id)
-	}
+	ids := make([]uint64, 0, c.nodes.Len())
+	c.nodes.Sweep(func(nc *nodeCounters) bool {
+		ids = append(ids, nc.id)
+		return true
+	})
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
@@ -48,14 +58,15 @@ func (c *Counters) Nodes() []uint64 {
 // Totals folds every node into one NodeCounters.
 func (c *Counters) Totals() NodeCounters {
 	var t NodeCounters
-	for _, nc := range c.nodes {
+	c.nodes.Sweep(func(nc *nodeCounters) bool {
 		for i := range nc.Events {
 			t.Events[i] += nc.Events[i]
 		}
 		for i := range nc.Drops {
 			t.Drops[i] += nc.Drops[i]
 		}
-	}
+		return true
+	})
 	return t
 }
 
@@ -105,7 +116,7 @@ func (c *Counters) Rollup() CounterRollup {
 	t := c.Totals()
 	roll := CounterRollup{Totals: t.set()}
 	for _, id := range c.Nodes() {
-		roll.PerNode = append(roll.PerNode, NodeCounterSet{Node: id, CounterSet: c.nodes[id].set()})
+		roll.PerNode = append(roll.PerNode, NodeCounterSet{Node: id, CounterSet: c.nodes.Get(id).set()})
 	}
 	return roll
 }

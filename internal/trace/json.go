@@ -162,27 +162,38 @@ func ReadJSONL(r io.Reader) ([]Record, error) {
 }
 
 // JSONLWriter streams records as JSON lines through a buffered writer,
-// reusing one scratch buffer so steady-state emission allocates nothing
-// beyond the bufio flushes. Errors latch: the first write error is
-// reported by every later call and by Flush.
+// encoding each record straight into the writer's free buffer space, so
+// steady-state emission allocates nothing beyond the bufio flushes.
+// Errors latch: the first write error is reported by every later call
+// and by Flush.
 type JSONLWriter struct {
 	w   *bufio.Writer
-	buf []byte
 	err error
 }
 
+// maxRecordLen bounds the length of one encoded record: every field
+// present, each number at its longest and each enum at its longest name
+// (TestMaxRecordLen).
+const maxRecordLen = 256
+
 // NewJSONLWriter wraps w in a buffered JSONL sink.
 func NewJSONLWriter(w io.Writer) *JSONLWriter {
-	return &JSONLWriter{w: bufio.NewWriterSize(w, 64*1024), buf: make([]byte, 0, 256)}
+	return &JSONLWriter{w: bufio.NewWriterSize(w, 64*1024)}
 }
 
-// Record encodes and buffers one record.
+// Record encodes and buffers one record. It flushes first when the
+// buffer has less room than the longest record, so the encoding never
+// outgrows the buffer's free space and Write only advances the buffer.
 func (j *JSONLWriter) Record(r Record) {
 	if j.err != nil {
 		return
 	}
-	j.buf = AppendJSON(j.buf[:0], r)
-	_, j.err = j.w.Write(j.buf)
+	if j.w.Available() < maxRecordLen {
+		if j.err = j.w.Flush(); j.err != nil {
+			return
+		}
+	}
+	_, j.err = j.w.Write(AppendJSON(j.w.AvailableBuffer(), r))
 }
 
 // Flush drains the buffer and returns the first error seen.
