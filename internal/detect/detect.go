@@ -146,7 +146,11 @@ type Config struct {
 	// verdict false (offline replay of unlabeled traces).
 	Truth func(suspect uint64) bool
 	// Sink, when non-nil, receives every verdict. Evidence strings are
-	// only rendered when a sink is installed.
+	// only rendered when a sink is installed. In a run the detector is a
+	// trace sink, behind the observer pipe when a core is free for it, so
+	// Sink may be called on the pipe's goroutine rather than the
+	// simulation's; every verdict has been delivered before
+	// experiment.RunOnceObserved returns.
 	Sink func(Verdict)
 }
 

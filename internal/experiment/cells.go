@@ -107,7 +107,10 @@ func RunCells[R any](ctx context.Context, cells []Cell, workers int,
 	jobs := make(chan Cell)
 	results := make(chan completion)
 	var wg sync.WaitGroup
-	for w := 0; w < max(1, min(workers, len(cells))); w++ {
+	n := max(1, min(workers, len(cells)))
+	pooled.Add(int32(n))
+	defer pooled.Add(-int32(n))
+	for w := 0; w < n; w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()

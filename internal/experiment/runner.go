@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"github.com/vanetsec/georoute/internal/attack"
@@ -71,6 +72,14 @@ type RunResult struct {
 // (internal/telemetry), and the misbehavior-detection monitors
 // (internal/detect). Everything may be nil/false; the zero Observe is an
 // unobserved run.
+//
+// The tracer's sinks, the detector included, may run beside the
+// simulation: when a core is free for it (pipeObservers), RunOnceObserved
+// hands the records through a trace.Pipe to one goroutine that feeds them
+// in emission order, and waits for it to finish before it returns. So a
+// sink reads only its records, never the world, and is complete (ready to
+// flush, roll up or summarize) once the run returns. The gauges stay on
+// the simulation goroutine.
 type Observe struct {
 	Tracer *trace.Tracer
 	Gauges *telemetry.RunGauges
@@ -133,6 +142,8 @@ func RunOnce(s Scenario, seed uint64) RunResult {
 // through the world (see Observe). No sink influences the event stream,
 // so the measured series are identical across all variants.
 func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
+	running.Add(1)
+	defer running.Add(-1)
 	tr := obs.Tracer
 	var w *vanet.World
 	// sent lists the generated packets in origination order, the order
@@ -166,6 +177,9 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 		det = detect.New(dcfg)
 		tr = trace.New(tr, det)
 	}
+	// The observers run beside the simulation if a core is free for them;
+	// drain below waits until they have seen every record.
+	tr, drain := pipeObservers(tr)
 
 	var latSum float64
 	var latCount uint64
@@ -318,6 +332,7 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 		w.Engine.ScheduleAt(t, "experiment.generate", generate)
 	}
 	w.Run(s.Duration + s.Drain)
+	drain()
 	// Flush the tail between the last probe firing and the end of the run
 	// so telemetry counters account for every event.
 	w.SampleTelemetry()
@@ -423,4 +438,38 @@ func MaxParallel() int {
 		n = 1
 	}
 	return n
+}
+
+// An observer pipe pays only where a core would otherwise idle. With every
+// core running a simulation, a pipe goroutine per run competes with the
+// runs, and the batching and handoff are pure overhead: a `-trace -detect`
+// smoke campaign with two workers on two CPUs took 9% more wall and 12%
+// more CPU time with every run piped than with none. So these counters
+// track the goroutines the package keeps busy.
+var (
+	pooled  atomic.Int32 // goroutines of the RunCells pools in progress
+	running atomic.Int32 // RunOnceObserved calls in progress
+	pipes   atomic.Int32 // observer pipes in progress
+)
+
+// pipeObservers wraps tr in a trace.Pipe when GOMAXPROCS leaves a core for
+// the pipe's goroutine beside the simulations expected to run (the larger
+// of the pooled and the running count) and the pipes already running.
+// Otherwise, and for a nil tr, it returns tr and a drain that does
+// nothing: the sinks then run on the simulation goroutine. Either way
+// they see the same records in the same order.
+func pipeObservers(tr *trace.Tracer) (*trace.Tracer, func()) {
+	if tr == nil {
+		return nil, func() {}
+	}
+	sims := max(pooled.Load(), running.Load())
+	if sims+pipes.Add(1) > int32(runtime.GOMAXPROCS(0)) {
+		pipes.Add(-1)
+		return tr, func() {}
+	}
+	piped, drain := trace.Pipe(tr)
+	return piped, func() {
+		drain()
+		pipes.Add(-1)
+	}
 }

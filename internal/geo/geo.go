@@ -89,8 +89,8 @@ func local(p, center Point, ax, ay float64) (x, y float64) {
 	dx := p.X - center.X
 	dy := p.Y - center.Y
 	// Local x is the projection on the axis, local y on its normal.
-	x = dx*ax + dy*ay
-	y = -dx*ay + dy*ax
+	x = float64(dx*ax) + float64(dy*ay)
+	y = -float64(dx*ay) + float64(dy*ax)
 	return x, y
 }
 
@@ -108,7 +108,7 @@ func NewCircle(c Point, r float64) Circle { return Circle{C: c, R: r} }
 // F implements Area using f = 1 - (d/r)^2.
 func (a Circle) F(p Point) float64 {
 	d := a.C.DistanceTo(p)
-	return 1 - (d/a.R)*(d/a.R)
+	return 1 - float64((d/a.R)*(d/a.R))
 }
 
 // Contains implements Area.
@@ -140,8 +140,8 @@ func NewRect(c Point, a, b, azimuthDeg float64) Rect {
 // F implements Area using f = min(1-(x/a)^2, 1-(y/b)^2).
 func (a Rect) F(p Point) float64 {
 	x, y := local(p, a.C, a.ax, a.ay)
-	fx := 1 - (x/a.A)*(x/a.A)
-	fy := 1 - (y/a.B)*(y/a.B)
+	fx := 1 - float64((x/a.A)*(x/a.A))
+	fy := 1 - float64((y/a.B)*(y/a.B))
 	return math.Min(fx, fy)
 }
 
@@ -173,7 +173,7 @@ func NewEllipse(c Point, a, b, azimuthDeg float64) Ellipse {
 // F implements Area using f = 1 - (x/a)^2 - (y/b)^2.
 func (a Ellipse) F(p Point) float64 {
 	x, y := local(p, a.C, a.ax, a.ay)
-	return 1 - (x/a.A)*(x/a.A) - (y/a.B)*(y/a.B)
+	return 1 - float64((x/a.A)*(x/a.A)) - float64((y/a.B)*(y/a.B))
 }
 
 // Contains implements Area.
@@ -191,15 +191,15 @@ type Segment struct {
 func (s Segment) DistanceToPoint(p Point) float64 {
 	vx, vy := s.P2.X-s.P1.X, s.P2.Y-s.P1.Y
 	wx, wy := p.X-s.P1.X, p.Y-s.P1.Y
-	c1 := vx*wx + vy*wy
+	c1 := float64(vx*wx) + float64(vy*wy)
 	if c1 <= 0 {
 		return p.DistanceTo(s.P1)
 	}
-	c2 := vx*vx + vy*vy
+	c2 := float64(vx*vx) + float64(vy*vy)
 	if c2 <= c1 {
 		return p.DistanceTo(s.P2)
 	}
 	t := c1 / c2
-	proj := Point{X: s.P1.X + t*vx, Y: s.P1.Y + t*vy}
+	proj := Point{X: s.P1.X + float64(t*vx), Y: s.P1.Y + float64(t*vy)}
 	return p.DistanceTo(proj)
 }

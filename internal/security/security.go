@@ -14,8 +14,10 @@
 //     invalidate the signature. This is the RHL vulnerability.
 //
 // SimCA signs with a keyed SHA-256 MAC whose keys only the CA object can
-// derive, which preserves both properties inside a simulation at ~100 ns
-// per operation.
+// derive, which preserves both properties inside a simulation at under
+// 600 ns and no allocation per signature or verification of a 200-byte
+// message (BenchmarkSimSign 425–460 ns/op, BenchmarkSimVerify 395–560
+// ns/op over repeated runs on a 2-vCPU Intel Xeon, Go 1.24).
 package security
 
 import (

@@ -7,6 +7,14 @@
 // component holds a *Tracer and calls Emit unconditionally; a nil tracer
 // returns immediately without touching the record, so the instrumented
 // hot paths stay zero-alloc when tracing is off.
+//
+// A sink runs on one goroutine at a time. Inside an experiment run that
+// goroutine is, whenever a core is free for it, not the simulation's:
+// Pipe hands the records to a goroutine of their own, which feeds the
+// sinks in emission order while the simulation runs ahead. So a sink sees
+// only the record and must never read simulation state; a check that
+// needs the world belongs in the run's delivery hook, on the simulation
+// goroutine.
 package trace
 
 import (
@@ -263,8 +271,11 @@ type Record struct {
 	RxRange float64
 }
 
-// Sink consumes records. Implementations must be safe for use from a
-// single simulation goroutine; the tracer does no locking itself.
+// Sink consumes records. A sink is fed from one goroutine at a time and
+// the tracer does no locking itself. Inside a run that goroutine may be
+// the pipe's (see Pipe), not the simulation's, so a sink must read
+// nothing but the record it is given: by the time it sees a record the
+// world may have moved on.
 type Sink interface {
 	Record(Record)
 }
